@@ -82,6 +82,7 @@ from .variety import (
     codimension,
     is_member,
     membership_residual,
+    membership_residuals,
     project,
     rank_of,
     sample_stratum,

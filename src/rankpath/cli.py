@@ -9,7 +9,9 @@ Subcommands:
   oracle  outer/shortened/constructed sandwich plus the graph estimate
 
 Exit codes: 0 success, 1 usage or I/O or membership errors, 2 when a
-trials run certifies at least one bound violation.
+trials run certifies at least one bound violation, 3 when a trials run has
+no bound violation but some trial raised an error or left the variety
+(membership residual above DEFAULT_MEMBERSHIP_TOL).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .variety import VarietyDescriptor
+from .variety import DEFAULT_MEMBERSHIP_TOL, VarietyDescriptor
 
 RATIO_CSV_HEADER = "s,d_out,d_in,ratio"
 
@@ -101,12 +103,17 @@ def _cmd_trials(args) -> int:
     emit_report(report, "JSON", args.report)
     if args.csv:
         emit_report(report, "CSV", args.csv)
+    errors = sum(r.error is not None for r in report.records)
+    escapes = sum(r.max_residual > DEFAULT_MEMBERSHIP_TOL for r in report.records)
     print(
         f"pairs={cfg.pairs} max_ratio={report.max_ratio:.6f} "
         f"bound_violations={report.bound_violations} "
-        f"fallback_count={report.fallback_count}"
+        f"fallback_count={report.fallback_count} "
+        f"errors={errors} residual_escapes={escapes}"
     )
-    return 2 if report.bound_violations > 0 else 0
+    if report.bound_violations > 0:
+        return 2
+    return 3 if errors or escapes else 0
 
 
 def _log_grid(s_min: float, s_max: float, steps: int):

@@ -58,8 +58,14 @@ def _certificate(
     return path, cert
 
 
-def variety_builder(d: VarietyDescriptor, samples_per_segment: int = 32) -> CertifiedBuilder:
-    """The bounded-rank path construction packaged as a builder."""
+def variety_builder(
+    d: VarietyDescriptor, samples_per_segment: int | None = None
+) -> CertifiedBuilder:
+    """The bounded-rank path construction packaged as a builder.
+
+    Certificates sample each segment as ``build_path`` does, at t + 1
+    Chebyshev points unless ``samples_per_segment`` overrides it.
+    """
     return CertifiedBuilder(
         build=lambda p, q: build_path(p, q, d, samples_per_segment),
         constant=max(1.0, 2.0 * d.t - 2.0),

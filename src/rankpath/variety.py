@@ -62,15 +62,28 @@ def _checked(p, d: VarietyDescriptor) -> np.ndarray:
     return p
 
 
+def membership_residuals(stack, d: VarietyDescriptor) -> np.ndarray:
+    """Residual sigma_t / max(sigma_1, eps) of every matrix in a (k, m, n) stack.
+
+    All k matrices go through one batched singular-value decomposition, so
+    checking many points costs one call instead of k.
+    """
+    stack = as_matrix(stack, d.field)
+    if stack.ndim != 3 or stack.shape[1:] != d.shape:
+        raise DimensionMismatch(
+            f"expected a stack of {d.shape} matrices, got shape {stack.shape}"
+        )
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    return sigma[:, d.t - 1] / np.maximum(sigma[:, 0], _EPS)
+
+
 def membership_residual(p, d: VarietyDescriptor) -> float:
     """Relative size of the t-th singular value, sigma_t / max(sigma_1, eps).
 
     Zero on the variety (and for the zero matrix), of order one far away,
     and invariant under both rescaling and unitary conjugation.
     """
-    p = _checked(p, d)
-    sigma = singular_values(p)
-    return float(sigma[d.t - 1] / max(sigma[0], _EPS))
+    return float(membership_residuals(_checked(p, d)[np.newaxis], d)[0])
 
 
 def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,10 @@ def workspace(tmp_path):
     write_json(matrix_to_json(p), tmp_path / "p.json")
     write_json(matrix_to_json(q), tmp_path / "q.json")
     return tmp_path
+
+
+def failing_build(p, q, d):
+    raise RuntimeError("construction failed")
 
 
 def read_csv(path):
@@ -71,7 +76,7 @@ class TestPathCommand:
 
 
 class TestTrialsCommand:
-    def test_exit_zero_and_report(self, workspace):
+    def test_exit_zero_and_report(self, workspace, capsys):
         report = workspace / "report.json"
         csv = workspace / "report.csv"
         code = cli(
@@ -86,6 +91,7 @@ class TestTrialsCommand:
             ]
         )
         assert code == 0
+        assert "errors=0 residual_escapes=0" in capsys.readouterr().out
         data = json.loads(report.read_text())
         assert data["bound_violations"] == 0
         assert len(data["records"]) == 30
@@ -118,6 +124,52 @@ class TestTrialsCommand:
             ]
         )
         assert code == 2
+
+    def trials(self, workspace):
+        return cli(
+            [
+                "trials",
+                "--descriptor", str(workspace / "d.json"),
+                "--pairs", "4",
+                "--seed", "1",
+                "--report", str(workspace / "r.json"),
+            ]
+        )
+
+    def test_errors_exit_three(self, workspace, monkeypatch, capsys):
+        import rankpath.harness as harness_module
+
+        monkeypatch.setattr(harness_module, "build_path", failing_build)
+        assert self.trials(workspace) == 3
+        assert "errors=4 residual_escapes=0" in capsys.readouterr().out
+        data = json.loads((workspace / "r.json").read_text())
+        assert all(r["error"].startswith("RuntimeError") for r in data["records"])
+
+    def test_residual_escapes_exit_three(self, workspace, monkeypatch, capsys):
+        import rankpath.harness as harness_module
+
+        real_build = harness_module.build_path
+
+        def leaky(p, q, d):
+            path, cert = real_build(p, q, d)
+            return path, dataclasses.replace(cert, max_relative_residual=1e-3)
+
+        monkeypatch.setattr(harness_module, "build_path", leaky)
+        assert self.trials(workspace) == 3
+        assert "errors=0 residual_escapes=4" in capsys.readouterr().out
+
+    def test_violations_take_precedence(self, workspace, monkeypatch):
+        import rankpath.cli as cli_module
+        import rankpath.harness as harness_module
+
+        real_run = cli_module.run_trials
+        monkeypatch.setattr(harness_module, "build_path", failing_build)
+        monkeypatch.setattr(
+            cli_module,
+            "run_trials",
+            lambda cfg: dataclasses.replace(real_run(cfg), bound_violations=1),
+        )
+        assert self.trials(workspace) == 2
 
     def test_bitwise_deterministic(self, workspace):
         args = [

@@ -55,6 +55,20 @@ class TestProductBuilder:
             assert cert.max_relative_residual <= 1e-8
 
 
+class TestVarietyBuilder:
+    def test_certificates_sample_t_plus_one(self, rng):
+        d = VarietyDescriptor(3, 3, 3, ScalarField.COMPLEX)
+        _, cert = variety_builder(d).build(random_member(d, rng, 2), random_member(d, rng, 2))
+        assert cert.samples_per_segment == d.t + 1
+        factor = flat_builder(variety_builder(d), d.shape)
+        z1, z2 = (
+            np.concatenate([random_member(d, rng, 2).reshape(-1), rng.standard_normal(2)])
+            for _ in range(2)
+        )
+        _, cert = product_builder(factor, line_builder(2)).build(z1, z2)
+        assert cert.samples_per_segment == d.t + 1
+
+
 class TestCircleBuilder:
     def test_arc_ratio_peaks_at_antipodes(self):
         circle = circle_builder()

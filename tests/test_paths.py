@@ -6,6 +6,7 @@ import pytest
 from rankpath import (
     BranchConditionError,
     BranchKind,
+    DimensionMismatch,
     MembershipError,
     PiecewisePath,
     ScalarField,
@@ -21,6 +22,7 @@ from rankpath import (
     orthogonal_path,
     radial_path,
     rank_of,
+    sample_stratum,
 )
 from conftest import random_member, random_unitary
 
@@ -273,6 +275,50 @@ class TestCertify:
     def test_default_bound_is_variety_constant(self):
         cert = certify(radial_path(WORKED_P), D22)
         assert cert.certified_bound == 2.0
+
+    def test_off_variety_segment_caught(self):
+        # the midpoint diag(1/2, 1/2) has full rank; t + 1 = 3 samples hit it
+        path = PiecewisePath((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        cert = certify(path, D22)
+        assert cert.samples_per_segment == 3
+        assert cert.max_relative_residual == pytest.approx(1.0)
+
+    def test_t_at_least_32_pair(self):
+        d = VarietyDescriptor(34, 34, 33, ScalarField.COMPLEX)
+        p = sample_stratum(d, 32, 1.0, 1)
+        q = sample_stratum(d, 32, 1.3, 2)
+        _, cert = build_path(p, q, d)
+        assert cert.samples_per_segment == d.t + 1
+        assert cert.max_relative_residual <= 1e-12
+        assert cert.ratio <= cert.certified_bound + 1e-9
+
+    def test_rejects_wrong_field_and_shape(self):
+        complex_path = PiecewisePath((WORKED_P.astype(complex), WORKED_Q.astype(complex)))
+        with pytest.raises(DimensionMismatch):
+            certify(complex_path, D22)
+        with pytest.raises(DimensionMismatch):
+            certify(PiecewisePath((np.zeros((3, 3)), np.eye(3))), D22)
+
+    def test_one_svd_for_breakpoints_and_one_per_segment(self, rng, monkeypatch):
+        d = VarietyDescriptor(5, 5, 4, ScalarField.COMPLEX)
+        path, _ = build_path(random_member(d, rng, 3), random_member(d, rng, 3), d)
+        points = path.breakpoints
+        # a repeated breakpoint adds a degenerate segment, which is skipped
+        padded = PiecewisePath((points[0],) + points)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        certify(padded, d)
+        segments = len(points) - 1
+        assert segments >= 3
+        assert len(calls) == 1 + segments
+        assert calls[0] == (len(points) + 1, 5, 5)
+        assert set(calls[1:]) == {(d.t + 1, 5, 5)}
 
 
 class TestConjugatePath:

@@ -10,6 +10,7 @@ from rankpath import (
     frobenius_distance,
     is_member,
     membership_residual,
+    membership_residuals,
     numerical_rank,
     project,
     sample_stratum,
@@ -71,6 +72,31 @@ class TestMembership:
             assert membership_residual(u @ p @ v, d) == pytest.approx(
                 membership_residual(p, d), abs=1e-10
             )
+
+
+class TestMembershipResiduals:
+    @pytest.mark.parametrize("m, n", [(4, 4), (8, 8), (20, 20), (100, 100), (200, 150)])
+    def test_stack_matches_single_matrix_exactly(self, rng, m, n):
+        for field in ScalarField:
+            d = VarietyDescriptor(m, n, min(m, n) // 2 + 1, field)
+            off = rng.standard_normal(d.shape)
+            if field is ScalarField.COMPLEX:
+                off = off + 1j * rng.standard_normal(d.shape)
+            stack = np.stack([random_member(d, rng), off, np.zeros(d.shape)])
+            residuals = membership_residuals(stack, d)
+            assert residuals.shape == (3,)
+            for matrix, residual in zip(stack, residuals):
+                assert residual == membership_residual(matrix, d)
+            assert residuals[1] > 1e-3
+            assert residuals[2] == 0.0
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(DimensionMismatch):
+            membership_residuals(np.eye(2), D22)
+        with pytest.raises(DimensionMismatch):
+            membership_residuals(np.zeros((2, 3, 3)), D22)
+        with pytest.raises(DimensionMismatch):
+            membership_residuals(np.zeros((2, 2, 2), dtype=complex), D22)
 
 
 class TestProject:
