@@ -54,11 +54,7 @@ from .paths import (
     PiecewisePath,
     build_path,
     certify,
-    conjugate_path,
-    general_path,
     normalize_pair,
-    orthogonal_path,
-    radial_path,
 )
 from .polymap import (
     PLANE_CUSP_BRANCHES,

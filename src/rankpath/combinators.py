@@ -43,9 +43,7 @@ def _certificate(
     points, bound, trace, residual, samples=1
 ) -> tuple[PiecewisePath, PathCertificate]:
     path = PiecewisePath(tuple(points))
-    length = path.length()
-    outer = float(np.linalg.norm(path.end - path.start))
-    ratio = 1.0 if outer == 0.0 else max(1.0, length / outer)
+    outer, length, ratio = path.measure()
     cert = PathCertificate(
         outer_distance=outer,
         length=length,
@@ -58,16 +56,14 @@ def _certificate(
     return path, cert
 
 
-def variety_builder(
-    d: VarietyDescriptor, samples_per_segment: int | None = None
-) -> CertifiedBuilder:
+def variety_builder(d: VarietyDescriptor) -> CertifiedBuilder:
     """The bounded-rank path construction packaged as a builder.
 
     Certificates sample each segment as ``build_path`` does, at t + 1
-    Chebyshev points unless ``samples_per_segment`` overrides it.
+    Chebyshev points.
     """
     return CertifiedBuilder(
-        build=lambda p, q: build_path(p, q, d, samples_per_segment),
+        build=lambda p, q: build_path(p, q, d),
         constant=max(1.0, 2.0 * d.t - 2.0),
         ambient_dimension=d.m * d.n,
     )

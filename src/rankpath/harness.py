@@ -2,16 +2,13 @@
 
 Per-trial seeds are derived from the master seed by position through a
 64-bit avalanche mix (the splitmix64 finalizer), so a report is a pure
-function of its configuration: trials can run serially or across a thread
-pool and still aggregate to byte-identical output, and any single trial
-can be replayed from its index alone.
+function of its configuration and any single trial can be replayed from
+its index alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,8 +28,6 @@ from .serialize import (
 from .variety import VarietyDescriptor, project, rank_of, sample_stratum
 
 BOUND_SLACK = 1e-9
-
-THREADS_ENV_VAR = "RANKPATH_THREADS"
 
 _MASK64 = (1 << 64) - 1
 
@@ -246,29 +241,13 @@ def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:
         )
 
 
-def worker_count() -> int:
-    value = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def run_trials(cfg: TrialConfig) -> TrialReport:
     """Sample pairs, build and certify paths, aggregate.
 
     Deterministic given the config: per-trial seeds are derived from the
-    trial index, so the worker count (RANKPATH_THREADS) changes wall time
-    only, never the report.
+    trial index.
     """
-    indices = range(cfg.pairs)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda i: _run_one(cfg, i), indices))
-    else:
-        records = [_run_one(cfg, i) for i in indices]
-
+    records = [_run_one(cfg, i) for i in range(cfg.pairs)]
     ratios = [r.ratio for r in records if r.error is None]
     return TrialReport(
         config=cfg,

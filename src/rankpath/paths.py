@@ -29,7 +29,6 @@ from .numkernel import (
     DimensionMismatch,
     NoUsableEigenpair,
     Side,
-    UnitaryPair,
     as_matrix,
     frobenius_distance,
     frobenius_inner,
@@ -104,6 +103,13 @@ class PiecewisePath:
             )
         )
 
+    def measure(self) -> tuple[float, float, float]:
+        """Outer distance, length, and their ratio (1 for coincident endpoints)."""
+        length = self.length()
+        outer = frobenius_distance(self.start, self.end)
+        ratio = 1.0 if outer == 0.0 else max(1.0, length / outer)
+        return outer, length, ratio
+
     @property
     def start(self) -> np.ndarray:
         return self.breakpoints[0]
@@ -153,39 +159,7 @@ class BranchConditionError(ValueError):
     """A branch-specific precondition fails; the caller should dispatch."""
 
 
-def radial_path(p) -> PiecewisePath:
-    """Straight segment from p to the cone point 0.
-
-    Scaling preserves rank, so every convex combination stays on whatever
-    bounded-rank variety p belongs to; the path realizes the outer distance
-    exactly.  The zero matrix yields the degenerate one-point path.
-    """
-    p = as_matrix(p)
-    if frobenius_norm(p) == 0.0:
-        return PiecewisePath((p.copy(),))
-    return PiecewisePath((p.copy(), np.zeros_like(p)))
-
-
-def orthogonal_path(p, q) -> PiecewisePath:
-    """Two-leg route [p, 0, q] for a (numerically) orthogonal pair.
-
-    Orthogonality makes the chord from p to q the hypotenuse of the right
-    triangle through 0, so the two radial legs total at most twice the
-    outer distance.
-    """
-    p = as_matrix(p)
-    q = as_matrix(q, field=None)
-    ip = abs(frobenius_inner(p, q))
-    bound = ORTHOGONALITY_THRESHOLD * frobenius_norm(p) * frobenius_norm(q)
-    if ip > bound:
-        raise BranchConditionError(
-            f"|<p,q>| = {ip:.3e} exceeds the orthogonality threshold {bound:.3e}"
-        )
-    points = [p.copy(), np.zeros_like(p), q.copy()]
-    return PiecewisePath(tuple(_dedupe(points)))
-
-
-def normalize_pair(p, q, min_rel_magnitude: float | None = None):
+def normalize_pair(p, q):
     """Unitary change of coordinates putting a non-orthogonal pair in normal form.
 
     Returns ``(pair, p_hat, q_hat)`` with ``p_hat = U p V`` having first
@@ -209,11 +183,9 @@ def normalize_pair(p, q, min_rel_magnitude: float | None = None):
         raise BranchConditionError(
             "normalize_pair requires |<p,q>| above the orthogonality threshold"
         )
-    if min_rel_magnitude is None:
-        min_rel_magnitude = ORTHOGONALITY_THRESHOLD / (2.0 * p.shape[0])
 
     cross = p @ q.conj().T
-    mu, w = leading_nonzero_eigenpair(cross, min_rel_magnitude)
+    mu, w = leading_nonzero_eigenpair(cross, ORTHOGONALITY_THRESHOLD / (2.0 * p.shape[0]))
     u = unitary_completion(w, Side.FIRST_ROW)
     qh_w = q.conj().T @ w
     qh_w_norm = float(np.linalg.norm(qh_w))
@@ -246,33 +218,39 @@ def _dispatch(
     d: VarietyDescriptor,
     depth: int,
     scale: float,
-) -> tuple[list[np.ndarray], list[BranchTag]]:
-    """Pick and execute the branch for one pair; used recursively."""
+) -> tuple[list[np.ndarray], list[BranchTag], float | None]:
+    """Pick and execute the branch for one pair; used recursively.
+
+    Returns the breakpoints, the branch tags and the ratio bound of the
+    branch taken; the bound is None once a RealFallback fired anywhere in
+    the route, which then has no a-priori bound.
+    """
     dist = frobenius_distance(x, y)
     if d.t == 1 or dist <= _DEGENERATE_TOL * scale:
-        return _dedupe([x, y]), []
+        return _dedupe([x, y]), [], 1.0
 
     norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
     if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
-        return [x, y], [BranchTag(BranchKind.RADIAL, depth)]
+        return [x, y], [BranchTag(BranchKind.RADIAL, depth)], 1.0
 
     # q a scalar multiple of p: the whole segment lies on one ray's span
     coef = frobenius_inner(y, x) / (norm_x * norm_x)
     if frobenius_distance(y, coef * x) <= _COLLINEAR_TOL * norm_y:
-        return [x, y], [BranchTag(BranchKind.RADIAL, depth)]
+        return [x, y], [BranchTag(BranchKind.RADIAL, depth)], 1.0
 
     if abs(frobenius_inner(x, y)) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
-        return [x, np.zeros_like(x), y], [BranchTag(BranchKind.ORTHOGONAL, depth)]
+        return [x, np.zeros_like(x), y], [BranchTag(BranchKind.ORTHOGONAL, depth)], 2.0
 
-    swap = rank_of(x, d) > rank_of(y, d)
+    rank_x, rank_y = rank_of(x, d), rank_of(y, d)
+    swap = rank_x > rank_y
     lead, trail = (y, x) if swap else (x, y)
     try:
-        points, tags = _general(lead, trail, d, depth, scale)
+        points, tags, sub_bound = _general(lead, trail, d, depth, scale)
     except NoUsableEigenpair:
-        return [x, np.zeros_like(x), y], [BranchTag(BranchKind.REAL_FALLBACK, depth)]
+        return [x, np.zeros_like(x), y], [BranchTag(BranchKind.REAL_FALLBACK, depth)], None
     if swap:
         points.reverse()
-    return points, tags
+    return points, tags, None if sub_bound is None else 2.0 * min(rank_x, rank_y)
 
 
 def _general(
@@ -281,7 +259,7 @@ def _general(
     d: VarietyDescriptor,
     depth: int,
     scale: float,
-) -> tuple[list[np.ndarray], list[BranchTag]]:
+) -> tuple[list[np.ndarray], list[BranchTag], float | None]:
     pair, p_hat, q_hat = normalize_pair(p, q)
     q11 = q_hat[0, 0]
     sub = VarietyDescriptor(d.m - 1, d.n - 1, d.t - 1, d.field)
@@ -291,7 +269,7 @@ def _general(
     # bounded by that noise and keeps p', q' exact members.
     block_p = project(p_hat[1:, 1:], sub)
     block_q = project(q_hat[1:, 1:], sub)
-    sub_points, sub_tags = _dispatch(block_p, block_q, sub, depth + 1, scale)
+    sub_points, sub_tags, sub_bound = _dispatch(block_p, block_q, sub, depth + 1, scale)
 
     def embed(block: np.ndarray) -> np.ndarray:
         out = np.zeros(d.shape, dtype=p_hat.dtype)
@@ -304,27 +282,7 @@ def _general(
     points = [inverse.apply(b) for b in staged]
     points[0] = p.copy()
     points[-1] = q.copy()
-    return _dedupe(points), [BranchTag(BranchKind.GENERAL, depth)] + sub_tags
-
-
-def general_path(p, q, d: VarietyDescriptor) -> PiecewisePath:
-    """Rank-stripping route for a non-orthogonal pair with rank(p) <= rank(q).
-
-    In normalized coordinates: a segment trading p's first row for q's
-    corner, a recursively built path between the trailing blocks inside
-    the slice that fixes the corner, and a segment restoring q's first
-    column; everything conjugated back to the original coordinates.  The
-    total length never exceeds 2 * rank(p) times the outer distance.
-    """
-    p = as_matrix(p, d.field)
-    q = as_matrix(q, d.field)
-    if rank_of(p, d) > rank_of(q, d):
-        raise BranchConditionError(
-            "general_path pivots on p; swap the arguments so rank(p) <= rank(q)"
-        )
-    scale = max(frobenius_norm(p), frobenius_norm(q), 1e-300)
-    points, _ = _general(p, q, d, 0, scale)
-    return PiecewisePath(tuple(points))
+    return _dedupe(points), [BranchTag(BranchKind.GENERAL, depth)] + sub_tags, sub_bound
 
 
 def _chebyshev_offsets(count: int) -> np.ndarray:
@@ -336,40 +294,33 @@ def _chebyshev_offsets(count: int) -> np.ndarray:
 def certify(
     path: PiecewisePath,
     d: VarietyDescriptor,
-    samples_per_segment: int | None = None,
     branch_trace: tuple[BranchTag, ...] = (),
     certified_bound: float | None = None,
 ) -> PathCertificate:
     """Measure a path and re-check membership along it.
 
     Every breakpoint is checked, and every non-degenerate segment
-    a + s (b - a) at ``samples_per_segment`` Chebyshev points inside
-    (0, 1), t + 1 by default.  Along the segment each t x t minor is a
-    polynomial in s of degree at most t, so if all of them vanish at t + 1
-    distinct points they vanish identically and the whole segment lies on
-    the variety; fewer samples are a spot check, not a proof.  Chebyshev
-    points keep the interpolation (Lebesgue) constant small, about 2.9 for
-    the 21 points at t = 20 against about 1.1e4 for 21 equispaced points,
-    so small sampled residuals keep the residual between them small too.
+    a + s (b - a) at t + 1 Chebyshev points inside (0, 1).  Along the
+    segment each t x t minor is a polynomial in s of degree at most t, so
+    if all of them vanish at t + 1 distinct points they vanish identically
+    and the whole segment lies on the variety.  Chebyshev points keep the
+    interpolation (Lebesgue) constant small, about 2.9 for the 21 points at
+    t = 20 against about 1.1e4 for 21 equispaced points, so small sampled
+    residuals keep the residual between them small too.
 
     The breakpoints take one batched residual call and each segment one
     more.  The worst relative membership residual is recorded, never
     raised.  With no explicit bound the generic variety constant
     max(1, 2t - 2) is reported.
     """
-    if samples_per_segment is None:
-        samples_per_segment = d.t + 1
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be positive")
+    samples = d.t + 1
     points = path.breakpoints
-    length = path.length()
-    outer = frobenius_distance(points[0], points[-1])
-    ratio = 1.0 if outer == 0.0 else max(1.0, length / outer)
+    outer, length, ratio = path.measure()
     if certified_bound is None:
         certified_bound = max(1.0, 2.0 * d.t - 2.0)
 
     worst = float(membership_residuals(np.stack(points), d).max())
-    offsets = _chebyshev_offsets(samples_per_segment)[:, np.newaxis, np.newaxis]
+    offsets = _chebyshev_offsets(samples)[:, np.newaxis, np.newaxis]
     for a, b in zip(points, points[1:]):
         step = b - a
         if not step.any():
@@ -386,31 +337,11 @@ def certify(
         certified_bound=float(certified_bound),
         branch_trace=tuple(branch_trace),
         max_relative_residual=float(worst),
-        samples_per_segment=int(samples_per_segment),
+        samples_per_segment=samples,
     )
 
 
-def conjugate_path(path: PiecewisePath, pair: UnitaryPair) -> PiecewisePath:
-    """Apply x -> U x V to every breakpoint.
-
-    Unitary conjugation preserves singular values, hence membership, every
-    pairwise distance, and the path length.
-    """
-    shape = path.breakpoints[0].shape
-    if len(shape) != 2 or pair.u.shape[1] != shape[0] or pair.v.shape[0] != shape[1]:
-        raise DimensionMismatch(
-            f"pair {pair.u.shape}x{pair.v.shape} cannot conjugate breakpoints of shape {shape}"
-        )
-    return PiecewisePath(tuple(pair.apply(b) for b in path.breakpoints))
-
-
-def build_path(
-    p,
-    q,
-    d: VarietyDescriptor,
-    samples_per_segment: int | None = None,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> tuple[PiecewisePath, PathCertificate]:
+def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
     """Construct and certify an on-variety path from p to q.
 
     Dispatch: coincident or collinear pairs ride their own ray (ratio 1,
@@ -422,38 +353,30 @@ def build_path(
     zero, carries a RealFallback tag, and reports its achieved ratio as the
     bound instead of claiming the variety constant.
 
-    The path is certified by ``certify`` at ``samples_per_segment``
-    Chebyshev points per segment, t + 1 by default, which certifies each
-    whole segment, not only the samples, up to floating point.
+    Inputs with a non-finite entry, or whose Frobenius norms or distance
+    overflow, are rejected with ValueError: their measurements would be
+    meaningless.  The path is certified by ``certify`` at t + 1 Chebyshev
+    points per segment, which certifies each whole segment, not only the
+    samples, up to floating point.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
     for name, point in (("p", p), ("q", q)):
         if point.shape != d.shape:
             raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
+        if not np.isfinite(frobenius_norm(point)):
+            raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
         residual = membership_residual(point, d)
-        if residual > membership_tol:
-            raise MembershipError(name, residual, membership_tol)
+        if residual > DEFAULT_MEMBERSHIP_TOL:
+            raise MembershipError(name, residual, DEFAULT_MEMBERSHIP_TOL)
+    if not np.isfinite(frobenius_distance(p, q)):
+        raise ValueError("the Frobenius distance between p and q overflows")
 
     scale = max(frobenius_norm(p), frobenius_norm(q))
     if scale == 0.0:
         scale = 1.0
-    points, tags = _dispatch(p, q, d, 0, scale)
+    points, tags, bound = _dispatch(p, q, d, 0, scale)
     path = PiecewisePath(tuple(points))
-
-    outer = frobenius_distance(p, q)
-    root = tags[0].kind if tags else None
-    fell_back = any(tag.kind is BranchKind.REAL_FALLBACK for tag in tags)
-    if root is None or root is BranchKind.RADIAL:
-        bound = 1.0
-    elif root is BranchKind.ORTHOGONAL:
-        bound = 2.0
-    elif root is BranchKind.REAL_FALLBACK:
-        bound = (frobenius_norm(p) + frobenius_norm(q)) / outer
-    elif fell_back:
-        bound = max(1.0, path.length() / outer)
-    else:
-        bound = 2.0 * min(rank_of(p, d), rank_of(q, d))
-
-    cert = certify(path, d, samples_per_segment, tuple(tags), bound)
-    return path, cert
+    if bound is None:
+        _, _, bound = path.measure()
+    return path, certify(path, d, tuple(tags), bound)

@@ -1,7 +1,20 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rankpath import ScalarField, VarietyDescriptor, sample_stratum
+
+# derandomized and without an example database, so property tests replay the
+# same examples on every run; hypothesis still caches the source constants it
+# mines, so its storage goes to the temp directory, not into the checkout
+settings.register_profile("rankpath", derandomize=True, database=None, deadline=None)
+settings.load_profile("rankpath")
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "rankpath-hypothesis")
+)
 
 
 def random_unitary(k: int, rng: np.random.Generator, field: ScalarField) -> np.ndarray:

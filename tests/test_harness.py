@@ -163,14 +163,3 @@ class TestEmitReport:
         )
         assert trial_config_from_json(trial_config_to_json(cfg)) == cfg
 
-
-class TestParallelDeterminism:
-    def test_serial_equals_parallel(self, tmp_path, monkeypatch):
-        cfg = TrialConfig(D332, pairs=24, master_seed=6)
-        monkeypatch.delenv("RANKPATH_THREADS", raising=False)
-        serial = tmp_path / "serial.json"
-        emit_report(run_trials(cfg), "JSON", serial)
-        monkeypatch.setenv("RANKPATH_THREADS", "4")
-        parallel = tmp_path / "parallel.json"
-        emit_report(run_trials(cfg), "JSON", parallel)
-        assert serial.read_bytes() == parallel.read_bytes()

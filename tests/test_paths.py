@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankpath import (
     BranchConditionError,
@@ -13,17 +15,13 @@ from rankpath import (
     VarietyDescriptor,
     build_path,
     certify,
-    conjugate_path,
-    frobenius_distance,
     frobenius_inner,
-    general_path,
     make_unitary_pair,
     normalize_pair,
-    orthogonal_path,
-    radial_path,
     rank_of,
     sample_stratum,
 )
+from rankpath.harness import adversarial_pair
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -37,13 +35,15 @@ def trace_kinds(cert):
 
 class TestRadialPath:
     def test_zero_point_degenerates(self):
-        path = radial_path(np.zeros((2, 2)))
+        path, cert = build_path(np.zeros((2, 2)), np.zeros((2, 2)), D22)
         assert len(path.breakpoints) == 1
         assert path.length() == 0.0
+        assert cert.branch_trace == ()
 
     def test_length_is_norm(self):
-        path = radial_path(WORKED_P)
+        path, cert = build_path(WORKED_P, np.zeros((2, 2)), D22)
         assert path.length() == pytest.approx(np.sqrt(2.0))
+        assert trace_kinds(cert) == [BranchKind.RADIAL]
 
     def test_ratio_exactly_one(self, rng):
         for _ in range(10):
@@ -57,15 +57,18 @@ class TestOrthogonalPath:
     def test_disjoint_unit_entries(self):
         p = np.array([[1.0, 0.0], [0.0, 0.0]])
         q = np.array([[0.0, 0.0], [0.0, 1.0]])
-        path = orthogonal_path(p, q)
+        path, cert = build_path(p, q, D22)
+        assert trace_kinds(cert) == [BranchKind.ORTHOGONAL]
+        assert len(path.breakpoints) == 3
         assert path.length() == pytest.approx(2.0)
-        _, cert = build_path(p, q, D22)
         assert cert.outer_distance == pytest.approx(np.sqrt(2.0))
         assert cert.ratio == pytest.approx(np.sqrt(2.0))
         assert cert.ratio <= 2.0
 
     def test_zero_endpoint_reduces_to_radial(self):
-        path = orthogonal_path(WORKED_P, np.zeros((2, 2)))
+        # a zero endpoint is orthogonal to everything, but takes the radial segment
+        path, cert = build_path(np.zeros((2, 2)), WORKED_P, D22)
+        assert trace_kinds(cert) == [BranchKind.RADIAL]
         assert len(path.breakpoints) == 2
         assert path.length() == pytest.approx(np.sqrt(2.0))
 
@@ -79,10 +82,6 @@ class TestOrthogonalPath:
         assert cert.length == pytest.approx(7.0)
         assert cert.outer_distance == pytest.approx(5.0)
         assert cert.ratio == pytest.approx(1.4)
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(BranchConditionError):
-            orthogonal_path(WORKED_P, WORKED_P)
 
 
 class TestNormalizePair:
@@ -139,16 +138,19 @@ class TestGeneralPath:
         assert cert.branch_trace[0].depth == 0
         assert cert.certified_bound == 2.0
 
-    def test_public_wrapper_requires_rank_order(self, rng):
+    def test_swapped_ranks_reverse_the_route(self, rng):
+        # the recursion always pivots on the smaller rank, so swapping the
+        # endpoints replays the same route backwards
         d = VarietyDescriptor(3, 3, 3, ScalarField.COMPLEX)
         low = random_member(d, rng, rank=1)
         high = random_member(d, rng, rank=2)
-        if abs(frobenius_inner(high, low)) > 1e-8:
-            with pytest.raises(BranchConditionError):
-                general_path(high, low, d)
-        path = general_path(low, high, d)
-        assert frobenius_distance(path.start, low) == 0.0
-        assert frobenius_distance(path.end, high) == 0.0
+        forward, cert = build_path(low, high, d)
+        backward, _ = build_path(high, low, d)
+        assert trace_kinds(cert)[0] is BranchKind.GENERAL
+        assert np.array_equal(forward.start, low) and np.array_equal(forward.end, high)
+        assert len(backward.breakpoints) == len(forward.breakpoints)
+        for a, b in zip(forward.breakpoints, reversed(backward.breakpoints)):
+            np.testing.assert_array_equal(a, b)
 
     def test_coincident_pair(self, rng):
         p = random_member(D22, rng, rank=1)
@@ -203,12 +205,66 @@ class TestBuildPathDispatch:
 
     def test_endpoint_fidelity(self, rng):
         d = VarietyDescriptor(4, 3, 3, ScalarField.COMPLEX)
-        for _ in range(20):
-            p = random_member(d, rng)
-            q = random_member(d, rng)
-            path, _ = build_path(p, q, d)
-            assert frobenius_distance(path.start, p) <= 1e-12 * np.linalg.norm(p)
-            assert frobenius_distance(path.end, q) <= 1e-12 * np.linalg.norm(q)
+        for rank_p, rank_q in itertools.product(range(d.t), repeat=2):
+            for _ in range(3):
+                p = random_member(d, rng, rank=rank_p)
+                q = random_member(d, rng, rank=rank_q)
+                path, _ = build_path(p, q, d)
+                assert np.array_equal(path.start, p)
+                assert np.array_equal(path.end, q)
+
+    def test_certified_bound_per_branch(self, rng):
+        zero = np.zeros((2, 2))
+        _, radial = build_path(WORKED_P, zero, D22)
+        assert radial.certified_bound == 1.0
+        _, orthogonal = build_path(np.diag([1.0, 0.0]), np.diag([0.0, 2.0]), D22)
+        assert trace_kinds(orthogonal) == [BranchKind.ORTHOGONAL]
+        assert orthogonal.certified_bound == 2.0
+
+        d = VarietyDescriptor(4, 4, 4, ScalarField.COMPLEX)
+        for rank_p, rank_q in [(1, 3), (3, 1), (2, 3), (3, 3)]:
+            p = random_member(d, rng, rank=rank_p)
+            q = random_member(d, rng, rank=rank_q)
+            _, cert = build_path(p, q, d)
+            assert trace_kinds(cert)[0] is BranchKind.GENERAL
+            assert cert.certified_bound == 2.0 * min(rank_p, rank_q)
+
+        # RealFallback at the root and one level down: no a-priori bound, so
+        # the achieved ratio is reported
+        root_d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        deep_d = VarietyDescriptor(4, 4, 4, ScalarField.REAL)
+        for d, seed, kinds in [
+            (root_d, 6, [BranchKind.REAL_FALLBACK]),
+            (deep_d, 4, [BranchKind.GENERAL, BranchKind.REAL_FALLBACK]),
+        ]:
+            p = sample_stratum(d, d.max_rank, 1.0, seed)
+            q = sample_stratum(d, d.max_rank, 1.5, seed + 1000)
+            _, cert = build_path(p, q, d)
+            assert trace_kinds(cert) == kinds
+            assert cert.certified_bound == cert.ratio
+            assert cert.ratio > 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rejects_non_finite_and_overflowing_pairs(self):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        p = sample_stratum(d, 2, 1.0, 1)
+        q = sample_stratum(d, 2, 1.0, 2)
+        # at 1e154 the distance (or a norm) overflows to inf
+        with pytest.raises(ValueError, match="overflow"):
+            build_path(1e154 * p, 1e154 * q, d)
+        with pytest.raises(ValueError, match="non-finite"):
+            build_path(1e155 * p, q, d)
+        for bad in (np.inf, -np.inf, np.nan):
+            broken = p.copy()
+            broken[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                build_path(broken, q, d)
+            with pytest.raises(ValueError, match="non-finite"):
+                build_path(p, broken, d)
+        # one decade lower everything stays finite and is certified
+        _, cert = build_path(1e153 * p, 1e153 * q, d)
+        assert np.isfinite(cert.outer_distance) and np.isfinite(cert.ratio)
+        assert cert.ratio <= cert.certified_bound
 
     def test_length_never_below_outer(self, rng):
         d = VarietyDescriptor(5, 4, 3, ScalarField.COMPLEX)
@@ -253,6 +309,39 @@ class TestBuildPathDispatch:
                     assert cert.max_relative_residual <= 1e-8
 
 
+@st.composite
+def member_pairs(draw):
+    """Tall, wide and square pairs over both fields at every rank pair, plus
+    real adversarial pairs (near-orthogonal, barely non-orthogonal, ...)."""
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 24))
+    t = draw(st.integers(1, min(m, n)))
+    field = draw(st.sampled_from(list(ScalarField)))
+    d = VarietyDescriptor(m, n, t, field)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if field is ScalarField.REAL and t >= 2 and draw(st.booleans()):
+        return (d,) + adversarial_pair(d, seed, draw(st.integers(0, 11)))
+    rng = np.random.default_rng(seed)
+    rank_p = draw(st.integers(0, t - 1))
+    rank_q = draw(st.integers(0, t - 1))
+    return d, random_member(d, rng, rank_p), random_member(d, rng, rank_q)
+
+
+class TestBuildPathProperties:
+    @settings(max_examples=300)
+    @given(member_pairs())
+    def test_certificate_holds(self, case):
+        d, p, q = case
+        path, cert = build_path(p, q, d)
+        assert np.array_equal(path.start, p)
+        assert np.array_equal(path.end, q)
+        assert cert.max_relative_residual <= 1e-8
+        if not cert.has_fallback:
+            assert cert.ratio <= cert.certified_bound + 1e-9
+            min_rank = min(rank_of(p, d), rank_of(q, d))
+            assert cert.certified_bound in (1.0, 2.0, 2.0 * min_rank)
+
+
 class TestCertify:
     def test_single_breakpoint(self):
         p = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -263,17 +352,18 @@ class TestCertify:
 
     def test_radial_residual_matches_endpoint(self, rng):
         p = random_member(D22, rng, rank=1)
-        cert = certify(radial_path(p), D22)
+        cert = certify(PiecewisePath((p, 0 * p)), D22)
         assert cert.ratio == 1.0
         assert cert.max_relative_residual <= 1e-12
 
     def test_worked_pair_interior_residuals(self):
         path, _ = build_path(WORKED_P, WORKED_Q, D22)
-        cert = certify(path, D22, samples_per_segment=32)
+        cert = certify(path, D22)
+        assert cert.samples_per_segment == D22.t + 1
         assert cert.max_relative_residual <= 1e-10
 
     def test_default_bound_is_variety_constant(self):
-        cert = certify(radial_path(WORKED_P), D22)
+        cert = certify(PiecewisePath((WORKED_P, 0 * WORKED_P)), D22)
         assert cert.certified_bound == 2.0
 
     def test_off_variety_segment_caught(self):
@@ -325,19 +415,11 @@ class TestConjugatePath:
     def test_identity_pair(self):
         path, _ = build_path(WORKED_P, WORKED_Q, D22)
         pair = make_unitary_pair(np.eye(2), np.eye(2))
-        same = conjugate_path(path, pair)
-        for a, b in zip(path.breakpoints, same.breakpoints):
-            np.testing.assert_array_equal(a, b)
-
-    def test_shape_mismatch_rejected(self, rng):
-        from rankpath import DimensionMismatch
-
-        path, _ = build_path(WORKED_P, WORKED_Q, D22)
-        pair = make_unitary_pair(np.eye(3), np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            conjugate_path(path, pair)
+        for b in path.breakpoints:
+            np.testing.assert_array_equal(pair.apply(b), b)
 
     def test_isometry_and_membership(self, rng):
+        # x -> U x V preserves singular values, hence membership and length
         d = VarietyDescriptor(3, 3, 2, ScalarField.COMPLEX)
         p = random_member(d, rng, rank=1)
         q = random_member(d, rng, rank=1)
@@ -346,7 +428,7 @@ class TestConjugatePath:
             random_unitary(3, rng, ScalarField.COMPLEX),
             random_unitary(3, rng, ScalarField.COMPLEX),
         )
-        moved = conjugate_path(path, pair)
+        moved = PiecewisePath(tuple(pair.apply(b) for b in path.breakpoints))
         assert moved.length() == pytest.approx(path.length(), rel=1e-10, abs=1e-12)
         moved_cert = certify(moved, d)
         assert moved_cert.max_relative_residual == pytest.approx(
