@@ -16,11 +16,19 @@ the outer (Frobenius) distance:
 Every branch decision is recorded in the certificate, and every breakpoint
 and t + 1 Chebyshev points inside every segment are re-checked for
 membership, which is enough to certify the whole segment (see ``certify``).
+
+The construction commutes with unitary changes of coordinates, and both
+endpoints lie in (col p + col q) x (row p + row q), of dimension at most
+2(t - 1) on each side.  ``build_path`` therefore divides the pair by a
+power of two, compresses it onto that core with orthonormal frames taken
+from one stacked SVD of the endpoints, constructs and certifies the path
+there, and lifts every breakpoint back isometrically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,15 +43,17 @@ from .numkernel import (
     frobenius_norm,
     leading_nonzero_eigenpair,
     make_unitary_pair,
+    numerical_rank,
     unitary_completion,
 )
 from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
     VarietyDescriptor,
-    membership_residual,
+    membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
     membership_residuals,
     project,
     rank_of,
+    spectral_residuals,
 )
 
 #: pairs with |<p,q>| below this (relative) threshold take the two-leg route
@@ -129,6 +139,12 @@ class PathCertificate:
     residual over all breakpoints and the ``samples_per_segment`` Chebyshev
     points inside each segment; with at least t + 1 of them it bounds the
     residual along the whole segment (see ``certify``).
+
+    From ``build_path``, distance, length and ratio are measured on the
+    returned polyline.  When the path was built on a compressed core, the
+    residual also includes the relative distance by which each endpoint was
+    snapped back to the exact input: by Weyl's inequality sigma_t moves by
+    at most that much, so the residual still bounds the returned path.
     """
 
     outer_distance: float
@@ -341,6 +357,37 @@ def certify(
     )
 
 
+def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
+    """x * 2**exponent, exact unless an entry leaves the normal range."""
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x)
+        return np.ldexp(x.view(np.float64), exponent).view(x.dtype)
+    return np.ldexp(x, exponent)
+
+
+def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
+    """Membership residuals of both endpoints and frames of their core.
+
+    One stacked SVD gives both spectra and singular vectors.  With ranks r_p
+    and r_q (the ``rank_of`` rule) and k = max(r_p + r_q, t), QR of the
+    leading singular vectors gives U (m x k) and V (n x k) with orthonormal
+    columns spanning col p + col q and row p + row q, so p = U (U^H p V) V^H
+    and likewise q.  When r_p + r_q < t, p's next singular vectors pad the
+    frames to t columns, so the core lies on a variety with the same t and
+    takes the same branches.  The frames are None when k >= min(m, n):
+    compressing would not shrink the problem.
+    """
+    u, sigma, vh = np.linalg.svd(np.stack([p, q]), full_matrices=False)
+    residuals = spectral_residuals(sigma, d)
+    rank_q = numerical_rank(sigma[1])
+    k = max(numerical_rank(sigma[0]) + rank_q, d.t)
+    if k >= min(d.shape):
+        return residuals, None
+    frame_u, _ = np.linalg.qr(np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1))
+    frame_v, _ = np.linalg.qr(np.concatenate([vh[0, : k - rank_q], vh[1, :rank_q]]).conj().T)
+    return residuals, (frame_u, frame_v)
+
+
 def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
     """Construct and certify an on-variety path from p to q.
 
@@ -355,9 +402,16 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
 
     Inputs with a non-finite entry, or whose Frobenius norms or distance
     overflow, are rejected with ValueError: their measurements would be
-    meaningless.  The path is certified by ``certify`` at t + 1 Chebyshev
-    points per segment, which certifies each whole segment, not only the
-    samples, up to floating point.
+    meaningless.  The pair is divided by the power of two 2^e that brings
+    its largest entry into [1/2, 1), which is exact, so tiny and huge pairs
+    take the same route as at unit scale; breakpoints, distance and length
+    are multiplied back by 2^e.  When k = max(rank p + rank q, t) is below
+    min(m, n), the path is built and certified on the k x k core U^H p V,
+    U^H q V (see ``_core_frames``) and lifted back by b -> U b V^H, an
+    isometry that preserves rank.  The returned path starts and ends at
+    exactly p and q.  The path is certified by ``certify`` at t + 1
+    Chebyshev points per segment, which certifies each whole segment, not
+    only the samples, up to floating point.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
@@ -366,17 +420,46 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
             raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
         if not np.isfinite(frobenius_norm(point)):
             raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
-        residual = membership_residual(point, d)
-        if residual > DEFAULT_MEMBERSHIP_TOL:
-            raise MembershipError(name, residual, DEFAULT_MEMBERSHIP_TOL)
     if not np.isfinite(frobenius_distance(p, q)):
         raise ValueError("the Frobenius distance between p and q overflows")
 
-    scale = max(frobenius_norm(p), frobenius_norm(q))
-    if scale == 0.0:
-        scale = 1.0
-    points, tags, bound = _dispatch(p, q, d, 0, scale)
-    path = PiecewisePath(tuple(points))
+    exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
+    p_scaled, q_scaled = _ldexp(p, -exponent), _ldexp(q, -exponent)
+    residuals, frames = _core_frames(p_scaled, q_scaled, d)
+    for name, residual in zip("pq", residuals):
+        if residual > DEFAULT_MEMBERSHIP_TOL:
+            raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
+
+    if frames is None:
+        core_d, core_p, core_q = d, p_scaled, q_scaled
+    else:
+        u, v = frames
+        core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
+        core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
+    scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
+    points, tags, bound = _dispatch(core_p, core_q, core_d, 0, scale)
+    lifted = points if frames is None else [u @ b @ v.conj().T for b in points]
+    # relative distance from each endpoint to its lift (0 when not compressed)
+    snap = max(
+        (
+            float(np.linalg.norm(x - end) / np.linalg.norm(x))
+            for x, end in ((p_scaled, lifted[0]), (q_scaled, lifted[-1]))
+            if x.any()
+        ),
+        default=0.0,
+    )
+    # measured on the polyline that is returned, with the exact endpoints
+    interior = lifted[1:-1]
+    scaled_path = PiecewisePath(tuple(_dedupe([p_scaled] + interior + [q_scaled])))
+    outer, length, ratio = scaled_path.measure()
     if bound is None:
-        _, _, bound = path.measure()
-    return path, certify(path, d, tuple(tags), bound)
+        bound = ratio
+    cert = certify(PiecewisePath(tuple(points)), core_d, tuple(tags), bound)
+    path = PiecewisePath(tuple(_dedupe([p] + [_ldexp(b, exponent) for b in interior] + [q])))
+    return path, replace(
+        cert,
+        outer_distance=math.ldexp(outer, exponent),
+        length=math.ldexp(length, exponent),
+        ratio=ratio,
+        max_relative_residual=cert.max_relative_residual + snap,
+    )

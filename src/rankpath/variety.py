@@ -3,7 +3,7 @@
 A descriptor (m, n, t) names the set of m x n matrices of rank strictly
 below t.  Membership is decided through singular values: the relative size
 of the t-th singular value is the residual, which is zero exactly on the
-variety and scale-free off it.
+variety and scale-free off it, down to the smallest nonzero matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .numkernel import (
 #: default membership acceptance threshold on the relative residual
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 
-_EPS = float(np.finfo(np.float64).eps)
+# the smallest positive double: max(sigma_1, it) is sigma_1 for every nonzero
+# spectrum, and a zero spectrum gives 0 / it = 0
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class StratumError(ValueError):
@@ -62,8 +64,17 @@ def _checked(p, d: VarietyDescriptor) -> np.ndarray:
     return p
 
 
+def spectral_residuals(sigma, d: VarietyDescriptor) -> np.ndarray:
+    """Residual sigma_t / sigma_1 of each row of a (k, min(m, n)) array of
+    nonincreasing singular values; 0 for a zero spectrum.
+
+    The membership rule itself, for callers that already hold the spectra.
+    """
+    return sigma[:, d.t - 1] / np.maximum(sigma[:, 0], _SMALLEST_SUBNORMAL)
+
+
 def membership_residuals(stack, d: VarietyDescriptor) -> np.ndarray:
-    """Residual sigma_t / max(sigma_1, eps) of every matrix in a (k, m, n) stack.
+    """Residual sigma_t / sigma_1 of every matrix in a (k, m, n) stack.
 
     All k matrices go through one batched singular-value decomposition, so
     checking many points costs one call instead of k.
@@ -73,15 +84,15 @@ def membership_residuals(stack, d: VarietyDescriptor) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a stack of {d.shape} matrices, got shape {stack.shape}"
         )
-    sigma = np.linalg.svd(stack, compute_uv=False)
-    return sigma[:, d.t - 1] / np.maximum(sigma[:, 0], _EPS)
+    return spectral_residuals(np.linalg.svd(stack, compute_uv=False), d)
 
 
 def membership_residual(p, d: VarietyDescriptor) -> float:
-    """Relative size of the t-th singular value, sigma_t / max(sigma_1, eps).
+    """Relative size of the t-th singular value, sigma_t / sigma_1.
 
     Zero on the variety (and for the zero matrix), of order one far away,
-    and invariant under both rescaling and unitary conjugation.
+    and invariant under both rescaling and unitary conjugation: there is no
+    absolute floor, so a tiny matrix off the variety reads as off it.
     """
     return float(membership_residuals(_checked(p, d)[np.newaxis], d)[0])
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankpath import (
@@ -327,9 +327,19 @@ def member_pairs(draw):
     return d, random_member(d, rng, rank_p), random_member(d, rng, rank_q)
 
 
+# t >= 32 on a tall pair whose core (k = 12 + 32 = 44 < 50) is compressed
+_LARGE_T = VarietyDescriptor(60, 50, 33, ScalarField.COMPLEX)
+_LARGE_T_CASE = (
+    _LARGE_T,
+    sample_stratum(_LARGE_T, 12, 1.0, 3),
+    sample_stratum(_LARGE_T, 32, 1.7, 4),
+)
+
+
 class TestBuildPathProperties:
     @settings(max_examples=300)
     @given(member_pairs())
+    @example(_LARGE_T_CASE)
     def test_certificate_holds(self, case):
         d, p, q = case
         path, cert = build_path(p, q, d)
@@ -340,6 +350,107 @@ class TestBuildPathProperties:
             assert cert.ratio <= cert.certified_bound + 1e-9
             min_rank = min(rank_of(p, d), rank_of(q, d))
             assert cert.certified_bound in (1.0, 2.0, 2.0 * min_rank)
+
+    @settings(max_examples=60)
+    @given(member_pairs(), st.integers(-600, 500))
+    def test_power_of_two_scaling_is_exact(self, case, j):
+        d, p, q = case
+        path, cert = build_path(p, q, d)
+        scaled_path, scaled = build_path(2.0**j * p, 2.0**j * q, d)
+        assert len(scaled_path.breakpoints) == len(path.breakpoints)
+        for a, b in zip(path.breakpoints, scaled_path.breakpoints):
+            assert np.array_equal(2.0**j * a, b)
+        assert scaled.branch_trace == cert.branch_trace
+        assert scaled.certified_bound == cert.certified_bound
+        assert scaled.ratio == cert.ratio
+        assert scaled.outer_distance == 2.0**j * cert.outer_distance
+        assert scaled.length == 2.0**j * cert.length
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-170])
+    def test_tiny_pair_takes_the_unit_scale_route(self, scale):
+        # norms, p q^H and the residual floor used to underflow here: at 1e-170
+        # the pair read as coincident although the segment's midpoint has
+        # sigma_3 / sigma_1 = 0.26, and at 1e-100 it took a RealFallback
+        d = VarietyDescriptor(4, 4, 3, ScalarField.COMPLEX)
+        p = sample_stratum(d, 2, 1.0, 1)
+        q = sample_stratum(d, 2, 1.0, 2)
+        _, base = build_path(p, q, d)
+        assert trace_kinds(base) == [BranchKind.GENERAL, BranchKind.GENERAL]
+        _, cert = build_path(scale * p, scale * q, d)
+        assert cert.branch_trace == base.branch_trace
+        assert cert.certified_bound == base.certified_bound == 4.0
+        assert cert.ratio == pytest.approx(base.ratio, rel=1e-12)
+        assert cert.outer_distance == pytest.approx(scale * base.outer_distance, rel=1e-12)
+        assert cert.max_relative_residual <= 1e-8
+
+    def test_tiny_off_variety_point_rejected(self):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        with pytest.raises(MembershipError):
+            build_path(1e-170 * np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros((4, 4)), d)
+
+
+class TestCompressedPath:
+    """Pairs embedded into a larger space by isometries W, Z are built on
+    their k x k core, k = max(rank p + rank q, t), and lifted back."""
+
+    CASES = [
+        ((m, n), t, (t - 1, t - 1), False)
+        for m, n in itertools.product((20, 100), repeat=2)
+        for t in (2, 3, 4)
+    ] + [
+        # rank p + rank q < t pads the core to t; a zero endpoint; p == q
+        ((20, 20), 3, (1, 1), False),
+        ((20, 20), 3, (0, 2), False),
+        ((20, 20), 3, (2, 2), True),
+    ]
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    @pytest.mark.parametrize("shape, t, ranks, coincident", CASES)
+    def test_embedded_pair_matches_its_core(self, rng, field, shape, t, ranks, coincident):
+        k = max(sum(ranks), t)
+        core = VarietyDescriptor(k, k, t, field)
+        core_p = random_member(core, rng, ranks[0])
+        core_q = core_p.copy() if coincident else random_member(core, rng, ranks[1])
+        _, base = build_path(core_p, core_q, core)
+
+        d = VarietyDescriptor(*shape, t, field)
+        w = random_unitary(d.m, rng, field)[:, :k]
+        z = random_unitary(d.n, rng, field)[:, :k]
+        p, q = w @ core_p @ z.conj().T, w @ core_q @ z.conj().T
+        path, cert = build_path(p, q, d)
+        assert cert.branch_trace == base.branch_trace
+        if cert.has_fallback:
+            assert cert.certified_bound == pytest.approx(base.certified_bound, rel=1e-9)
+        else:
+            assert cert.certified_bound == base.certified_bound
+        assert cert.ratio == pytest.approx(base.ratio, rel=1e-9)
+        assert np.array_equal(path.start, p) and np.array_equal(path.end, q)
+        assert all(b.dtype == field.dtype for b in path.breakpoints)
+        assert cert.max_relative_residual <= 1e-8
+
+        # the certificate made on the core holds for the returned polyline
+        full = certify(path, d, cert.branch_trace, cert.certified_bound)
+        assert full.max_relative_residual <= 1e-8
+        assert full.ratio == pytest.approx(cert.ratio, rel=1e-12)
+        assert full.outer_distance == pytest.approx(cert.outer_distance, rel=1e-12)
+        assert full.length == pytest.approx(cert.length, rel=1e-12)
+
+    def test_only_the_endpoint_svd_is_full_size(self, rng, monkeypatch):
+        d = VarietyDescriptor(100, 100, 3, ScalarField.COMPLEX)
+        p, q = random_member(d, rng, 2), random_member(d, rng, 2)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            shapes.append(np.shape(args[0]))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        _, cert = build_path(p, q, d)
+        assert trace_kinds(cert)[0] is BranchKind.GENERAL
+        full_size = [shape for shape in shapes if max(shape[-2:]) > 2 * (d.t - 1)]
+        assert full_size == [(2, 100, 100)]
+        assert len(shapes) > 1
 
 
 class TestCertify:
