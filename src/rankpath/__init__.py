@@ -80,6 +80,7 @@ from .variety import (
     membership_residual,
     membership_residuals,
     project,
+    projections,
     rank_of,
     sample_stratum,
 )

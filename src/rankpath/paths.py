@@ -114,10 +114,14 @@ class PiecewisePath:
         )
 
     def measure(self) -> tuple[float, float, float]:
-        """Outer distance, length, and their ratio (1 for coincident endpoints)."""
+        """Outer distance, length, and their ratio (1 for coincident endpoints).
+
+        The ratio is length / outer unclamped: a value below 1 would mean a
+        polyline shorter than its chord, a measurement fault, and shows as such.
+        """
         length = self.length()
         outer = frobenius_distance(self.start, self.end)
-        ratio = 1.0 if outer == 0.0 else max(1.0, length / outer)
+        ratio = 1.0 if outer == 0.0 else length / outer
         return outer, length, ratio
 
     @property

@@ -493,9 +493,10 @@ def surface_demo(
     family = cusp_family_map()
     target = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
 
-    def residual(point: np.ndarray) -> float:
-        flipped = np.array([point[0], point[1], -point[2]])
-        return pullback_residual(family, flipped, target)
+    def residuals(points: np.ndarray) -> np.ndarray:
+        return np.array(
+            [pullback_residual(family, np.array([x, y, -z]), target) for x, y, z in points]
+        )
 
     rows = []
     for s in s_values:
@@ -524,7 +525,7 @@ def surface_demo(
             nodes,
             source=source,
             target=targetidx,
-            residual_of=residual,
+            residuals_of=residuals,
             tol=edge_tol_scale * s**4,
             checks_per_edge=checks_per_edge,
         )

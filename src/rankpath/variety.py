@@ -64,6 +64,15 @@ def _checked(p, d: VarietyDescriptor) -> np.ndarray:
     return p
 
 
+def _checked_stack(stack, d: VarietyDescriptor) -> np.ndarray:
+    stack = as_matrix(stack, d.field)
+    if stack.ndim != 3 or stack.shape[1:] != d.shape:
+        raise DimensionMismatch(
+            f"expected a stack of {d.shape} matrices, got shape {stack.shape}"
+        )
+    return stack
+
+
 def spectral_residuals(sigma, d: VarietyDescriptor) -> np.ndarray:
     """Residual sigma_t / sigma_1 of each row of a (k, min(m, n)) array of
     nonincreasing singular values; 0 for a zero spectrum.
@@ -79,12 +88,7 @@ def membership_residuals(stack, d: VarietyDescriptor) -> np.ndarray:
     All k matrices go through one batched singular-value decomposition, so
     checking many points costs one call instead of k.
     """
-    stack = as_matrix(stack, d.field)
-    if stack.ndim != 3 or stack.shape[1:] != d.shape:
-        raise DimensionMismatch(
-            f"expected a stack of {d.shape} matrices, got shape {stack.shape}"
-        )
-    return spectral_residuals(np.linalg.svd(stack, compute_uv=False), d)
+    return spectral_residuals(np.linalg.svd(_checked_stack(stack, d), compute_uv=False), d)
 
 
 def membership_residual(p, d: VarietyDescriptor) -> float:
@@ -101,18 +105,24 @@ def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> b
     return membership_residual(p, d) <= tol
 
 
-def project(p, d: VarietyDescriptor) -> np.ndarray:
-    """Nearest matrix of rank <= t-1 in Frobenius norm (truncated SVD).
+def projections(stack, d: VarietyDescriptor) -> np.ndarray:
+    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack.
 
+    The truncated SVD of each matrix, all k from one batched decomposition.
     Ties between equal singular values keep the first t-1 in the order the
     decomposition returns them, so the output is deterministic.
     """
-    p = _checked(p, d)
+    stack = _checked_stack(stack, d)
     keep = d.t - 1
     if keep == 0:
-        return np.zeros(d.shape, dtype=d.field.dtype)
-    u, sigma, vh = np.linalg.svd(p, full_matrices=False)
-    return (u[:, :keep] * sigma[:keep]) @ vh[:keep]
+        return np.zeros(stack.shape, dtype=d.field.dtype)
+    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    return (u[..., :keep] * sigma[:, np.newaxis, :keep]) @ vh[:, :keep]
+
+
+def project(p, d: VarietyDescriptor) -> np.ndarray:
+    """Nearest matrix of rank <= t-1 in Frobenius norm (truncated SVD)."""
+    return projections(_checked(p, d)[np.newaxis], d)[0]
 
 
 def sample_stratum(d: VarietyDescriptor, r: int, radius: float, seed: int) -> np.ndarray:

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from rankpath import (
+    DimensionMismatch,
+    MembershipError,
     OracleConfig,
     PiecewisePath,
     ScalarField,
@@ -11,9 +17,13 @@ from rankpath import (
     build_path,
     frobenius_distance,
     graph_upper_bound,
+    membership_residual,
+    membership_residuals,
+    sample_stratum,
     sandwich,
     shorten,
 )
+from rankpath.oracles import proximity_graph_distance
 from conftest import random_member
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -66,6 +76,78 @@ class TestGraphUpperBound:
             ]
             medians.append(float(np.median(values)))
         assert medians[0] >= medians[1] >= medians[2]
+
+    def test_rejects_off_variety_endpoints(self):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        member = sample_stratum(d, 2, 1.0, 3)
+        with pytest.raises(MembershipError):
+            graph_upper_bound(np.eye(4), member, d, CFG)
+        with pytest.raises(MembershipError):
+            graph_upper_bound(member, np.eye(4), d, CFG)
+
+    def test_rejects_shape_mismatch(self):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        member = sample_stratum(d, 2, 1.0, 3)
+        with pytest.raises(DimensionMismatch):
+            graph_upper_bound(np.zeros((3, 3)), member, d, CFG)
+        with pytest.raises(DimensionMismatch):
+            graph_upper_bound(member, np.zeros((3, 3)), d, CFG)
+
+
+def reference_graph_distance(nodes, source, target, residual_of, tol, checks_per_edge):
+    """Edge by edge, one point at a time, stopping at an edge's first failed
+    check: the scalar loop the stacked edge checks must reproduce."""
+    count = len(nodes)
+    offsets = np.arange(1, checks_per_edge + 1) / (checks_per_edge + 1)
+    rows, cols, weights = [], [], []
+    for i in range(count):
+        for j in range(i + 1, count):
+            step = nodes[j] - nodes[i]
+            if step.any() and any(residual_of(nodes[i] + s * step) > tol for s in offsets):
+                continue
+            rows.append(i)
+            cols.append(j)
+            weights.append(float(np.linalg.norm(step)))
+    graph = csr_matrix((weights, (rows, cols)), shape=(count, count))
+    return float(dijkstra(graph, directed=False, indices=source)[target])
+
+
+class TestProximityGraphExactness:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX),
+            VarietyDescriptor(8, 8, 5, ScalarField.REAL),
+        ],
+    )
+    @pytest.mark.parametrize("checks", [1, 3, 4])
+    def test_matches_scalar_loop(self, d, checks):
+        rng = np.random.default_rng(checks)
+        nodes = [
+            sample_stratum(d, int(rng.integers(1, d.t)), float(rng.uniform(0.2, 2.0)), seed)
+            for seed in range(24)
+        ]
+        nodes += [np.zeros(d.shape, dtype=d.field.dtype), nodes[5].copy()]
+        scalar_calls = []
+
+        def residual_of(x):
+            scalar_calls.append(1)
+            return membership_residual(x, d)
+
+        stacked_sizes = []
+
+        def residuals_of(stack):
+            stacked_sizes.append(len(stack))
+            return membership_residuals(stack, d)
+
+        for source, target in ((0, 1), (5, 25), (24, 3)):
+            scalar_calls.clear()
+            stacked_sizes.clear()
+            expected = reference_graph_distance(nodes, source, target, residual_of, 1e-6, checks)
+            got = proximity_graph_distance(nodes, source, target, residuals_of, 1e-6, checks)
+            assert got == expected
+            assert sum(stacked_sizes) == len(scalar_calls)
+        assert 0 < len(scalar_calls) < len(nodes) * (len(nodes) - 1) // 2 * checks
 
 
 class TestShorten:
@@ -132,3 +214,47 @@ class TestSandwich:
             assert result.outer <= result.shortened + 1e-9
             assert result.shortened <= result.constructed + 1e-9
             assert result.constructed <= 2.0 * result.outer + 1e-9
+
+
+@st.composite
+def member_paths(draw):
+    """A constructed path between two members, m, n <= 8, both fields, any t."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    t = draw(st.integers(1, min(m, n)))
+    d = VarietyDescriptor(m, n, t, draw(st.sampled_from(list(ScalarField))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_member(d, rng, draw(st.integers(0, t - 1)))
+    q = random_member(d, rng, draw(st.integers(0, t - 1)))
+    return d, build_path(p, q, d)[0], draw(st.integers(1, 8))
+
+
+class TestShortenProperties:
+    @settings(max_examples=60)
+    @given(member_paths())
+    def test_shortened_path_stays_on_the_variety(self, case):
+        d, path, rounds = case
+        out = shorten(path, d, OracleConfig(shorten_iterations=rounds))
+        assert np.array_equal(out.start, path.start)
+        assert np.array_equal(out.end, path.end)
+        assert len(out.breakpoints) <= 4097
+        assert membership_residuals(np.stack(out.breakpoints), d).max() <= 1e-8
+        # the rounds compare lengths summed blockwise, PiecewisePath.length
+        # sums segment by segment: allow for the different rounding
+        assert out.length() <= path.length() * (1.0 + 1e-12)
+
+    def test_long_polyline_is_swept_without_refinement(self):
+        # 2101 breakpoints: refining would exceed 4097, so rounds only sweep
+        angles = np.linspace(0.0, 1.0, 2101)
+        radii = 1.0 + 0.05 * (-1.0) ** np.arange(len(angles))
+        points = tuple(
+            r * np.outer([np.cos(a), np.sin(a)], [np.cos(a), np.sin(a)])
+            for a, r in zip(angles, radii)
+        )
+        path = PiecewisePath(points)
+        out = shorten(path, D22, OracleConfig(shorten_iterations=2))
+        assert len(out.breakpoints) == len(points)
+        assert np.array_equal(out.start, path.start)
+        assert np.array_equal(out.end, path.end)
+        assert out.length() < path.length()
+        assert membership_residuals(np.stack(out.breakpoints), D22).max() <= 1e-8

@@ -453,6 +453,22 @@ class TestCompressedPath:
         assert len(shapes) > 1
 
 
+class TestMeasure:
+    def test_two_point_ratio_is_length_over_outer(self, rng):
+        d = VarietyDescriptor(3, 4, 3, ScalarField.COMPLEX)
+        path = PiecewisePath((random_member(d, rng, 2), random_member(d, rng, 1)))
+        outer, length, ratio = path.measure()
+        assert ratio == length / outer
+
+    def test_ratio_is_not_clamped(self):
+        # collinear breakpoints whose rounded segment lengths sum to one ulp
+        # below the chord: the ratio reports that instead of reading 1
+        path = PiecewisePath(tuple(np.array([[x]]) for x in (0.18, 0.32, 0.99)))
+        outer, length, ratio = path.measure()
+        assert ratio == length / outer
+        assert ratio < 1.0
+
+
 class TestCertify:
     def test_single_breakpoint(self):
         p = np.array([[1.0, 1.0], [0.0, 0.0]])

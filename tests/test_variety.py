@@ -13,6 +13,7 @@ from rankpath import (
     membership_residuals,
     numerical_rank,
     project,
+    projections,
     sample_stratum,
     singular_values,
 )
@@ -98,6 +99,45 @@ class TestMembershipResiduals:
             membership_residuals(np.zeros((2, 3, 3)), D22)
         with pytest.raises(DimensionMismatch):
             membership_residuals(np.zeros((2, 2, 2), dtype=complex), D22)
+
+
+class TestProjections:
+    @pytest.mark.parametrize(
+        "m, n", [(2, 2), (4, 4), (6, 6), (8, 8), (5, 3), (20, 20), (100, 100), (200, 150)]
+    )
+    def test_stack_matches_reference_exactly(self, rng, m, n):
+        def reference(p, d):
+            # the one-matrix truncated SVD that project computed on its own
+            u, sigma, vh = np.linalg.svd(p, full_matrices=False)
+            return (u[:, : d.t - 1] * sigma[: d.t - 1]) @ vh[: d.t - 1]
+
+        for field in ScalarField:
+            for t in sorted({2, min(m, n) // 2 + 1, min(m, n)}):
+                d = VarietyDescriptor(m, n, t, field)
+                stack = rng.standard_normal((3, m, n))
+                if field is ScalarField.COMPLEX:
+                    stack = stack + 1j * rng.standard_normal((3, m, n))
+                projected = projections(stack, d)
+                assert projected.shape == stack.shape
+                assert projected.dtype == field.dtype
+                for matrix, out in zip(stack, projected):
+                    expected = reference(matrix, d)
+                    assert np.array_equal(out, expected)
+                    assert np.array_equal(project(matrix, d), expected)
+
+    def test_t_one_projects_to_zero(self):
+        d = VarietyDescriptor(3, 2, 1, ScalarField.COMPLEX)
+        out = projections(np.ones((4, 3, 2)), d)
+        assert out.shape == (4, 3, 2) and out.dtype == np.complex128
+        assert not out.any()
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(DimensionMismatch):
+            projections(np.eye(2), D22)
+        with pytest.raises(DimensionMismatch):
+            projections(np.zeros((2, 3, 3)), D22)
+        with pytest.raises(DimensionMismatch):
+            projections(np.zeros((2, 2, 2), dtype=complex), D22)
 
 
 class TestProject:
