@@ -40,6 +40,7 @@ from .numkernel import (
     leading_nonzero_eigenpair,
     make_unitary_pair,
     numerical_rank,
+    numerical_ranks,
     singular_values,
     unitary_completion,
 )
@@ -83,6 +84,7 @@ from .variety import (
     projections,
     rank_of,
     sample_stratum,
+    truncations,
 )
 
 __version__ = "0.1.0"

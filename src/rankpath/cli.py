@@ -48,7 +48,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .variety import DEFAULT_MEMBERSHIP_TOL, VarietyDescriptor
+from .variety import VarietyDescriptor
 
 RATIO_CSV_HEADER = "s,d_out,d_in,ratio"
 
@@ -103,17 +103,15 @@ def _cmd_trials(args) -> int:
     emit_report(report, "JSON", args.report)
     if args.csv:
         emit_report(report, "CSV", args.csv)
-    errors = sum(r.error is not None for r in report.records)
-    escapes = sum(r.max_residual > DEFAULT_MEMBERSHIP_TOL for r in report.records)
     print(
         f"pairs={cfg.pairs} max_ratio={report.max_ratio:.6f} "
         f"bound_violations={report.bound_violations} "
         f"fallback_count={report.fallback_count} "
-        f"errors={errors} residual_escapes={escapes}"
+        f"errors={report.errors} residual_escapes={report.residual_escapes}"
     )
     if report.bound_violations > 0:
         return 2
-    return 3 if errors or escapes else 0
+    return 3 if report.errors or report.residual_escapes else 0
 
 
 def _log_grid(s_min: float, s_max: float, steps: int):

@@ -40,7 +40,7 @@ class CertifiedBuilder:
 
 
 def _certificate(
-    points, bound, trace, residual, samples=1
+    points, bound, trace, residual, samples=0
 ) -> tuple[PiecewisePath, PathCertificate]:
     path = PiecewisePath(tuple(points))
     outer, length, ratio = path.measure()
@@ -59,8 +59,10 @@ def _certificate(
 def variety_builder(d: VarietyDescriptor) -> CertifiedBuilder:
     """The bounded-rank path construction packaged as a builder.
 
-    Certificates sample each segment as ``build_path`` does, at t + 1
-    Chebyshev points.
+    Certificates check each segment as ``build_path`` does, at as many
+    interior Chebyshev-Lobatto points as the rank of its step requires
+    (none for a rank-1 step), plus a Weyl term for the step's numerical
+    tail; see ``paths.certify``.
     """
     return CertifiedBuilder(
         build=lambda p, q: build_path(p, q, d),

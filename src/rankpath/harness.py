@@ -25,7 +25,13 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .variety import VarietyDescriptor, project, rank_of, sample_stratum
+from .variety import (
+    DEFAULT_MEMBERSHIP_TOL,
+    VarietyDescriptor,
+    project,
+    rank_of,
+    sample_stratum,
+)
 
 BOUND_SLACK = 1e-9
 
@@ -88,11 +94,17 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TrialReport:
+    """Records of one run plus their tallies: bound violations, RealFallback
+    routes, trials that raised (``errors``) and certificates whose residual
+    exceeds ``DEFAULT_MEMBERSHIP_TOL`` (``residual_escapes``)."""
+
     config: TrialConfig
     records: tuple[TrialRecord, ...]
     max_ratio: float
     bound_violations: int
     fallback_count: int
+    errors: int
+    residual_escapes: int
 
 
 def _sample_radius(rng: np.random.Generator, radius_range) -> float:
@@ -255,6 +267,8 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
         max_ratio=max(ratios) if ratios else 0.0,
         bound_violations=sum(r.violates_bound for r in records),
         fallback_count=sum(r.has_fallback for r in records),
+        errors=sum(r.error is not None for r in records),
+        residual_escapes=sum(r.max_residual > DEFAULT_MEMBERSHIP_TOL for r in records),
     )
 
 
@@ -325,6 +339,8 @@ def report_to_json(report: TrialReport) -> dict:
         "max_ratio": report.max_ratio,
         "bound_violations": report.bound_violations,
         "fallback_count": report.fallback_count,
+        "errors": report.errors,
+        "residual_escapes": report.residual_escapes,
     }
 
 
@@ -335,6 +351,8 @@ def report_from_json(data: dict) -> TrialReport:
         max_ratio=float(data["max_ratio"]),
         bound_violations=int(data["bound_violations"]),
         fallback_count=int(data["fallback_count"]),
+        errors=int(data["errors"]),
+        residual_escapes=int(data["residual_escapes"]),
     )
 
 

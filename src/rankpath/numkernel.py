@@ -121,15 +121,19 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def numerical_rank(sigma, rel_tol: float = 1e-10) -> int:
-    """Count singular values exceeding ``rel_tol`` times the largest one.
+def numerical_ranks(sigma, rel_tol: float = 1e-10) -> np.ndarray:
+    """Rank of each row of a (k, r) array of nonincreasing singular values:
+    the count of values exceeding ``rel_tol`` times the row's largest one.
 
     A zero (or empty) spectrum has rank 0.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    return np.count_nonzero(sigma > rel_tol * sigma[:, :1], axis=1)
+
+
+def numerical_rank(sigma, rel_tol: float = 1e-10) -> int:
+    """Count singular values exceeding ``rel_tol`` times the largest one."""
+    return int(numerical_ranks([sigma], rel_tol)[0])
 
 
 def unitary_completion(w, side: Side) -> np.ndarray:

@@ -13,9 +13,13 @@ the outer (Frobenius) distance:
   column.  Each level strips one unit of rank, so the certified constant
   is 2 * min(rank p, rank q) <= 2t - 2.
 
-Every branch decision is recorded in the certificate, and every breakpoint
-and t + 1 Chebyshev points inside every segment are re-checked for
-membership, which is enough to certify the whole segment (see ``certify``).
+Every branch decision is recorded in the certificate.  Every breakpoint is
+re-checked for membership, and every segment a + s D at min(t, rank D) - 1
+interior Chebyshev-Lobatto points, none for the rank-1 steps the recursion
+emits.  Along the segment each t x t minor has degree at most
+min(t, rank D) in s, so this certifies the whole segment; the numerical
+tail sigma_{r+1}(D) of the step enters the residual through Weyl's
+inequality (see ``certify``).
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
@@ -43,7 +47,7 @@ from .numkernel import (
     frobenius_norm,
     leading_nonzero_eigenpair,
     make_unitary_pair,
-    numerical_rank,
+    numerical_ranks,
     unitary_completion,
 )
 from .variety import (
@@ -51,9 +55,11 @@ from .variety import (
     VarietyDescriptor,
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
     membership_residuals,
-    project,
-    rank_of,
+    project,  # noqa: F401  unused here, but per-layer tracing wraps this name
+    rank_of,  # noqa: F401  unused here, but per-layer tracing wraps this name
+    spectra,
     spectral_residuals,
+    truncations,
 )
 
 #: pairs with |<p,q>| below this (relative) threshold take the two-leg route
@@ -70,6 +76,10 @@ _DEGENERATE_TOL = 1e-14
 
 #: internal sanity gate on the normal-form margins, relative to the operand
 _NORMAL_FORM_GATE = 1e-6
+
+#: largest relative residual the tail of a step may add to its segment
+#: before ``certify`` checks the segment at full degree t instead
+_TAIL_CHARGE_LIMIT = 1e-12
 
 
 class BranchKind(str, Enum):
@@ -139,10 +149,13 @@ class PathCertificate:
 
     ``ratio`` is length over outer distance (1 by convention for coincident
     endpoints) and, absent a RealFallback tag, is guaranteed not to exceed
-    ``certified_bound``.  ``max_relative_residual`` is the worst membership
-    residual over all breakpoints and the ``samples_per_segment`` Chebyshev
-    points inside each segment; with at least t + 1 of them it bounds the
-    residual along the whole segment (see ``certify``).
+    ``certified_bound``.  ``max_relative_residual`` bounds the membership
+    residual along the whole path: the worst residual over all breakpoints
+    and the min(t, r) - 1 Chebyshev-Lobatto points inside each segment whose
+    step has rank r, plus for r < t the Weyl term 2 sigma_{r+1} / l of the
+    step's tail against a lower bound l of sigma_1 on the segment (see
+    ``certify``).  ``samples_per_segment`` is the largest number of interior
+    points any segment took: 0 when every step has rank <= 1.
 
     From ``build_path``, distance, length and ratio are measured on the
     returned polyline.  When the path was built on a compressed core, the
@@ -238,12 +251,15 @@ def _dispatch(
     d: VarietyDescriptor,
     depth: int,
     scale: float,
+    ranks: tuple[int, int],
 ) -> tuple[list[np.ndarray], list[BranchTag], float | None]:
     """Pick and execute the branch for one pair; used recursively.
 
-    Returns the breakpoints, the branch tags and the ratio bound of the
-    branch taken; the bound is None once a RealFallback fired anywhere in
-    the route, which then has no a-priori bound.
+    ``ranks`` are the numerical ranks of x and y, read off a decomposition
+    the caller already made.  Returns the breakpoints, the branch tags and
+    the ratio bound of the branch taken; the bound is None once a
+    RealFallback fired anywhere in the route, which then has no a-priori
+    bound.
     """
     dist = frobenius_distance(x, y)
     if d.t == 1 or dist <= _DEGENERATE_TOL * scale:
@@ -261,7 +277,7 @@ def _dispatch(
     if abs(frobenius_inner(x, y)) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
         return [x, np.zeros_like(x), y], [BranchTag(BranchKind.ORTHOGONAL, depth)], 2.0
 
-    rank_x, rank_y = rank_of(x, d), rank_of(y, d)
+    rank_x, rank_y = ranks
     swap = rank_x > rank_y
     lead, trail = (y, x) if swap else (x, y)
     try:
@@ -286,10 +302,12 @@ def _general(
     # Exact arithmetic leaves the trailing blocks one rank short; numerically
     # the normal-form margins get amplified for pairs near the orthogonality
     # threshold, so snap the blocks back onto the sub-variety.  The motion is
-    # bounded by that noise and keeps p', q' exact members.
-    block_p = project(p_hat[1:, 1:], sub)
-    block_q = project(q_hat[1:, 1:], sub)
-    sub_points, sub_tags, sub_bound = _dispatch(block_p, block_q, sub, depth + 1, scale)
+    # bounded by that noise and keeps p', q' exact members.  One stacked SVD
+    # gives both snapped blocks and the ranks the next level dispatches on.
+    (block_p, block_q), sub_ranks = truncations(np.stack([p_hat[1:, 1:], q_hat[1:, 1:]]), sub)
+    sub_points, sub_tags, sub_bound = _dispatch(
+        block_p, block_q, sub, depth + 1, scale, tuple(int(r) for r in sub_ranks)
+    )
 
     def embed(block: np.ndarray) -> np.ndarray:
         out = np.zeros(d.shape, dtype=p_hat.dtype)
@@ -305,10 +323,10 @@ def _general(
     return _dedupe(points), [BranchTag(BranchKind.GENERAL, depth)] + sub_tags, sub_bound
 
 
-def _chebyshev_offsets(count: int) -> np.ndarray:
-    """The ``count`` Chebyshev points of the first kind, mapped into (0, 1)."""
-    j = np.arange(count)
-    return 0.5 * (1.0 - np.cos((2 * j + 1) * np.pi / (2 * count)))
+def _lobatto_interior(degree: int) -> np.ndarray:
+    """The degree - 1 interior Chebyshev-Lobatto nodes (1 - cos(j pi / degree)) / 2."""
+    j = np.arange(1, degree)
+    return 0.5 * (1.0 - np.cos(j * np.pi / degree))
 
 
 def certify(
@@ -319,36 +337,73 @@ def certify(
 ) -> PathCertificate:
     """Measure a path and re-check membership along it.
 
-    Every breakpoint is checked, and every non-degenerate segment
-    a + s (b - a) at t + 1 Chebyshev points inside (0, 1).  Along the
-    segment each t x t minor is a polynomial in s of degree at most t, so
-    if all of them vanish at t + 1 distinct points they vanish identically
-    and the whole segment lies on the variety.  Chebyshev points keep the
-    interpolation (Lebesgue) constant small, about 2.9 for the 21 points at
-    t = 20 against about 1.1e4 for 21 equispaced points, so small sampled
-    residuals keep the residual between them small too.
+    Every breakpoint is checked, and every segment a + s D, D = b - a, at
+    as many interior points as the rank of its step requires (none for a
+    repeated breakpoint, whose step has rank 0).  Split D = D_r + E with
+    D_r its truncation to rank r (the ``numerical_rank`` rule) and
+    ||E||_2 = tau = sigma_{r+1}(D).  Along a + s D_r each t x t minor is a polynomial in s of degree at most
+    k = min(t, r): its coefficient of s^j is a sum of products of minors
+    of D_r of size j, which vanish for j > r.  So if the minors vanish at
+    the k + 1 Chebyshev-Lobatto nodes s_j = (1 - cos(j pi / k)) / 2, the
+    two breakpoints and k - 1 interior points, they vanish identically.  A
+    rank-1 step, which is every step of the scalar recursion, needs no
+    interior point at all.
 
-    The breakpoints take one batched residual call and each segment one
-    more.  The worst relative membership residual is recorded, never
-    raised.  With no explicit bound the generic variety constant
-    max(1, 2t - 2) is reported.
+    By Weyl's inequality every singular value of a + s D lies within
+    s tau <= tau of that of a + s D_r.  On the segment sigma_1 is at least
+    l = (sigma_1(a) + sigma_1(b) - sigma_1(D)) / 2: it is at least
+    sigma_1(a) - s sigma_1(D) and at least sigma_1(b) - (1 - s) sigma_1(D),
+    so at least their mean.  Carrying the sampled residuals over to the
+    rank-r segment and its conclusion back each cost at most tau / l, so
+    the segment's residual is its worst sampled one plus 2 tau / l.  When
+    r >= t, or when that tail term would exceed ``_TAIL_CHARGE_LIMIT``
+    (a segment passing within rounding of 0 has l ~ 0), the segment is
+    checked at full degree k = t instead, which needs no truncation and
+    adds no tail term.  Chebyshev-Lobatto nodes keep the interpolation
+    (Lebesgue) constant small, about 2.9 for the 21 nodes at k = 20
+    against about 1.1e4 for 21 equispaced ones, so small sampled residuals
+    keep the residual between them small too.
+
+    The breakpoints take one batched singular-value call, all steps one
+    more, and each segment with k >= 2 one more.  The worst relative
+    membership residual is recorded, never raised, and so is the largest
+    number of interior points any segment took.  With no explicit bound
+    the generic variety constant max(1, 2t - 2) is reported.
     """
-    samples = d.t + 1
     points = path.breakpoints
     outer, length, ratio = path.measure()
     if certified_bound is None:
         certified_bound = max(1.0, 2.0 * d.t - 2.0)
 
-    worst = float(membership_residuals(np.stack(points), d).max())
-    offsets = _chebyshev_offsets(samples)[:, np.newaxis, np.newaxis]
-    for a, b in zip(points, points[1:]):
-        step = b - a
-        if not step.any():
-            continue
-        # stack one segment at a time, never the whole path: at 40x40, t = 20
-        # all samples of a path together would take about 20 MB
-        residuals = membership_residuals(a + offsets * step, d)
-        worst = max(worst, float(residuals.max()))
+    stack = np.stack(points)
+    sigma = spectra(stack, d)
+    residuals = spectral_residuals(sigma, d)
+    worst = float(residuals.max())
+    samples = 0
+    if len(points) > 1:
+        # a repeated breakpoint gives a zero step: rank 0, nothing to sample
+        steps = np.diff(stack, axis=0)
+        step_sigma = spectra(steps, d)
+        ranks = numerical_ranks(step_sigma)
+        padded = np.concatenate([step_sigma, np.zeros((len(steps), 1))], axis=1)
+        tails = padded[np.arange(len(steps)), ranks]
+        floors = 0.5 * (sigma[:-1, 0] + sigma[1:, 0] - step_sigma[:, 0])
+        bounded = (ranks < d.t) & (2.0 * tails <= _TAIL_CHARGE_LIMIT * floors)
+        degrees = np.where(bounded, ranks, d.t)
+        charges = np.divide(
+            2.0 * tails, floors, out=np.zeros_like(tails), where=bounded & (tails > 0.0)
+        )
+        ends = np.maximum(residuals[:-1], residuals[1:])
+        worst = max(worst, float((ends + charges).max()))
+        for a, step, degree, charge in zip(points, steps, degrees, charges):
+            if degree < 2:
+                continue
+            # one segment at a time, never the whole path: at 40x40, t = 20
+            # all samples of a path together would take about 20 MB
+            nodes = _lobatto_interior(degree)[:, np.newaxis, np.newaxis]
+            sampled = membership_residuals(a + nodes * step, d)
+            worst = max(worst, float(sampled.max()) + charge)
+        samples = max(0, int(degrees.max()) - 1)
 
     return PathCertificate(
         outer_distance=outer,
@@ -370,7 +425,7 @@ def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
-    """Membership residuals of both endpoints and frames of their core.
+    """Membership residuals and ranks of both endpoints, and frames of their core.
 
     One stacked SVD gives both spectra and singular vectors.  With ranks r_p
     and r_q (the ``rank_of`` rule) and k = max(r_p + r_q, t), QR of the
@@ -383,13 +438,13 @@ def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
     """
     u, sigma, vh = np.linalg.svd(np.stack([p, q]), full_matrices=False)
     residuals = spectral_residuals(sigma, d)
-    rank_q = numerical_rank(sigma[1])
-    k = max(numerical_rank(sigma[0]) + rank_q, d.t)
+    rank_p, rank_q = (int(r) for r in numerical_ranks(sigma))
+    k = max(rank_p + rank_q, d.t)
     if k >= min(d.shape):
-        return residuals, None
+        return residuals, (rank_p, rank_q), None
     frame_u, _ = np.linalg.qr(np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1))
     frame_v, _ = np.linalg.qr(np.concatenate([vh[0, : k - rank_q], vh[1, :rank_q]]).conj().T)
-    return residuals, (frame_u, frame_v)
+    return residuals, (rank_p, rank_q), (frame_u, frame_v)
 
 
 def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
@@ -413,9 +468,15 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     min(m, n), the path is built and certified on the k x k core U^H p V,
     U^H q V (see ``_core_frames``) and lifted back by b -> U b V^H, an
     isometry that preserves rank.  The returned path starts and ends at
-    exactly p and q.  The path is certified by ``certify`` at t + 1
-    Chebyshev points per segment, which certifies each whole segment, not
-    only the samples, up to floating point.
+    exactly p and q.  The path is certified by ``certify``: every breakpoint,
+    plus min(t, r) - 1 Chebyshev-Lobatto points inside each segment whose
+    step has rank r (none for the rank-1 steps of the recursion) and the
+    Weyl term of the step's numerical tail, which certifies each whole
+    segment, not only the samples, up to floating point.
+
+    The recursion takes one stacked SVD per level: it gives both snapped
+    trailing blocks and the ranks the next level dispatches on, and at the
+    top the ranks come from the endpoint SVD.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
@@ -429,7 +490,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
 
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
     p_scaled, q_scaled = _ldexp(p, -exponent), _ldexp(q, -exponent)
-    residuals, frames = _core_frames(p_scaled, q_scaled, d)
+    residuals, ranks, frames = _core_frames(p_scaled, q_scaled, d)
     for name, residual in zip("pq", residuals):
         if residual > DEFAULT_MEMBERSHIP_TOL:
             raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
@@ -441,7 +502,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    points, tags, bound = _dispatch(core_p, core_q, core_d, 0, scale)
+    points, tags, bound = _dispatch(core_p, core_q, core_d, 0, scale, ranks)
     lifted = points if frames is None else [u @ b @ v.conj().T for b in points]
     # relative distance from each endpoint to its lift (0 when not compressed)
     snap = max(

@@ -17,6 +17,7 @@ from .numkernel import (
     ScalarField,
     as_matrix,
     numerical_rank,
+    numerical_ranks,
     singular_values,
 )
 
@@ -82,13 +83,18 @@ def spectral_residuals(sigma, d: VarietyDescriptor) -> np.ndarray:
     return sigma[:, d.t - 1] / np.maximum(sigma[:, 0], _SMALLEST_SUBNORMAL)
 
 
+def spectra(stack, d: VarietyDescriptor) -> np.ndarray:
+    """Singular values of every matrix in a (k, m, n) stack, one batched call."""
+    return np.linalg.svd(_checked_stack(stack, d), compute_uv=False)
+
+
 def membership_residuals(stack, d: VarietyDescriptor) -> np.ndarray:
     """Residual sigma_t / sigma_1 of every matrix in a (k, m, n) stack.
 
     All k matrices go through one batched singular-value decomposition, so
     checking many points costs one call instead of k.
     """
-    return spectral_residuals(np.linalg.svd(_checked_stack(stack, d), compute_uv=False), d)
+    return spectral_residuals(spectra(stack, d), d)
 
 
 def membership_residual(p, d: VarietyDescriptor) -> float:
@@ -105,19 +111,28 @@ def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> b
     return membership_residual(p, d) <= tol
 
 
-def projections(stack, d: VarietyDescriptor) -> np.ndarray:
-    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack.
+def truncations(stack, d: VarietyDescriptor):
+    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack,
+    and the rank of each.
 
-    The truncated SVD of each matrix, all k from one batched decomposition.
-    Ties between equal singular values keep the first t-1 in the order the
-    decomposition returns them, so the output is deterministic.
+    One batched decomposition gives both: the truncated SVD of each matrix,
+    and its rank by the ``rank_of`` rule, the count of kept singular values
+    above 1e-10 times the largest.  Ties between equal singular values
+    keep the first t-1 in the order the decomposition returns them, so the
+    output is deterministic.
     """
     stack = _checked_stack(stack, d)
     keep = d.t - 1
     if keep == 0:
-        return np.zeros(stack.shape, dtype=d.field.dtype)
+        return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack), dtype=int)
     u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    return (u[..., :keep] * sigma[:, np.newaxis, :keep]) @ vh[:, :keep]
+    ranks = numerical_ranks(sigma[:, :keep])
+    return (u[..., :keep] * sigma[:, np.newaxis, :keep]) @ vh[:, :keep], ranks
+
+
+def projections(stack, d: VarietyDescriptor) -> np.ndarray:
+    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack."""
+    return truncations(stack, d)[0]
 
 
 def project(p, d: VarietyDescriptor) -> np.ndarray:

@@ -104,14 +104,7 @@ class TestTrialsCommand:
         real_run = cli_module.run_trials
 
         def doctored(cfg):
-            report = real_run(cfg)
-            return report.__class__(
-                config=report.config,
-                records=report.records,
-                max_ratio=report.max_ratio,
-                bound_violations=1,
-                fallback_count=report.fallback_count,
-            )
+            return dataclasses.replace(real_run(cfg), bound_violations=1)
 
         monkeypatch.setattr(cli_module, "run_trials", doctored)
         code = cli(

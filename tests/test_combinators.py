@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rankpath import (
+    BranchKind,
     ScalarField,
     VarietyDescriptor,
     circle_builder,
@@ -11,6 +12,7 @@ from rankpath import (
     product_builder,
     variety_builder,
 )
+from rankpath.harness import adversarial_pair
 from conftest import random_member
 
 
@@ -56,17 +58,27 @@ class TestProductBuilder:
 
 
 class TestVarietyBuilder:
-    def test_certificates_sample_t_plus_one(self, rng):
+    def test_certificates_count_step_rank_samples(self, rng):
         d = VarietyDescriptor(3, 3, 3, ScalarField.COMPLEX)
-        _, cert = variety_builder(d).build(random_member(d, rng, 2), random_member(d, rng, 2))
-        assert cert.samples_per_segment == d.t + 1
-        factor = flat_builder(variety_builder(d), d.shape)
-        z1, z2 = (
-            np.concatenate([random_member(d, rng, 2).reshape(-1), rng.standard_normal(2)])
-            for _ in range(2)
-        )
-        _, cert = product_builder(factor, line_builder(2)).build(z1, z2)
-        assert cert.samples_per_segment == d.t + 1
+        builder = variety_builder(d)
+        # a General route: every step has rank 1, so no segment is sampled
+        _, cert = builder.build(random_member(d, rng, 2), random_member(d, rng, 2))
+        assert {tag.kind for tag in cert.branch_trace} == {BranchKind.GENERAL}
+        assert cert.samples_per_segment == 0
+        # the two-leg route passes through 0, where the step-rank rule has no
+        # lower bound on sigma_1 to charge the steps' rounding tails against,
+        # so both legs are checked at full degree t
+        p, q = adversarial_pair(d, 2, 2)
+        _, cert = builder.build(p, q)
+        assert [tag.kind for tag in cert.branch_trace] == [BranchKind.ORTHOGONAL]
+        assert cert.samples_per_segment == d.t - 1
+        # a product reports the larger count of its factors; a line takes none
+        factor = flat_builder(builder, d.shape)
+        lifted = [np.concatenate([x.reshape(-1), rng.standard_normal(2)]) for x in (p, q)]
+        _, cert = product_builder(factor, line_builder(2)).build(*lifted)
+        assert cert.samples_per_segment == d.t - 1
+        _, cert = line_builder(2).build(np.zeros(2), np.ones(2))
+        assert cert.samples_per_segment == 0
 
 
 class TestCircleBuilder:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -129,6 +130,32 @@ class TestEmitReport:
         assert text.endswith("\n")
         assert report_from_json(json.loads(text)) == report
 
+    def test_errors_and_escapes_round_trip(self, tmp_path, monkeypatch):
+        import rankpath.harness as harness_module
+
+        real_build = harness_module.build_path
+        calls = []
+
+        def flaky(p, q, d):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise RuntimeError("construction failed")
+            path, cert = real_build(p, q, d)
+            if len(calls) % 3 == 1:
+                cert = dataclasses.replace(cert, max_relative_residual=1e-3)
+            return path, cert
+
+        monkeypatch.setattr(harness_module, "build_path", flaky)
+        report = run_trials(TrialConfig(D332, pairs=9, master_seed=2))
+        assert (report.errors, report.residual_escapes) == (3, 3)
+        out = tmp_path / "report.json"
+        emit_report(report, "JSON", out)
+        data = json.loads(out.read_text())
+        assert (data["errors"], data["residual_escapes"]) == (3, 3)
+        back = report_from_json(data)
+        assert (back.errors, back.residual_escapes) == (3, 3)
+        assert report_to_json(back) == report_to_json(report)
+
     def test_csv_row_count_and_header(self, tmp_path):
         report = run_trials(TrialConfig(D332, pairs=9, master_seed=2))
         out = tmp_path / "report.csv"
@@ -145,6 +172,8 @@ class TestEmitReport:
             max_ratio=0.0,
             bound_violations=0,
             fallback_count=0,
+            errors=0,
+            residual_escapes=0,
         )
         json_path = tmp_path / "empty.json"
         csv_path = tmp_path / "empty.csv"

@@ -12,6 +12,7 @@ from rankpath import (
     leading_nonzero_eigenpair,
     make_unitary_pair,
     numerical_rank,
+    numerical_ranks,
     singular_values,
     unitary_completion,
 )
@@ -97,6 +98,14 @@ class TestNumericalRank:
 
     def test_zero(self):
         assert numerical_rank([0.0, 0.0], 1e-10) == 0
+
+
+class TestNumericalRanks:
+    def test_rows_follow_the_single_spectrum_rule(self):
+        spectra = np.array([[3.0, 1.0], [1.0, 1e-14], [0.0, 0.0]])
+        assert numerical_ranks(spectra, 1e-10).tolist() == [2, 1, 0]
+        assert [numerical_rank(row, 1e-10) for row in spectra] == [2, 1, 0]
+        assert numerical_ranks(np.zeros((2, 0))).tolist() == [0, 0]
 
 
 class TestUnitaryCompletion:
