@@ -341,6 +341,8 @@ def report_to_json(report: TrialReport) -> dict:
         "fallback_count": report.fallback_count,
         "errors": report.errors,
         "residual_escapes": report.residual_escapes,
+        # the fixed threshold residual_escapes counts against; not read back
+        "membership_tol": DEFAULT_MEMBERSHIP_TOL,
     }
 
 

@@ -23,6 +23,7 @@ from .paths import MembershipError, PiecewisePath, build_path
 from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
     VarietyDescriptor,
+    bounded_projections,
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
     membership_residuals,
     project,  # noqa: F401  unused here, but per-layer tracing wraps this name
@@ -156,28 +157,35 @@ def _total_length(points: np.ndarray) -> float:
     )
 
 
-def _smoothing_sweep(points: np.ndarray, d: VarietyDescriptor) -> bool:
+def _smoothing_sweep(points: np.ndarray, d: VarietyDescriptor, parities=(1, 2)) -> bool:
     """One red-black pass of corner cutting, in place; True on any change.
 
-    The odd interior breakpoints move first, then the even ones.  Points of
-    one parity share no segment, so each candidate (the projected midpoint
-    of its two neighbours) is judged on its own two segments, and every
-    accepted move strictly shortens the polyline.
+    The odd interior breakpoints move first, then the even ones (or only
+    the given ``parities``).  Points of one parity share no segment, so each
+    candidate (the projected midpoint of its two neighbours) is judged on
+    its own two segments, and every accepted move strictly shortens the
+    polyline.  A candidate must also have residual <= 1e-8: the bound
+    ``bounded_projections`` proves from the projection's own factorization
+    decides, and a singular-value residual check runs only where that
+    bound is inconclusive.
     """
     changed = False
-    for parity in (1, 2):
+    for parity in parities:
         centers = points[parity:-1:2]
         before = points[parity - 1 : -2 : 2]
         after = points[parity + 1 :: 2]
         for k in range(0, len(centers), _BLOCK):
             block = slice(k, k + _BLOCK)
             a, b, c = before[block], centers[block], after[block]
-            candidate = projections(0.5 * (a + c), d)
-            on_variety = membership_residuals(candidate, d) <= _RESIDUAL_CEILING
-            shorter = _segment_lengths(a, candidate) + _segment_lengths(candidate, c) < (
+            candidate, bound = bounded_projections(0.5 * (a + c), d)
+            accept = _segment_lengths(a, candidate) + _segment_lengths(candidate, c) < (
                 _segment_lengths(a, b) + _segment_lengths(b, c)
             )
-            accept = on_variety & shorter
+            unproven = accept & ~(bound <= _RESIDUAL_CEILING)
+            if unproven.any():
+                accept[unproven] = (
+                    membership_residuals(candidate[unproven], d) <= _RESIDUAL_CEILING
+                )
             if accept.any():
                 b[accept] = candidate[accept]
                 changed = True
@@ -188,35 +196,49 @@ _MAX_BREAKPOINTS = 4097
 _SWEEPS_PER_ROUND = 3
 
 
+def _project_in_place(points: np.ndarray, d: VarietyDescriptor) -> None:
+    for k in range(0, len(points), _BLOCK):
+        points[k : k + _BLOCK] = projections(points[k : k + _BLOCK], d)
+
+
+def _refined(points: np.ndarray, d: VarietyDescriptor) -> np.ndarray:
+    """The polyline with every segment's midpoint inserted and projected."""
+    refined = np.empty((2 * len(points) - 1, *points.shape[1:]), points.dtype)
+    refined[::2] = points
+    midpoints = refined[1::2]
+    np.add(points[:-1], points[1:], out=midpoints)
+    midpoints *= 0.5
+    _project_in_place(midpoints, d)
+    return refined
+
+
 def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> PiecewisePath:
     """Locally shorten an on-variety polyline without leaving the variety.
 
-    Each round refines the polyline (segment midpoints inserted while the
-    count stays at most 4097, and every interior breakpoint projected back
-    onto the variety) and then runs up to three red-black corner-cutting
-    sweeps: first every odd interior breakpoint, then every even one, is
-    replaced by the projected midpoint of its neighbors wherever that
-    strictly shortens its two segments and keeps the residual under 1e-8.
-    A round's output is only accepted if it did not lengthen the path, so
-    the length is non-increasing across rounds and the endpoints never move.
+    The interior breakpoints are projected onto the variety once.  Each
+    round then refines the polyline (segment midpoints inserted while the
+    count stays at most 4097, and only those new points projected) and runs
+    up to three red-black corner-cutting sweeps: first every odd interior
+    breakpoint, then every even one, is replaced by the projected midpoint
+    of its neighbors wherever that strictly shortens its two segments and
+    keeps the residual under 1e-8.  The residual is proved from the
+    projection's own factorization, with a singular-value check where that
+    bound is inconclusive.  Right after refinement every odd breakpoint
+    already is the projected midpoint of its neighbours, so the first sweep
+    of a refining round moves only the even ones.  A round's output is only
+    accepted if it did not lengthen the path, so the length is
+    non-increasing across rounds and the endpoints never move.
     """
     current = as_matrix(np.stack(path.breakpoints), d.field)
+    _project_in_place(current[1:-1], d)
     for _ in range(cfg.shorten_iterations):
         if len(current) < 2:
             break
-        if len(current) * 2 - 1 <= _MAX_BREAKPOINTS:
-            candidate = np.empty((2 * len(current) - 1, *current.shape[1:]), current.dtype)
-            candidate[::2] = current
-            midpoints = candidate[1::2]
-            np.add(current[:-1], current[1:], out=midpoints)
-            midpoints *= 0.5
-        else:
-            candidate = current.copy()
-        interior = candidate[1:-1]
-        for k in range(0, len(interior), _BLOCK):
-            interior[k : k + _BLOCK] = projections(interior[k : k + _BLOCK], d)
-        for _ in range(_SWEEPS_PER_ROUND):
-            if not _smoothing_sweep(candidate, d):
+        refine = len(current) * 2 - 1 <= _MAX_BREAKPOINTS
+        candidate = _refined(current, d) if refine else current.copy()
+        for sweep in range(_SWEEPS_PER_ROUND):
+            parities = (2,) if refine and sweep == 0 else (1, 2)
+            if not _smoothing_sweep(candidate, d, parities):
                 break
         if _total_length(candidate) <= _total_length(current):
             current = candidate

@@ -28,6 +28,16 @@ DEFAULT_MEMBERSHIP_TOL = 1e-8
 # spectrum, and a zero spectrum gives 0 / it = 0
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
+_EPS = float(np.finfo(np.float64).eps)
+
+# below this largest entry a projection's products may underflow
+_UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff eps / 2."""
+    return n * (_EPS / 2) / (1.0 - n * (_EPS / 2))
+
 
 class StratumError(ValueError):
     """Requested rank stratum does not exist inside the variety."""
@@ -111,6 +121,14 @@ def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> b
     return membership_residual(p, d) <= tol
 
 
+def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor):
+    """A = U_{t-1} diag(sigma_{t-1}), B = V_{t-1}^H and the singular values
+    of every matrix of a checked stack, from one batched SVD (t >= 2)."""
+    keep = d.t - 1
+    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    return u[..., :keep] * sigma[:, np.newaxis, :keep], vh[:, :keep], sigma
+
+
 def truncations(stack, d: VarietyDescriptor):
     """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack,
     and the rank of each.
@@ -122,17 +140,59 @@ def truncations(stack, d: VarietyDescriptor):
     output is deterministic.
     """
     stack = _checked_stack(stack, d)
-    keep = d.t - 1
-    if keep == 0:
+    if d.t == 1:
         return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack), dtype=int)
-    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    ranks = numerical_ranks(sigma[:, :keep])
-    return (u[..., :keep] * sigma[:, np.newaxis, :keep]) @ vh[:, :keep], ranks
+    a, b, sigma = _truncated_factors(stack, d)
+    return a @ b, numerical_ranks(sigma[:, : d.t - 1])
 
 
 def projections(stack, d: VarietyDescriptor) -> np.ndarray:
     """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack."""
     return truncations(stack, d)[0]
+
+
+def bounded_projections(stack, d: VarietyDescriptor):
+    """``projections`` of a (k, m, n) stack, bitwise, and for each an upper
+    bound on its membership residual read off the same decomposition.
+
+    The projection is C = fl(A B) with A = U_{t-1} diag(sigma) and
+    B = V_{t-1}^H.  The exact product A B has rank <= t-1, and the rounding
+    obeys |C - A B| <= gamma |A| |B| entrywise (gamma_{t-1} over the reals,
+    sqrt(2) gamma_{t+1} over the complex numbers; Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.5-3.6).  By Weyl's inequality and
+    sigma_1(C) >= ||C||_F / sqrt(min(m, n)),
+
+        sigma_t(C) / sigma_1(C) <= gamma sqrt(min(m, n)) ||A||_F ||B||_F / ||C||_F.
+
+    The bound adds max(m, n) eps, an allowance for the error a computed
+    SVD of C makes in sigma_t relative to sigma_1 (LAPACK's p(m, n) eps;
+    under 2 eps as measured up to 100 x 60), so it also covers the residual
+    ``membership_residuals`` reads.  A zero projection has residual 0.  Where
+    the largest entry of C is below tiny / eps, products may underflow and
+    the rounding model fails, so the bound is inf: inconclusive, not a
+    rejection.
+    """
+    stack = _checked_stack(stack, d)
+    keep = d.t - 1
+    if keep == 0:
+        return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack))
+    a, b, _ = _truncated_factors(stack, d)
+    c = a @ b
+    scale = np.abs(c).max(axis=(1, 2))
+    conclusive = scale >= _UNDERFLOW_SAFE
+    # divide by the largest entry of C, so no square below over- or underflows
+    divisor = np.where(conclusive, scale, 1.0)[:, np.newaxis, np.newaxis]
+    if d.field is ScalarField.REAL:
+        gamma = _gamma(keep)
+    else:
+        gamma = np.sqrt(2.0) * _gamma(keep + 2)
+    norm_c = np.linalg.norm(c / divisor, axis=(1, 2))
+    norm_c[~conclusive] = 1.0
+    ratio = np.linalg.norm(a / divisor, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)) / norm_c
+    bound = gamma * np.sqrt(min(d.m, d.n)) * ratio + max(d.m, d.n) * _EPS
+    bound[~conclusive] = np.inf
+    bound[scale == 0.0] = 0.0
+    return c, bound
 
 
 def project(p, d: VarietyDescriptor) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankpath import (
+    DEFAULT_MEMBERSHIP_TOL,
     BranchKind,
     RankPairStrategy,
     ScalarField,
@@ -155,6 +156,18 @@ class TestEmitReport:
         back = report_from_json(data)
         assert (back.errors, back.residual_escapes) == (3, 3)
         assert report_to_json(back) == report_to_json(report)
+
+    def test_membership_tol_recorded_and_optional_on_read(self, tmp_path):
+        report = run_trials(TrialConfig(D332, pairs=4, master_seed=2))
+        out = tmp_path / "report.json"
+        emit_report(report, "JSON", out)
+        data = json.loads(out.read_text())
+        assert data["membership_tol"] == DEFAULT_MEMBERSHIP_TOL
+        assert list(data)[-1] == "membership_tol"
+        assert report_from_json(data) == report
+        del data["membership_tol"]
+        assert report_from_json(data) == report
+        assert report_to_json(report_from_json(data)) == report_to_json(report)
 
     def test_csv_row_count_and_header(self, tmp_path):
         report = run_trials(TrialConfig(D332, pairs=9, master_seed=2))

@@ -20,9 +20,11 @@ from rankpath import (
     membership_residual,
     membership_residuals,
     sample_stratum,
+    projections,
     sandwich,
     shorten,
 )
+from rankpath import oracles
 from rankpath.oracles import proximity_graph_distance
 from conftest import random_member
 
@@ -258,3 +260,33 @@ class TestShortenProperties:
         assert np.array_equal(out.end, path.end)
         assert out.length() < path.length()
         assert membership_residuals(np.stack(out.breakpoints), D22).max() <= 1e-8
+
+
+class TestShortenResidualBound:
+    @settings(max_examples=20)
+    @given(member_paths())
+    def test_svd_check_alone_gives_the_same_polyline(self, case):
+        d, path, rounds = case
+        cfg = OracleConfig(shorten_iterations=rounds)
+        proved = shorten(path, d, cfg)
+
+        def inconclusive(stack, d):
+            return projections(stack, d), np.full(len(stack), np.inf)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "bounded_projections", inconclusive)
+            checked = shorten(path, d, cfg)
+        assert len(checked.breakpoints) == len(proved.breakpoints)
+        for a, b in zip(checked.breakpoints, proved.breakpoints):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=30)
+    @given(member_paths())
+    def test_first_odd_half_sweep_after_refinement_moves_nothing(self, case):
+        # shortened first, so the polyline is one a later round would refine
+        d, path, rounds = case
+        points = np.stack(shorten(path, d, OracleConfig(shorten_iterations=rounds)).breakpoints)
+        refined = oracles._refined(points, d)
+        swept = refined.copy()
+        assert not oracles._smoothing_sweep(swept, d, parities=(1,))
+        assert np.array_equal(swept, refined)

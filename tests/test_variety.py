@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankpath import (
     DimensionMismatch,
@@ -19,6 +21,7 @@ from rankpath import (
     singular_values,
     truncations,
 )
+from rankpath.variety import bounded_projections
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -153,6 +156,49 @@ class TestProjections:
             projections(np.zeros((2, 3, 3)), D22)
         with pytest.raises(DimensionMismatch):
             projections(np.zeros((2, 2, 2), dtype=complex), D22)
+
+
+@st.composite
+def projection_stacks(draw):
+    """Stacks up to 8x8, both fields, any t, with zero and rank-deficient
+    matrices among them, scaled by 2^-200, 1 or 2^200."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    t = draw(st.integers(1, min(m, n)))
+    d = VarietyDescriptor(m, n, t, draw(st.sampled_from(list(ScalarField))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = []
+    for rank in draw(st.lists(st.integers(0, min(m, n)), min_size=1, max_size=6)):
+        left = rng.standard_normal((m, rank))
+        right = rng.standard_normal((rank, n))
+        if d.field is ScalarField.COMPLEX:
+            left = left + 1j * rng.standard_normal((m, rank))
+            right = right + 1j * rng.standard_normal((rank, n))
+        matrices.append(left @ right)
+    scale = 2.0 ** draw(st.sampled_from([-200, 0, 200]))
+    return d, np.stack(matrices) * scale
+
+
+class TestBoundedProjections:
+    @settings(max_examples=300)
+    @given(projection_stacks())
+    def test_bound_covers_the_residual(self, case):
+        d, stack = case
+        projected, bound = bounded_projections(stack, d)
+        assert np.array_equal(projected, projections(stack, d))
+        assert bound.shape == (len(stack),)
+        assert (bound >= membership_residuals(projected, d)).all()
+        nonzero = np.abs(projected).max(axis=(1, 2)) > 0
+        assert (bound[nonzero] <= 1e-12).all()
+        assert (bound[~nonzero] == 0.0).all()
+
+    def test_underflowing_projection_is_inconclusive(self, rng):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        stack = rng.standard_normal((2, 4, 4))
+        _, bound = bounded_projections(stack * 1e-300, d)
+        assert np.isinf(bound).all()
+        _, bound = bounded_projections(stack * 1e-290, d)
+        assert (bound <= 1e-12).all()
 
 
 class TestProject:
