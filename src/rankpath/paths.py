@@ -27,6 +27,14 @@ endpoints lie in (col p + col q) x (row p + row q), of dimension at most
 power of two, compresses it onto that core with orthonormal frames taken
 from one stacked SVD of the endpoints, constructs and certifies the path
 there, and lifts every breakpoint back isometrically.
+
+The recursion never moves a breakpoint between levels.  Each level
+returns its breakpoints in its own coordinates, tagged with its frame:
+the composed left and right factors of the levels above (orthonormal
+columns, one product per side per level) and the sum of the corners they
+fixed.  ``build_path`` lifts every breakpoint once onto the core through
+its frame, once more onto m x n, and drops repeated breakpoints once, at
+the end.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .numkernel import (
     DimensionMismatch,
     NoUsableEigenpair,
     Side,
+    UnitaryPair,
     as_matrix,
     frobenius_distance,
     frobenius_inner,
@@ -245,6 +254,40 @@ def _dedupe(points: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """Where one recursion level's coordinates sit in the top level's.
+
+    A point x of the level is the top-level point corner + left x right^H.
+    ``left`` and ``right`` have orthonormal columns, and ``corner`` is the
+    sum q11_i l_i r_i^H of the corners the levels above have fixed; at the
+    top all three are None and the map is the identity.
+    """
+
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+    corner: np.ndarray | None = None
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        if self.left is None:
+            return x
+        return self.corner + self.left @ x @ self.right.conj().T
+
+    def descend(self, pair: UnitaryPair, q11) -> "_Frame":
+        """The frame of the trailing block of U x V, whose level point b sits
+        in this one as U^H [[q11, 0], [0, b]] V^H: one product per side."""
+        left = pair.u.conj().T if self.left is None else self.left @ pair.u.conj().T
+        right = pair.v if self.right is None else self.right @ pair.v
+        corner = q11 * np.outer(left[:, 0], right[:, 0].conj())
+        if self.corner is not None:
+            corner += self.corner
+        return _Frame(left[:, 1:], right[:, 1:], corner)
+
+
+#: a breakpoint in the coordinates of the level that made it, with that level's frame
+_Piece = tuple[np.ndarray, _Frame]
+
+
 def _dispatch(
     x: np.ndarray,
     y: np.ndarray,
@@ -252,41 +295,45 @@ def _dispatch(
     depth: int,
     scale: float,
     ranks: tuple[int, int],
-) -> tuple[list[np.ndarray], list[BranchTag], float | None]:
+    frame: _Frame,
+) -> tuple[list[_Piece], list[BranchTag], float | None]:
     """Pick and execute the branch for one pair; used recursively.
 
     ``ranks`` are the numerical ranks of x and y, read off a decomposition
-    the caller already made.  Returns the breakpoints, the branch tags and
-    the ratio bound of the branch taken; the bound is None once a
-    RealFallback fired anywhere in the route, which then has no a-priori
-    bound.
+    the caller already made, and ``frame`` places this level in the top
+    level's coordinates.  Returns the breakpoints, each with the frame of
+    the level that made it, the branch tags and the ratio bound of the
+    branch taken; the bound is None once a RealFallback fired anywhere in
+    the route, which then has no a-priori bound.
     """
     dist = frobenius_distance(x, y)
     if d.t == 1 or dist <= _DEGENERATE_TOL * scale:
-        return _dedupe([x, y]), [], 1.0
+        return [(b, frame) for b in _dedupe([x, y])], [], 1.0
 
     norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
     if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
-        return [x, y], [BranchTag(BranchKind.RADIAL, depth)], 1.0
+        return [(x, frame), (y, frame)], [BranchTag(BranchKind.RADIAL, depth)], 1.0
 
     # q a scalar multiple of p: the whole segment lies on one ray's span
     coef = frobenius_inner(y, x) / (norm_x * norm_x)
     if frobenius_distance(y, coef * x) <= _COLLINEAR_TOL * norm_y:
-        return [x, y], [BranchTag(BranchKind.RADIAL, depth)], 1.0
+        return [(x, frame), (y, frame)], [BranchTag(BranchKind.RADIAL, depth)], 1.0
 
     if abs(frobenius_inner(x, y)) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
-        return [x, np.zeros_like(x), y], [BranchTag(BranchKind.ORTHOGONAL, depth)], 2.0
+        pieces = [(x, frame), (np.zeros_like(x), frame), (y, frame)]
+        return pieces, [BranchTag(BranchKind.ORTHOGONAL, depth)], 2.0
 
     rank_x, rank_y = ranks
     swap = rank_x > rank_y
     lead, trail = (y, x) if swap else (x, y)
     try:
-        points, tags, sub_bound = _general(lead, trail, d, depth, scale)
+        pieces, tags, sub_bound = _general(lead, trail, d, depth, scale, frame)
     except NoUsableEigenpair:
-        return [x, np.zeros_like(x), y], [BranchTag(BranchKind.REAL_FALLBACK, depth)], None
+        pieces = [(x, frame), (np.zeros_like(x), frame), (y, frame)]
+        return pieces, [BranchTag(BranchKind.REAL_FALLBACK, depth)], None
     if swap:
-        points.reverse()
-    return points, tags, None if sub_bound is None else 2.0 * min(rank_x, rank_y)
+        pieces.reverse()
+    return pieces, tags, None if sub_bound is None else 2.0 * min(rank_x, rank_y)
 
 
 def _general(
@@ -295,9 +342,9 @@ def _general(
     d: VarietyDescriptor,
     depth: int,
     scale: float,
-) -> tuple[list[np.ndarray], list[BranchTag], float | None]:
+    frame: _Frame,
+) -> tuple[list[_Piece], list[BranchTag], float | None]:
     pair, p_hat, q_hat = normalize_pair(p, q)
-    q11 = q_hat[0, 0]
     sub = VarietyDescriptor(d.m - 1, d.n - 1, d.t - 1, d.field)
     # Exact arithmetic leaves the trailing blocks one rank short; numerically
     # the normal-form margins get amplified for pairs near the orthogonality
@@ -305,22 +352,17 @@ def _general(
     # bounded by that noise and keeps p', q' exact members.  One stacked SVD
     # gives both snapped blocks and the ranks the next level dispatches on.
     (block_p, block_q), sub_ranks = truncations(np.stack([p_hat[1:, 1:], q_hat[1:, 1:]]), sub)
-    sub_points, sub_tags, sub_bound = _dispatch(
-        block_p, block_q, sub, depth + 1, scale, tuple(int(r) for r in sub_ranks)
+    sub_pieces, sub_tags, sub_bound = _dispatch(
+        block_p,
+        block_q,
+        sub,
+        depth + 1,
+        scale,
+        tuple(int(r) for r in sub_ranks),
+        frame.descend(pair, q_hat[0, 0]),
     )
-
-    def embed(block: np.ndarray) -> np.ndarray:
-        out = np.zeros(d.shape, dtype=p_hat.dtype)
-        out[0, 0] = q11
-        out[1:, 1:] = block
-        return out
-
-    staged = [p_hat] + [embed(b) for b in sub_points] + [q_hat]
-    inverse = pair.inverse()
-    points = [inverse.apply(b) for b in staged]
-    points[0] = p.copy()
-    points[-1] = q.copy()
-    return _dedupe(points), [BranchTag(BranchKind.GENERAL, depth)] + sub_tags, sub_bound
+    pieces = [(p, frame)] + sub_pieces + [(q, frame)]
+    return pieces, [BranchTag(BranchKind.GENERAL, depth)] + sub_tags, sub_bound
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
@@ -476,7 +518,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
 
     The recursion takes one stacked SVD per level: it gives both snapped
     trailing blocks and the ranks the next level dispatches on, and at the
-    top the ranks come from the endpoint SVD.
+    top the ranks come from the endpoint SVD.  Every breakpoint comes back
+    in the coordinates of the level that made it, with that level's
+    composed frame, and is lifted once onto the core and once onto m x n.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
@@ -502,7 +546,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    points, tags, bound = _dispatch(core_p, core_q, core_d, 0, scale, ranks)
+    pieces, tags, bound = _dispatch(core_p, core_q, core_d, 0, scale, ranks, _Frame())
+    # each breakpoint is lifted once: onto the core through its level's frame
+    points = _dedupe([frame.lift(b) for b, frame in pieces])
     lifted = points if frames is None else [u @ b @ v.conj().T for b in points]
     # relative distance from each endpoint to its lift (0 when not compressed)
     snap = max(

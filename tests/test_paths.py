@@ -22,7 +22,9 @@ from rankpath import (
     rank_of,
     sample_stratum,
 )
+from rankpath import paths
 from rankpath.harness import adversarial_pair
+from rankpath.numkernel import UnitaryPair
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -516,6 +518,30 @@ class TestCompressedPath:
         full_size = [shape for shape in shapes if max(shape[-2:]) > 2 * (d.t - 1)]
         assert full_size == [(2, 100, 100)]
         assert len(shapes) > 1
+
+    def test_each_breakpoint_is_lifted_once(self, rng, monkeypatch):
+        # 11 General levels on a 22 x 22 core: re-lifting every deeper
+        # breakpoint at every level would take O(depth^2) dense products
+        d = VarietyDescriptor(24, 24, 12, ScalarField.COMPLEX)
+        p, q = random_member(d, rng, 11), random_member(d, rng, 11)
+        lifted, applied = [], []
+        real_lift, real_apply = paths._Frame.lift, UnitaryPair.apply
+
+        def counting_lift(frame, x):
+            out = real_lift(frame, x)
+            lifted.append(out.shape)
+            return out
+
+        def counting_apply(pair, x):
+            applied.append(x.shape)
+            return real_apply(pair, x)
+
+        monkeypatch.setattr(paths._Frame, "lift", counting_lift)
+        monkeypatch.setattr(UnitaryPair, "apply", counting_apply)
+        path, cert = build_path(p, q, d)
+        assert trace_kinds(cert) == [BranchKind.GENERAL] * 11
+        assert applied == []
+        assert lifted == [(22, 22)] * len(path.breakpoints)
 
 
 class TestMeasure:
