@@ -299,8 +299,9 @@ def _dispatch(
 ) -> tuple[list[_Piece], list[BranchTag], float | None]:
     """Pick and execute the branch for one pair; used recursively.
 
-    ``ranks`` are the numerical ranks of x and y, read off a decomposition
-    the caller already made, and ``frame`` places this level in the top
+    ``ranks`` are the ranks of x and y: at the top the numerical ranks read
+    off the endpoint SVD, deeper the known ranks the level above snapped its
+    trailing blocks to.  ``frame`` places this level in the top
     level's coordinates.  Returns the breakpoints, each with the frame of
     the level that made it, the branch tags and the ratio bound of the
     branch taken; the bound is None once a RealFallback fired anywhere in
@@ -327,7 +328,9 @@ def _dispatch(
     swap = rank_x > rank_y
     lead, trail = (y, x) if swap else (x, y)
     try:
-        pieces, tags, sub_bound = _general(lead, trail, d, depth, scale, frame)
+        pieces, tags, sub_bound = _general(
+            lead, trail, d, depth, scale, ranks[::-1] if swap else ranks, frame
+        )
     except NoUsableEigenpair:
         pieces = [(x, frame), (np.zeros_like(x), frame), (y, frame)]
         return pieces, [BranchTag(BranchKind.REAL_FALLBACK, depth)], None
@@ -342,23 +345,29 @@ def _general(
     d: VarietyDescriptor,
     depth: int,
     scale: float,
+    ranks: tuple[int, int],
     frame: _Frame,
 ) -> tuple[list[_Piece], list[BranchTag], float | None]:
     pair, p_hat, q_hat = normalize_pair(p, q)
     sub = VarietyDescriptor(d.m - 1, d.n - 1, d.t - 1, d.field)
-    # Exact arithmetic leaves the trailing blocks one rank short; numerically
-    # the normal-form margins get amplified for pairs near the orthogonality
-    # threshold, so snap the blocks back onto the sub-variety.  The motion is
-    # bounded by that noise and keeps p', q' exact members.  One stacked SVD
-    # gives both snapped blocks and the ranks the next level dispatches on.
-    (block_p, block_q), sub_ranks = truncations(np.stack([p_hat[1:, 1:], q_hat[1:, 1:]]), sub)
+    # p_hat's first column is p11 e1 and q_hat's first row q11 e1^T, both
+    # nonzero, so each trailing block has exactly its endpoint's rank - 1.
+    # Numerically the normal-form margins get amplified for pairs near the
+    # orthogonality threshold, so snap each block back to that known rank
+    # (never above the sub-variety's t - 1): the motion is bounded by the
+    # noise, and a block whose rank is 0 becomes the cone point instead of
+    # a noise direction.  One stacked SVD gives both snapped blocks.
+    sub_ranks = tuple(min(r, d.t - 1) - 1 for r in ranks)
+    (block_p, block_q), _ = truncations(
+        np.stack([p_hat[1:, 1:], q_hat[1:, 1:]]), sub, sub_ranks
+    )
     sub_pieces, sub_tags, sub_bound = _dispatch(
         block_p,
         block_q,
         sub,
         depth + 1,
         scale,
-        tuple(int(r) for r in sub_ranks),
+        sub_ranks,
         frame.descend(pair, q_hat[0, 0]),
     )
     pieces = [(p, frame)] + sub_pieces + [(q, frame)]
@@ -516,9 +525,10 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     Weyl term of the step's numerical tail, which certifies each whole
     segment, not only the samples, up to floating point.
 
-    The recursion takes one stacked SVD per level: it gives both snapped
-    trailing blocks and the ranks the next level dispatches on, and at the
-    top the ranks come from the endpoint SVD.  Every breakpoint comes back
+    The recursion takes one stacked SVD per level, which snaps both
+    trailing blocks to their known ranks, rank p - 1 and rank q - 1; those
+    are the ranks the next level dispatches on, and at the top the ranks
+    come from the endpoint SVD.  Every breakpoint comes back
     in the coordinates of the level that made it, with that level's
     composed frame, and is lifted once onto the core and once onto m x n.
     """

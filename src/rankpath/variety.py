@@ -121,15 +121,19 @@ def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> b
     return membership_residual(p, d) <= tol
 
 
-def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor):
+def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor, ranks=None):
     """A = U_{t-1} diag(sigma_{t-1}), B = V_{t-1}^H and the singular values
-    of every matrix of a checked stack, from one batched SVD (t >= 2)."""
+    of every matrix of a checked stack, from one batched SVD (t >= 2).  With
+    ``ranks``, the singular values of matrix i past ranks[i] are zeroed in A."""
     keep = d.t - 1
     u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    return u[..., :keep] * sigma[:, np.newaxis, :keep], vh[:, :keep], sigma
+    kept = sigma[:, :keep]
+    if ranks is not None:
+        kept = np.where(np.arange(keep) < np.asarray(ranks)[:, np.newaxis], kept, 0.0)
+    return u[..., :keep] * kept[:, np.newaxis, :], vh[:, :keep], kept
 
 
-def truncations(stack, d: VarietyDescriptor):
+def truncations(stack, d: VarietyDescriptor, ranks=None):
     """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack,
     and the rank of each.
 
@@ -137,13 +141,14 @@ def truncations(stack, d: VarietyDescriptor):
     and its rank by the ``rank_of`` rule, the count of kept singular values
     above 1e-10 times the largest.  Ties between equal singular values
     keep the first t-1 in the order the decomposition returns them, so the
-    output is deterministic.
+    output is deterministic.  With ``ranks``, matrix i is truncated to rank
+    <= min(ranks[i], t-1) instead, from the same decomposition.
     """
     stack = _checked_stack(stack, d)
     if d.t == 1:
         return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack), dtype=int)
-    a, b, sigma = _truncated_factors(stack, d)
-    return a @ b, numerical_ranks(sigma[:, : d.t - 1])
+    a, b, kept = _truncated_factors(stack, d, ranks)
+    return a @ b, numerical_ranks(kept)
 
 
 def projections(stack, d: VarietyDescriptor) -> np.ndarray:
