@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankpath
 from rankpath import ScalarField, VarietyDescriptor, sample_stratum
 from rankpath.cli import cli
 from rankpath.polymap import CUSP_FAMILY_TEXT
@@ -276,3 +281,28 @@ class TestOracleCommand:
         graph = data["graph"]
         assert graph == "unreachable" or graph >= data["outer"] - 1e-9
         assert data["config"]["n_samples"] == 32
+
+
+class TestModuleEntryPoints:
+    """``python -m rankpath`` and ``python -m rankpath.cli`` run the same
+    command line as the ``rankpath`` script, in a fresh interpreter."""
+
+    @staticmethod
+    def run(module, args, cwd):
+        src = str(Path(rankpath.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["rankpath", "rankpath.cli"])
+    def test_one_pair_trials_and_usage_error(self, workspace, module):
+        report = workspace / f"{module}.json"
+        args = ["trials", "--descriptor", "d.json", "--pairs", "1", "--seed", "1"]
+        done = self.run(module, args + ["--report", report.name], workspace)
+        assert done.returncode == 0, done.stderr
+        assert "errors=0 residual_escapes=0" in done.stdout
+        assert len(json.loads(report.read_text())["records"]) == 1
+        assert self.run(module, args + ["--no-such-flag"], workspace).returncode == 1
