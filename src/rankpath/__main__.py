@@ -2,4 +2,5 @@
 
 from .cli import main
 
-main()
+if __name__ == "__main__":
+    main()

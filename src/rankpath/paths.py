@@ -301,11 +301,11 @@ def _dispatch(
 
     ``ranks`` are the ranks of x and y: at the top the numerical ranks read
     off the endpoint SVD, deeper the known ranks the level above snapped its
-    trailing blocks to.  ``frame`` places this level in the top
-    level's coordinates.  Returns the breakpoints, each with the frame of
-    the level that made it, the branch tags and the ratio bound of the
-    branch taken; the bound is None once a RealFallback fired anywhere in
-    the route, which then has no a-priori bound.
+    trailing blocks to.  ``frame`` places this level in the top level's
+    coordinates.  Returns the breakpoints, each with the frame of the level
+    that made it, the branch tags and the ratio bound of the branch taken;
+    the bound is None once a RealFallback fired anywhere in the route, which
+    then has no a-priori bound.
     """
     dist = frobenius_distance(x, y)
     if d.t == 1 or dist <= _DEGENERATE_TOL * scale:
@@ -528,9 +528,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     The recursion takes one stacked SVD per level, which snaps both
     trailing blocks to their known ranks, rank p - 1 and rank q - 1; those
     are the ranks the next level dispatches on, and at the top the ranks
-    come from the endpoint SVD.  Every breakpoint comes back
-    in the coordinates of the level that made it, with that level's
-    composed frame, and is lifted once onto the core and once onto m x n.
+    come from the endpoint SVD.  Every breakpoint comes back in the
+    coordinates of the level that made it, with that level's composed
+    frame, and is lifted once onto the core and once onto m x n.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)

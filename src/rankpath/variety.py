@@ -122,9 +122,10 @@ def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> b
 
 
 def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor, ranks=None):
-    """A = U_{t-1} diag(sigma_{t-1}), B = V_{t-1}^H and the singular values
-    of every matrix of a checked stack, from one batched SVD (t >= 2).  With
-    ``ranks``, the singular values of matrix i past ranks[i] are zeroed in A."""
+    """A = U_{t-1} diag(sigma_{t-1}), B = V_{t-1}^H and the kept singular
+    values sigma_{t-1} of every matrix of a checked stack, from one batched
+    SVD (t >= 2).  With ``ranks``, the values of matrix i past ranks[i] are
+    zeroed, in A and in the kept values."""
     keep = d.t - 1
     u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
     kept = sigma[:, :keep]
