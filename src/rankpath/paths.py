@@ -519,11 +519,12 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     min(m, n), the path is built and certified on the k x k core U^H p V,
     U^H q V (see ``_core_frames``) and lifted back by b -> U b V^H, an
     isometry that preserves rank.  The returned path starts and ends at
-    exactly p and q.  The path is certified by ``certify``: every breakpoint,
-    plus min(t, r) - 1 Chebyshev-Lobatto points inside each segment whose
-    step has rank r (none for the rank-1 steps of the recursion) and the
-    Weyl term of the step's numerical tail, which certifies each whole
-    segment, not only the samples, up to floating point.
+    exact copies of p and q.  The path is certified by ``certify``: every
+    breakpoint, plus min(t, r) - 1 Chebyshev-Lobatto points inside each
+    segment whose step has rank r (none for the rank-1 steps of the
+    recursion) and the Weyl term of the step's numerical tail, which
+    certifies each whole segment, not only the samples, up to floating
+    point.
 
     The recursion takes one stacked SVD per level, which snaps both
     trailing blocks to their known ranks, rank p - 1 and rank q - 1; those
@@ -576,7 +577,10 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     if bound is None:
         bound = ratio
     cert = certify(PiecewisePath(tuple(points)), core_d, tuple(tags), bound)
-    path = PiecewisePath(tuple(_dedupe([p] + [_ldexp(b, exponent) for b in interior] + [q])))
+    # copies, so a caller changing p or q afterwards cannot move the certified path
+    path = PiecewisePath(
+        tuple(_dedupe([p.copy()] + [_ldexp(b, exponent) for b in interior] + [q.copy()]))
+    )
     return path, replace(
         cert,
         outer_distance=math.ldexp(outer, exponent),

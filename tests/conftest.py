@@ -4,6 +4,8 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from rankpath import ScalarField, VarietyDescriptor, sample_stratum
 
@@ -37,6 +39,24 @@ def random_member(
         return np.zeros(d.shape, dtype=d.field.dtype)
     radius = float(rng.uniform(0.5, 2.0))
     return sample_stratum(d, rank, radius, int(rng.integers(0, 2**62)))
+
+
+def reference_graph_distance(nodes, source, target, residual_of, tol, checks_per_edge):
+    """Edge by edge, one point at a time, stopping at an edge's first failed
+    check: the eager scalar loop whose distance the lazy search must reproduce."""
+    count = len(nodes)
+    offsets = np.arange(1, checks_per_edge + 1) / (checks_per_edge + 1)
+    rows, cols, weights = [], [], []
+    for i in range(count):
+        for j in range(i + 1, count):
+            step = nodes[j] - nodes[i]
+            if step.any() and any(residual_of(nodes[i] + s * step) > tol for s in offsets):
+                continue
+            rows.append(i)
+            cols.append(j)
+            weights.append(float(np.linalg.norm(step)))
+    graph = csr_matrix((weights, (rows, cols)), shape=(count, count))
+    return float(dijkstra(graph, directed=False, indices=source)[target])
 
 
 @pytest.fixture

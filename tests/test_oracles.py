@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from rankpath import (
     DimensionMismatch,
@@ -26,7 +24,7 @@ from rankpath import (
 )
 from rankpath import oracles
 from rankpath.oracles import proximity_graph_distance
-from conftest import random_member
+from conftest import random_member, reference_graph_distance
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
 CFG = OracleConfig(n_samples=48, seed=11)
@@ -96,24 +94,6 @@ class TestGraphUpperBound:
             graph_upper_bound(member, np.zeros((3, 3)), d, CFG)
 
 
-def reference_graph_distance(nodes, source, target, residual_of, tol, checks_per_edge):
-    """Edge by edge, one point at a time, stopping at an edge's first failed
-    check: the scalar loop the stacked edge checks must reproduce."""
-    count = len(nodes)
-    offsets = np.arange(1, checks_per_edge + 1) / (checks_per_edge + 1)
-    rows, cols, weights = [], [], []
-    for i in range(count):
-        for j in range(i + 1, count):
-            step = nodes[j] - nodes[i]
-            if step.any() and any(residual_of(nodes[i] + s * step) > tol for s in offsets):
-                continue
-            rows.append(i)
-            cols.append(j)
-            weights.append(float(np.linalg.norm(step)))
-    graph = csr_matrix((weights, (rows, cols)), shape=(count, count))
-    return float(dijkstra(graph, directed=False, indices=source)[target])
-
-
 class TestProximityGraphExactness:
     @pytest.mark.parametrize(
         "d",
@@ -130,26 +110,74 @@ class TestProximityGraphExactness:
             for seed in range(24)
         ]
         nodes += [np.zeros(d.shape, dtype=d.field.dtype), nodes[5].copy()]
-        scalar_calls = []
+        scalar_points = []
 
         def residual_of(x):
-            scalar_calls.append(1)
+            scalar_points.append(x.tobytes())
             return membership_residual(x, d)
 
-        stacked_sizes = []
+        lazy_points = []
 
         def residuals_of(stack):
-            stacked_sizes.append(len(stack))
+            lazy_points.extend(x.tobytes() for x in stack)
             return membership_residuals(stack, d)
 
         for source, target in ((0, 1), (5, 25), (24, 3)):
-            scalar_calls.clear()
-            stacked_sizes.clear()
+            scalar_points.clear()
+            lazy_points.clear()
             expected = reference_graph_distance(nodes, source, target, residual_of, 1e-6, checks)
             got = proximity_graph_distance(nodes, source, target, residuals_of, 1e-6, checks)
             assert got == expected
-            assert sum(stacked_sizes) == len(scalar_calls)
-        assert 0 < len(scalar_calls) < len(nodes) * (len(nodes) - 1) // 2 * checks
+            # only points the scalar loop evaluates, each at most once
+            assert set(lazy_points) <= set(scalar_points)
+            assert len(set(lazy_points)) == len(lazy_points)
+            assert len(lazy_points) < len(scalar_points)
+
+    def test_batched_weights_are_the_per_edge_norms(self, rng):
+        for d in (
+            VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX),
+            VarietyDescriptor(8, 8, 5, ScalarField.REAL),
+        ):
+            steps = np.stack([random_member(d, rng) - random_member(d, rng) for _ in range(64)])
+            expected = [float(np.linalg.norm(step)) for step in steps]
+            assert oracles._norms(steps).tolist() == expected
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(2, 8),
+        st.integers(2, 8),
+        st.data(),
+        st.sampled_from(list(ScalarField)),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 1e-6, 1e-13, 1e-9]),
+    )
+    def test_bitwise_equal_to_scalar_loop(self, m, n, data, field, checks, tol):
+        # tol 0.0 admits only zero steps and the rare exact ray, so those
+        # samples are disconnected; 1e-13 is near the residuals' rounding
+        d = VarietyDescriptor(m, n, data.draw(st.integers(2, min(m, n)), label="t"), field)
+        count = data.draw(st.integers(2, 12), label="count")
+        nodes = [
+            sample_stratum(
+                d,
+                data.draw(st.integers(1, d.t - 1)),
+                2.0 ** data.draw(st.integers(-2, 2)),
+                seed,
+            )
+            for seed in range(count)
+        ]
+        nodes.append(np.zeros(d.shape, dtype=d.field.dtype))
+        nodes.append(nodes[data.draw(st.integers(0, count - 1), label="duplicated")].copy())
+        source, target = data.draw(
+            st.lists(st.integers(0, len(nodes) - 1), min_size=2, max_size=2, unique=True),
+            label="source, target",
+        )
+        expected = reference_graph_distance(
+            nodes, source, target, lambda x: membership_residual(x, d), tol, checks
+        )
+        got = proximity_graph_distance(
+            nodes, source, target, lambda stack: membership_residuals(stack, d), tol, checks
+        )
+        assert got == expected
 
 
 class TestShorten:

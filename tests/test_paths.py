@@ -216,6 +216,19 @@ class TestBuildPathDispatch:
                 assert np.array_equal(path.start, p)
                 assert np.array_equal(path.end, q)
 
+    def test_endpoints_are_copied(self):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.COMPLEX)
+        for p, q in (
+            (sample_stratum(d, 2, 1.0, 1), sample_stratum(d, 2, 1.0, 2)),
+            (sample_stratum(d, 1, 1.0, 3), np.zeros(d.shape, dtype=complex)),
+        ):
+            path, _ = build_path(p, q, d)
+            start, end = path.start.copy(), path.end.copy()
+            p[0, 0] += 1.0
+            q[1, 1] -= 1.0
+            assert np.array_equal(path.start, start)
+            assert np.array_equal(path.end, end)
+
     def test_certified_bound_per_branch(self, rng):
         zero = np.zeros((2, 2))
         _, radial = build_path(WORKED_P, zero, D22)

@@ -14,7 +14,10 @@ from rankpath import (
     pullback_residual,
     surface_demo,
 )
+from rankpath import polymap
+from rankpath.oracles import proximity_graph_distance
 from rankpath.polymap import CUSP_FAMILY_TEXT, cusp_arc_length
+from conftest import reference_graph_distance
 
 D333 = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
 
@@ -205,6 +208,29 @@ class TestSurfaceDemo:
     def test_chord_is_twice_s_cubed(self):
         rows = surface_demo([0.05])
         assert rows[0].d_out == pytest.approx(2.0 * 0.05**3)
+
+    def test_rows_match_the_scalar_graph(self, monkeypatch):
+        # the nodes surface_demo builds, rerun through the eager scalar loop
+        graphs = []
+
+        def recording(nodes, source, target, residuals_of, tol, checks_per_edge):
+            graphs.append((nodes, source, target, tol, checks_per_edge))
+            return proximity_graph_distance(
+                nodes, source, target, residuals_of, tol, checks_per_edge
+            )
+
+        monkeypatch.setattr(polymap, "proximity_graph_distance", recording)
+        rows = surface_demo([1e-3, 1e-2, 1e-1])
+        family = cusp_family_map()
+
+        def residual_of(point):
+            x, y, z = point
+            return pullback_residual(family, np.array([x, y, -z]), D333)
+
+        assert len(graphs) == len(rows)
+        for row, (nodes, source, target, tol, checks) in zip(rows, graphs):
+            expected = reference_graph_distance(nodes, source, target, residual_of, tol, checks)
+            assert row.d_in == expected
 
     def test_slope_in_band(self):
         rows = surface_demo(np.geomspace(1e-3, 1e-1, 8))
