@@ -39,9 +39,7 @@ from .numkernel import (
     frobenius_norm,
     leading_nonzero_eigenpair,
     make_unitary_pair,
-    numerical_rank,
     numerical_ranks,
-    singular_values,
     unitary_completion,
 )
 from .oracles import OracleConfig, Sandwich, graph_upper_bound, sandwich, shorten

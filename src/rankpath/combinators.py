@@ -140,10 +140,7 @@ def product_builder(bx: CertifiedBuilder, by: CertifiedBuilder) -> CertifiedBuil
     return CertifiedBuilder(build, bx.constant + by.constant, dx + dy)
 
 
-def cone_builder(
-    link: CertifiedBuilder,
-    link_radius_of: Callable[[np.ndarray], float] = frobenius_norm,
-) -> CertifiedBuilder:
+def cone_builder(link: CertifiedBuilder) -> CertifiedBuilder:
     """Builder for the cone over a link, on ambient (radius-scaled) points.
 
     For ||x|| >= ||y|| > 0: a radial segment pulls x inward to
@@ -151,7 +148,10 @@ def cone_builder(
     x/||x|| and y/||y|| and that path is scaled to radius ||y||.  The
     radial leg never exceeds the chord (reverse triangle inequality) and
     neither does the rescaling x -> x' lengthen the remaining gap, so the
-    certified constant is the link constant plus one.
+    certified constant is the link constant plus one.  Both steps measure
+    the radius in the Frobenius norm, the norm lengths are measured in;
+    under any other radius the reverse triangle inequality, and with it
+    the constant, fails.
 
     Rescaling the smaller point outward instead, and riding the link at
     the larger radius, does not certify: for nearly antipodal pairs at
@@ -162,7 +162,7 @@ def cone_builder(
     def build(x: np.ndarray, y: np.ndarray):
         x = as_matrix(x)
         y = as_matrix(y)
-        rx, ry = link_radius_of(x), link_radius_of(y)
+        rx, ry = frobenius_norm(x), frobenius_norm(y)
         if rx < ry:
             path, cert = build(y, x)
             return PiecewisePath(tuple(reversed(path.breakpoints))), cert
@@ -198,13 +198,17 @@ def cone_builder(
     return CertifiedBuilder(build, link.constant + 1.0, link.ambient_dimension)
 
 
-def circle_builder(max_step: float = np.pi / 1024) -> CertifiedBuilder:
+#: largest angle one segment of a ``circle_builder`` path spans
+_CIRCLE_MAX_STEP = np.pi / 1024
+
+
+def circle_builder() -> CertifiedBuilder:
     """Arc-path builder on the unit circle in the plane (constant pi/2).
 
-    Paths follow the shorter arc, discretized finely enough that the
-    inscribed polyline is indistinguishable from the arc at test
-    tolerances; inscribed chords can only undershoot the arc length, so
-    the pi/2 bound is never at risk from discretization.
+    Paths follow the shorter arc in equal steps of at most pi/1024, fine
+    enough that the inscribed polyline is indistinguishable from the arc
+    at test tolerances; inscribed chords can only undershoot the arc
+    length, so the pi/2 bound is never at risk from discretization.
     """
 
     def build(a: np.ndarray, b: np.ndarray):
@@ -220,7 +224,7 @@ def circle_builder(max_step: float = np.pi / 1024) -> CertifiedBuilder:
         delta = (theta_b - theta_a + np.pi) % (2.0 * np.pi) - np.pi
         if delta == -np.pi:
             delta = np.pi
-        segments = max(1, int(np.ceil(abs(delta) / max_step)))
+        segments = max(1, int(np.ceil(abs(delta) / _CIRCLE_MAX_STEP)))
         thetas = theta_a + delta * np.arange(segments + 1) / segments
         points = [np.array([np.cos(t), np.sin(t)]) for t in thetas]
         points[0] = a.copy()

@@ -1,7 +1,7 @@
 """Dense-matrix numeric kernel.
 
 Scalar fields, Frobenius geometry, and the small-matrix factorizations
-(singular values, unitary completions, dominant eigenpairs) that the path
+(numerical ranks, unitary completions, dominant eigenpairs) that the path
 construction is built on.  Everything here is a pure function of its
 arguments; inputs are never mutated, so all routines are safe to call from
 any number of threads.
@@ -22,6 +22,10 @@ UNITARITY_TOL = 1e-12
 
 #: eigenpair residual acceptance threshold, relative to the Frobenius norm
 EIGENPAIR_RESIDUAL_TOL = 1e-10
+
+#: numerical rank rule: a singular value counts when it exceeds this times
+#: the largest one of its spectrum
+RANK_REL_TOL = 1e-10
 
 
 class ScalarField(str, Enum):
@@ -113,27 +117,15 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values of a 2-d array, nonincreasing, length min(m, n)."""
-    a = as_matrix(a)
-    if a.ndim != 2:
-        raise DimensionMismatch("singular_values expects a 2-d array")
-    return np.linalg.svd(a, compute_uv=False)
-
-
-def numerical_ranks(sigma, rel_tol: float = 1e-10) -> np.ndarray:
+def numerical_ranks(sigma) -> np.ndarray:
     """Rank of each row of a (k, r) array of nonincreasing singular values:
-    the count of values exceeding ``rel_tol`` times the row's largest one.
+    the count of values exceeding ``RANK_REL_TOL`` times the row's largest
+    one.
 
     A zero (or empty) spectrum has rank 0.
     """
     sigma = np.asarray(sigma, dtype=float)
-    return np.count_nonzero(sigma > rel_tol * sigma[:, :1], axis=1)
-
-
-def numerical_rank(sigma, rel_tol: float = 1e-10) -> int:
-    """Count singular values exceeding ``rel_tol`` times the largest one."""
-    return int(numerical_ranks([sigma], rel_tol)[0])
+    return np.count_nonzero(sigma > RANK_REL_TOL * sigma[:, :1], axis=1)
 
 
 def unitary_completion(w, side: Side) -> np.ndarray:

@@ -34,6 +34,14 @@ from .variety import (
 
 _RESIDUAL_CEILING = 1e-8
 
+#: ``graph_upper_bound``'s edge tube: the largest membership residual an
+#: interior point of an admitted edge may have
+EDGE_MEMBERSHIP_TOL = 1e-6
+
+#: equispaced interior points checked per proximity-graph edge, in
+#: ``graph_upper_bound`` and in ``polymap.surface_demo``
+CHECKS_PER_EDGE = 3
+
 #: matrices per stacked call in ``shorten``: blocks are independent, so
 #: results do not depend on it, and peak memory stays flat on long polylines
 _BLOCK = 256
@@ -42,18 +50,14 @@ _BLOCK = 256
 @dataclass(frozen=True)
 class OracleConfig:
     n_samples: int = 64
-    edge_membership_tol: float = 1e-6
-    midpoint_checks_per_edge: int = 3
     shorten_iterations: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.midpoint_checks_per_edge < 1:
-            raise ValueError("sample and check counts must be positive")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be positive")
         if self.shorten_iterations < 1:
             raise ValueError("shorten_iterations must be positive")
-        if not 0.0 < self.edge_membership_tol < 1.0:
-            raise ValueError("edge_membership_tol must lie in (0, 1)")
 
 
 def _norms(steps: np.ndarray) -> np.ndarray:
@@ -150,8 +154,9 @@ def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
     nonzero strata) inside the ball of radius twice the larger endpoint
     norm, always adding p, q and the cone point 0, and returns the p-q
     distance of their residual-tube graph (``proximity_graph_distance``:
-    an edge's ``cfg.midpoint_checks_per_edge`` interior points must have
-    membership residual at most ``cfg.edge_membership_tol``).  The search
+    an edge's ``CHECKS_PER_EDGE`` = 3 interior points must have membership
+    residual at most ``EDGE_MEMBERSHIP_TOL`` = 1e-6; both are fixed, and
+    the oracle report records them in its ``config``).  The search
     is lazy, so only the edges of candidate shortest paths are checked,
     each point at most once, and the value is the one checking every edge
     would give.  Any finite value is an upper bound on the inner distance
@@ -188,8 +193,8 @@ def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
         source=0,
         target=1,
         residuals_of=lambda stack: membership_residuals(stack, d),
-        tol=cfg.edge_membership_tol,
-        checks_per_edge=cfg.midpoint_checks_per_edge,
+        tol=EDGE_MEMBERSHIP_TOL,
+        checks_per_edge=CHECKS_PER_EDGE,
     )
 
 

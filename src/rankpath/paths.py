@@ -391,7 +391,7 @@ def certify(
     Every breakpoint is checked, and every segment a + s D, D = b - a, at
     as many interior points as the rank of its step requires (none for a
     repeated breakpoint, whose step has rank 0).  Split D = D_r + E with
-    D_r its truncation to rank r (the ``numerical_rank`` rule) and
+    D_r its truncation to rank r (the ``numerical_ranks`` rule) and
     ||E||_2 = tau = sigma_{r+1}(D).  Along a + s D_r each t x t minor is a polynomial in s of degree at most
     k = min(t, r): its coefficient of s^j is a sum of products of minors
     of D_r of size j, which vanish for j > r.  So if the minors vanish at

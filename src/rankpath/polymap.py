@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import ScalarField
-from .oracles import proximity_graph_distance
+from .oracles import CHECKS_PER_EDGE, proximity_graph_distance
 from .variety import VarietyDescriptor, membership_residual
 
 _MAX_EXPONENT = 2**31
@@ -414,12 +414,16 @@ SURFACE_SLICE_BRANCHES = ParamCurvePair(
 )
 
 
-def cusp_arc_length(s: float, rel_tol: float = 1e-8) -> float:
+#: relative agreement of two successive refinements that ends ``cusp_arc_length``
+_ARC_REL_TOL = 1e-8
+
+
+def cusp_arc_length(s: float) -> float:
     """Arc length along u -> (u^2, u^3) for u in [-s, s], through the origin.
 
     Computed by doubling polyline resolution until two successive
-    refinements agree to ``rel_tol`` relative; inscribed polylines only
-    ever undershoot, so the limit is approached from below.
+    refinements agree to 1e-8 relative; inscribed polylines only ever
+    undershoot, so the limit is approached from below.
     """
     if s <= 0:
         raise ValueError("s must be positive")
@@ -429,7 +433,7 @@ def cusp_arc_length(s: float, rel_tol: float = 1e-8) -> float:
         u = np.linspace(-s, s, n + 1)
         x, y = u * u, u**3
         length = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
-        if previous is not None and abs(length - previous) < rel_tol * length:
+        if previous is not None and abs(length - previous) < _ARC_REL_TOL * length:
             return length
         previous = length
         n *= 2
@@ -463,33 +467,39 @@ def cusp_ratio_table(s_values) -> list[RatioRow]:
     return rows
 
 
-def surface_demo(
-    s_values,
-    grid_points: int = 25,
-    v_layers: tuple[float, ...] = (0.95, 1.0, 1.05),
-    edge_tol_scale: float = 0.05,
-    checks_per_edge: int = 3,
-) -> list[RatioRow]:
+#: grid points per layer of ``surface_demo``'s u-grid.  The count is odd, so
+#: u = 0, where every route between the branches crosses the z-axis, is a
+#: grid point
+_SURFACE_GRID_POINTS = 25
+
+#: the v-values of ``surface_demo``'s grid layers, around the z = 1 slice
+_SURFACE_V_LAYERS = (0.95, 1.0, 1.05)
+
+#: ``surface_demo``'s edge tolerance, in units of s^4
+_SURFACE_EDGE_TOL_SCALE = 0.05
+
+
+def surface_demo(s_values) -> list[RatioRow]:
     """Graph-estimated inner/outer ratio on the surface x^3 = y^2 z.
 
     For each s the branch points p = (s^2, s^3, 1) and q = (s^2, -s^3, 1)
     are joined through a proximity graph over parametrized surface samples
-    (u, v) -> (u^2 v, u^3, v^3).  On the surface, any route between the
-    branches must cross the z-axis, which keeps the inner distance near
-    2 s^2 while the chord is exactly 2 s^3.
+    (u, v) -> (u^2 v, u^3, v^3): 25 equispaced u in [-s, s] (so u = 0 is
+    one of them) on each of the layers v = 0.95, 1.0 and 1.05.  On the
+    surface, any route between the branches must cross the z-axis, which
+    keeps the inner distance near 2 s^2 while the chord is exactly 2 s^3.
 
     Edge admission measures how far segment interiors drift from the
     surface, via the pullback residual of the cusp-family matrix at its
     z-flipped argument (the flip matches the matrix determinant x^3 + y^2 z
-    to the surface equation; the two zero sets are isometric).  In this
-    residual both the drift of legitimate local edges (about 0.005 s^4 at
-    the default grid) and the shortcut straight across the branch gap
-    (about 0.75 s^4) scale as s^4, so the admission tolerance is
-    ``edge_tol_scale * s^4``: an order of magnitude above the former,
-    an order below the latter.
+    to the surface equation; the two zero sets are isometric), at the
+    ``oracles.CHECKS_PER_EDGE`` = 3 interior points of each edge.  In this
+    residual both the drift of legitimate local edges (about 0.005 s^4 on
+    this grid) and the shortcut straight across the branch gap (about
+    0.75 s^4) scale as s^4, so the admission tolerance is 0.05 s^4: an
+    order of magnitude above the former, an order below the latter.  The
+    grid and the tolerance are fixed.
     """
-    if grid_points % 2 == 0:
-        raise ValueError("grid_points must be odd so the axis crossing is sampled")
     family = cusp_family_map()
     target = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
 
@@ -505,8 +515,8 @@ def surface_demo(
             raise ValueError("s values must lie in (0, 1]")
         nodes = [
             _surface_point(u, v)
-            for v in v_layers
-            for u in np.linspace(-s, s, grid_points)
+            for v in _SURFACE_V_LAYERS
+            for u in np.linspace(-s, s, _SURFACE_GRID_POINTS)
         ]
         p, q = SURFACE_SLICE_BRANCHES.points(s)
         source = next(
@@ -526,13 +536,11 @@ def surface_demo(
             source=source,
             target=targetidx,
             residuals_of=residuals,
-            tol=edge_tol_scale * s**4,
-            checks_per_edge=checks_per_edge,
+            tol=_SURFACE_EDGE_TOL_SCALE * s**4,
+            checks_per_edge=CHECKS_PER_EDGE,
         )
         if math.isinf(estimate):
-            raise RuntimeError(
-                f"surface graph disconnected at s={s:g}; raise grid_points or the tolerance"
-            )
+            raise RuntimeError(f"surface graph disconnected at s={s:g}")
         d_out = 2.0 * s**3
         rows.append(RatioRow(s, d_out, estimate, estimate / d_out))
     return rows

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .numkernel import ScalarField, as_matrix
-from .oracles import OracleConfig
+from .oracles import CHECKS_PER_EDGE, EDGE_MEMBERSHIP_TOL, OracleConfig
 from .paths import BranchKind, BranchTag, PathCertificate, PiecewisePath
 from .variety import VarietyDescriptor
 
@@ -141,8 +141,8 @@ def path_to_json(
 def oracle_config_to_json(cfg: OracleConfig) -> dict:
     return {
         "n_samples": cfg.n_samples,
-        "edge_membership_tol": cfg.edge_membership_tol,
-        "midpoint_checks_per_edge": cfg.midpoint_checks_per_edge,
+        "edge_membership_tol": EDGE_MEMBERSHIP_TOL,
+        "midpoint_checks_per_edge": CHECKS_PER_EDGE,
         "shorten_iterations": cfg.shorten_iterations,
         "seed": cfg.seed,
     }

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (
-    DimensionMismatch,
-    ScalarField,
-    as_matrix,
-    numerical_rank,
-    numerical_ranks,
-    singular_values,
-)
+from .numkernel import DimensionMismatch, ScalarField, as_matrix, numerical_ranks
 
 #: default membership acceptance threshold on the relative residual
 DEFAULT_MEMBERSHIP_TOL = 1e-8
@@ -117,8 +110,8 @@ def membership_residual(p, d: VarietyDescriptor) -> float:
     return float(membership_residuals(_checked(p, d)[np.newaxis], d)[0])
 
 
-def is_member(p, d: VarietyDescriptor, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    return membership_residual(p, d) <= tol
+def is_member(p, d: VarietyDescriptor) -> bool:
+    return membership_residual(p, d) <= DEFAULT_MEMBERSHIP_TOL
 
 
 def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor, ranks=None):
@@ -139,11 +132,11 @@ def truncations(stack, d: VarietyDescriptor, ranks=None):
     and the rank of each.
 
     One batched decomposition gives both: the truncated SVD of each matrix,
-    and its rank by the ``rank_of`` rule, the count of kept singular values
-    above 1e-10 times the largest.  Ties between equal singular values
-    keep the first t-1 in the order the decomposition returns them, so the
-    output is deterministic.  With ``ranks``, matrix i is truncated to rank
-    <= min(ranks[i], t-1) instead, from the same decomposition.
+    and its rank by the ``rank_of`` rule applied to its kept singular
+    values.  Ties between equal singular values keep the first t-1 in the
+    order the decomposition returns them, so the output is deterministic.
+    With ``ranks``, matrix i is truncated to rank <= min(ranks[i], t-1)
+    instead, from the same decomposition.
     """
     stack = _checked_stack(stack, d)
     if d.t == 1:
@@ -234,9 +227,10 @@ def sample_stratum(d: VarietyDescriptor, r: int, radius: float, seed: int) -> np
     return np.asarray(sample * (radius / norm), dtype=d.field.dtype)
 
 
-def rank_of(p, d: VarietyDescriptor, rel_tol: float = 1e-10) -> int:
-    """Numerical rank of a point of the variety's ambient space."""
-    return numerical_rank(singular_values(_checked(p, d)), rel_tol)
+def rank_of(p, d: VarietyDescriptor) -> int:
+    """Numerical rank of a point of the variety's ambient space: the
+    ``numkernel.numerical_ranks`` rule applied to its singular values."""
+    return int(numerical_ranks(spectra(_checked(p, d)[np.newaxis], d))[0])
 
 
 def codimension(d: VarietyDescriptor) -> int:

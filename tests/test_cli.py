@@ -280,7 +280,14 @@ class TestOracleCommand:
         assert data["shortened"] <= data["constructed"] + 1e-9
         graph = data["graph"]
         assert graph == "unreachable" or graph >= data["outer"] - 1e-9
-        assert data["config"]["n_samples"] == 32
+        # the fixed edge tube and check count are recorded beside the options
+        assert list(data["config"].items()) == [
+            ("n_samples", 32),
+            ("edge_membership_tol", 1e-6),
+            ("midpoint_checks_per_edge", 3),
+            ("shorten_iterations", 8),
+            ("seed", 0),
+        ]
 
 
 class TestModuleEntryPoints:

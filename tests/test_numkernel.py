@@ -11,11 +11,12 @@ from rankpath import (
     frobenius_inner,
     leading_nonzero_eigenpair,
     make_unitary_pair,
-    numerical_rank,
+    VarietyDescriptor,
     numerical_ranks,
-    singular_values,
     unitary_completion,
 )
+from rankpath.numkernel import RANK_REL_TOL
+from rankpath.variety import spectra
 from conftest import random_unitary
 
 
@@ -72,39 +73,50 @@ class TestFrobeniusDistance:
 
 
 class TestSingularValues:
+    """``variety.spectra``, the one singular-value kernel, on one-matrix and
+    many-matrix stacks."""
+
     def test_diagonal(self):
-        np.testing.assert_allclose(singular_values(np.diag([3.0, 1.0])), [3.0, 1.0])
+        d = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
+        np.testing.assert_allclose(spectra(np.diag([3.0, 1.0])[np.newaxis], d), [[3.0, 1.0]])
 
     def test_zero_rectangular(self):
-        np.testing.assert_allclose(singular_values(np.zeros((2, 3))), [0.0, 0.0])
+        d = VarietyDescriptor(2, 3, 2, ScalarField.REAL)
+        np.testing.assert_allclose(spectra(np.zeros((1, 2, 3)), d), [[0.0, 0.0]])
 
     def test_rank_one(self):
-        sigma = singular_values(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(sigma, [np.sqrt(2.0), 0.0], atol=1e-15)
+        d = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
+        sigma = spectra(np.array([[[1.0, 1.0], [0.0, 0.0]]]), d)
+        np.testing.assert_allclose(sigma, [[np.sqrt(2.0), 0.0]], atol=1e-15)
 
     def test_energy_identity(self, rng):
-        for _ in range(50):
-            a = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-            total = np.linalg.norm(a) ** 2
-            assert abs(total - np.sum(singular_values(a) ** 2)) <= 1e-10 * total
+        d = VarietyDescriptor(4, 5, 4, ScalarField.COMPLEX)
+        stack = rng.standard_normal((50, 4, 5)) + 1j * rng.standard_normal((50, 4, 5))
+        total = np.linalg.norm(stack, axis=(1, 2)) ** 2
+        assert np.all(np.abs(total - np.sum(spectra(stack, d) ** 2, axis=1)) <= 1e-10 * total)
 
 
 class TestNumericalRank:
+    """The rank rule on one-spectrum stacks: values count when they exceed
+    ``RANK_REL_TOL`` times the largest."""
+
     def test_full(self):
-        assert numerical_rank([3.0, 1.0], 1e-10) == 2
+        assert numerical_ranks([[3.0, 1.0]]).tolist() == [2]
 
     def test_below_threshold(self):
-        assert numerical_rank([1.0, 1e-14], 1e-10) == 1
+        assert numerical_ranks([[1.0, 1e-14]]).tolist() == [1]
+        assert numerical_ranks([[1.0, RANK_REL_TOL]]).tolist() == [1]
+        assert numerical_ranks([[1.0, 2.0 * RANK_REL_TOL]]).tolist() == [2]
 
     def test_zero(self):
-        assert numerical_rank([0.0, 0.0], 1e-10) == 0
+        assert numerical_ranks([[0.0, 0.0]]).tolist() == [0]
 
 
 class TestNumericalRanks:
     def test_rows_follow_the_single_spectrum_rule(self):
         spectra = np.array([[3.0, 1.0], [1.0, 1e-14], [0.0, 0.0]])
-        assert numerical_ranks(spectra, 1e-10).tolist() == [2, 1, 0]
-        assert [numerical_rank(row, 1e-10) for row in spectra] == [2, 1, 0]
+        assert numerical_ranks(spectra).tolist() == [2, 1, 0]
+        assert [int(numerical_ranks([row])[0]) for row in spectra] == [2, 1, 0]
         assert numerical_ranks(np.zeros((2, 0))).tolist() == [0, 0]
 
 

@@ -23,7 +23,7 @@ from rankpath import (
     shorten,
 )
 from rankpath import oracles
-from rankpath.oracles import proximity_graph_distance
+from rankpath.oracles import EDGE_MEMBERSHIP_TOL, proximity_graph_distance
 from conftest import random_member, reference_graph_distance
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -34,8 +34,6 @@ class TestOracleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(n_samples=0)
-        with pytest.raises(ValueError):
-            OracleConfig(edge_membership_tol=2.0)
         with pytest.raises(ValueError):
             OracleConfig(shorten_iterations=0)
 
@@ -55,7 +53,7 @@ class TestGraphUpperBound:
         q = np.array([[0.0, 0.0], [0.0, 1.0]])
         value = graph_upper_bound(p, q, D22, CFG)
         _, cert = build_path(p, q, D22)
-        assert math.sqrt(2.0) - 1e-9 <= value <= cert.length + CFG.edge_membership_tol
+        assert math.sqrt(2.0) - 1e-9 <= value <= cert.length + EDGE_MEMBERSHIP_TOL
 
     def test_never_beats_the_chord(self, rng):
         d = VarietyDescriptor(3, 3, 2, ScalarField.COMPLEX)
