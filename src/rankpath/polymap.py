@@ -102,6 +102,12 @@ def format_poly_map(f: PolyMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_digit(ch: str) -> bool:
+    # ASCII only: ``str.isdigit`` also accepts other scripts' digits and
+    # superscripts, which ``float`` and ``int`` then misread or reject
+    return "0" <= ch <= "9"
+
+
 class _Tokenizer:
     _PUNCT = set(",;:[]=+-*^()")
 
@@ -125,6 +131,9 @@ class _Tokenizer:
                 self.col += 1
         self.pos += count
 
+    def _digit_at(self, index: int) -> bool:
+        return index < len(self.text) and _is_digit(self.text[index])
+
     def tokens(self):
         out = []
         while True:
@@ -142,28 +151,28 @@ class _Tokenizer:
                 ):
                     self._advance(1)
                 out.append(("ident", self.text[start : self.pos], line, col))
-            elif ch.isdigit() or ch == ".":
+            elif _is_digit(ch) or ch == ".":
                 start = self.pos
-                seen_dot = seen_exp = False
+                seen_dot = seen_exp = seen_digit = False
                 while self.pos < len(self.text):
                     c = self.text[self.pos]
-                    if c.isdigit():
+                    if _is_digit(c):
+                        seen_digit = True
                         self._advance(1)
                     elif c == "." and not seen_dot and not seen_exp:
                         seen_dot = True
                         self._advance(1)
-                    elif c in "eE" and not seen_exp and self.pos + 1 < len(self.text) and (
-                        self.text[self.pos + 1].isdigit()
-                        or (
-                            self.text[self.pos + 1] in "+-"
-                            and self.pos + 2 < len(self.text)
-                            and self.text[self.pos + 2].isdigit()
-                        )
-                    ):
+                    elif c in "eE" and seen_digit and not seen_exp:
+                        # an exponent only if digits follow its optional sign
+                        sign = self.text[self.pos + 1 : self.pos + 2] in ("+", "-")
+                        if not self._digit_at(self.pos + 1 + sign):
+                            break
                         seen_exp = True
-                        self._advance(2)
+                        self._advance(1 + sign)
                     else:
                         break
+                if not seen_digit:
+                    self.error("a number needs at least one digit", line, col)
                 out.append(("number", self.text[start : self.pos], line, col))
             elif ch in self._PUNCT:
                 self._advance(1)
@@ -267,15 +276,15 @@ class _Parser:
             self.accept("+")
         total = _scale(self.parse_term(), sign)
         while self.current[0] in "+-":
-            op = self.accept(self.current[0])[0]
-            term = self.parse_term()
-            total = _add(total, _scale(term, -1.0 if op == "-" else 1.0))
+            op = self.accept(self.current[0])
+            term = _scale(self.parse_term(), -1.0 if op[0] == "-" else 1.0)
+            total = _finite(_add(total, term), "sum", op)
         return total
 
     def parse_term(self) -> Monomials:
         product = self.parse_factor()
-        while self.accept("*"):
-            product = self.multiply(product, self.parse_factor())
+        while op := self.accept("*"):
+            product = _finite(self.multiply(product, self.parse_factor()), "product", op)
         return product
 
     def parse_factor(self) -> Monomials:
@@ -294,7 +303,7 @@ class _Parser:
             return {exps: 1.0}
         token = self.accept("number")
         if token is not None:
-            return {zero_exps: float(token[1])}
+            return _finite({zero_exps: float(token[1])}, "number", token)
         if self.accept("("):
             inner = self.parse_poly()
             self.expect(")", "')'")
@@ -310,6 +319,14 @@ class _Parser:
                     self.error("exponent overflow in product")
                 out[exps] = out.get(exps, 0.0) + ca * cb
         return _prune(out)
+
+
+def _finite(m: Monomials, what: str, token) -> Monomials:
+    """``m``, unless a coefficient is inf or nan, which the text format
+    cannot write back: then a PolyParseError at ``token``."""
+    if not all(math.isfinite(c) for c in m.values()):
+        raise PolyParseError(f"{what} overflows to a non-finite coefficient", token[2], token[3])
+    return m
 
 
 def _scale(m: Monomials, factor: float) -> Monomials:
@@ -328,7 +345,12 @@ def _prune(m: Monomials) -> Monomials:
 
 
 def parse_poly_map(text: str) -> PolyMap:
-    """Parse PolyMap text; parse-format-parse is the identity."""
+    """Parse PolyMap text; parse-format-parse is the identity.
+
+    Numbers are written in ASCII digits.  A literal, product or sum whose
+    coefficient overflows raises PolyParseError, so every parsed
+    coefficient is finite and can be formatted back.
+    """
     return _Parser(text).parse()
 
 

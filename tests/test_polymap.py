@@ -93,6 +93,37 @@ class TestParser:
         f = parse_poly_map("vars: x,y; rows:1; cols:1; [1,1]=(x+y)*(x-y);")
         assert f.entries[0][0] == {(2, 0): 1.0, (0, 2): -1.0}
 
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("vars: x; rows: 1; cols: 1; [1,1] = .;", "."),
+            ("vars: x; rows: ²; cols: 1;", "²"),
+            ("vars: x; rows: 1; cols: 1; [1,1] = x^²;", "²"),
+            ("vars: x; rows: 1; cols: 1; [1,1] = ٣;", "٣"),
+        ],
+        ids=["lone-dot", "superscript-count", "superscript-exponent", "arabic-indic-digit"],
+    )
+    def test_number_tokens_are_ascii_with_a_digit(self, text, bad):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly_map(text)
+        assert (info.value.line, info.value.column) == (1, text.index(bad) + 1)
+
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [
+            ("1e999*x", "1e999"),
+            ("1e999*x - 1e999*x + x", "1e999"),
+            ("1e200*1e200*x", "*1e200*x"),
+            ("1e308*x + 1e308*x", "+"),
+        ],
+        ids=["literal", "cancelled-literal", "product", "sum"],
+    )
+    def test_non_finite_coefficients_rejected(self, entry, bad):
+        text = f"vars: x; rows: 1; cols: 1; [1,1] = {entry};"
+        with pytest.raises(PolyParseError, match="non-finite") as info:
+            parse_poly_map(text)
+        assert (info.value.line, info.value.column) == (1, text.index(bad) + 1)
+
     def test_round_trip_corpus(self, rng):
         for _ in range(50):
             text = random_poly_map(rng)
