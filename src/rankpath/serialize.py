@@ -18,9 +18,18 @@ from .variety import VarietyDescriptor
 
 
 def format_number(value: float) -> str:
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        raise ValueError(f"{value} is not representable in JSON")
-    return format(value, ".17g")
+    """A number at 17 significant digits; a float always reads back as one.
+
+    ``.17g`` writes an integral float such as 7.0 or -0.0 as a bare
+    integer, which a JSON reader returns as an int, so those get ``.0``.
+    """
+    text = format(value, ".17g")
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError(f"{value} is not representable in JSON")
+        if text.lstrip("-").isdigit():
+            text += ".0"
+    return text
 
 
 def dumps(obj, indent: int = 0) -> str:

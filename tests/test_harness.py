@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from rankpath.harness import (
     trial_config_from_json,
     trial_config_to_json,
 )
+from rankpath.serialize import dumps
 
 D332 = VarietyDescriptor(3, 3, 2, ScalarField.COMPLEX)
 
@@ -130,6 +132,14 @@ class TestEmitReport:
         text = out.read_text()
         assert text.endswith("\n")
         assert report_from_json(json.loads(text)) == report
+        # integral floats, such as every bound 2(t-1), read back as floats
+        assert all(type(r["certified_bound"]) is float for r in json.loads(text)["records"])
+
+    @pytest.mark.parametrize("value", [7.0, -0.0, 0.5, 1e300, 7])
+    def test_numbers_read_back_with_their_type(self, value):
+        back = json.loads(dumps(value))
+        assert back == value and type(back) is type(value)
+        assert math.copysign(1.0, back) == math.copysign(1.0, value)
 
     def test_errors_and_escapes_round_trip(self, tmp_path, monkeypatch):
         import rankpath.harness as harness_module
