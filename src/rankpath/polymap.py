@@ -325,7 +325,8 @@ def _finite(m: Monomials, what: str, token) -> Monomials:
     """``m``, unless a coefficient is inf or nan, which the text format
     cannot write back: then a PolyParseError at ``token``."""
     if not all(math.isfinite(c) for c in m.values()):
-        raise PolyParseError(f"{what} overflows to a non-finite coefficient", token[2], token[3])
+        message = f"{what} overflows to a non-finite coefficient"
+        raise PolyParseError(message, token[2], token[3])
     return m
 
 

@@ -7,17 +7,19 @@ from rankpath import (
     NoUsableEigenpair,
     ScalarField,
     Side,
+    VarietyDescriptor,
     frobenius_distance,
     frobenius_inner,
     leading_nonzero_eigenpair,
     make_unitary_pair,
-    VarietyDescriptor,
     numerical_ranks,
     unitary_completion,
 )
 from rankpath.numkernel import RANK_REL_TOL
 from rankpath.variety import spectra
 from conftest import random_unitary
+
+D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
 
 
 class TestFrobeniusInner:
@@ -77,16 +79,14 @@ class TestSingularValues:
     many-matrix stacks."""
 
     def test_diagonal(self):
-        d = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
-        np.testing.assert_allclose(spectra(np.diag([3.0, 1.0])[np.newaxis], d), [[3.0, 1.0]])
+        np.testing.assert_allclose(spectra(np.diag([3.0, 1.0])[np.newaxis], D22), [[3.0, 1.0]])
 
     def test_zero_rectangular(self):
         d = VarietyDescriptor(2, 3, 2, ScalarField.REAL)
         np.testing.assert_allclose(spectra(np.zeros((1, 2, 3)), d), [[0.0, 0.0]])
 
     def test_rank_one(self):
-        d = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
-        sigma = spectra(np.array([[[1.0, 1.0], [0.0, 0.0]]]), d)
+        sigma = spectra(np.array([[[1.0, 1.0], [0.0, 0.0]]]), D22)
         np.testing.assert_allclose(sigma, [[np.sqrt(2.0), 0.0]], atol=1e-15)
 
     def test_energy_identity(self, rng):
