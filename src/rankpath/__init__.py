@@ -32,13 +32,11 @@ from .numkernel import (
     NoUsableEigenpair,
     ScalarField,
     Side,
-    UnitaryPair,
     as_matrix,
     frobenius_distance,
     frobenius_inner,
     frobenius_norm,
     leading_nonzero_eigenpair,
-    make_unitary_pair,
     numerical_ranks,
     unitary_completion,
 )
@@ -46,7 +44,6 @@ from .oracles import OracleConfig, Sandwich, graph_upper_bound, sandwich, shorte
 from .paths import (
     BranchKind,
     BranchTag,
-    BranchConditionError,
     MembershipError,
     ORTHOGONALITY_THRESHOLD,
     PathCertificate,

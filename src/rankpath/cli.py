@@ -106,7 +106,6 @@ def _cmd_trials(args) -> int:
     print(
         f"pairs={cfg.pairs} max_ratio={report.max_ratio:.6f} "
         f"bound_violations={report.bound_violations} "
-        f"fallback_count={report.fallback_count} "
         f"errors={report.errors} residual_escapes={report.residual_escapes}"
     )
     if report.bound_violations > 0:

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .numkernel import frobenius_norm
-from .paths import BranchKind, ORTHOGONALITY_THRESHOLD, build_path
+from .paths import ORTHOGONALITY_THRESHOLD, build_path
 from .serialize import (
     branch_trace_from_json,
     branch_trace_to_json,
@@ -83,26 +83,27 @@ class TrialRecord:
 
     @property
     def has_fallback(self) -> bool:
-        return any(tag.kind is BranchKind.REAL_FALLBACK for tag in self.branch_trace)
+        """Always False: every route has an a-priori bound.  Kept because the
+        benchmark's output checks (``perfbench/workloads.py``) read it."""
+        return False
 
     @property
     def violates_bound(self) -> bool:
-        if self.error is not None or self.has_fallback:
+        if self.error is not None:
             return False
         return self.ratio > self.certified_bound + BOUND_SLACK
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Records of one run plus their tallies: bound violations, RealFallback
-    routes, trials that raised (``errors``) and certificates whose residual
-    exceeds ``DEFAULT_MEMBERSHIP_TOL`` (``residual_escapes``)."""
+    """Records of one run plus their tallies: bound violations, trials that
+    raised (``errors``) and certificates whose residual exceeds
+    ``DEFAULT_MEMBERSHIP_TOL`` (``residual_escapes``)."""
 
     config: TrialConfig
     records: tuple[TrialRecord, ...]
     max_ratio: float
     bound_violations: int
-    fallback_count: int
     errors: int
     residual_escapes: int
 
@@ -266,7 +267,6 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
         records=tuple(records),
         max_ratio=max(ratios) if ratios else 0.0,
         bound_violations=sum(r.violates_bound for r in records),
-        fallback_count=sum(r.has_fallback for r in records),
         errors=sum(r.error is not None for r in records),
         residual_escapes=sum(r.max_residual > DEFAULT_MEMBERSHIP_TOL for r in records),
     )
@@ -338,7 +338,6 @@ def report_to_json(report: TrialReport) -> dict:
         "records": [_record_to_json(r) for r in report.records],
         "max_ratio": report.max_ratio,
         "bound_violations": report.bound_violations,
-        "fallback_count": report.fallback_count,
         "errors": report.errors,
         "residual_escapes": report.residual_escapes,
         # the fixed threshold residual_escapes counts against; not read back
@@ -352,7 +351,6 @@ def report_from_json(data: dict) -> TrialReport:
         records=tuple(_record_from_json(r) for r in data["records"]),
         max_ratio=float(data["max_ratio"]),
         bound_violations=int(data["bound_violations"]),
-        fallback_count=int(data["fallback_count"]),
         errors=int(data["errors"]),
         residual_escapes=int(data["residual_escapes"]),
     )

@@ -1,15 +1,15 @@
 """Dense-matrix numeric kernel.
 
-Scalar fields, Frobenius geometry, and the small-matrix factorizations
-(numerical ranks, unitary completions, dominant eigenpairs) that the path
-construction is built on.  Everything here is a pure function of its
-arguments; inputs are never mutated, so all routines are safe to call from
-any number of threads.
+Scalar fields, Frobenius geometry and the numerical rank rule that the
+path construction is built on, plus two small factorizations it no longer
+calls (unitary completions and dominant eigenpairs), kept while the
+benchmark's per-layer tracer still looks them up by name.  Everything here
+is a pure function of its arguments; inputs are never mutated, so all
+routines are safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -55,11 +55,7 @@ class NormalizationError(ValueError):
 
 
 class NoUsableEigenpair(RuntimeError):
-    """No admissible (real, over the real field) eigenvalue clears the floor.
-
-    Callers treat this as a signal to take a fallback branch rather than as
-    a hard failure.
-    """
+    """No admissible (real, over the real field) eigenvalue clears the floor."""
 
 
 def as_matrix(values, field: ScalarField | None = None) -> np.ndarray:
@@ -156,43 +152,6 @@ def unitary_completion(w, side: Side) -> np.ndarray:
     if side is Side.FIRST_ROW:
         return u
     return u.conj().T
-
-
-@dataclass(frozen=True)
-class UnitaryPair:
-    """A pair (U, V) of unitaries acting on matrices as x -> U @ x @ V."""
-
-    u: np.ndarray
-    v: np.ndarray
-    unitarity_residual: float
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.u @ x @ self.v
-
-    def inverse(self) -> "UnitaryPair":
-        return UnitaryPair(
-            self.u.conj().T.copy(), self.v.conj().T.copy(), self.unitarity_residual
-        )
-
-
-def make_unitary_pair(u, v) -> UnitaryPair:
-    """Package two unitaries, recording how far each is from exact unitarity.
-
-    The residual is max over the pair of ||W @ W^H - I||_F / sqrt(dim), and
-    must clear ``UNITARITY_TOL``.
-    """
-    u = as_matrix(u)
-    v = as_matrix(v)
-    residual = 0.0
-    for w in (u, v):
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionMismatch("unitary factors must be square")
-        k = w.shape[0]
-        defect = np.linalg.norm(w @ w.conj().T - np.eye(k)) / np.sqrt(k)
-        residual = max(residual, float(defect))
-    if residual > UNITARITY_TOL:
-        raise NormalizationError(f"unitarity residual {residual:g} above tolerance")
-    return UnitaryPair(u, v, residual)
 
 
 def _real_eigenvalue_candidates(m: np.ndarray) -> np.ndarray:

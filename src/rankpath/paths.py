@@ -6,35 +6,31 @@ the outer (Frobenius) distance:
 
 * one endpoint zero, or the pair collinear: the straight segment, ratio 1;
 * nearly orthogonal pair: the two-leg route through zero, ratio <= 2;
-* otherwise: a coordinate change moves p's mass into the first column and
-  q's into the first row, a segment trades p's first row for q's corner,
-  the trailing (m-1) x (n-1) blocks are connected recursively inside the
-  slice that fixes the corner, and a closing segment restores q's first
-  column.  Each level strips one unit of rank, so the certified constant
-  is 2 * min(rank p, rank q) <= 2t - 2.
+* otherwise: one unitary change of coordinates, an ordered Schur form of
+  p q^H, puts the pair in a form where every recursion level can be read
+  off.  Level j trades the leading rows of p's trailing block for q's
+  corner, connects the blocks behind the corner recursively inside the
+  slice that fixes it, and closes the leading columns of q's block.  A
+  scalar Schur block strips one unit of rank; over the real field a 2 x 2
+  block (a complex-conjugate eigenvalue pair) strips two with two legs.
+  So the certified constant is 2 * min(rank p, rank q) <= 2t - 2.
 
 Every branch decision is recorded in the certificate.  Every breakpoint is
 re-checked for membership, and every segment a + s D at min(t, rank D) - 1
-interior Chebyshev-Lobatto points, none for the rank-1 steps the recursion
-emits.  Along the segment each t x t minor has degree at most
-min(t, rank D) in s, so this certifies the whole segment; the numerical
-tail sigma_{r+1}(D) of the step enters the residual through Weyl's
-inequality (see ``certify``).
+interior Chebyshev-Lobatto points: none for the rank-1 legs of a scalar
+block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
+each t x t minor has degree at most min(t, rank D) in s, so this
+certifies the whole segment; the numerical tail sigma_{r+1}(D) of the
+step enters the residual through Weyl's inequality (see ``certify``).
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
 2(t - 1) on each side.  ``build_path`` therefore divides the pair by a
 power of two, compresses it onto that core with orthonormal frames taken
 from one stacked SVD of the endpoints, constructs and certifies the path
-there, and lifts every breakpoint back isometrically.
-
-The recursion never moves a breakpoint between levels.  Each level
-returns its breakpoints in its own coordinates, tagged with its frame:
-the composed left and right factors of the levels above (orthonormal
-columns, one product per side per level) and the sum of the corners they
-fixed.  ``build_path`` lifts every breakpoint once onto the core through
-its frame, once more onto m x n, and drops repeated breakpoints once, at
-the end.
+there, and lifts every breakpoint back isometrically.  On the core every
+breakpoint past the endpoints is made in the Schur coordinates and mapped
+back once.
 """
 
 from __future__ import annotations
@@ -44,20 +40,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import lapack, schur
 
 from .numkernel import (
     DimensionMismatch,
-    NoUsableEigenpair,
-    Side,
-    UnitaryPair,
     as_matrix,
     frobenius_distance,
     frobenius_inner,
     frobenius_norm,
-    leading_nonzero_eigenpair,
-    make_unitary_pair,
+    leading_nonzero_eigenpair,  # noqa: F401  unused here, but per-layer tracing wraps this name
     numerical_ranks,
-    unitary_completion,
+    unitary_completion,  # noqa: F401  unused here, but per-layer tracing wraps this name
 )
 from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
@@ -68,7 +61,6 @@ from .variety import (
     rank_of,  # noqa: F401  unused here, but per-layer tracing wraps this name
     spectra,
     spectral_residuals,
-    truncations,
 )
 
 #: pairs with |<p,q>| below this (relative) threshold take the two-leg route
@@ -83,9 +75,6 @@ _COLLINEAR_TOL = 1e-12
 #: relative threshold for treating a pair as coincident
 _DEGENERATE_TOL = 1e-14
 
-#: internal sanity gate on the normal-form margins, relative to the operand
-_NORMAL_FORM_GATE = 1e-6
-
 #: largest relative residual the tail of a step may add to its segment
 #: before ``certify`` checks the segment at full degree t instead
 _TAIL_CHARGE_LIMIT = 1e-12
@@ -95,12 +84,14 @@ class BranchKind(str, Enum):
     RADIAL = "Radial"
     ORTHOGONAL = "Orthogonal"
     GENERAL = "General"
-    REAL_FALLBACK = "RealFallback"
+    REAL_BLOCK = "RealBlock"
 
 
 @dataclass(frozen=True)
 class BranchTag:
-    """One branch decision: which case fired, at which recursion depth."""
+    """One branch decision: which case fired, and at which level, counted as
+    the position j of the Schur block the level starts at (the recursion
+    depth while every block is scalar)."""
 
     kind: BranchKind
     depth: int
@@ -157,14 +148,14 @@ class PathCertificate:
     """Audit record for one constructed path.
 
     ``ratio`` is length over outer distance (1 by convention for coincident
-    endpoints) and, absent a RealFallback tag, is guaranteed not to exceed
-    ``certified_bound``.  ``max_relative_residual`` bounds the membership
-    residual along the whole path: the worst residual over all breakpoints
-    and the min(t, r) - 1 Chebyshev-Lobatto points inside each segment whose
-    step has rank r, plus for r < t the Weyl term 2 sigma_{r+1} / l of the
-    step's tail against a lower bound l of sigma_1 on the segment (see
-    ``certify``).  ``samples_per_segment`` is the largest number of interior
-    points any segment took: 0 when every step has rank <= 1.
+    endpoints) and is guaranteed not to exceed ``certified_bound``.
+    ``max_relative_residual`` bounds the membership residual along the whole
+    path: the worst residual over all breakpoints and the min(t, r) - 1
+    Chebyshev-Lobatto points inside each segment whose step has rank r, plus
+    for r < t the Weyl term 2 sigma_{r+1} / l of the step's tail against a
+    lower bound l of sigma_1 on the segment (see ``certify``).
+    ``samples_per_segment`` is the largest number of interior points any
+    segment took: 0 when every step has rank <= 1.
 
     From ``build_path``, distance, length and ratio are measured on the
     returned polyline.  When the path was built on a compressed core, the
@@ -183,7 +174,9 @@ class PathCertificate:
 
     @property
     def has_fallback(self) -> bool:
-        return any(tag.kind is BranchKind.REAL_FALLBACK for tag in self.branch_trace)
+        """Always False: every route has an a-priori bound.  Kept because the
+        benchmark's output checks (``perfbench/workloads.py``) read it."""
+        return False
 
 
 class MembershipError(ValueError):
@@ -197,53 +190,61 @@ class MembershipError(ValueError):
         )
 
 
-class BranchConditionError(ValueError):
-    """A branch-specific precondition fails; the caller should dispatch."""
+def _block_eigenvalues(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first position of every diagonal block of a Schur form, and the
+    eigenvalue of each block: of a real 2 x 2 block's conjugate pair, the
+    one with positive imaginary part."""
+    sub = np.diagonal(t, -1)
+    first = np.flatnonzero(sub)
+    eig = np.diagonal(t).astype(complex)
+    if first.size == 0:
+        return np.arange(len(t)), eig
+    a, d = eig[first].real, eig[first + 1].real
+    off = sub[first] * np.diagonal(t, 1)[first]
+    eig[first] = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + off + 0j)
+    starts = np.ones(len(t), dtype=bool)
+    starts[first + 1] = False
+    return np.flatnonzero(starts), eig[starts]
+
+
+def _block_size(t: np.ndarray, j: int) -> int:
+    """2 where a real 2 x 2 block starts at position j of a Schur form, else 1."""
+    return 2 if j + 1 < len(t) and t[j + 1, j] != 0.0 else 1
 
 
 def normalize_pair(p, q):
-    """Unitary change of coordinates putting a non-orthogonal pair in normal form.
+    """One ordered Schur form of C = p q^H, and the pair in its coordinates.
 
-    Returns ``(pair, p_hat, q_hat)`` with ``p_hat = U p V`` having first
-    column p11 * e1 (p11 nonzero) and ``q_hat = U q V`` having first row
-    q11 * e1^T (q11 nonzero).  The construction: take the dominant
-    eigenpair (mu, w) of p q^H, send w to e1 with a Householder row
-    completion U, and complete b1 = q^H w / ||q^H w|| to V as a first
-    column.  Then p V e1 = (mu/||q^H w||) w, which U maps onto e1.
-
-    Over the real field a usable eigenpair may not exist; the
-    NoUsableEigenpair raised by the kernel propagates so callers can fall
-    back honestly.
+    Returns ``(z, v, p_hat, q_hat, t)`` with C = z t z^H, z and v unitary,
+    p_hat = z^H p v and q_hat = z^H q v, so that p_hat q_hat^H = t.  Over
+    the complex field t is upper triangular; over the real field it is the
+    real Schur form, upper triangular but for 2 x 2 diagonal blocks that
+    carry the complex-conjugate eigenvalue pairs.  The blocks are ordered
+    dominant first by (-|lambda|, -Re lambda, -Im lambda), moved by LAPACK's
+    ``trexc`` swaps; a swap LAPACK declines leaves a valid, less ordered
+    form.  v comes from one QR factorization q^H z = v r, and q_hat is r^H:
+    lower triangular, exactly.  Wherever the leading blocks of t are
+    nonsingular, p_hat = t r^{-1} is block upper triangular in the matching
+    leading columns, so every trailing pair (p_hat[j:, j:], q_hat[j:, j:])
+    has the product t[j:, j:].  The pair need not clear any threshold.
     """
     p = as_matrix(p)
     q = as_matrix(q)
     if p.shape != q.shape:
         raise DimensionMismatch(f"shape mismatch: {p.shape} vs {q.shape}")
-    norm_p, norm_q = frobenius_norm(p), frobenius_norm(q)
-    ip = abs(frobenius_inner(p, q))
-    if ip <= ORTHOGONALITY_THRESHOLD * norm_p * norm_q:
-        raise BranchConditionError(
-            "normalize_pair requires |<p,q>| above the orthogonality threshold"
-        )
-
     cross = p @ q.conj().T
-    mu, w = leading_nonzero_eigenpair(cross, ORTHOGONALITY_THRESHOLD / (2.0 * p.shape[0]))
-    u = unitary_completion(w, Side.FIRST_ROW)
-    qh_w = q.conj().T @ w
-    qh_w_norm = float(np.linalg.norm(qh_w))
-    if qh_w_norm == 0.0:
-        raise NoUsableEigenpair("q^H w vanished; eigenpair unusable")
-    v = unitary_completion(qh_w / qh_w_norm, Side.FIRST_COLUMN)
-
-    p_hat = u @ p @ v
-    q_hat = u @ q @ v
-    col_margin = float(np.linalg.norm(p_hat[1:, 0]))
-    row_margin = float(np.linalg.norm(q_hat[0, 1:]))
-    if col_margin > _NORMAL_FORM_GATE * norm_p or row_margin > _NORMAL_FORM_GATE * norm_q:
-        raise NoUsableEigenpair(
-            f"normal-form margins {col_margin:.2e}/{row_margin:.2e} too dirty"
-        )
-    return make_unitary_pair(u, v), p_hat, q_hat
+    real = not np.iscomplexobj(cross)
+    t, z = schur(cross, output="real" if real else "complex")
+    trexc = lapack.dtrexc if real else lapack.ztrexc
+    j = 0
+    while j < len(t):
+        starts, eig = _block_eigenvalues(t[j:, j:])
+        first = j + starts[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))[0]]
+        if first != j:
+            t, z, _ = trexc(t, z, first + 1, j + 1)
+        j += _block_size(t, j)
+    v, r = np.linalg.qr(q.conj().T @ z, mode="complete")
+    return z, v, z.conj().T @ p @ v, r.conj().T, t
 
 
 def _dedupe(points: list[np.ndarray]) -> list[np.ndarray]:
@@ -254,124 +255,92 @@ def _dedupe(points: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """Where one recursion level's coordinates sit in the top level's.
-
-    A point x of the level is the top-level point corner + left x right^H.
-    ``left`` and ``right`` have orthonormal columns, and ``corner`` is the
-    sum q11_i l_i r_i^H of the corners the levels above have fixed; at the
-    top all three are None and the map is the identity.
-    """
-
-    left: np.ndarray | None = None
-    right: np.ndarray | None = None
-    corner: np.ndarray | None = None
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        if self.left is None:
-            return x
-        return self.corner + self.left @ x @ self.right.conj().T
-
-    def descend(self, pair: UnitaryPair, q11) -> "_Frame":
-        """The frame of the trailing block of U x V, whose level point b sits
-        in this one as U^H [[q11, 0], [0, b]] V^H: one product per side."""
-        left = pair.u.conj().T if self.left is None else self.left @ pair.u.conj().T
-        right = pair.v if self.right is None else self.right @ pair.v
-        corner = q11 * np.outer(left[:, 0], right[:, 0].conj())
-        if self.corner is not None:
-            corner += self.corner
-        return _Frame(left[:, 1:], right[:, 1:], corner)
-
-
-#: a breakpoint in the coordinates of the level that made it, with that level's frame
-_Piece = tuple[np.ndarray, _Frame]
+def _corner_plus(corner: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """D_j + block: the fixed corner with ``block`` in the trailing position."""
+    out = corner.copy()
+    j = corner.shape[0] - block.shape[0]
+    out[j:, j:] = block
+    return out
 
 
 def _dispatch(
-    x: np.ndarray,
-    y: np.ndarray,
-    d: VarietyDescriptor,
-    depth: int,
-    scale: float,
-    ranks: tuple[int, int],
-    frame: _Frame,
-) -> tuple[list[_Piece], list[BranchTag], float | None]:
-    """Pick and execute the branch for one pair; used recursively.
-
-    ``ranks`` are the ranks of x and y: at the top the numerical ranks read
-    off the endpoint SVD, deeper the known ranks the level above snapped its
-    trailing blocks to.  ``frame`` places this level in the top level's
-    coordinates.  Returns the breakpoints, each with the frame of the level
-    that made it, the branch tags and the ratio bound of the branch taken;
-    the bound is None once a RealFallback fired anywhere in the route, which
-    then has no a-priori bound.
-    """
-    dist = frobenius_distance(x, y)
-    if d.t == 1 or dist <= _DEGENERATE_TOL * scale:
-        return [(b, frame) for b in _dedupe([x, y])], [], 1.0
-
-    norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
-    if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
-        return [(x, frame), (y, frame)], [BranchTag(BranchKind.RADIAL, depth)], 1.0
-
-    # q a scalar multiple of p: the whole segment lies on one ray's span
-    coef = frobenius_inner(y, x) / (norm_x * norm_x)
-    if frobenius_distance(y, coef * x) <= _COLLINEAR_TOL * norm_y:
-        return [(x, frame), (y, frame)], [BranchTag(BranchKind.RADIAL, depth)], 1.0
-
-    if abs(frobenius_inner(x, y)) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
-        pieces = [(x, frame), (np.zeros_like(x), frame), (y, frame)]
-        return pieces, [BranchTag(BranchKind.ORTHOGONAL, depth)], 2.0
-
-    rank_x, rank_y = ranks
-    swap = rank_x > rank_y
-    lead, trail = (y, x) if swap else (x, y)
-    try:
-        pieces, tags, sub_bound = _general(
-            lead, trail, d, depth, scale, ranks[::-1] if swap else ranks, frame
-        )
-    except NoUsableEigenpair:
-        pieces = [(x, frame), (np.zeros_like(x), frame), (y, frame)]
-        return pieces, [BranchTag(BranchKind.REAL_FALLBACK, depth)], None
-    if swap:
-        pieces.reverse()
-    return pieces, tags, None if sub_bound is None else 2.0 * min(rank_x, rank_y)
-
-
-def _general(
     p: np.ndarray,
     q: np.ndarray,
     d: VarietyDescriptor,
-    depth: int,
     scale: float,
     ranks: tuple[int, int],
-    frame: _Frame,
-) -> tuple[list[_Piece], list[BranchTag], float | None]:
-    pair, p_hat, q_hat = normalize_pair(p, q)
-    sub = VarietyDescriptor(d.m - 1, d.n - 1, d.t - 1, d.field)
-    # p_hat's first column is p11 e1 and q_hat's first row q11 e1^T, both
-    # nonzero, so each trailing block has exactly its endpoint's rank - 1.
-    # Numerically the normal-form margins get amplified for pairs near the
-    # orthogonality threshold, so snap each block back to that known rank
-    # (never above the sub-variety's t - 1): the motion is bounded by the
-    # noise, and a block whose rank is 0 becomes the cone point instead of
-    # a noise direction.  One stacked SVD gives both snapped blocks.
-    sub_ranks = tuple(min(r, d.t - 1) - 1 for r in ranks)
-    (block_p, block_q), _ = truncations(
-        np.stack([p_hat[1:, 1:], q_hat[1:, 1:]]), sub, sub_ranks
-    )
-    sub_pieces, sub_tags, sub_bound = _dispatch(
-        block_p,
-        block_q,
-        sub,
-        depth + 1,
-        scale,
-        sub_ranks,
-        frame.descend(pair, q_hat[0, 0]),
-    )
-    pieces = [(p, frame)] + sub_pieces + [(q, frame)]
-    return pieces, [BranchTag(BranchKind.GENERAL, depth)] + sub_tags, sub_bound
+) -> tuple[list[np.ndarray], list[BranchTag], float]:
+    """Breakpoints, branch tags and ratio bound of the route from p to q.
+
+    ``ranks`` are the numerical ranks of p and q, read off the endpoint SVD.
+    The route leads with the endpoint of smaller rank and is reversed when
+    that is q.  Each pass of the loop is one level: the pair (x, y) of
+    blocks behind the corner D_j fixed so far, at first (p, q) itself.  A
+    coincident pair ends the route, a zero or collinear one ends it with
+    the radial segment, and a nearly orthogonal one with the two legs
+    through D_j.  Otherwise the Schur block of ``normalize_pair`` at
+    position j is a step: from D_j + x to D_{j'} + x' its rows of x are
+    traded for q_hat's corner block, and from D_{j'} + y' to D_j + y its
+    columns of y are closed, with j' = j + block size.  The level after
+    that has the pair (p_hat[j':, j':], q_hat[j':, j':]), whose product is
+    t[j':, j':], so the orthogonality test reads |tr t[j':, j':]|; a block
+    whose known rank, its endpoint's rank less j', is 0 is the cone point.
+    Every point but the endpoints is made in the Schur coordinates and
+    mapped back by z b v^H.  The bound is 2 * min rank once a step was
+    taken, else 2 for the orthogonal route and 1 for the others.
+    """
+    if ranks[0] > ranks[1]:
+        points, tags, bound = _dispatch(q, p, d, scale, (ranks[1], ranks[0]))
+        return points[::-1], tags, bound
+
+    known_p, known_q = (min(r, d.t - 1) for r in ranks)
+    x, y, inner = p, q, frobenius_inner(p, q)
+    left, right, middle, tags = [], [], [], []
+    j, t = 0, None
+    while frobenius_distance(x, y) > _DEGENERATE_TOL * scale:
+        norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
+        if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
+            tags.append(BranchTag(BranchKind.RADIAL, j))
+            break
+        # y a scalar multiple of x: the whole segment lies on one ray's span
+        coef = frobenius_inner(y, x) / (norm_x * norm_x)
+        if frobenius_distance(y, coef * x) <= _COLLINEAR_TOL * norm_y:
+            tags.append(BranchTag(BranchKind.RADIAL, j))
+            break
+        if abs(inner) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
+            tags.append(BranchTag(BranchKind.ORTHOGONAL, j))
+            middle = [np.zeros_like(p) if t is None else corner]
+            break
+        if t is None:
+            z, v, p_hat, q_hat, t = normalize_pair(p, q)
+            corner = np.zeros_like(p_hat)
+        size = _block_size(t, j)
+        # |tr t[j:, j:]| above the threshold puts the dominant |lambda| at
+        # twice this floor or more, so only rounding can land below it
+        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * np.linalg.norm(t[j:, j:])
+        if abs(np.linalg.det(t[j : j + size, j : j + size])) ** (1 / size) < floor:
+            raise RuntimeError(
+                f"Schur block {j} of the normal form is below the eigenvalue floor "
+                "although the pair is not orthogonal"
+            )
+        kind = BranchKind.GENERAL if size == 1 else BranchKind.REAL_BLOCK
+        tags.append(BranchTag(kind, j))
+        corner[j : j + size, j : j + size] = q_hat[j : j + size, j : j + size]
+        j += size
+        x = p_hat[j:, j:] if known_p > j else np.zeros_like(p_hat[j:, j:])
+        y = q_hat[j:, j:] if known_q > j else np.zeros_like(q_hat[j:, j:])
+        inner = np.trace(t[j:, j:])
+        left.append(_corner_plus(corner, x))
+        right.append(_corner_plus(corner, y))
+
+    interior = left + middle + right[::-1]
+    if t is not None:
+        interior = list(z @ np.stack(interior) @ v.conj().T)
+    if j > 0:
+        bound = 2.0 * min(ranks)
+    else:
+        bound = 2.0 if tags and tags[0].kind is BranchKind.ORTHOGONAL else 1.0
+    return [p] + interior + [q], tags, bound
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
@@ -397,8 +366,8 @@ def certify(
     of D_r of size j, which vanish for j > r.  So if the minors vanish at
     the k + 1 Chebyshev-Lobatto nodes s_j = (1 - cos(j pi / k)) / 2, the
     two breakpoints and k - 1 interior points, they vanish identically.  A
-    rank-1 step, which is every step of the scalar recursion, needs no
-    interior point at all.
+    rank-1 step, which is every leg of a scalar Schur block, needs no
+    interior point at all, and a leg of a real 2 x 2 block needs one.
 
     By Weyl's inequality every singular value of a + s D lies within
     s tau <= tau of that of a + s D_r.  On the segment sigma_1 is at least
@@ -505,10 +474,8 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     bound 1); a zero endpoint gives the radial segment (bound 1); nearly
     orthogonal pairs take the two-leg route (bound 2); everything else goes
     through the rank-stripping recursion pivoted on the smaller rank
-    (bound 2 * min rank <= 2t - 2).  Over the real field the recursion can
-    fail to find a real eigenvalue; the emitted path then detours through
-    zero, carries a RealFallback tag, and reports its achieved ratio as the
-    bound instead of claiming the variety constant.
+    (bound 2 * min rank <= 2t - 2), over either field: a real 2 x 2 Schur
+    block takes a RealBlock step of two legs and two units of rank.
 
     Inputs with a non-finite entry, or whose Frobenius norms or distance
     overflow, are rejected with ValueError: their measurements would be
@@ -521,17 +488,15 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     isometry that preserves rank.  The returned path starts and ends at
     exact copies of p and q.  The path is certified by ``certify``: every
     breakpoint, plus min(t, r) - 1 Chebyshev-Lobatto points inside each
-    segment whose step has rank r (none for the rank-1 steps of the
-    recursion) and the Weyl term of the step's numerical tail, which
-    certifies each whole segment, not only the samples, up to floating
-    point.
+    segment whose step has rank r and the Weyl term of the step's
+    numerical tail, which certifies each whole segment, not only the
+    samples, up to floating point.
 
-    The recursion takes one stacked SVD per level, which snaps both
-    trailing blocks to their known ranks, rank p - 1 and rank q - 1; those
-    are the ranks the next level dispatches on, and at the top the ranks
-    come from the endpoint SVD.  Every breakpoint comes back in the
-    coordinates of the level that made it, with that level's composed
-    frame, and is lifted once onto the core and once onto m x n.
+    The whole recursion reads one ordered Schur form of p q^H on the core
+    (``normalize_pair``), taken once and only by routes that get past the
+    first level's tests; the ranks of both endpoints come from the
+    endpoint SVD.  Every breakpoint but the endpoints is mapped back from
+    the Schur coordinates once, and lifted once more onto m x n.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
@@ -557,9 +522,8 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    pieces, tags, bound = _dispatch(core_p, core_q, core_d, 0, scale, ranks, _Frame())
-    # each breakpoint is lifted once: onto the core through its level's frame
-    points = _dedupe([frame.lift(b) for b, frame in pieces])
+    points, tags, bound = _dispatch(core_p, core_q, core_d, scale, ranks)
+    points = _dedupe(points)
     lifted = points if frames is None else [u @ b @ v.conj().T for b in points]
     # relative distance from each endpoint to its lift (0 when not compressed)
     snap = max(
@@ -574,8 +538,6 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     interior = lifted[1:-1]
     scaled_path = PiecewisePath(tuple(_dedupe([p_scaled] + interior + [q_scaled])))
     outer, length, ratio = scaled_path.measure()
-    if bound is None:
-        bound = ratio
     cert = certify(PiecewisePath(tuple(points)), core_d, tuple(tags), bound)
     # copies, so a caller changing p or q afterwards cannot move the certified path
     path = PiecewisePath(

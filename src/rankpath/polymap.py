@@ -27,6 +27,9 @@ from .numkernel import ScalarField
 from .oracles import CHECKS_PER_EDGE, proximity_graph_distance
 from .variety import VarietyDescriptor, membership_residual
 
+#: the smallest positive normal double; ``cusp_ratio_table`` rejects chords below it
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
 _MAX_EXPONENT = 2**31
 
 Monomials = dict[tuple[int, ...], float]
@@ -476,13 +479,18 @@ def cusp_ratio_table(s_values) -> list[RatioRow]:
 
     The chord between the branches has length exactly 2 s^3; any curve on
     the cusp joining them runs through the origin, and its arc length
-    behaves like 2 s^2, so the ratio grows like 1/s as s shrinks.
+    behaves like 2 s^2, so the ratio grows like 1/s as s shrinks.  An s
+    whose chord 2 s^3 falls below the smallest normal double (s below about
+    2.2e-103) is rejected with ValueError: the chord would lose its digits
+    or read 0.
     """
     rows = []
     for s in s_values:
         s = float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError("s values must lie in (0, 1]")
+        if 2.0 * s**3 < _SMALLEST_NORMAL:
+            raise ValueError(f"s = {s:g} is too small: the chord 2 s^3 underflows")
         p, q = PLANE_CUSP_BRANCHES.points(s)
         d_out = float(np.linalg.norm(p - q))
         d_in = cusp_arc_length(s)
@@ -541,23 +549,13 @@ def surface_demo(s_values) -> list[RatioRow]:
             for v in _SURFACE_V_LAYERS
             for u in np.linspace(-s, s, _SURFACE_GRID_POINTS)
         ]
-        p, q = SURFACE_SLICE_BRANCHES.points(s)
-        source = next(
-            (i for i, w in enumerate(nodes) if np.array_equal(w, p)), None
-        )
-        if source is None:
-            nodes.append(p)
-            source = len(nodes) - 1
-        targetidx = next(
-            (i for i, w in enumerate(nodes) if np.array_equal(w, q)), None
-        )
-        if targetidx is None:
-            nodes.append(q)
-            targetidx = len(nodes) - 1
+        # linspace returns -s and s exactly, so the branch points p = (u = s,
+        # v = 1) and q = (u = -s, v = 1) are the ends of the v = 1 layer
+        layer = _SURFACE_V_LAYERS.index(1.0) * _SURFACE_GRID_POINTS
         estimate = proximity_graph_distance(
             nodes,
-            source=source,
-            target=targetidx,
+            source=layer + _SURFACE_GRID_POINTS - 1,
+            target=layer,
             residuals_of=residuals,
             tol=_SURFACE_EDGE_TOL_SCALE * s**4,
             checks_per_edge=CHECKS_PER_EDGE,

@@ -114,20 +114,17 @@ def is_member(p, d: VarietyDescriptor) -> bool:
     return membership_residual(p, d) <= DEFAULT_MEMBERSHIP_TOL
 
 
-def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor, ranks=None):
+def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor):
     """A = U_{t-1} diag(sigma_{t-1}), B = V_{t-1}^H and the kept singular
     values sigma_{t-1} of every matrix of a checked stack, from one batched
-    SVD (t >= 2).  With ``ranks``, the values of matrix i past ranks[i] are
-    zeroed, in A and in the kept values."""
+    SVD (t >= 2)."""
     keep = d.t - 1
     u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
     kept = sigma[:, :keep]
-    if ranks is not None:
-        kept = np.where(np.arange(keep) < np.asarray(ranks)[:, np.newaxis], kept, 0.0)
     return u[..., :keep] * kept[:, np.newaxis, :], vh[:, :keep], kept
 
 
-def truncations(stack, d: VarietyDescriptor, ranks=None):
+def truncations(stack, d: VarietyDescriptor):
     """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack,
     and the rank of each.
 
@@ -135,13 +132,11 @@ def truncations(stack, d: VarietyDescriptor, ranks=None):
     and its rank by the ``rank_of`` rule applied to its kept singular
     values.  Ties between equal singular values keep the first t-1 in the
     order the decomposition returns them, so the output is deterministic.
-    With ``ranks``, matrix i is truncated to rank <= min(ranks[i], t-1)
-    instead, from the same decomposition.
     """
     stack = _checked_stack(stack, d)
     if d.t == 1:
         return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack), dtype=int)
-    a, b, kept = _truncated_factors(stack, d, ranks)
+    a, b, kept = _truncated_factors(stack, d)
     return a @ b, numerical_ranks(kept)
 
 

@@ -169,6 +169,28 @@ class TestTrialsCommand:
         )
         assert self.trials(workspace) == 2
 
+    def test_unreachable_schur_block_exits_three(self, workspace, monkeypatch, capsys):
+        # a normal form whose leading eigenvalue sits below the floor, its
+        # weight moved down the diagonal so the orthogonality test still
+        # passes: the route raises, the trial records it and the run exits 3
+        import rankpath.paths as paths_module
+
+        real_normalize_pair = paths_module.normalize_pair
+
+        def doctored(p, q):
+            z, v, p_hat, q_hat, t = real_normalize_pair(p, q)
+            t = t.copy()
+            t[1, 1] += t[0, 0]
+            t[0, 0] *= 1e-20
+            return z, v, p_hat, q_hat, t
+
+        monkeypatch.setattr(paths_module, "normalize_pair", doctored)
+        assert self.trials(workspace) == 3
+        assert "errors=1 residual_escapes=0" in capsys.readouterr().out
+        data = json.loads((workspace / "r.json").read_text())
+        errors = [r["error"] for r in data["records"] if "error" in r]
+        assert len(errors) == 1 and "below the eigenvalue floor" in errors[0]
+
     def test_bitwise_deterministic(self, workspace):
         args = [
             "trials",
@@ -206,6 +228,21 @@ class TestCuspCommand:
         ratio = np.log([float(r[3]) for r in rows])
         slope = np.polyfit(s, ratio, 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
+
+
+    def test_underflowing_chord_exits_one(self, workspace, capsys):
+        # 2 s^3 underflows to 0 at s = 1e-110; the table refuses it
+        code = cli(
+            [
+                "cusp",
+                "--s-min", "1e-110",
+                "--s-max", "1e-109",
+                "--steps", "2",
+                "--out", str(workspace / "c.csv"),
+            ]
+        )
+        assert code == 1
+        assert "underflows" in capsys.readouterr().err
 
 
 class TestFamilyCommand:

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankpath import (
-    BranchConditionError,
     BranchKind,
     DimensionMismatch,
     MembershipError,
@@ -15,8 +14,6 @@ from rankpath import (
     VarietyDescriptor,
     build_path,
     certify,
-    frobenius_inner,
-    make_unitary_pair,
     membership_residuals,
     normalize_pair,
     rank_of,
@@ -24,7 +21,6 @@ from rankpath import (
 )
 from rankpath import paths
 from rankpath.harness import adversarial_pair
-from rankpath.numkernel import UnitaryPair
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -34,6 +30,13 @@ WORKED_Q = np.array([[1.0, 0.0], [1.0, 0.0]])
 
 def trace_kinds(cert):
     return [tag.kind for tag in cert.branch_trace]
+
+
+def assert_certified(cert, p, q, d):
+    """Every route, real ones included, has its a-priori bound."""
+    assert cert.ratio <= cert.certified_bound + 1e-9
+    min_rank = min(rank_of(p, d), rank_of(q, d))
+    assert cert.certified_bound in (1.0, 2.0, 2.0 * min_rank)
 
 
 class TestRadialPath:
@@ -87,41 +90,76 @@ class TestOrthogonalPath:
         assert cert.ratio == pytest.approx(1.4)
 
 
+def assert_normal_form(p, q, form):
+    """The contract of ``normalize_pair``: unitary factors that reconstruct
+    p and q, p_hat q_hat^H = t, t (quasi-)upper triangular with its blocks
+    ordered dominant first, q_hat exactly lower triangular and p_hat block
+    upper triangular in the leading columns of the nonzero blocks."""
+    z, v, p_hat, q_hat, t = form
+    size = np.linalg.norm(p) * np.linalg.norm(q)
+    for w in (z, v):
+        np.testing.assert_allclose(w @ w.conj().T, np.eye(len(w)), atol=1e-13)
+    np.testing.assert_allclose(z @ p_hat @ v.conj().T, p, atol=1e-13 * np.linalg.norm(p))
+    np.testing.assert_allclose(z @ q_hat @ v.conj().T, q, atol=1e-13 * np.linalg.norm(q))
+    np.testing.assert_allclose(p_hat @ q_hat.conj().T, t, atol=1e-13 * size)
+    np.testing.assert_allclose(z @ t @ z.conj().T, p @ q.conj().T, atol=1e-13 * size)
+    assert not np.triu(q_hat, 1).any()
+    real = not np.iscomplexobj(t)
+    assert not np.tril(t, -2 if real else -1).any()
+    j, magnitudes = 0, []
+    while j < len(t):
+        block = 2 if real and j + 1 < len(t) and t[j + 1, j] != 0.0 else 1
+        magnitudes.append(abs(np.linalg.det(t[j : j + block, j : j + block])) ** (1 / block))
+        if magnitudes[-1] > 1e-10 * size:
+            assert np.linalg.norm(p_hat[j + block :, j : j + block]) <= 1e-10 * np.linalg.norm(p)
+        j += block
+    assert all(a >= b - 1e-12 * size for a, b in zip(magnitudes, magnitudes[1:]))
+
+
 class TestNormalizePair:
     def test_worked_pair_already_normal(self):
-        pair, p_hat, q_hat = normalize_pair(WORKED_P, WORKED_Q)
-        np.testing.assert_allclose(pair.u, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(pair.v, np.eye(2), atol=1e-12)
+        form = normalize_pair(WORKED_P, WORKED_Q)
+        z, v, p_hat, q_hat, t = form
+        np.testing.assert_allclose(z, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(p_hat, WORKED_P, atol=1e-12)
         np.testing.assert_allclose(q_hat, WORKED_Q, atol=1e-12)
-        assert p_hat[0, 0] != 0 and q_hat[0, 0] != 0
+        np.testing.assert_allclose(t, [[1.0, 1.0], [0.0, 0.0]], atol=1e-12)
+        assert_normal_form(WORKED_P, WORKED_Q, form)
 
     def test_fixed_point(self):
         p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        pair, p_hat, q_hat = normalize_pair(p, p)
-        np.testing.assert_allclose(pair.u, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(pair.v, np.eye(2), atol=1e-12)
+        z, v, p_hat, q_hat, t = normalize_pair(p, p)
+        np.testing.assert_allclose(z, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(t, p, atol=1e-12)
 
-    def test_rejects_orthogonal_pair(self):
+    def test_accepts_orthogonal_pair(self):
+        # no precondition: an orthogonal pair has t = p q^H = 0
         p = np.array([[1.0, 0.0], [0.0, 0.0]])
         q = np.array([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(BranchConditionError):
-            normalize_pair(p, q)
+        form = normalize_pair(p, q)
+        assert_normal_form(p, q, form)
+        assert not form[4].any()
 
     def test_normal_form_margins(self, rng):
-        d = VarietyDescriptor(4, 5, 3, ScalarField.COMPLEX)
-        for _ in range(25):
-            p = random_member(d, rng)
-            q = random_member(d, rng)
-            if abs(frobenius_inner(p, q)) <= 1e-8 * np.linalg.norm(p) * np.linalg.norm(q):
-                continue
-            pair, p_hat, q_hat = normalize_pair(p, q)
-            assert np.linalg.norm(p_hat[1:, 0]) <= 1e-10 * np.linalg.norm(p)
-            assert np.linalg.norm(q_hat[0, 1:]) <= 1e-10 * np.linalg.norm(q)
-            # unitarily conjugating back recovers the inputs
-            np.testing.assert_allclose(
-                pair.inverse().apply(p_hat), p, atol=1e-12 * np.linalg.norm(p)
-            )
+        for field in ScalarField:
+            for shape, t in (((4, 5), 3), ((5, 4), 4), ((6, 6), 4), ((8, 8), 5)):
+                d = VarietyDescriptor(*shape, t, field)
+                for _ in range(10):
+                    p, q = random_member(d, rng), random_member(d, rng)
+                    assert_normal_form(p, q, normalize_pair(p, q))
+
+    def test_real_pair_with_complex_eigenvalues_only(self):
+        # p q^T has one complex-conjugate pair and zeros: one 2 x 2 block
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        p = sample_stratum(d, 2, 1.0, 6)
+        q = sample_stratum(d, 2, 1.5, 1006)
+        form = normalize_pair(p, q)
+        assert_normal_form(p, q, form)
+        t = form[4]
+        assert t[1, 0] != 0.0
+        assert np.abs(t[2:, 2:]).max() <= 1e-14
 
 
 class TestGeneralPath:
@@ -154,6 +192,27 @@ class TestGeneralPath:
         assert len(backward.breakpoints) == len(forward.breakpoints)
         for a, b in zip(forward.breakpoints, reversed(backward.breakpoints)):
             np.testing.assert_array_equal(a, b)
+
+    def test_real_block_step(self):
+        # p q^T has only complex eigenvalues (one conjugate pair and zeros):
+        # one RealBlock step trades both rows of p's corner, the trailing
+        # blocks are zero, and the last leg closes both columns
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        p = sample_stratum(d, 2, 1.0, 6)
+        q = sample_stratum(d, 2, 1.5, 1006)
+        eigenvalues = np.linalg.eigvals(p @ q.T)
+        assert np.count_nonzero(np.abs(eigenvalues.imag) > 1e-3) == 2
+        assert np.abs(eigenvalues[np.abs(eigenvalues.imag) <= 1e-3]).max() <= 1e-14
+        path, cert = build_path(p, q, d)
+        assert [str(tag) for tag in cert.branch_trace] == ["RealBlock(0)"]
+        assert cert.certified_bound == 4.0
+        assert cert.ratio == pytest.approx(1.3941955121748968, rel=1e-9)
+        assert len(path.breakpoints) == 3
+        assert cert.samples_per_segment == 1
+        assert cert.max_relative_residual <= 1e-12
+        # the two legs are disjoint blocks of p - q, so each is at most outer
+        legs = [np.linalg.norm(b - a) for a, b in zip(path.breakpoints, path.breakpoints[1:])]
+        assert max(legs) <= cert.outer_distance
 
     def test_coincident_pair(self, rng):
         p = random_member(D22, rng, rank=1)
@@ -245,20 +304,21 @@ class TestBuildPathDispatch:
             assert trace_kinds(cert)[0] is BranchKind.GENERAL
             assert cert.certified_bound == 2.0 * min(rank_p, rank_q)
 
-        # RealFallback at the root and one level down: no a-priori bound, so
-        # the achieved ratio is reported
+        # real pairs whose p q^T has a complex-conjugate eigenvalue pair: a
+        # 2 x 2 Schur block at the root takes a RealBlock step, certified
+        # with the same bound 2 * min rank
         root_d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
         deep_d = VarietyDescriptor(4, 4, 4, ScalarField.REAL)
-        for d, seed, kinds in [
-            (root_d, 6, [BranchKind.REAL_FALLBACK]),
-            (deep_d, 4, [BranchKind.GENERAL, BranchKind.REAL_FALLBACK]),
+        for d, seed, trace in [
+            (root_d, 6, ["RealBlock(0)"]),
+            (deep_d, 4, ["RealBlock(0)", "General(2)"]),
         ]:
             p = sample_stratum(d, d.max_rank, 1.0, seed)
             q = sample_stratum(d, d.max_rank, 1.5, seed + 1000)
             _, cert = build_path(p, q, d)
-            assert trace_kinds(cert) == kinds
-            assert cert.certified_bound == cert.ratio
-            assert cert.ratio > 1.0
+            assert [str(tag) for tag in cert.branch_trace] == trace
+            assert cert.certified_bound == 2.0 * d.max_rank
+            assert 1.0 < cert.ratio <= cert.certified_bound
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rejects_non_finite_and_overflowing_pairs(self):
@@ -362,10 +422,7 @@ class TestBuildPathProperties:
         assert np.array_equal(path.start, p)
         assert np.array_equal(path.end, q)
         assert cert.max_relative_residual <= 1e-8
-        if not cert.has_fallback:
-            assert cert.ratio <= cert.certified_bound + 1e-9
-            min_rank = min(rank_of(p, d), rank_of(q, d))
-            assert cert.certified_bound in (1.0, 2.0, 2.0 * min_rank)
+        assert_certified(cert, p, q, d)
 
     @settings(max_examples=60)
     @given(member_pairs(), st.integers(-600, 500))
@@ -394,10 +451,8 @@ class TestBuildPathProperties:
         moved_path, moved = build_path(u @ p @ v, u @ q @ v, d)
         assert moved.branch_trace == cert.branch_trace
         assert moved.ratio == pytest.approx(cert.ratio, abs=1e-9)
-        if cert.has_fallback:
-            assert moved.certified_bound == pytest.approx(cert.certified_bound, abs=1e-9)
-        else:
-            assert moved.certified_bound == cert.certified_bound
+        assert moved.certified_bound == cert.certified_bound
+        assert_certified(moved, u @ p @ v, u @ q @ v, d)
         assert len(moved_path.breakpoints) == len(path.breakpoints)
 
     @settings(max_examples=100)
@@ -406,8 +461,9 @@ class TestBuildPathProperties:
         d, p, q = case
         _, cert = build_path(p, q, d)
         _, back = build_path(q, p, d)
-        if not (cert.has_fallback or back.has_fallback):
-            assert back.certified_bound == cert.certified_bound
+        assert back.certified_bound == cert.certified_bound
+        assert_certified(cert, p, q, d)
+        assert_certified(back, q, p, d)
 
     @settings(max_examples=100)
     @given(member_pairs())
@@ -448,7 +504,7 @@ class TestBuildPathProperties:
     def test_tiny_pair_takes_the_unit_scale_route(self, scale):
         # norms, p q^H and the residual floor used to underflow here: at 1e-170
         # the pair read as coincident although the segment's midpoint has
-        # sigma_3 / sigma_1 = 0.26, and at 1e-100 it took a RealFallback
+        # sigma_3 / sigma_1 = 0.26, and at 1e-100 it found no usable eigenpair
         d = VarietyDescriptor(4, 4, 3, ScalarField.COMPLEX)
         p = sample_stratum(d, 2, 1.0, 1)
         q = sample_stratum(d, 2, 1.0, 2)
@@ -497,10 +553,8 @@ class TestCompressedPath:
         p, q = w @ core_p @ z.conj().T, w @ core_q @ z.conj().T
         path, cert = build_path(p, q, d)
         assert cert.branch_trace == base.branch_trace
-        if cert.has_fallback:
-            assert cert.certified_bound == pytest.approx(base.certified_bound, rel=1e-9)
-        else:
-            assert cert.certified_bound == base.certified_bound
+        assert cert.certified_bound == base.certified_bound
+        assert_certified(cert, p, q, d)
         assert cert.ratio == pytest.approx(base.ratio, rel=1e-9)
         assert np.array_equal(path.start, p) and np.array_equal(path.end, q)
         assert all(b.dtype == field.dtype for b in path.breakpoints)
@@ -530,29 +584,22 @@ class TestCompressedPath:
         assert full_size == [(2, 100, 100)]
         assert len(shapes) > 1
 
-    def test_each_breakpoint_is_lifted_once(self, rng, monkeypatch):
-        # 11 General levels on a 22 x 22 core: re-lifting every deeper
-        # breakpoint at every level would take O(depth^2) dense products
+    def test_one_schur_form_per_path(self, rng, monkeypatch):
+        # 11 General levels on a 22 x 22 core, all read off one ordered Schur
+        # form, and every breakpoint but the endpoints mapped back once
         d = VarietyDescriptor(24, 24, 12, ScalarField.COMPLEX)
         p, q = random_member(d, rng, 11), random_member(d, rng, 11)
-        lifted, applied = [], []
-        real_lift, real_apply = paths._Frame.lift, UnitaryPair.apply
+        shapes = []
+        real_normalize_pair = paths.normalize_pair
 
-        def counting_lift(frame, x):
-            out = real_lift(frame, x)
-            lifted.append(out.shape)
-            return out
+        def counting_normalize_pair(lead, trail):
+            shapes.append(lead.shape)
+            return real_normalize_pair(lead, trail)
 
-        def counting_apply(pair, x):
-            applied.append(x.shape)
-            return real_apply(pair, x)
-
-        monkeypatch.setattr(paths._Frame, "lift", counting_lift)
-        monkeypatch.setattr(UnitaryPair, "apply", counting_apply)
-        path, cert = build_path(p, q, d)
+        monkeypatch.setattr(paths, "normalize_pair", counting_normalize_pair)
+        _, cert = build_path(p, q, d)
         assert trace_kinds(cert) == [BranchKind.GENERAL] * 11
-        assert applied == []
-        assert lifted == [(22, 22)] * len(path.breakpoints)
+        assert shapes == [(22, 22)]
 
 
 class TestMeasure:
@@ -730,23 +777,15 @@ class TestStepRankCertificate:
 
 
 class TestConjugatePath:
-    def test_identity_pair(self):
-        path, _ = build_path(WORKED_P, WORKED_Q, D22)
-        pair = make_unitary_pair(np.eye(2), np.eye(2))
-        for b in path.breakpoints:
-            np.testing.assert_array_equal(pair.apply(b), b)
-
     def test_isometry_and_membership(self, rng):
         # x -> U x V preserves singular values, hence membership and length
         d = VarietyDescriptor(3, 3, 2, ScalarField.COMPLEX)
         p = random_member(d, rng, rank=1)
         q = random_member(d, rng, rank=1)
         path, cert = build_path(p, q, d)
-        pair = make_unitary_pair(
-            random_unitary(3, rng, ScalarField.COMPLEX),
-            random_unitary(3, rng, ScalarField.COMPLEX),
-        )
-        moved = PiecewisePath(tuple(pair.apply(b) for b in path.breakpoints))
+        u = random_unitary(3, rng, ScalarField.COMPLEX)
+        v = random_unitary(3, rng, ScalarField.COMPLEX)
+        moved = PiecewisePath(tuple(u @ b @ v for b in path.breakpoints))
         assert moved.length() == pytest.approx(path.length(), rel=1e-10, abs=1e-12)
         moved_cert = certify(moved, d)
         assert moved_cert.max_relative_residual == pytest.approx(

@@ -141,19 +141,6 @@ class TestProjections:
         projected, ranks = truncations(stack, VarietyDescriptor(6, 5, 1, ScalarField.COMPLEX))
         assert not projected.any() and ranks.tolist() == [0] * 5
 
-    def test_truncations_to_given_ranks(self, rng):
-        # each matrix snapped to its own rank from the same decomposition;
-        # ranks of t - 1 or more leave the projections bitwise as they are
-        d = VarietyDescriptor(6, 5, 4, ScalarField.COMPLEX)
-        stack = rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5))
-        projected, ranks = truncations(stack, d, [0, 1, 2, 7])
-        assert ranks.tolist() == [0, 1, 2, 3]
-        assert not projected[0].any()
-        for matrix, out, r in zip(stack[1:], projected[1:], (1, 2, 3)):
-            u, sigma, vh = np.linalg.svd(matrix)
-            np.testing.assert_allclose(out, (u[:, :r] * sigma[:r]) @ vh[:r], atol=1e-12)
-        assert np.array_equal(truncations(stack, d, [3] * 4)[0], projections(stack, d))
-
     def test_t_one_projects_to_zero(self):
         d = VarietyDescriptor(3, 2, 1, ScalarField.COMPLEX)
         out = projections(np.ones((4, 3, 2)), d)
