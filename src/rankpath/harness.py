@@ -29,7 +29,7 @@ from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
     VarietyDescriptor,
     project,
-    rank_of,
+    rank_of,  # noqa: F401  unused here, but per-layer tracing wraps this name
     sample_stratum,
 )
 
@@ -228,10 +228,11 @@ def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:
         else:
             p, q = adversarial_pair(d, cfg.master_seed, index)
         _, cert = build_path(p, q, d)
+        rank_p, rank_q = cert.endpoint_ranks
         return TrialRecord(
             seed=seed,
-            rank_p=rank_of(p, d),
-            rank_q=rank_of(q, d),
+            rank_p=rank_p,
+            rank_q=rank_q,
             outer=cert.outer_distance,
             length=cert.length,
             ratio=cert.ratio,

@@ -105,6 +105,18 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each matrix of a (k, m, n) stack, bitwise.
+
+    ``np.linalg.norm`` takes one BLAS dot per real part, and a row-times-
+    column ``matmul`` runs that same dot on each row; a summing reduction
+    rounds differently in the last bit for about a quarter of 6 x 6 steps.
+    """
+    flat = stack.reshape(len(stack), -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in parts))
+
+
 def frobenius_distance(a, b) -> float:
     """Euclidean (Frobenius) distance between two same-shape arrays."""
     a = as_matrix(a)

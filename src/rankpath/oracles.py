@@ -19,7 +19,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .numkernel import DimensionMismatch, as_matrix, frobenius_distance, frobenius_norm
+from .numkernel import (
+    DimensionMismatch,
+    as_matrix,
+    frobenius_distance,
+    frobenius_norm,
+    frobenius_norms,
+)
 from .paths import MembershipError, PiecewisePath, build_path
 from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
@@ -58,18 +64,6 @@ class OracleConfig:
             raise ValueError("n_samples must be positive")
         if self.shorten_iterations < 1:
             raise ValueError("shorten_iterations must be positive")
-
-
-def _norms(steps: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each step of a stack, bitwise.
-
-    ``np.linalg.norm`` takes one BLAS dot per real part, and a row-times-
-    column ``matmul`` runs that same dot on each row; a summing reduction
-    rounds differently in the last bit for about a quarter of 6 x 6 steps.
-    """
-    flat = steps.reshape(len(steps), -1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in parts))
 
 
 def proximity_graph_distance(
@@ -111,7 +105,7 @@ def proximity_graph_distance(
     done = 0
     for i in range(count - 1):
         steps = stack[i + 1 :] - stack[i]
-        weights[done : done + len(steps)] = _norms(steps)
+        weights[done : done + len(steps)] = frobenius_norms(steps)
         valid[done : done + len(steps)] = ~steps.reshape(len(steps), -1).any(axis=1)
         done += len(steps)
     rejected = np.zeros(len(rows), dtype=bool)

@@ -28,9 +28,12 @@ endpoints lie in (col p + col q) x (row p + row q), of dimension at most
 2(t - 1) on each side.  ``build_path`` therefore divides the pair by a
 power of two, compresses it onto that core with orthonormal frames taken
 from one stacked SVD of the endpoints, constructs and certifies the path
-there, and lifts every breakpoint back isometrically.  On the core every
-breakpoint past the endpoints is made in the Schur coordinates and mapped
-back once.
+there, and lifts every breakpoint back isometrically.  Where min(m, n) is
+at least 8 (t + 2), that SVD is taken of the pair compressed onto a
+Gaussian sketch of its ranges, O(mn t) work, and only where the small
+spectrum provably decides membership and ranks as the full SVD would; any
+other pair takes the full SVD.  On the core every breakpoint past the
+endpoints is made in the Schur coordinates and mapped back once.
 """
 
 from __future__ import annotations
@@ -43,20 +46,24 @@ import numpy as np
 from scipy.linalg import lapack, schur
 
 from .numkernel import (
+    RANK_REL_TOL,
     DimensionMismatch,
     as_matrix,
     frobenius_distance,
     frobenius_inner,
     frobenius_norm,
+    frobenius_norms,
     leading_nonzero_eigenpair,  # noqa: F401  unused here, but per-layer tracing wraps this name
     numerical_ranks,
     unitary_completion,  # noqa: F401  unused here, but per-layer tracing wraps this name
 )
 from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
+    UNDERFLOW_SAFE,
     VarietyDescriptor,
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
     membership_residuals,
+    product_gamma,
     project,  # noqa: F401  unused here, but per-layer tracing wraps this name
     rank_of,  # noqa: F401  unused here, but per-layer tracing wraps this name
     spectra,
@@ -78,6 +85,33 @@ _DEGENERATE_TOL = 1e-14
 #: largest relative residual the tail of a step may add to its segment
 #: before ``certify`` checks the segment at full degree t instead
 _TAIL_CHARGE_LIMIT = 1e-12
+
+#: columns the range sketch of ``_sketched_svd`` takes beyond t - 1
+_SKETCH_OVERSAMPLING = 3
+
+#: the sketch is taken where this many times its width w is at most
+#: min(m, n).  Measured on square pairs with one BLAS thread, the sketch
+#: breaks even with the full SVD at min(m, n) of about 36 to 44 for w = 4
+#: to 7, and is 20 to 45% faster at 48; smaller shapes keep the full SVD.
+_SKETCH_RATIO = 8
+
+#: seed of the sketch's Gaussian test matrix: fixed, so a path is a function
+#: of its pair alone
+_SKETCH_SEED = 0
+
+#: ``PiecewisePath.length`` norms the steps of a polyline with this many
+#: breakpoints or more in batches, which saves a call per step; below it a
+#: batch's fixed cost is more than the calls it saves
+_BATCH_MIN_POINTS = 10
+
+#: entries per batch of steps, so that a batch stays in cache: batching all
+#: the steps of 40 breakpoints at 40 x 40 took twice as long as one norm per
+#: step
+_BATCH_ENTRIES = 2**14
+
+_EPS = float(np.finfo(np.float64).eps)
+
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 class BranchKind(str, Enum):
@@ -116,12 +150,19 @@ class PiecewisePath:
                 raise DimensionMismatch("breakpoints disagree in shape or field")
 
     def length(self) -> float:
-        return float(
-            sum(
-                np.linalg.norm(b - a)
-                for a, b in zip(self.breakpoints, self.breakpoints[1:])
-            )
-        )
+        """The sum of ``np.linalg.norm(b - a)`` over the segments, added in
+        order.  A polyline of ``_BATCH_MIN_POINTS`` breakpoints or more takes
+        the norms from ``frobenius_norms``, bitwise the same, in batches of
+        about ``_BATCH_ENTRIES`` entries."""
+        points = self.breakpoints
+        if len(points) < _BATCH_MIN_POINTS:
+            return float(sum(np.linalg.norm(b - a) for a, b in zip(points, points[1:])))
+        size = max(1, _BATCH_ENTRIES // points[0].size)
+        norms = [
+            frobenius_norms(np.diff(np.stack(points[k : k + size + 1]), axis=0))
+            for k in range(0, len(points) - 1, size)
+        ]
+        return float(np.cumsum(np.concatenate(norms))[-1])
 
     def measure(self) -> tuple[float, float, float]:
         """Outer distance, length, and their ratio (1 for coincident endpoints).
@@ -162,6 +203,9 @@ class PathCertificate:
     residual also includes the relative distance by which each endpoint was
     snapped back to the exact input: by Weyl's inequality sigma_t moves by
     at most that much, so the residual still bounds the returned path.
+    ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
+    rule) that ``build_path`` read off its endpoint SVD; None from
+    ``certify`` and the ``combinators``, which do not read them.
     """
 
     outer_distance: float
@@ -171,6 +215,7 @@ class PathCertificate:
     branch_trace: tuple[BranchTag, ...]
     max_relative_residual: float
     samples_per_segment: int
+    endpoint_ranks: tuple[int, int] | None = None
 
     @property
     def has_fallback(self) -> bool:
@@ -349,6 +394,30 @@ def _lobatto_interior(degree: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(j * np.pi / degree))
 
 
+def _real_view(x: np.ndarray) -> np.ndarray:
+    """The float64 entries of x: of a complex x, its real and imaginary parts."""
+    return np.ascontiguousarray(x).view(np.float64) if np.iscomplexobj(x) else x
+
+
+def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
+    """x * 2**exponent, exact unless an entry leaves the normal range."""
+    return np.ldexp(_real_view(x), exponent).view(x.dtype)
+
+
+def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether b = -2^k a exactly for an integer k.  The segment from a to b
+    is then (1 - s (1 + 2^k)) a, a multiple of a at every point: it runs
+    along a's ray through 0."""
+    x, y = _real_view(a).ravel(), _real_view(b).ravel()
+    i = int(np.argmax(np.abs(x)))
+    (mantissa, exponent), (image, k) = math.frexp(float(x[i])), math.frexp(float(y[i]))
+    if mantissa == 0.0 or image != -mantissa:
+        return False
+    k -= exponent
+    # the second comparison fails where scaling by 2^k lost bits to underflow
+    return np.array_equal(y, -np.ldexp(x, k)) and np.array_equal(x, -np.ldexp(y, -k))
+
+
 def certify(
     path: PiecewisePath,
     d: VarietyDescriptor,
@@ -379,7 +448,10 @@ def certify(
     r >= t, or when that tail term would exceed ``_TAIL_CHARGE_LIMIT``
     (a segment passing within rounding of 0 has l ~ 0), the segment is
     checked at full degree k = t instead, which needs no truncation and
-    adds no tail term.  Chebyshev-Lobatto nodes keep the interpolation
+    adds no tail term.  A segment with b = -2^k a exactly (p to -p, say)
+    runs along a's ray through 0, every point a multiple of a, so its
+    endpoints certify it and it takes no sample: one at its crossing of 0
+    would hold only rounding.  Chebyshev-Lobatto nodes keep the interpolation
     (Lebesgue) constant small, about 2.9 for the 21 nodes at k = 20
     against about 1.1e4 for 21 equispaced ones, so small sampled residuals
     keep the residual between them small too.
@@ -410,6 +482,10 @@ def certify(
         floors = 0.5 * (sigma[:-1, 0] + sigma[1:, 0] - step_sigma[:, 0])
         bounded = (ranks < d.t) & (2.0 * tails <= _TAIL_CHARGE_LIMIT * floors)
         degrees = np.where(bounded, ranks, d.t)
+        # a ray through 0 has l = 0: it goes to full degree t unless its tail is 0
+        for i in np.flatnonzero(~bounded & (sigma[:-1, 0] > 0.0) & (sigma[1:, 0] > 0.0)):
+            if _on_negative_ray(points[i], points[i + 1]):
+                degrees[i] = 0
         charges = np.divide(
             2.0 * tails, floors, out=np.zeros_like(tails), where=bounded & (tails > 0.0)
         )
@@ -436,33 +512,92 @@ def certify(
     )
 
 
-def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
-    """x * 2**exponent, exact unless an entry leaves the normal range."""
-    if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x)
-        return np.ldexp(x.view(np.float64), exponent).view(x.dtype)
-    return np.ldexp(x, exponent)
+def _sketched_svd(stack: np.ndarray, d: VarietyDescriptor):
+    """The SVD of a pair compressed onto a sketch of its ranges, or None.
+
+    With w = t - 1 + ``_SKETCH_OVERSAMPLING`` and a Gaussian n x w matrix
+    Omega drawn from a fixed seed, Q (m x 2w) is an orthonormal basis of
+    [p Omega, q Omega] (Halko, Martinsson and Tropp, Finding structure with
+    randomness, SIAM Review 2011), and each x of the pair splits as
+    x = Q B + E with B = Q^H x.  Returns ``(Q, u, sigma, vh, residuals)``
+    with u diag(sigma) vh the SVD of B, and residuals bounding sigma_t(x) /
+    sigma_1(x).  It costs O(mn t), against O(mn min(m, n)) for the SVD of
+    x, and is taken only where ``_SKETCH_RATIO`` w <= min(m, n).
+
+    Every singular value of x lies within a margin delta of B's: B = Q^H x
+    gives sigma_i(B) <= sigma_i(x), and Weyl's inequality gives sigma_i(x)
+    <= sigma_i(Q B) + ||E||_2 (sigma_i(B) = 0 for i > 2w).  delta is the
+    computed ||E||_F, plus gamma (||x||_F + ||Q||_F ||B||_F) for its
+    rounding (|fl(x - Q B) - (x - Q B)| <= gamma (|x| + |Q| |B|) entrywise,
+    gamma = ``product_gamma(2w + 1)``), plus max(m, n) eps sigma_1, an
+    allowance for the SVD of B and for Q's departure from orthonormality,
+    as ``bounded_projections`` makes for its own SVD.  So (sigma_t(B) +
+    delta) / sigma_1(B) bounds the residual, and the ``numerical_ranks``
+    rank of B is that of x when no singular value of B, nor the 0 beyond
+    them, lies within (1 + tol) delta of the rank threshold tol sigma_1(B).
+
+    None where the sketch is not taken, and where it cannot decide for both
+    endpoints what the full SVD would: a residual bound above
+    ``DEFAULT_MEMBERSHIP_TOL``, a rank that is not settled, or an endpoint
+    whose largest entry is nonzero but below ``UNDERFLOW_SAFE``.
+    """
+    width = d.t - 1 + _SKETCH_OVERSAMPLING
+    if _SKETCH_RATIO * width > min(d.shape):
+        return None
+    scale = np.abs(stack).max(axis=(1, 2))
+    if np.any((scale < UNDERFLOW_SAFE) & (scale > 0.0)):
+        return None
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((d.n, width))
+    basis, _ = np.linalg.qr(np.concatenate(list(stack @ omega), axis=1))
+    small = basis.conj().T @ stack
+    u, sigma, vh = np.linalg.svd(small, full_matrices=False)
+    rounding = product_gamma(2 * width + 1, d.field) * (
+        frobenius_norms(stack) + frobenius_norm(basis) * frobenius_norms(small)
+    )
+    top = sigma[:, 0]
+    margins = frobenius_norms(stack - basis @ small) + rounding + max(d.shape) * _EPS * top
+    # 0 for a zero endpoint (0 over the smallest subnormal), and inf, so
+    # undecided, where sigma_1(B) is too small against the margin: that is
+    # an endpoint the sketch missed
+    with np.errstate(over="ignore"):
+        residuals = (sigma[:, d.t - 1] + margins) / np.maximum(top, _SMALLEST_SUBNORMAL)
+    spectrum = np.concatenate([sigma, np.zeros((len(stack), 1))], axis=1)
+    gaps = np.abs(spectrum - RANK_REL_TOL * top[:, np.newaxis]).min(axis=1)
+    decided = (residuals <= DEFAULT_MEMBERSHIP_TOL) & (
+        (gaps > (1.0 + RANK_REL_TOL) * margins) | (top == 0.0)
+    )
+    return (basis, u, sigma, vh, residuals) if decided.all() else None
 
 
 def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
     """Membership residuals and ranks of both endpoints, and frames of their core.
 
-    One stacked SVD gives both spectra and singular vectors.  With ranks r_p
-    and r_q (the ``rank_of`` rule) and k = max(r_p + r_q, t), QR of the
-    leading singular vectors gives U (m x k) and V (n x k) with orthonormal
-    columns spanning col p + col q and row p + row q, so p = U (U^H p V) V^H
-    and likewise q.  When r_p + r_q < t, p's next singular vectors pad the
-    frames to t columns, so the core lies on a variety with the same t and
-    takes the same branches.  The frames are None when k >= min(m, n):
-    compressing would not shrink the problem.
+    One stacked SVD gives both spectra and singular vectors: of the pair
+    itself, or of its compression Q^H p, Q^H q onto a range sketch where
+    ``_sketched_svd`` decides membership and ranks as that SVD would (then
+    the residuals are its upper bounds, and the left singular vectors are
+    mapped back by Q).  With ranks r_p and r_q (the ``rank_of`` rule) and
+    k = max(r_p + r_q, t), QR of the leading singular vectors gives U
+    (m x k) and V (n x k) with orthonormal columns spanning col p + col q
+    and row p + row q, so p = U (U^H p V) V^H and likewise q.  When
+    r_p + r_q < t, p's next singular vectors pad the frames to t columns,
+    so the core lies on a variety with the same t and takes the same
+    branches.  The frames are None when k >= min(m, n): compressing would
+    not shrink the problem.
     """
-    u, sigma, vh = np.linalg.svd(np.stack([p, q]), full_matrices=False)
-    residuals = spectral_residuals(sigma, d)
+    stack = np.stack([p, q])
+    sketch = _sketched_svd(stack, d)
+    if sketch is None:
+        u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+        residuals = spectral_residuals(sigma, d)
+    else:
+        basis, u, sigma, vh, residuals = sketch
     rank_p, rank_q = (int(r) for r in numerical_ranks(sigma))
     k = max(rank_p + rank_q, d.t)
     if k >= min(d.shape):
         return residuals, (rank_p, rank_q), None
-    frame_u, _ = np.linalg.qr(np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1))
+    left = np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1)
+    frame_u, _ = np.linalg.qr(left if sketch is None else basis @ left)
     frame_v, _ = np.linalg.qr(np.concatenate([vh[0, : k - rank_q], vh[1, :rank_q]]).conj().T)
     return residuals, (rank_p, rank_q), (frame_u, frame_v)
 
@@ -485,8 +620,13 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     are multiplied back by 2^e.  When k = max(rank p + rank q, t) is below
     min(m, n), the path is built and certified on the k x k core U^H p V,
     U^H q V (see ``_core_frames``) and lifted back by b -> U b V^H, an
-    isometry that preserves rank.  The returned path starts and ends at
-    exact copies of p and q.  The path is certified by ``certify``: every
+    isometry that preserves rank.  Where min(m, n) is large against t the
+    endpoint SVD that finds the core is taken of the pair compressed onto a
+    sketch of its ranges, and only where that decides membership and ranks
+    as the full SVD would (``_sketched_svd``): every input is accepted or
+    rejected as with the full SVD, with the same message.  The returned
+    path starts and ends at exact copies of p and q, and the certificate
+    carries the endpoint ranks.  The path is certified by ``certify``: every
     breakpoint, plus min(t, r) - 1 Chebyshev-Lobatto points inside each
     segment whose step has rank r and the Weyl term of the step's
     numerical tail, which certifies each whole segment, not only the
@@ -549,4 +689,5 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         length=math.ldexp(length, exponent),
         ratio=ratio,
         max_relative_residual=cert.max_relative_residual + snap,
+        endpoint_ranks=ranks,
     )

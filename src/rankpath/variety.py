@@ -23,13 +23,24 @@ _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# below this largest entry a projection's products may underflow
-_UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
+#: below this largest entry a product's roundings may underflow, and the
+#: rounding model of ``product_gamma`` fails
+UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
 
 
 def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u), u the unit roundoff eps / 2."""
     return n * (_EPS / 2) / (1.0 - n * (_EPS / 2))
+
+
+def product_gamma(k: int, field: ScalarField) -> float:
+    """The constant gamma with |fl(A B) - A B| <= gamma |A| |B| entrywise for
+    a product of inner dimension k: gamma_k over the reals, sqrt(2)
+    gamma_{k+2} over the complex numbers (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.5-3.6), while nothing underflows."""
+    if field is ScalarField.REAL:
+        return _gamma(k)
+    return np.sqrt(2.0) * _gamma(k + 2)
 
 
 class StratumError(ValueError):
@@ -173,13 +184,10 @@ def bounded_projections(stack, d: VarietyDescriptor):
     a, b, _ = _truncated_factors(stack, d)
     c = a @ b
     scale = np.abs(c).max(axis=(1, 2))
-    conclusive = scale >= _UNDERFLOW_SAFE
+    conclusive = scale >= UNDERFLOW_SAFE
     # divide by the largest entry of C, so no square below over- or underflows
     divisor = np.where(conclusive, scale, 1.0)[:, np.newaxis, np.newaxis]
-    if d.field is ScalarField.REAL:
-        gamma = _gamma(keep)
-    else:
-        gamma = np.sqrt(2.0) * _gamma(keep + 2)
+    gamma = product_gamma(keep, d.field)
     norm_c = np.linalg.norm(c / divisor, axis=(1, 2))
     norm_c[~conclusive] = 1.0
     ratio = np.linalg.norm(a / divisor, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)) / norm_c

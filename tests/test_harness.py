@@ -19,7 +19,9 @@ from rankpath import (
     frobenius_norm,
     mix_seed,
     run_trials,
+    sample_stratum,
 )
+from rankpath import harness
 from rankpath.harness import (
     CSV_HEADER,
     report_from_json,
@@ -83,6 +85,45 @@ class TestRunTrials:
             assert r.error is None
             assert r.ratio <= r.certified_bound + 1e-9
             assert r.certified_bound in (1.0, 2.0, 2.0 * min(r.rank_p, r.rank_q))
+
+
+    def test_ranks_come_from_the_endpoint_svd(self, monkeypatch):
+        # build_path reads both ranks off its endpoint SVD, here the range
+        # sketch, so no trial takes an SVD of a full 200 x 150 matrix
+        d = VarietyDescriptor(200, 150, 4, ScalarField.REAL)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            shapes.append(np.shape(args[0]))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        report = run_trials(TrialConfig(d, 16, 4, RankPairStrategy.ALL_STRATA_GRID))
+        assert report.errors == 0 and report.residual_escapes == 0
+        grid = [(rp, rq) for rp in range(d.t) for rq in range(d.t)]
+        assert [(r.rank_p, r.rank_q) for r in report.records] == grid
+        assert all(shape[-2:] != d.shape for shape in shapes)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            VarietyDescriptor(5, 5, 4, ScalarField.REAL),
+            VarietyDescriptor(6, 6, 6, ScalarField.COMPLEX),
+        ],
+    )
+    def test_antipodal_pairs_count_no_escape(self, d, monkeypatch):
+        # p to -p runs through 0 along p's ray; at even t >= 4 its certificate
+        # used to read up to 0.1 and count as a residual escape
+        def antipodal_pair(d, seed, index):
+            p = sample_stratum(d, d.max_rank, 1.0, mix_seed(seed, index))
+            return p, -p
+
+        monkeypatch.setattr(harness, "adversarial_pair", antipodal_pair)
+        report = run_trials(TrialConfig(d, 10, 3, RankPairStrategy.ADVERSARIAL))
+        assert report.errors == 0
+        assert report.residual_escapes == 0
+        assert max(r.max_residual for r in report.records) <= 1e-12
 
 
 class TestAdversarialPairs:

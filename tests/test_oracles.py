@@ -23,6 +23,7 @@ from rankpath import (
     shorten,
 )
 from rankpath import oracles
+from rankpath.numkernel import frobenius_norms
 from rankpath.oracles import EDGE_MEMBERSHIP_TOL, proximity_graph_distance
 from conftest import random_member, reference_graph_distance
 
@@ -135,10 +136,15 @@ class TestProximityGraphExactness:
         for d in (
             VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX),
             VarietyDescriptor(8, 8, 5, ScalarField.REAL),
+            VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX),
+            VarietyDescriptor(200, 150, 4, ScalarField.REAL),
         ):
-            steps = np.stack([random_member(d, rng) - random_member(d, rng) for _ in range(64)])
+            points = [random_member(d, rng) for _ in range(17)]
+            steps = np.stack([b - a for a, b in zip(points, points[1:])])
             expected = [float(np.linalg.norm(step)) for step in steps]
-            assert oracles._norms(steps).tolist() == expected
+            assert frobenius_norms(steps).tolist() == expected
+            # the polyline measure adds the same norms in order
+            assert PiecewisePath(tuple(points)).length() == float(sum(expected))
 
     @settings(max_examples=80)
     @given(

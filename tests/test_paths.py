@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rankpath import (
     VarietyDescriptor,
     build_path,
     certify,
+    membership_residual,
     membership_residuals,
     normalize_pair,
     rank_of,
@@ -403,6 +405,29 @@ def member_pairs(draw):
     return d, random_member(d, rng, rank_p), random_member(d, rng, rank_q)
 
 
+@st.composite
+def tall_member_pairs(draw):
+    """Pairs with a shorter side of 24 to 64 and a longer one up to three
+    times that, 2 <= t <= 4, over both fields: the shapes where the range
+    sketch of ``_core_frames`` starts to find the core."""
+    short = draw(st.integers(24, 64))
+    long = draw(st.integers(short, 3 * short))
+    m, n = (long, short) if draw(st.booleans()) else (short, long)
+    t = draw(st.integers(2, 4))
+    d = VarietyDescriptor(m, n, t, draw(st.sampled_from(list(ScalarField))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return (d,) + adversarial_pair(d, seed, draw(st.integers(0, 11)))
+    rng = np.random.default_rng(seed)
+    rank_p = draw(st.integers(0, t - 1))
+    rank_q = draw(st.integers(0, t - 1))
+    return d, random_member(d, rng, rank_p), random_member(d, rng, rank_q)
+
+
+def sketch_applies(d):
+    return paths._SKETCH_RATIO * (d.t - 1 + paths._SKETCH_OVERSAMPLING) <= min(d.shape)
+
+
 # t >= 32 on a tall pair whose core (k = 12 + 32 = 44 < 50) is compressed
 _LARGE_T = VarietyDescriptor(60, 50, 33, ScalarField.COMPLEX)
 _LARGE_T_CASE = (
@@ -536,6 +561,13 @@ class TestCompressedPath:
         ((20, 20), 3, (1, 1), False),
         ((20, 20), 3, (0, 2), False),
         ((20, 20), 3, (2, 2), True),
+        # tall pairs whose core frames come from the range sketch
+        ((200, 150), 4, (3, 3), False),
+        ((300, 40), 3, (2, 2), False),
+        ((48, 300), 4, (3, 2), False),
+        ((200, 150), 4, (1, 1), False),
+        ((200, 150), 4, (0, 3), False),
+        ((200, 150), 4, (3, 3), True),
     ]
 
     @pytest.mark.parametrize("field", list(ScalarField))
@@ -567,9 +599,9 @@ class TestCompressedPath:
         assert full.outer_distance == pytest.approx(cert.outer_distance, rel=1e-12)
         assert full.length == pytest.approx(cert.length, rel=1e-12)
 
-    def test_only_the_endpoint_svd_is_full_size(self, rng, monkeypatch):
-        d = VarietyDescriptor(100, 100, 3, ScalarField.COMPLEX)
-        p, q = random_member(d, rng, 2), random_member(d, rng, 2)
+    def test_no_svd_is_full_size(self, rng, monkeypatch):
+        # the range sketch finds the core, so every SVD has a side of at most
+        # twice the sketch width, and none is of an m x n matrix
         shapes = []
         real_svd = np.linalg.svd
 
@@ -578,11 +610,17 @@ class TestCompressedPath:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        _, cert = build_path(p, q, d)
-        assert trace_kinds(cert)[0] is BranchKind.GENERAL
-        full_size = [shape for shape in shapes if max(shape[-2:]) > 2 * (d.t - 1)]
-        assert full_size == [(2, 100, 100)]
-        assert len(shapes) > 1
+        for d in (
+            VarietyDescriptor(100, 100, 3, ScalarField.COMPLEX),
+            VarietyDescriptor(200, 150, 4, ScalarField.REAL),
+        ):
+            shapes.clear()
+            p, q = random_member(d, rng, d.t - 1), random_member(d, rng, d.t - 1)
+            _, cert = build_path(p, q, d)
+            assert trace_kinds(cert)[0] in (BranchKind.GENERAL, BranchKind.REAL_BLOCK)
+            width = d.t - 1 + paths._SKETCH_OVERSAMPLING
+            assert len(shapes) > 1
+            assert max(min(shape[-2:]) for shape in shapes) <= 2 * width
 
     def test_one_schur_form_per_path(self, rng, monkeypatch):
         # 11 General levels on a 22 x 22 core, all read off one ordered Schur
@@ -600,6 +638,84 @@ class TestCompressedPath:
         _, cert = build_path(p, q, d)
         assert trace_kinds(cert) == [BranchKind.GENERAL] * 11
         assert shapes == [(22, 22)]
+
+
+class TestSketchedCore:
+    """Tall pairs whose core frames come from the range sketch: the sketch
+    decides membership and ranks exactly where the full SVD would, and hands
+    every other input to it."""
+
+    @settings(max_examples=150)
+    @given(tall_member_pairs())
+    def test_certificate_holds(self, case):
+        d, p, q = case
+        if sketch_applies(d):
+            assert paths._sketched_svd(np.stack([p, q]), d) is not None
+        path, cert = build_path(p, q, d)
+        assert np.array_equal(path.start, p)
+        assert np.array_equal(path.end, q)
+        assert cert.max_relative_residual <= 1e-8
+        assert cert.endpoint_ranks == (rank_of(p, d), rank_of(q, d))
+        assert_certified(cert, p, q, d)
+
+    @settings(max_examples=60)
+    @given(tall_member_pairs(), st.integers(-600, 500))
+    def test_power_of_two_scaling_is_exact(self, case, j):
+        d, p, q = case
+        path, cert = build_path(p, q, d)
+        scaled_path, scaled = build_path(2.0**j * p, 2.0**j * q, d)
+        assert len(scaled_path.breakpoints) == len(path.breakpoints)
+        for a, b in zip(path.breakpoints, scaled_path.breakpoints):
+            assert np.array_equal(2.0**j * a, b)
+        assert scaled.branch_trace == cert.branch_trace
+        assert scaled.certified_bound == cert.certified_bound
+        assert scaled.ratio == cert.ratio
+        assert scaled.outer_distance == 2.0**j * cert.outer_distance
+        assert scaled.length == 2.0**j * cert.length
+        assert scaled.max_relative_residual == cert.max_relative_residual
+
+    def test_endpoint_outside_the_sketch_takes_the_full_svd(self):
+        # p's rows are orthogonal to every column of the fixed test matrix,
+        # so p Omega = 0 and the sketch does not see p: its margin is all of
+        # p, and the pair goes to the full SVD without a warning
+        d = VarietyDescriptor(100, 100, 3, ScalarField.REAL)
+        width = d.t - 1 + paths._SKETCH_OVERSAMPLING
+        omega = np.random.default_rng(paths._SKETCH_SEED).standard_normal((d.n, width))
+        complement = np.linalg.qr(omega, mode="complete")[0][:, width:]
+        u = np.random.default_rng(1).standard_normal(d.m)
+        p = np.outer(u, complement[:, 0])
+        q = sample_stratum(d, 2, 1.0, 3)
+        for pair in ((p, q), (p, np.outer(u, complement[:, 1]))):
+            assert paths._sketched_svd(np.stack(pair), d) is None
+            _, cert = build_path(*pair, d)
+            assert cert.endpoint_ranks == (rank_of(pair[0], d), rank_of(pair[1], d))
+            assert cert.max_relative_residual <= 1e-8
+            assert_certified(cert, *pair, d)
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_noisy_members(self, field):
+        # relative noise 1e-12 leaves every tail far below the rank threshold,
+        # and the sketch decides.  At 1e-9 the rank_of rule counts noise
+        # directions the sketch cannot see, so the full SVD decides: the same
+        # ranks, and no snap onto a sketched core.  At 1e-7 the point is off
+        # the variety, and the message carries the full SVD's residual.
+        d = VarietyDescriptor(200, 150, 4, field)
+        assert sketch_applies(d)
+        p, q = sample_stratum(d, 3, 1.0, 5), sample_stratum(d, 3, 1.3, 6)
+        # noise of full rank 150 with a flat spectrum and unit Frobenius norm
+        noise = random_unitary(200, np.random.default_rng(7), field)[:, :150]
+        noise /= np.linalg.norm(noise)
+        for level, sketched in ((1e-12, True), (1e-9, False)):
+            noisy = p + level * np.linalg.norm(p) * noise
+            assert (paths._sketched_svd(np.stack([noisy, q]), d) is not None) is sketched
+            _, cert = build_path(noisy, q, d)
+            assert cert.endpoint_ranks == (rank_of(noisy, d), rank_of(q, d))
+            assert cert.max_relative_residual <= 1e-8
+        noisy = p + 1e-7 * np.linalg.norm(p) * noise
+        residual = membership_residual(noisy, d)
+        message = f"point 'p' is off the variety: membership residual {residual:.3e}"
+        with pytest.raises(MembershipError, match=re.escape(message)):
+            build_path(noisy, q, d)
 
 
 class TestMeasure:
@@ -688,6 +804,34 @@ class TestCertify:
         assert cert.samples_per_segment == 0
         assert cert.max_relative_residual <= 1e-12
         assert cert.ratio <= cert.certified_bound + 1e-9
+
+    @pytest.mark.parametrize(
+        "shape, t, field", [((5, 5), 4, ScalarField.REAL), ((6, 6), 6, ScalarField.COMPLEX)]
+    )
+    def test_ray_through_zero_certified_by_its_endpoints(self, shape, t, field):
+        # q = -2^k p rides p's ray through 0, every point a multiple of p.  For
+        # q = -p and even t a Chebyshev-Lobatto node sits at the zero crossing,
+        # where a sample holds only rounding and used to read about 0.1
+        d = VarietyDescriptor(*shape, t, field)
+        for seed in range(10):
+            p = sample_stratum(d, t - 1, 1.0, seed)
+            for q in (-p, -4.0 * p, -0.5 * p):
+                _, cert = build_path(p, q, d)
+                assert trace_kinds(cert) == [BranchKind.RADIAL]
+                assert cert.max_relative_residual <= 1e-12
+                assert cert.samples_per_segment == 0
+
+    def test_negative_ray_test_is_exact(self):
+        a = sample_stratum(VarietyDescriptor(4, 5, 3, ScalarField.COMPLEX), 2, 1.0, 1)
+        assert all(paths._on_negative_ray(a, c * a) for c in (-1.0, -8.0, -(2.0**-10)))
+        assert not any(paths._on_negative_ray(a, c * a) for c in (1.0, 2.0, -3.0, -0.7))
+        nudged = -a
+        nudged[0, 0] = np.nextafter(nudged[0, 0].real, 0.0) + 1j * nudged[0, 0].imag
+        assert not paths._on_negative_ray(a, nudged)
+        assert not paths._on_negative_ray(0.0 * a, 0.0 * a)
+        # -2^-1074 x rounds into the subnormals, so it is not an exact multiple
+        x = np.array([[1.0, 0.75], [0.5, 0.0]])
+        assert not paths._on_negative_ray(x, np.ldexp(-x, -1074))
 
     def test_rejects_wrong_field_and_shape(self):
         complex_path = PiecewisePath((WORKED_P.astype(complex), WORKED_Q.astype(complex)))
