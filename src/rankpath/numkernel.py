@@ -10,6 +10,7 @@ routines are safe to call from any number of threads.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -26,6 +27,12 @@ EIGENPAIR_RESIDUAL_TOL = 1e-10
 #: numerical rank rule: a singular value counts when it exceeds this times
 #: the largest one of its spectrum
 RANK_REL_TOL = 1e-10
+
+_EPS = float(np.finfo(np.float64).eps)
+
+#: below this largest entry a product's roundings may underflow, and the
+#: rounding model of ``variety.product_gamma`` fails
+UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
 
 
 class ScalarField(str, Enum):
@@ -105,16 +112,33 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def _dot_norms(flat: np.ndarray) -> np.ndarray:
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in parts))
+
+
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each matrix of a (k, m, n) stack, bitwise.
+    """``np.linalg.norm`` of each matrix of a (k, m, n) stack, bitwise,
+    wherever the squares of its entries stay clear of underflow.
 
     ``np.linalg.norm`` takes one BLAS dot per real part, and a row-times-
     column ``matmul`` runs that same dot on each row; a summing reduction
     rounds differently in the last bit for about a quarter of 6 x 6 steps.
+    A matrix whose norm comes out below sqrt(``UNDERFLOW_SAFE``) may have
+    lost its squares to underflow (a matrix of entries near 1e-160 reads 0),
+    so it is divided by the power of two that brings its largest entry into
+    [1/2, 1), which is exact, normed, and multiplied back.
     """
     flat = stack.reshape(len(stack), -1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in parts))
+    norms = _dot_norms(flat)
+    for i in np.flatnonzero(norms < math.sqrt(UNDERFLOW_SAFE)):
+        row = np.ascontiguousarray(flat[i : i + 1])
+        parts = row.view(np.float64) if np.iscomplexobj(row) else row
+        top = float(np.abs(parts).max())
+        if top > 0.0:
+            exponent = math.frexp(top)[1]
+            norms[i] = math.ldexp(float(_dot_norms(np.ldexp(parts, -exponent))[0]), exponent)
+    return norms
 
 
 def frobenius_distance(a, b) -> float:

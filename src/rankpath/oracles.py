@@ -134,10 +134,10 @@ def proximity_graph_distance(
             alive = alive[~(residuals_of(base + s * (stack[cols[alive]] - base)) > tol)]
         valid[alive] = True
         rejected[unchecked] = ~valid[unchecked]
-    # the per-edge norm, added in path order, is the sum Dijkstra made
+    # the edge weights, added in path order, are the sum Dijkstra made
     length = 0.0
     for edge in edges:
-        length += float(np.linalg.norm(stack[cols[edge]] - stack[rows[edge]]))
+        length += float(weights[edge])
     return length
 
 

@@ -21,7 +21,10 @@ interior Chebyshev-Lobatto points: none for the rank-1 legs of a scalar
 block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
 each t x t minor has degree at most min(t, rank D) in s, so this
 certifies the whole segment; the numerical tail sigma_{r+1}(D) of the
-step enters the residual through Weyl's inequality (see ``certify``).
+step enters the residual through Weyl's inequality (see ``certify``).  On
+a core at least 8 (1 + 3) = 32 wide, each step's rank and an upper bound
+on its tail come from a range sketch of that step, and only steps the
+sketch cannot settle take their exact spectrum.
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
@@ -86,13 +89,16 @@ _DEGENERATE_TOL = 1e-14
 #: before ``certify`` checks the segment at full degree t instead
 _TAIL_CHARGE_LIMIT = 1e-12
 
-#: columns the range sketch of ``_sketched_svd`` takes beyond t - 1
+#: columns a range sketch takes beyond the rank it must settle: t - 1 for
+#: the endpoints (``_sketched_svd``), 1 for a step (``_step_bounds``)
 _SKETCH_OVERSAMPLING = 3
 
-#: the sketch is taken where this many times its width w is at most
-#: min(m, n).  Measured on square pairs with one BLAS thread, the sketch
-#: breaks even with the full SVD at min(m, n) of about 36 to 44 for w = 4
-#: to 7, and is 20 to 45% faster at 48; smaller shapes keep the full SVD.
+#: a sketch is taken where this many times its width w is at most
+#: min(m, n).  Measured on square pairs with one BLAS thread, the endpoint
+#: sketch breaks even with the full SVD at min(m, n) of about 36 to 44 for
+#: w = 4 to 7, and is 20 to 45% faster at 48; smaller shapes keep the full
+#: SVD.  The step sketch (w = 4) of rank-1 steps breaks even at about 16 and
+#: takes a quarter of the steps' SVD at 32 and 38.
 _SKETCH_RATIO = 8
 
 #: seed of the sketch's Gaussian test matrix: fixed, so a path is a function
@@ -193,8 +199,11 @@ class PathCertificate:
     ``max_relative_residual`` bounds the membership residual along the whole
     path: the worst residual over all breakpoints and the min(t, r) - 1
     Chebyshev-Lobatto points inside each segment whose step has rank r, plus
-    for r < t the Weyl term 2 sigma_{r+1} / l of the step's tail against a
-    lower bound l of sigma_1 on the segment (see ``certify``).
+    for r < t the Weyl term 2 tau / l of the step's tail tau >= sigma_{r+1}
+    against a lower bound l of sigma_1 on the segment (see ``certify``).
+    tau is sigma_{r+1} itself, or an upper bound on it from a range sketch
+    of the step where the path lies on a space at least
+    8 (1 + ``_SKETCH_OVERSAMPLING``) wide.
     ``samples_per_segment`` is the largest number of interior points any
     segment took: 0 when every step has rank <= 1.
 
@@ -400,8 +409,19 @@ def _real_view(x: np.ndarray) -> np.ndarray:
 
 
 def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
-    """x * 2**exponent, exact unless an entry leaves the normal range."""
+    """x * 2**exponent, exact unless an entry leaves the normal range; x
+    itself, not a copy, for exponent 0."""
+    if exponent == 0:
+        return x
     return np.ldexp(_real_view(x), exponent).view(x.dtype)
+
+
+def _relative_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """||x - y|| / ||x||, and 0 for x = 0, from ``frobenius_norms``: the
+    quotient of ``np.linalg.norm``s, but for an x so small that the squares
+    of its entries underflow, whose norms it still takes."""
+    norm = frobenius_norms(x[np.newaxis])[0]
+    return 0.0 if norm == 0.0 else float(frobenius_norms((x - y)[np.newaxis])[0] / norm)
 
 
 def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
@@ -416,6 +436,99 @@ def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
     k -= exponent
     # the second comparison fails where scaling by 2^k lost bits to underflow
     return np.array_equal(y, -np.ldexp(x, k)) and np.array_equal(x, -np.ldexp(y, -k))
+
+
+def _test_matrix(n: int, width: int) -> np.ndarray:
+    """The Gaussian n x width test matrix Omega of every range sketch."""
+    return np.random.default_rng(_SKETCH_SEED).standard_normal((n, width))
+
+
+def _sketch_margins(stack, basis, small, sigma, d: VarietyDescriptor):
+    """How far each matrix x of a (k, m, n) stack may be from its sketch.
+
+    ``basis`` holds orthonormal m x w bases Q, one per matrix or one shared
+    (a stack of 1), ``small`` the compressions B = Q^H x and ``sigma`` their
+    singular values.  Every singular value of x lies within a margin delta
+    of B's: B = Q^H x gives sigma_i(B) <= sigma_i(x), and Weyl's inequality
+    with x = Q B + E gives sigma_i(x) <= sigma_i(Q B) + ||E||_2
+    (sigma_i(B) = 0 for i > w).  delta is the computed ||E||_F, plus
+    gamma (||x||_F + ||Q||_F ||B||_F) for its rounding
+    (|fl(x - Q B) - (x - Q B)| <= gamma (|x| + |Q| |B|) entrywise,
+    gamma = ``product_gamma(w + 1)``), plus max(m, n) eps sigma_1, an
+    allowance for the SVD of B and for Q's departure from orthonormality,
+    as ``bounded_projections`` makes for its own SVD.
+
+    Returns the margins and whether each settles the ``numerical_ranks``
+    rank of x: no singular value of B, nor the 0 beyond them, lies within
+    (1 + tol) delta of the rank threshold tol sigma_1(B), or x = 0 (the
+    margin and sigma_1(B) both 0).  A matrix whose largest entry is nonzero
+    but below ``UNDERFLOW_SAFE`` is never settled: its roundings may
+    underflow, and the rounding model of ``product_gamma`` fails.
+    """
+    norms = frobenius_norms(stack)
+    rounding = product_gamma(basis.shape[-1] + 1, d.field) * (
+        norms + frobenius_norms(basis) * frobenius_norms(small)
+    )
+    residual = basis @ small
+    np.subtract(stack, residual, out=residual)
+    top = sigma[:, 0]
+    margins = frobenius_norms(residual) + rounding + max(d.shape) * _EPS * top
+    spectrum = np.concatenate([sigma, np.zeros((len(stack), 1))], axis=1)
+    gaps = np.abs(spectrum - RANK_REL_TOL * top[:, np.newaxis]).min(axis=1)
+    settled = (gaps > (1.0 + RANK_REL_TOL) * margins) | ((top == 0.0) & (margins == 0.0))
+    # the largest entry is at least ||x||_F / sqrt(mn), so only a matrix
+    # with a small norm needs its entries read
+    for i in np.flatnonzero(norms < 2.0 * math.sqrt(stack[0].size) * UNDERFLOW_SAFE):
+        scale = np.abs(stack[i]).max()
+        settled[i] &= not 0.0 < scale < UNDERFLOW_SAFE
+    return margins, settled
+
+
+def _exact_step_bounds(steps: np.ndarray, d: VarietyDescriptor):
+    """Each step's rank r, tail sigma_{r+1} and sigma_1, from its spectrum."""
+    step_sigma = spectra(steps, d)
+    ranks = numerical_ranks(step_sigma)
+    padded = np.concatenate([step_sigma, np.zeros((len(steps), 1))], axis=1)
+    return ranks, padded[np.arange(len(steps)), ranks], step_sigma[:, 0]
+
+
+def _tail_charges_bounded(sigma, ranks, tails, tops, d: VarietyDescriptor):
+    """The floor l = (sigma_1(a) + sigma_1(b) - top) / 2 of sigma_1 on each
+    segment, and whether its step has r < t and a tail charge 2 tau / l
+    within ``_TAIL_CHARGE_LIMIT``."""
+    floors = 0.5 * (sigma[:-1, 0] + sigma[1:, 0] - tops)
+    return floors, (ranks < d.t) & (2.0 * tails <= _TAIL_CHARGE_LIMIT * floors)
+
+
+def _step_bounds(steps: np.ndarray, sigma: np.ndarray, d: VarietyDescriptor):
+    """Each step's rank r, an upper bound tau on its tail sigma_{r+1}, and an
+    upper bound on its sigma_1, given the breakpoints' spectra ``sigma``.
+
+    Where ``_SKETCH_RATIO`` w <= min(m, n), w = 1 + ``_SKETCH_OVERSAMPLING``,
+    each step D takes its own range sketch, Q = qr(D Omega) and B = Q^H D,
+    O(m n w) work against O(m n min(m, n)) for its SVD, and the bounds are
+    sigma_{r+1}(B) + delta and sigma_1(B) + delta with the margin delta of
+    ``_sketch_margins``.  A step keeps them only where the margin settles
+    its rank, r < w, and its tail charge passes ``_tail_charges_bounded``
+    with them; every other step, and every step where the sketch is not
+    taken, reads its exact spectrum.  So ranks, degrees and samples are
+    those of the exact spectra, and only a charge tau / l can be larger.
+    """
+    width = 1 + _SKETCH_OVERSAMPLING
+    if _SKETCH_RATIO * width > min(d.shape):
+        return _exact_step_bounds(steps, d)
+    basis, _ = np.linalg.qr(steps @ _test_matrix(d.n, width))
+    small = basis.conj().transpose(0, 2, 1) @ steps
+    small_sigma = np.linalg.svd(small, compute_uv=False)
+    margins, settled = _sketch_margins(steps, basis, small, small_sigma, d)
+    ranks = numerical_ranks(small_sigma)
+    settled &= ranks < width
+    tails = small_sigma[np.arange(len(steps)), np.minimum(ranks, width - 1)] + margins
+    tops = small_sigma[:, 0] + margins
+    exact = ~(settled & _tail_charges_bounded(sigma, ranks, tails, tops, d)[1])
+    if exact.any():
+        ranks[exact], tails[exact], tops[exact] = _exact_step_bounds(steps[exact], d)
+    return ranks, tails, tops
 
 
 def certify(
@@ -456,8 +569,17 @@ def certify(
     against about 1.1e4 for 21 equispaced ones, so small sampled residuals
     keep the residual between them small too.
 
+    Only upper bounds on tau and sigma_1(D) enter.  So where
+    ``_SKETCH_RATIO`` (1 + ``_SKETCH_OVERSAMPLING``) <= min(m, n), 32 for
+    the defaults, each step's rank and both bounds come from a range sketch
+    of the step (``_step_bounds``), O(m n) work instead of its SVD; a step
+    whose rank the sketch cannot settle, or whose charge it cannot keep
+    within the limit, takes its exact spectrum, so every rank, degree and
+    sample is that of the exact spectra, and only the charge can be larger.
+
     The breakpoints take one batched singular-value call, all steps one
-    more, and each segment with k >= 2 one more.  The worst relative
+    more (of their sketches, and one of the steps the sketch leaves), and
+    each segment with k >= 2 one more.  The worst relative
     membership residual is recorded, never raised, and so is the largest
     number of interior points any segment took.  With no explicit bound
     the generic variety constant max(1, 2t - 2) is reported.
@@ -475,12 +597,8 @@ def certify(
     if len(points) > 1:
         # a repeated breakpoint gives a zero step: rank 0, nothing to sample
         steps = np.diff(stack, axis=0)
-        step_sigma = spectra(steps, d)
-        ranks = numerical_ranks(step_sigma)
-        padded = np.concatenate([step_sigma, np.zeros((len(steps), 1))], axis=1)
-        tails = padded[np.arange(len(steps)), ranks]
-        floors = 0.5 * (sigma[:-1, 0] + sigma[1:, 0] - step_sigma[:, 0])
-        bounded = (ranks < d.t) & (2.0 * tails <= _TAIL_CHARGE_LIMIT * floors)
+        ranks, tails, tops = _step_bounds(steps, sigma, d)
+        floors, bounded = _tail_charges_bounded(sigma, ranks, tails, tops, d)
         degrees = np.where(bounded, ranks, d.t)
         # a ray through 0 has l = 0: it goes to full degree t unless its tail is 0
         for i in np.flatnonzero(~bounded & (sigma[:-1, 0] > 0.0) & (sigma[1:, 0] > 0.0)):
@@ -524,48 +642,28 @@ def _sketched_svd(stack: np.ndarray, d: VarietyDescriptor):
     sigma_1(x).  It costs O(mn t), against O(mn min(m, n)) for the SVD of
     x, and is taken only where ``_SKETCH_RATIO`` w <= min(m, n).
 
-    Every singular value of x lies within a margin delta of B's: B = Q^H x
-    gives sigma_i(B) <= sigma_i(x), and Weyl's inequality gives sigma_i(x)
-    <= sigma_i(Q B) + ||E||_2 (sigma_i(B) = 0 for i > 2w).  delta is the
-    computed ||E||_F, plus gamma (||x||_F + ||Q||_F ||B||_F) for its
-    rounding (|fl(x - Q B) - (x - Q B)| <= gamma (|x| + |Q| |B|) entrywise,
-    gamma = ``product_gamma(2w + 1)``), plus max(m, n) eps sigma_1, an
-    allowance for the SVD of B and for Q's departure from orthonormality,
-    as ``bounded_projections`` makes for its own SVD.  So (sigma_t(B) +
-    delta) / sigma_1(B) bounds the residual, and the ``numerical_ranks``
-    rank of B is that of x when no singular value of B, nor the 0 beyond
-    them, lies within (1 + tol) delta of the rank threshold tol sigma_1(B).
-
-    None where the sketch is not taken, and where it cannot decide for both
-    endpoints what the full SVD would: a residual bound above
-    ``DEFAULT_MEMBERSHIP_TOL``, a rank that is not settled, or an endpoint
-    whose largest entry is nonzero but below ``UNDERFLOW_SAFE``.
+    Every singular value of x lies within the margin delta of
+    ``_sketch_margins`` of B's, so (sigma_t(B) + delta) / sigma_1(B) bounds
+    the residual, and the ``numerical_ranks`` rank of B is that of x where
+    the margin settles it.  None where the sketch is not taken, and where it
+    cannot decide for both endpoints what the full SVD would: a residual
+    bound above ``DEFAULT_MEMBERSHIP_TOL``, or a rank that is not settled
+    (which includes an endpoint whose largest entry is nonzero but below
+    ``UNDERFLOW_SAFE``).
     """
     width = d.t - 1 + _SKETCH_OVERSAMPLING
     if _SKETCH_RATIO * width > min(d.shape):
         return None
-    scale = np.abs(stack).max(axis=(1, 2))
-    if np.any((scale < UNDERFLOW_SAFE) & (scale > 0.0)):
-        return None
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((d.n, width))
-    basis, _ = np.linalg.qr(np.concatenate(list(stack @ omega), axis=1))
+    basis, _ = np.linalg.qr(np.concatenate(list(stack @ _test_matrix(d.n, width)), axis=1))
     small = basis.conj().T @ stack
     u, sigma, vh = np.linalg.svd(small, full_matrices=False)
-    rounding = product_gamma(2 * width + 1, d.field) * (
-        frobenius_norms(stack) + frobenius_norm(basis) * frobenius_norms(small)
-    )
-    top = sigma[:, 0]
-    margins = frobenius_norms(stack - basis @ small) + rounding + max(d.shape) * _EPS * top
+    margins, settled = _sketch_margins(stack, basis[np.newaxis], small, sigma, d)
     # 0 for a zero endpoint (0 over the smallest subnormal), and inf, so
     # undecided, where sigma_1(B) is too small against the margin: that is
     # an endpoint the sketch missed
     with np.errstate(over="ignore"):
-        residuals = (sigma[:, d.t - 1] + margins) / np.maximum(top, _SMALLEST_SUBNORMAL)
-    spectrum = np.concatenate([sigma, np.zeros((len(stack), 1))], axis=1)
-    gaps = np.abs(spectrum - RANK_REL_TOL * top[:, np.newaxis]).min(axis=1)
-    decided = (residuals <= DEFAULT_MEMBERSHIP_TOL) & (
-        (gaps > (1.0 + RANK_REL_TOL) * margins) | (top == 0.0)
-    )
+        residuals = (sigma[:, d.t - 1] + margins) / np.maximum(sigma[:, 0], _SMALLEST_SUBNORMAL)
+    decided = (residuals <= DEFAULT_MEMBERSHIP_TOL) & settled
     return (basis, u, sigma, vh, residuals) if decided.all() else None
 
 
@@ -664,25 +762,25 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
     points, tags, bound = _dispatch(core_p, core_q, core_d, scale, ranks)
     points = _dedupe(points)
-    lifted = points if frames is None else [u @ b @ v.conj().T for b in points]
-    # relative distance from each endpoint to its lift (0 when not compressed)
-    snap = max(
-        (
-            float(np.linalg.norm(x - end) / np.linalg.norm(x))
-            for x, end in ((p_scaled, lifted[0]), (q_scaled, lifted[-1]))
-            if x.any()
-        ),
-        default=0.0,
-    )
-    # measured on the polyline that is returned, with the exact endpoints
-    interior = lifted[1:-1]
-    scaled_path = PiecewisePath(tuple(_dedupe([p_scaled] + interior + [q_scaled])))
-    outer, length, ratio = scaled_path.measure()
+    interior = points[1:-1]
+    snap = 0.0
+    if frames is not None:
+        vh = v.conj().T
+        # relative distance from each endpoint to its lift
+        endpoints = ((p_scaled, points[0]), (q_scaled, points[-1]))
+        snap = max(_relative_distance(x, u @ b @ vh) for x, b in endpoints)
+        interior = [u @ b @ vh for b in interior]
     cert = certify(PiecewisePath(tuple(points)), core_d, tuple(tags), bound)
+    # deduplicated once, on the core: its points differ in turn, and so do
+    # their lifts but for rounding, so only the ends of a coincident core
+    # are compared again
+    same = len(points) == 1 and np.array_equal(p_scaled, q_scaled)
+    # measured on the polyline that is returned, with the exact endpoints
+    scaled_path = PiecewisePath((p_scaled,) if same else (p_scaled, *interior, q_scaled))
+    outer, length, ratio = scaled_path.measure()
     # copies, so a caller changing p or q afterwards cannot move the certified path
-    path = PiecewisePath(
-        tuple(_dedupe([p.copy()] + [_ldexp(b, exponent) for b in interior] + [q.copy()]))
-    )
+    ends = (p.copy(),) if same else (p.copy(), q.copy())
+    path = PiecewisePath(ends[:1] + tuple(_ldexp(b, exponent) for b in interior) + ends[1:])
     return path, replace(
         cert,
         outer_distance=math.ldexp(outer, exponent),

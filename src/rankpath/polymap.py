@@ -46,12 +46,16 @@ class PolyParseError(ValueError):
 
 @dataclass(frozen=True)
 class PolyMap:
-    """Matrix of sparse polynomials over the listed variables."""
+    """Matrix of sparse polynomials over the listed variables.
+
+    ``entries`` holds the nonzero entries only, keyed by their 0-based
+    (row, column); every other entry is the zero polynomial.
+    """
 
     variables: tuple[str, ...]
     rows: int
     cols: int
-    entries: tuple[tuple[Monomials, ...], ...]
+    entries: dict[tuple[int, int], Monomials]
 
     @property
     def arity(self) -> int:
@@ -88,20 +92,19 @@ def format_poly_map(f: PolyMap) -> str:
         f"vars: {','.join(f.variables)}; rows: {f.rows}; cols: {f.cols};"
     )
     lines = [header]
-    for i in range(f.rows):
-        for j in range(f.cols):
-            monomials = {e: c for e, c in f.entries[i][j].items() if c != 0.0}
-            if not monomials:
-                continue
-            parts = []
-            for exponents in sorted(monomials, key=_graded_lex_key):
-                coeff = monomials[exponents]
-                text = _format_monomial(exponents, coeff, f.variables)
-                if not parts:
-                    parts.append(f"-{text}" if coeff < 0 else text)
-                else:
-                    parts.append(f"- {text}" if coeff < 0 else f"+ {text}")
-            lines.append(f"[{i + 1},{j + 1}] = {' '.join(parts)};")
+    for i, j in sorted(f.entries):
+        monomials = {e: c for e, c in f.entries[i, j].items() if c != 0.0}
+        if not monomials:
+            continue
+        parts = []
+        for exponents in sorted(monomials, key=_graded_lex_key):
+            coeff = monomials[exponents]
+            text = _format_monomial(exponents, coeff, f.variables)
+            if not parts:
+                parts.append(f"-{text}" if coeff < 0 else text)
+            else:
+                parts.append(f"- {text}" if coeff < 0 else f"+ {text}")
+        lines.append(f"[{i + 1},{j + 1}] = {' '.join(parts)};")
     return "\n".join(lines) + "\n"
 
 
@@ -246,7 +249,7 @@ class _Parser:
             self.error("rows and cols must be positive")
 
         self.variables = tuple(names)
-        entries = [[dict() for _ in range(cols)] for _ in range(rows)]
+        entries = {}
         assigned = set()
         while self.current[0] != "eof":
             token = self.expect("[", "'[' starting an entry")
@@ -264,14 +267,11 @@ class _Parser:
                 )
             assigned.add((i, j))
             self.expect("=", "'='")
-            entries[i - 1][j - 1] = self.parse_poly()
+            poly = self.parse_poly()
+            if poly:
+                entries[i - 1, j - 1] = poly
             self.expect(";", "';' terminating the entry")
-        return PolyMap(
-            self.variables,
-            rows,
-            cols,
-            tuple(tuple(row) for row in entries),
-        )
+        return PolyMap(self.variables, rows, cols, entries)
 
     def parse_poly(self) -> Monomials:
         sign = -1.0 if self.accept("-") else 1.0
@@ -367,16 +367,15 @@ def evaluate(f: PolyMap, point) -> np.ndarray:
     out = np.zeros(
         (f.rows, f.cols), dtype=np.complex128 if complex_input else np.float64
     )
-    for i in range(f.rows):
-        for j in range(f.cols):
-            value = 0.0
-            for exponents, coeff in f.entries[i][j].items():
-                term = coeff
-                for base, power in zip(point, exponents):
-                    if power:
-                        term = term * base**power
-                value = value + term
-            out[i, j] = value
+    for (i, j), monomials in f.entries.items():
+        value = 0.0
+        for exponents, coeff in monomials.items():
+            term = coeff
+            for base, power in zip(point, exponents):
+                if power:
+                    term = term * base**power
+            value = value + term
+        out[i, j] = value
     return out
 
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DimensionMismatch, ScalarField, as_matrix, numerical_ranks
+from .numkernel import (
+    UNDERFLOW_SAFE,
+    DimensionMismatch,
+    ScalarField,
+    as_matrix,
+    numerical_ranks,
+)
 
 #: default membership acceptance threshold on the relative residual
 DEFAULT_MEMBERSHIP_TOL = 1e-8
@@ -22,10 +28,6 @@ DEFAULT_MEMBERSHIP_TOL = 1e-8
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 _EPS = float(np.finfo(np.float64).eps)
-
-#: below this largest entry a product's roundings may underflow, and the
-#: rounding model of ``product_gamma`` fails
-UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
 
 
 def _gamma(n: int) -> float:

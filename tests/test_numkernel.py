@@ -14,7 +14,7 @@ from rankpath import (
     numerical_ranks,
     unitary_completion,
 )
-from rankpath.numkernel import RANK_REL_TOL
+from rankpath.numkernel import RANK_REL_TOL, frobenius_norms
 from rankpath.variety import spectra
 from conftest import random_unitary
 
@@ -71,6 +71,22 @@ class TestFrobeniusDistance:
         b = np.array([[1.0, 0.0], [1.0, 0.0]])
         # differences are (0, 1, -1, 0)
         assert frobenius_distance(a, b) == pytest.approx(np.sqrt(2.0))
+
+
+class TestFrobeniusNorms:
+    def test_tiny_matrices_keep_their_norm(self, rng):
+        # squares of entries below about 1e-154 underflow: such a matrix is
+        # normed after an exact power-of-two rescaling, and every other one
+        # stays bitwise np.linalg.norm
+        for field in ScalarField:
+            unit = random_unitary(5, rng, field)[:, :3]
+            scales = [1.0, 1e-140, 1e-160, 1e-300, 1e-310]
+            stack = np.stack([scale * unit for scale in scales] + [0 * unit])
+            norms = frobenius_norms(stack)
+            assert norms[:2].tolist() == [float(np.linalg.norm(x)) for x in stack[:2]]
+            assert norms[-1] == 0.0
+            for scale, norm in zip(scales[2:], norms[2:]):
+                assert norm == pytest.approx(np.sqrt(3.0) * scale, rel=1e-9)
 
 
 class TestSingularValues:

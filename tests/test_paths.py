@@ -23,6 +23,8 @@ from rankpath import (
 )
 from rankpath import paths
 from rankpath.harness import adversarial_pair
+from rankpath.numkernel import numerical_ranks
+from rankpath.variety import spectra
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -542,6 +544,18 @@ class TestBuildPathProperties:
         assert cert.outer_distance == pytest.approx(scale * base.outer_distance, rel=1e-12)
         assert cert.max_relative_residual <= 1e-8
 
+    @pytest.mark.parametrize("tiny_first", [True, False])
+    def test_tiny_endpoint_snap_is_finite(self, tiny_first):
+        # after the power-of-two scaling the tiny endpoint's squares underflow,
+        # and its snap back from the core lift used to read 0 / 0
+        d = VarietyDescriptor(6, 5, 3, ScalarField.REAL)
+        p, q = sample_stratum(d, 2, 1.0, 1), sample_stratum(d, 2, 1.0, 2)
+        pair = (1e-300 * p, q) if tiny_first else (p, 1e-300 * q)
+        path, cert = build_path(*pair, d)
+        assert np.array_equal(path.start, pair[0]) and np.array_equal(path.end, pair[1])
+        assert 0.0 <= cert.max_relative_residual <= 1e-8
+        assert_certified(cert, *pair, d)
+
     def test_tiny_off_variety_point_rejected(self):
         d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
         with pytest.raises(MembershipError):
@@ -716,6 +730,120 @@ class TestSketchedCore:
         message = f"point 'p' is off the variety: membership residual {residual:.3e}"
         with pytest.raises(MembershipError, match=re.escape(message)):
             build_path(noisy, q, d)
+
+
+@st.composite
+def large_core_pairs(draw):
+    """Pairs whose core, max(rank p + rank q, t) on a side, is at least 32,
+    so ``certify`` sketches their steps: square 34 to 44 with t from 17,
+    and tall ones up to 30 rows or columns longer; top-stratum, lower-rank
+    and adversarial pairs over both fields."""
+    short = draw(st.integers(34, 44))
+    long = short + draw(st.sampled_from([0, draw(st.integers(1, 30))]))
+    m, n = (long, short) if draw(st.booleans()) else (short, long)
+    t = draw(st.integers(17, short))
+    d = VarietyDescriptor(m, n, t, draw(st.sampled_from(list(ScalarField))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if t >= 32 and draw(st.booleans()):
+        return (d,) + adversarial_pair(d, seed, draw(st.integers(0, 11)))
+    rank_p = draw(st.integers(max(1, 33 - t), t - 1))
+    rank_q = draw(st.integers(max(1, 32 - rank_p), t - 1))
+    rng = np.random.default_rng(seed)
+    return d, random_member(d, rng, rank_p), random_member(d, rng, rank_q)
+
+
+def _exact_steps(monkeypatch):
+    """Have ``certify`` read every step's exact spectrum: the reference the
+    sketched certificate must match."""
+    monkeypatch.setattr(
+        paths, "_step_bounds", lambda steps, sigma, d: paths._exact_step_bounds(steps, d)
+    )
+
+
+class TestSketchedSteps:
+    """On cores at least 8 (1 + oversampling) wide, ``certify`` takes each
+    step's rank and upper bounds on its tail and sigma_1 from a range
+    sketch, and the exact spectrum only for steps the sketch cannot settle."""
+
+    @settings(max_examples=40)
+    @given(large_core_pairs())
+    def test_matches_the_exact_spectra(self, case):
+        d, p, q = case
+        seen = []
+        sketched = paths._step_bounds
+
+        def recording(steps, sigma, core):
+            bounds = sketched(steps, sigma, core)
+            seen.append((steps, core, bounds[0].copy()))
+            return bounds
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paths, "_step_bounds", recording)
+            path, cert = build_path(p, q, d)
+        with pytest.MonkeyPatch.context() as patch:
+            _exact_steps(patch)
+            exact_path, exact = build_path(p, q, d)
+
+        # a coincident pair has no step to sketch
+        for steps, core, ranks in seen:
+            assert min(core.shape) >= 32
+            assert ranks.tolist() == numerical_ranks(spectra(steps, core)).tolist()
+        assert all(np.array_equal(a, b) for a, b in zip(path.breakpoints, exact_path.breakpoints))
+        assert cert.branch_trace == exact.branch_trace
+        assert cert.samples_per_segment == exact.samples_per_segment
+        assert cert.ratio == exact.ratio
+        assert cert.endpoint_ranks == exact.endpoint_ranks
+        residual = cert.max_relative_residual
+        assert exact.max_relative_residual <= residual <= exact.max_relative_residual + 1e-12
+        assert residual <= 1e-8
+        assert_certified(cert, p, q, d)
+
+    def test_no_step_svd_is_full_size(self, monkeypatch):
+        # 38 rank-1 steps on the 38 x 38 core: one SVD of the 39 breakpoints,
+        # one of the 38 sketches (4 x 38 each), none of the steps themselves
+        d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
+        p, q = sample_stratum(d, 19, 1.0, 1), sample_stratum(d, 19, 1.3, 2)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            shapes.append(np.shape(args[0]))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        path, cert = build_path(p, q, d)
+        segments = len(path.breakpoints) - 1
+        assert trace_kinds(cert) == [BranchKind.GENERAL] * 19
+        assert segments == 38
+        width = 1 + paths._SKETCH_OVERSAMPLING
+        assert (segments, 38, 38) not in shapes
+        assert shapes[1:] == [(segments + 1, 38, 38), (segments, width, 38)]
+
+    def test_high_rank_leg_takes_its_exact_spectrum(self, monkeypatch):
+        # ranks 13 and 19 give a 32 x 32 core: 13 General levels, then the
+        # Radial leg from the corner to q's rank-6 trailing block.  That step
+        # has rank 6 >= the sketch width, so it alone reads its exact
+        # spectrum, and is sampled at min(t, 6) - 1 = 5 interior points
+        d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
+        p, q = sample_stratum(d, 13, 1.0, 3), sample_stratum(d, 19, 1.2, 4)
+        exact_calls = []
+        exact_step_bounds = paths._exact_step_bounds
+
+        def recording(steps, core):
+            exact_calls.append(len(steps))
+            return exact_step_bounds(steps, core)
+
+        monkeypatch.setattr(paths, "_exact_step_bounds", recording)
+        _, cert = build_path(p, q, d)
+        assert [str(tag) for tag in cert.branch_trace[-2:]] == ["General(12)", "Radial(13)"]
+        assert exact_calls == [1]
+        assert cert.samples_per_segment == 5
+        _exact_steps(monkeypatch)
+        _, exact = build_path(p, q, d)
+        assert cert.ratio == exact.ratio
+        assert cert.samples_per_segment == exact.samples_per_segment
+        residual = cert.max_relative_residual
+        assert exact.max_relative_residual <= residual <= exact.max_relative_residual + 1e-12
 
 
 class TestMeasure:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestParser:
 
     def test_single_entry_cubic(self):
         f = parse_poly_map("vars: x; rows:1; cols:1; [1,1]=x^3;")
-        assert f.entries[0][0] == {(3,): 1.0}
+        assert f.entries[0, 0] == {(3,): 1.0}
 
     def test_dangling_operator(self):
         with pytest.raises(PolyParseError) as info:
@@ -91,7 +93,7 @@ class TestParser:
 
     def test_parentheses_and_products(self):
         f = parse_poly_map("vars: x,y; rows:1; cols:1; [1,1]=(x+y)*(x-y);")
-        assert f.entries[0][0] == {(2, 0): 1.0, (0, 2): -1.0}
+        assert f.entries[0, 0] == {(2, 0): 1.0, (0, 2): -1.0}
 
     @pytest.mark.parametrize(
         "text, bad",
@@ -123,6 +125,17 @@ class TestParser:
         with pytest.raises(PolyParseError, match="non-finite") as info:
             parse_poly_map(text)
         assert (info.value.line, info.value.column) == (1, text.index(bad) + 1)
+
+    def test_huge_header_allocates_only_listed_entries(self):
+        # a 100000 x 100000 header used to allocate 10^10 dicts before the
+        # first entry was read
+        text = "vars: x; rows: 100000; cols: 100000; [7,99999] = x^2;"
+        start = time.perf_counter()
+        f = parse_poly_map(text)
+        assert time.perf_counter() - start < 0.5
+        assert (f.rows, f.cols) == (100000, 100000)
+        assert f.entries == {(6, 99998): {(2,): 1.0}}
+        assert parse_poly_map(format_poly_map(f)) == f
 
     def test_round_trip_corpus(self, rng):
         for _ in range(50):
@@ -262,6 +275,14 @@ class TestSurfaceDemo:
         for row, (nodes, source, target, tol, checks) in zip(rows, graphs):
             expected = reference_graph_distance(nodes, source, target, residual_of, tol, checks)
             assert row.d_in == expected
+
+    @pytest.mark.parametrize("s", [1e-78, 1e-90])
+    def test_tiny_scales_stay_above_the_chord(self, s):
+        # the steps between nodes have entries of order s^2, whose squares
+        # underflow: every edge used to weigh 0, and d_in read 0.0
+        (row,) = surface_demo([s])
+        assert row.d_out == 2.0 * s**3
+        assert row.d_in >= row.d_out
 
     def test_slope_in_band(self):
         rows = surface_demo(np.geomspace(1e-3, 1e-1, 8))
