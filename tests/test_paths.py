@@ -819,6 +819,30 @@ class TestSketchedSteps:
         assert (segments, 38, 38) not in shapes
         assert shapes[1:] == [(segments + 1, 38, 38), (segments, width, 38)]
 
+    def test_step_as_wide_as_the_sketch_takes_its_exact_spectrum(self, monkeypatch):
+        # a rank-4 step whose fourth singular value sits just above the rank
+        # threshold, between breakpoints 1e5 times larger: its charge would
+        # pass with sigma_4(B) + delta, but a sketch of width 4 shows no
+        # sigma_5(B), so the step reads its exact spectrum
+        d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
+        rng = np.random.default_rng(3)
+        u = random_unitary(40, rng, d.field)[:, :4]
+        v = random_unitary(40, rng, d.field)[:, :4]
+        step = u @ np.diag([1.0, 0.5, 0.25, 1e-9]) @ v.conj().T
+        a = 1e5 * sample_stratum(d, 10, 1.0, 1)
+        exact_calls = []
+        exact_step_bounds = paths._exact_step_bounds
+
+        def recording(steps, core):
+            exact_calls.append(len(steps))
+            return exact_step_bounds(steps, core)
+
+        monkeypatch.setattr(paths, "_exact_step_bounds", recording)
+        cert = certify(PiecewisePath((a, a + step)), d)
+        assert exact_calls == [1]
+        assert cert.samples_per_segment == 3
+        assert cert.max_relative_residual <= 1e-12
+
     def test_high_rank_leg_takes_its_exact_spectrum(self, monkeypatch):
         # ranks 13 and 19 give a 32 x 32 core: 13 General levels, then the
         # Radial leg from the corner to q's rank-6 trailing block.  That step
