@@ -79,7 +79,6 @@ from .variety import (
     projections,
     rank_of,
     sample_stratum,
-    truncations,
 )
 
 __version__ = "0.1.0"

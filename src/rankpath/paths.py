@@ -21,10 +21,11 @@ interior Chebyshev-Lobatto points: none for the rank-1 legs of a scalar
 block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
 each t x t minor has degree at most min(t, rank D) in s, so this
 certifies the whole segment; the numerical tail sigma_{r+1}(D) of the
-step enters the residual through Weyl's inequality (see ``certify``).  On
-a core at least 8 (1 + 3) = 32 wide, each step's rank and an upper bound
-on its tail come from a range sketch of that step, and only steps the
-sketch cannot settle take their exact spectrum.
+step enters the residual through Weyl's inequality (see
+``_residual_bound``).  On a core at least 8 (1 + 3) = 32 wide, each step's
+rank and an upper bound on its tail come from a range sketch of that step,
+and only steps the sketch cannot settle take their exact spectrum.
+``certify`` measures any given path and bounds its residual this way.
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
@@ -35,14 +36,17 @@ there, and lifts every breakpoint back isometrically.  Where min(m, n) is
 at least 8 (t + 2), that SVD is taken of the pair compressed onto a
 Gaussian sketch of its ranges, O(mn t) work, and only where the small
 spectrum provably decides membership and ranks as the full SVD would; any
-other pair takes the full SVD.  On the core every breakpoint past the
-endpoints is made in the Schur coordinates and mapped back once.
+other pair takes the full SVD.  On the core the route is one stack of
+breakpoints, endpoints included: every breakpoint past the endpoints is
+made in the Schur coordinates and mapped back once, repeated points are
+dropped by one comparison, and the residual is bounded on that stack.
+Only the returned polyline is measured.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -53,7 +57,6 @@ from .numkernel import (
     DimensionMismatch,
     as_matrix,
     frobenius_distance,
-    frobenius_inner,
     frobenius_norm,
     frobenius_norms,
     leading_nonzero_eigenpair,  # noqa: F401  unused here, but per-layer tracing wraps this name
@@ -200,7 +203,8 @@ class PathCertificate:
     path: the worst residual over all breakpoints and the min(t, r) - 1
     Chebyshev-Lobatto points inside each segment whose step has rank r, plus
     for r < t the Weyl term 2 tau / l of the step's tail tau >= sigma_{r+1}
-    against a lower bound l of sigma_1 on the segment (see ``certify``).
+    against a lower bound l of sigma_1 on the segment (see
+    ``_residual_bound``).
     tau is sigma_{r+1} itself, or an upper bound on it from a range sketch
     of the step where the path lies on a space at least
     8 (1 + ``_SKETCH_OVERSAMPLING``) wide.
@@ -215,6 +219,8 @@ class PathCertificate:
     ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
     rule) that ``build_path`` read off its endpoint SVD; None from
     ``certify`` and the ``combinators``, which do not read them.
+    ``certify`` reports an empty ``branch_trace`` and the generic variety
+    constant max(1, 2t - 2) as ``certified_bound``: it knows no route.
     """
 
     outer_distance: float
@@ -301,20 +307,10 @@ def normalize_pair(p, q):
     return z, v, z.conj().T @ p @ v, r.conj().T, t
 
 
-def _dedupe(points: list[np.ndarray]) -> list[np.ndarray]:
-    out = [points[0]]
-    for b in points[1:]:
-        if not np.array_equal(b, out[-1]):
-            out.append(b)
-    return out
-
-
-def _corner_plus(corner: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """D_j + block: the fixed corner with ``block`` in the trailing position."""
-    out = corner.copy()
-    j = corner.shape[0] - block.shape[0]
-    out[j:, j:] = block
-    return out
+def _inner(a: np.ndarray, b: np.ndarray):
+    """``frobenius_inner(a, b)`` of two blocks of one frame, unchecked."""
+    value = np.sum(a * np.conjugate(b))
+    return complex(value) if np.iscomplexobj(a) else float(value)
 
 
 def _dispatch(
@@ -323,8 +319,9 @@ def _dispatch(
     d: VarietyDescriptor,
     scale: float,
     ranks: tuple[int, int],
-) -> tuple[list[np.ndarray], list[BranchTag], float]:
-    """Breakpoints, branch tags and ratio bound of the route from p to q.
+) -> tuple[np.ndarray, list[BranchTag], float]:
+    """The (N, k, k) stack of breakpoints, endpoints included, branch tags
+    and ratio bound of the route from p to q.
 
     ``ranks`` are the numerical ranks of p and q, read off the endpoint SVD.
     The route leads with the endpoint of smaller rank and is reversed when
@@ -339,62 +336,71 @@ def _dispatch(
     that has the pair (p_hat[j':, j':], q_hat[j':, j':]), whose product is
     t[j':, j':], so the orthogonality test reads |tr t[j':, j':]|; a block
     whose known rank, its endpoint's rank less j', is 0 is the cone point.
-    Every point but the endpoints is made in the Schur coordinates and
-    mapped back by z b v^H.  The bound is 2 * min rank once a step was
-    taken, else 2 for the orthogonal route and 1 for the others.
+    The tests read the Frobenius norms, distances and inner products of
+    these blocks directly, as views.  The stack is written once the route
+    ends: q_hat's diagonal block of level i lies in every point from the
+    i-th after p to the i-th before q.  Every point but the endpoints is
+    made in the Schur coordinates and mapped back by z b v^H.  The bound
+    is 2 * min rank once a step was taken, else 2 for the orthogonal route
+    and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        points, tags, bound = _dispatch(q, p, d, scale, (ranks[1], ranks[0]))
-        return points[::-1], tags, bound
+        stack, tags, bound = _dispatch(q, p, d, scale, (ranks[1], ranks[0]))
+        return stack[::-1], tags, bound
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
-    x, y, inner = p, q, frobenius_inner(p, q)
-    left, right, middle, tags = [], [], [], []
-    j, t = 0, None
-    while frobenius_distance(x, y) > _DEGENERATE_TOL * scale:
-        norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
+    x, y, inner = p, q, _inner(p, q)
+    levels, tags = [], []
+    j, t, middle = 0, None, 0
+    while np.linalg.norm(x - y) > _DEGENERATE_TOL * scale:
+        norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             break
         # y a scalar multiple of x: the whole segment lies on one ray's span
-        coef = frobenius_inner(y, x) / (norm_x * norm_x)
-        if frobenius_distance(y, coef * x) <= _COLLINEAR_TOL * norm_y:
+        coef = _inner(y, x) / (norm_x * norm_x)
+        if np.linalg.norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             break
         if abs(inner) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
             tags.append(BranchTag(BranchKind.ORTHOGONAL, j))
-            middle = [np.zeros_like(p) if t is None else corner]
+            middle = 1  # the two legs meet at D_j
             break
         if t is None:
             z, v, p_hat, q_hat, t = normalize_pair(p, q)
-            corner = np.zeros_like(p_hat)
         size = _block_size(t, j)
         # |tr t[j:, j:]| above the threshold puts the dominant |lambda| at
-        # twice this floor or more, so only rounding can land below it
+        # twice this floor or more, so only rounding can land below it.  The
+        # determinant of a scalar block is lambda, of a 2 x 2 block |lambda|^2
         floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * np.linalg.norm(t[j:, j:])
-        if abs(np.linalg.det(t[j : j + size, j : j + size])) ** (1 / size) < floor:
+        block = t[j : j + size, j : j + size]
+        det = block[0, 0] if size == 1 else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+        if abs(det) < floor**size:
             raise RuntimeError(
                 f"Schur block {j} of the normal form is below the eigenvalue floor "
                 "although the pair is not orthogonal"
             )
         kind = BranchKind.GENERAL if size == 1 else BranchKind.REAL_BLOCK
         tags.append(BranchTag(kind, j))
-        corner[j : j + size, j : j + size] = q_hat[j : j + size, j : j + size]
         j += size
         x = p_hat[j:, j:] if known_p > j else np.zeros_like(p_hat[j:, j:])
         y = q_hat[j:, j:] if known_q > j else np.zeros_like(q_hat[j:, j:])
         inner = np.trace(t[j:, j:])
-        left.append(_corner_plus(corner, x))
-        right.append(_corner_plus(corner, y))
+        levels.append((j - size, j, x, y))
 
-    interior = left + middle + right[::-1]
+    stack = np.zeros((2 * len(levels) + middle + 2,) + p.shape, dtype=p.dtype)
+    stack[0], stack[-1] = p, q
+    for i, (start, end, x, y) in enumerate(levels):
+        stack[1 + i : len(stack) - 1 - i, start:end, start:end] = q_hat[start:end, start:end]
+        stack[1 + i, end:, end:] = x
+        stack[-2 - i, end:, end:] = y
     if t is not None:
-        interior = list(z @ np.stack(interior) @ v.conj().T)
+        stack[1:-1] = z @ stack[1:-1] @ v.conj().T
     if j > 0:
         bound = 2.0 * min(ranks)
     else:
         bound = 2.0 if tags and tags[0].kind is BranchKind.ORTHOGONAL else 1.0
-    return [p] + interior + [q], tags, bound
+    return stack, tags, bound
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
@@ -531,13 +537,10 @@ def _step_bounds(steps: np.ndarray, sigma: np.ndarray, d: VarietyDescriptor):
     return ranks, tails, tops
 
 
-def certify(
-    path: PiecewisePath,
-    d: VarietyDescriptor,
-    branch_trace: tuple[BranchTag, ...] = (),
-    certified_bound: float | None = None,
-) -> PathCertificate:
-    """Measure a path and re-check membership along it.
+def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int]:
+    """A bound on the membership residual along the polyline through a
+    (N, m, n) stack of breakpoints, and the largest number of interior
+    points any segment took.
 
     Every breakpoint is checked, and every segment a + s D, D = b - a, at
     as many interior points as the rank of its step requires (none for a
@@ -579,22 +582,14 @@ def certify(
 
     The breakpoints take one batched singular-value call, all steps one
     more (of their sketches, and one of the steps the sketch leaves), and
-    each segment with k >= 2 one more.  The worst relative
-    membership residual is recorded, never raised, and so is the largest
-    number of interior points any segment took.  With no explicit bound
-    the generic variety constant max(1, 2t - 2) is reported.
+    each segment with k >= 2 one more.  The worst relative membership
+    residual is returned, never raised.
     """
-    points = path.breakpoints
-    outer, length, ratio = path.measure()
-    if certified_bound is None:
-        certified_bound = max(1.0, 2.0 * d.t - 2.0)
-
-    stack = np.stack(points)
     sigma = spectra(stack, d)
     residuals = spectral_residuals(sigma, d)
     worst = float(residuals.max())
     samples = 0
-    if len(points) > 1:
+    if len(stack) > 1:
         # a repeated breakpoint gives a zero step: rank 0, nothing to sample
         steps = np.diff(stack, axis=0)
         ranks, tails, tops = _step_bounds(steps, sigma, d)
@@ -602,14 +597,14 @@ def certify(
         degrees = np.where(bounded, ranks, d.t)
         # a ray through 0 has l = 0: it goes to full degree t unless its tail is 0
         for i in np.flatnonzero(~bounded & (sigma[:-1, 0] > 0.0) & (sigma[1:, 0] > 0.0)):
-            if _on_negative_ray(points[i], points[i + 1]):
+            if _on_negative_ray(stack[i], stack[i + 1]):
                 degrees[i] = 0
         charges = np.divide(
             2.0 * tails, floors, out=np.zeros_like(tails), where=bounded & (tails > 0.0)
         )
         ends = np.maximum(residuals[:-1], residuals[1:])
         worst = max(worst, float((ends + charges).max()))
-        for a, step, degree, charge in zip(points, steps, degrees, charges):
+        for a, step, degree, charge in zip(stack, steps, degrees, charges):
             if degree < 2:
                 continue
             # one segment at a time, never the whole path: at 40x40, t = 20
@@ -618,14 +613,26 @@ def certify(
             sampled = membership_residuals(a + nodes * step, d)
             worst = max(worst, float(sampled.max()) + charge)
         samples = max(0, int(degrees.max()) - 1)
+    return worst, samples
 
+
+def certify(path: PiecewisePath, d: VarietyDescriptor) -> PathCertificate:
+    """Measure a path and re-check membership along it (``_residual_bound``).
+
+    It takes no branch trace and no bound: the trace is empty and the bound
+    the generic variety constant max(1, 2t - 2).  ``build_path`` does not
+    call it; it bounds the residual of its core stack and measures the
+    polyline it returns, once each.
+    """
+    outer, length, ratio = path.measure()
+    worst, samples = _residual_bound(np.stack(path.breakpoints), d)
     return PathCertificate(
         outer_distance=outer,
         length=length,
         ratio=ratio,
-        certified_bound=float(certified_bound),
-        branch_trace=tuple(branch_trace),
-        max_relative_residual=float(worst),
+        certified_bound=max(1.0, 2.0 * d.t - 2.0),
+        branch_trace=(),
+        max_relative_residual=worst,
         samples_per_segment=samples,
     )
 
@@ -724,17 +731,20 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     as the full SVD would (``_sketched_svd``): every input is accepted or
     rejected as with the full SVD, with the same message.  The returned
     path starts and ends at exact copies of p and q, and the certificate
-    carries the endpoint ranks.  The path is certified by ``certify``: every
-    breakpoint, plus min(t, r) - 1 Chebyshev-Lobatto points inside each
-    segment whose step has rank r and the Weyl term of the step's
-    numerical tail, which certifies each whole segment, not only the
-    samples, up to floating point.
+    carries the endpoint ranks.  The residual is bounded on the core stack
+    by ``_residual_bound``: every breakpoint, plus min(t, r) - 1
+    Chebyshev-Lobatto points inside each segment whose step has rank r and
+    the Weyl term of the step's numerical tail, which certifies each whole
+    segment, not only the samples, up to floating point.  Distance, length
+    and ratio are measured once, on the returned polyline, and the
+    certificate is built once from both.
 
     The whole recursion reads one ordered Schur form of p q^H on the core
     (``normalize_pair``), taken once and only by routes that get past the
     first level's tests; the ranks of both endpoints come from the
     endpoint SVD.  Every breakpoint but the endpoints is mapped back from
-    the Schur coordinates once, and lifted once more onto m x n.
+    the Schur coordinates once, and lifted once more onto m x n, all of
+    them in one product.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
@@ -760,32 +770,35 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    points, tags, bound = _dispatch(core_p, core_q, core_d, scale, ranks)
-    points = _dedupe(points)
-    interior = points[1:-1]
+    stack, tags, bound = _dispatch(core_p, core_q, core_d, scale, ranks)
+    # a point equal to the one before it adds nothing to the path
+    stack = stack[np.r_[True, (stack[1:] != stack[:-1]).any(axis=(1, 2))]]
+    worst, samples = _residual_bound(stack, core_d)
+    interior = stack[1:-1]
     snap = 0.0
     if frames is not None:
         vh = v.conj().T
         # relative distance from each endpoint to its lift
-        endpoints = ((p_scaled, points[0]), (q_scaled, points[-1]))
+        endpoints = ((p_scaled, stack[0]), (q_scaled, stack[-1]))
         snap = max(_relative_distance(x, u @ b @ vh) for x, b in endpoints)
-        interior = [u @ b @ vh for b in interior]
-    cert = certify(PiecewisePath(tuple(points)), core_d, tuple(tags), bound)
+        interior = u @ interior @ vh
     # deduplicated once, on the core: its points differ in turn, and so do
     # their lifts but for rounding, so only the ends of a coincident core
     # are compared again
-    same = len(points) == 1 and np.array_equal(p_scaled, q_scaled)
+    same = len(stack) == 1 and np.array_equal(p_scaled, q_scaled)
     # measured on the polyline that is returned, with the exact endpoints
     scaled_path = PiecewisePath((p_scaled,) if same else (p_scaled, *interior, q_scaled))
     outer, length, ratio = scaled_path.measure()
     # copies, so a caller changing p or q afterwards cannot move the certified path
     ends = (p.copy(),) if same else (p.copy(), q.copy())
     path = PiecewisePath(ends[:1] + tuple(_ldexp(b, exponent) for b in interior) + ends[1:])
-    return path, replace(
-        cert,
+    return path, PathCertificate(
         outer_distance=math.ldexp(outer, exponent),
         length=math.ldexp(length, exponent),
         ratio=ratio,
-        max_relative_residual=cert.max_relative_residual + snap,
+        certified_bound=bound,
+        branch_trace=tuple(tags),
+        max_relative_residual=worst + snap,
+        samples_per_segment=samples,
         endpoint_ranks=ranks,
     )

@@ -528,7 +528,10 @@ def surface_demo(s_values) -> list[RatioRow]:
     this grid) and the shortcut straight across the branch gap (about
     0.75 s^4) scale as s^4, so the admission tolerance is 0.05 s^4: an
     order of magnitude above the former, an order below the latter.  The
-    grid and the tolerance are fixed.
+    grid and the tolerance are fixed.  An s whose tolerance 0.05 s^4 falls
+    below the smallest normal double (s below about 2.6e-77) is rejected
+    with ValueError: the residuals and the tolerance would underflow, the
+    graph would admit the shortcut, and the ratio would read 1.
     """
     family = cusp_family_map()
     target = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
@@ -543,6 +546,9 @@ def surface_demo(s_values) -> list[RatioRow]:
         s = float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError("s values must lie in (0, 1]")
+        tol = _SURFACE_EDGE_TOL_SCALE * s**4
+        if tol < _SMALLEST_NORMAL:
+            raise ValueError(f"s = {s:g} is too small: the edge tolerance 0.05 s^4 underflows")
         nodes = [
             _surface_point(u, v)
             for v in _SURFACE_V_LAYERS
@@ -556,7 +562,7 @@ def surface_demo(s_values) -> list[RatioRow]:
             source=layer + _SURFACE_GRID_POINTS - 1,
             target=layer,
             residuals_of=residuals,
-            tol=_SURFACE_EDGE_TOL_SCALE * s**4,
+            tol=tol,
             checks_per_edge=CHECKS_PER_EDGE,
         )
         if math.isinf(estimate):

@@ -137,25 +137,18 @@ def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor):
     return u[..., :keep] * kept[:, np.newaxis, :], vh[:, :keep], kept
 
 
-def truncations(stack, d: VarietyDescriptor):
-    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack,
-    and the rank of each.
+def projections(stack, d: VarietyDescriptor) -> np.ndarray:
+    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack.
 
-    One batched decomposition gives both: the truncated SVD of each matrix,
-    and its rank by the ``rank_of`` rule applied to its kept singular
-    values.  Ties between equal singular values keep the first t-1 in the
-    order the decomposition returns them, so the output is deterministic.
+    One batched decomposition gives the truncated SVD of each matrix.  Ties
+    between equal singular values keep the first t-1 in the order the
+    decomposition returns them, so the output is deterministic.
     """
     stack = _checked_stack(stack, d)
     if d.t == 1:
-        return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack), dtype=int)
-    a, b, kept = _truncated_factors(stack, d)
-    return a @ b, numerical_ranks(kept)
-
-
-def projections(stack, d: VarietyDescriptor) -> np.ndarray:
-    """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack."""
-    return truncations(stack, d)[0]
+        return np.zeros(stack.shape, dtype=d.field.dtype)
+    a, b, _ = _truncated_factors(stack, d)
+    return a @ b
 
 
 def bounded_projections(stack, d: VarietyDescriptor):

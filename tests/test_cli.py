@@ -266,6 +266,24 @@ class TestFamilyCommand:
         assert header == "s,d_out,d_in,ratio"
         assert len(rows) == 6
 
+    def test_underflowing_edge_tolerance_exits_one(self, workspace, capsys):
+        # below s of about 2.6e-77 the edge tolerance 0.05 s^4 underflows
+        map_path = workspace / "family.poly"
+        map_path.write_text(CUSP_FAMILY_TEXT)
+        code = cli(
+            [
+                "family",
+                "--map", str(map_path),
+                "--s-min", "1e-90",
+                "--s-max", "1e-89",
+                "--steps", "2",
+                "--out", str(workspace / "tiny.csv"),
+            ]
+        )
+        assert code == 1
+        assert "underflows" in capsys.readouterr().err
+        assert not (workspace / "tiny.csv").exists()
+
     def test_generic_map_needs_points(self, workspace, capsys):
         map_path = workspace / "other.poly"
         map_path.write_text("vars: x; rows:2; cols:2; [1,1]=x; [2,2]=x;")

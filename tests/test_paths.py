@@ -439,6 +439,12 @@ _LARGE_T_CASE = (
 )
 
 
+# near-coincident (outer about 1e-6 of the norm): the moved pair's ratio
+# differs by 1.1e-9, the rounding of its breakpoints over that small chord
+_NEAR_COINCIDENT = VarietyDescriptor(12, 11, 7, ScalarField.REAL)
+_NEAR_COINCIDENT_CASE = (_NEAR_COINCIDENT,) + adversarial_pair(_NEAR_COINCIDENT, 78920354, 7)
+
+
 class TestBuildPathProperties:
     @settings(max_examples=300)
     @given(member_pairs())
@@ -468,6 +474,7 @@ class TestBuildPathProperties:
 
     @settings(max_examples=100)
     @given(member_pairs(), st.integers(0, 2**32 - 1))
+    @example(_NEAR_COINCIDENT_CASE, 0)
     def test_unitary_equivariance(self, case, seed):
         # x -> U x V is an isometry that preserves rank, and the construction
         # commutes with it: the moved pair takes the moved route
@@ -477,7 +484,14 @@ class TestBuildPathProperties:
         path, cert = build_path(p, q, d)
         moved_path, moved = build_path(u @ p @ v, u @ q @ v, d)
         assert moved.branch_trace == cert.branch_trace
-        assert moved.ratio == pytest.approx(cert.ratio, abs=1e-9)
+        # breakpoints rounded by about eps ||p|| move the ratio by about
+        # eps ||p|| / outer: at most 1.6e-15 ||p|| / outer over 480
+        # near-coincident pairs, so 1e-14 leaves a factor of 6 on top of
+        # the 1e-9 that a near-threshold route's conditioning takes
+        outer = cert.outer_distance
+        scale = max(np.linalg.norm(p), np.linalg.norm(q))
+        tol = 1e-9 + 1e-14 * scale / outer if outer else 0.0
+        assert moved.ratio == pytest.approx(cert.ratio, abs=tol)
         assert moved.certified_bound == cert.certified_bound
         assert_certified(moved, u @ p @ v, u @ q @ v, d)
         assert len(moved_path.breakpoints) == len(path.breakpoints)
@@ -607,7 +621,7 @@ class TestCompressedPath:
         assert cert.max_relative_residual <= 1e-8
 
         # the certificate made on the core holds for the returned polyline
-        full = certify(path, d, cert.branch_trace, cert.certified_bound)
+        full = certify(path, d)
         assert full.max_relative_residual <= 1e-8
         assert full.ratio == pytest.approx(cert.ratio, rel=1e-12)
         assert full.outer_distance == pytest.approx(cert.outer_distance, rel=1e-12)
@@ -652,6 +666,44 @@ class TestCompressedPath:
         _, cert = build_path(p, q, d)
         assert trace_kinds(cert) == [BranchKind.GENERAL] * 11
         assert shapes == [(22, 22)]
+
+
+class TestMeasuredOnce:
+    """``build_path`` bounds the residual of its core stack and measures only
+    the polyline it returns."""
+
+    CASES = [
+        # compressed onto a 4 x 4 core, and built as it is (k = 8 = min(m, n))
+        (VarietyDescriptor(100, 100, 3, ScalarField.COMPLEX), True),
+        (VarietyDescriptor(8, 8, 5, ScalarField.COMPLEX), False),
+        (VarietyDescriptor(8, 8, 5, ScalarField.REAL), False),
+    ]
+
+    @pytest.mark.parametrize("d, compressed", CASES)
+    def test_one_measurement_per_call(self, rng, monkeypatch, d, compressed):
+        p, q = random_member(d, rng, d.t - 1), random_member(d, rng, d.t - 1)
+        assert (paths._core_frames(p, q, d)[2] is not None) == compressed
+        measured = []
+        real_measure = PiecewisePath.measure
+
+        def counting_measure(path):
+            measured.append(len(path.breakpoints))
+            return real_measure(path)
+
+        monkeypatch.setattr(PiecewisePath, "measure", counting_measure)
+        path, _ = build_path(p, q, d)
+        assert measured == [len(path.breakpoints)]
+
+    @pytest.mark.parametrize("d, compressed", CASES)
+    def test_certificate_measures_the_returned_path(self, rng, d, compressed):
+        # at unit scale (largest entry 1/2, so the power-of-two scaling is 1)
+        # distance, length and ratio are those of the returned polyline, bitwise
+        for _ in range(5):
+            p, q = random_member(d, rng, d.t - 1), random_member(d, rng)
+            top = 2.0 * max(np.abs(p).max(), np.abs(q).max())
+            p, q = p / top, q / top
+            path, cert = build_path(p, q, d)
+            assert (cert.outer_distance, cert.length, cert.ratio) == path.measure()
 
 
 class TestSketchedCore:

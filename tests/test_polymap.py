@@ -276,13 +276,21 @@ class TestSurfaceDemo:
             expected = reference_graph_distance(nodes, source, target, residual_of, tol, checks)
             assert row.d_in == expected
 
-    @pytest.mark.parametrize("s", [1e-78, 1e-90])
-    def test_tiny_scales_stay_above_the_chord(self, s):
-        # the steps between nodes have entries of order s^2, whose squares
-        # underflow: every edge used to weigh 0, and d_in read 0.0
-        (row,) = surface_demo([s])
-        assert row.d_out == 2.0 * s**3
-        assert row.d_in >= row.d_out
+    def test_smallest_scale_reads_the_axis_crossing(self):
+        # the edge tolerance 0.05 s^4 is still a normal double at s = 8e-77,
+        # and the steps between nodes, of order s^2, are normed without
+        # underflow: d_in / (2 s^2) reads as at 1e-70
+        (row,), (base,) = surface_demo([8e-77]), surface_demo([1e-70])
+        assert row.d_out == 2.0 * 8e-77**3
+        assert row.d_in / (2.0 * row.s**2) == pytest.approx(0.1597, abs=1e-4)
+        assert row.d_in / (2.0 * row.s**2) == pytest.approx(base.d_in / (2.0 * base.s**2))
+
+    @pytest.mark.parametrize("s", [1e-77, 1e-78, 1e-90])
+    def test_underflowing_edge_tolerance_is_rejected(self, s):
+        # there the residuals and the tolerance underflow, the graph admitted
+        # the straight shortcut across the branch gap, and the ratio read 1
+        with pytest.raises(ValueError, match="edge tolerance 0.05 s\\^4 underflows"):
+            surface_demo([s])
 
     def test_slope_in_band(self):
         rows = surface_demo(np.geomspace(1e-3, 1e-1, 8))

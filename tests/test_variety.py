@@ -17,7 +17,6 @@ from rankpath import (
     projections,
     rank_of,
     sample_stratum,
-    truncations,
 )
 from rankpath.variety import bounded_projections, spectra
 from conftest import random_member, random_unitary
@@ -128,18 +127,15 @@ class TestProjections:
                     assert np.array_equal(out, expected)
                     assert np.array_equal(project(matrix, d), expected)
 
-    def test_truncations_give_the_projections_and_their_ranks(self, rng):
+    def test_projections_keep_each_stratum_rank(self, rng):
         # ranks of every stratum, plus the zero matrix and one above the variety
         d = VarietyDescriptor(6, 5, 4, ScalarField.COMPLEX)
         stack = np.stack(
             [sample_stratum(d, r, 1.0, r) for r in range(1, d.t)]
             + [np.zeros(d.shape, complex), rng.standard_normal(d.shape) + 0j]
         )
-        projected, ranks = truncations(stack, d)
-        assert np.array_equal(projected, projections(stack, d))
-        assert ranks.tolist() == [rank_of(x, d) for x in projected] == [1, 2, 3, 0, 3]
-        projected, ranks = truncations(stack, VarietyDescriptor(6, 5, 1, ScalarField.COMPLEX))
-        assert not projected.any() and ranks.tolist() == [0] * 5
+        projected = projections(stack, d)
+        assert [rank_of(x, d) for x in projected] == [1, 2, 3, 0, 3]
 
     def test_t_one_projects_to_zero(self):
         d = VarietyDescriptor(3, 2, 1, ScalarField.COMPLEX)
