@@ -42,6 +42,7 @@ from .polymap import (
 from .serialize import (
     descriptor_from_json,
     format_number,
+    is_number,
     matrix_from_json,
     oracle_config_to_json,
     path_to_json,
@@ -116,6 +117,8 @@ def _cmd_trials(args) -> int:
 def _log_grid(s_min: float, s_max: float, steps: int):
     if not 0 < s_min <= s_max:
         raise ValueError("need 0 < s-min <= s-max")
+    if steps < 1:
+        raise ValueError("need steps >= 1")
     return np.geomspace(s_min, s_max, steps)
 
 
@@ -141,6 +144,11 @@ def _cmd_family(args) -> int:
         return 1
     descriptor = VarietyDescriptor(poly_map.rows, poly_map.cols, args.t)
     points = _load_json(args.points)
+    if not isinstance(points, list):
+        raise ValueError("--points must hold a JSON list of points")
+    for i, pt in enumerate(points):
+        if not (isinstance(pt, list) and all(map(is_number, pt))):
+            raise ValueError(f"point {i} must be a list of numbers, got {pt!r}")
     rows = [
         [str(i), format_number(pullback_residual(poly_map, np.asarray(pt), descriptor))]
         for i, pt in enumerate(points)

@@ -8,16 +8,23 @@ written in a small text format:
     [2,1] = y; [2,2] = x;
     [3,2] = y; [3,3] = x;
 
-Unlisted entries are zero and whitespace is insignificant.  Preimages of a
-bounded-rank variety under such a map are probed through the pullback
-residual.  The module also ships two demonstrations where the inner/outer
-distance ratio blows up near the origin: the plane cusp x^3 = y^2 and the
-surface x^3 = y^2 z swept by a family of such cusps.
+Unlisted entries are zero and whitespace is insignificant.  The tokens are
+numbers (ASCII digits with at most one point, then an e/E exponent only
+when a digit follows its optional sign), words (a letter or ``_``, then
+letters, digits or ``_``) and the marks ``,;:[]=+-*^()``; ``_TOKEN`` states
+them as one regular expression.  Every PolyParseError carries the line and
+column of the offending token; only a line feed starts a new line.
+
+Preimages of a bounded-rank variety under such a map are probed through the
+pullback residual.  The module also ships two demonstrations where the
+inner/outer distance ratio blows up near the origin: the plane cusp
+x^3 = y^2 and the surface x^3 = y^2 z swept by a family of such cusps.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,88 +115,44 @@ def format_poly_map(f: PolyMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_digit(ch: str) -> bool:
-    # ASCII only: ``str.isdigit`` also accepts other scripts' digits and
-    # superscripts, which ``float`` and ``int`` then misread or reject
-    return "0" <= ch <= "9"
+#: one token after optional whitespace.  A number is ASCII digits with at
+#: most one point, and an e/E exponent only when a digit follows its
+#: optional sign; a word is any run of word characters, and must start with a
+#: letter or an underscore; ``bad`` is any other character.  Digits are
+#: [0-9], not \d: \d also takes other scripts' digits, which ``float`` and
+#: ``int`` then misread or reject
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)|(?P<punct>[,;:\[\]=+\-*^()])|(?P<eof>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
-class _Tokenizer:
-    _PUNCT = set(",;:[]=+-*^()")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str, line: int | None = None, col: int | None = None):
-        raise PolyParseError(
-            message, self.line if line is None else line, self.col if col is None else col
-        )
-
-    def _advance(self, count: int):
-        for ch in self.text[self.pos : self.pos + count]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-
-    def _digit_at(self, index: int) -> bool:
-        return index < len(self.text) and _is_digit(self.text[index])
-
-    def tokens(self):
-        out = []
-        while True:
-            while self.pos < len(self.text) and self.text[self.pos].isspace():
-                self._advance(1)
-            if self.pos >= len(self.text):
-                out.append(("eof", "", self.line, self.col))
-                return out
-            ch = self.text[self.pos]
-            line, col = self.line, self.col
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self.pos < len(self.text) and (
-                    self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-                ):
-                    self._advance(1)
-                out.append(("ident", self.text[start : self.pos], line, col))
-            elif _is_digit(ch) or ch == ".":
-                start = self.pos
-                seen_dot = seen_exp = seen_digit = False
-                while self.pos < len(self.text):
-                    c = self.text[self.pos]
-                    if _is_digit(c):
-                        seen_digit = True
-                        self._advance(1)
-                    elif c == "." and not seen_dot and not seen_exp:
-                        seen_dot = True
-                        self._advance(1)
-                    elif c in "eE" and seen_digit and not seen_exp:
-                        # an exponent only if digits follow its optional sign
-                        sign = self.text[self.pos + 1 : self.pos + 2] in ("+", "-")
-                        if not self._digit_at(self.pos + 1 + sign):
-                            break
-                        seen_exp = True
-                        self._advance(1 + sign)
-                    else:
-                        break
-                if not seen_digit:
-                    self.error("a number needs at least one digit", line, col)
-                out.append(("number", self.text[start : self.pos], line, col))
-            elif ch in self._PUNCT:
-                self._advance(1)
-                out.append((ch, ch, line, col))
-            else:
-                self.error(f"unexpected character {ch!r}")
+def _tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) tuples ending in an "eof" token; a
+    punctuation mark is its own kind.  Only ``\\n`` starts a new line."""
+    tokens, pos, line, line_start = [], 0, 1, 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        kind = match.lastgroup
+        start = match.start(kind)
+        if newlines := text.count("\n", pos, start):
+            line += newlines
+            line_start = text.rfind("\n", pos, start) + 1
+        pos = match.end()
+        lexeme, column = match[kind], start - line_start + 1
+        if kind == "bad" and lexeme == ".":
+            raise PolyParseError("a number needs at least one digit", line, column)
+        if kind == "bad" or kind == "ident" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            raise PolyParseError(f"unexpected character {lexeme[0]!r}", line, column)
+        tokens.append((lexeme if kind == "punct" else kind, lexeme, line, column))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _Tokenizer(text).tokens()
+        self.tokens = _tokens(text)
         self.index = 0
 
     @property
@@ -237,14 +200,13 @@ class _Parser:
         if len(set(names)) != len(names):
             self.error("duplicate variable name")
         self.expect(";", "';'")
-        self.expect_keyword("rows")
-        self.expect(":", "':'")
-        rows = self.parse_uint("row count")
-        self.expect(";", "';'")
-        self.expect_keyword("cols")
-        self.expect(":", "':'")
-        cols = self.parse_uint("column count")
-        self.expect(";", "';'")
+        counts = []
+        for keyword, what in (("rows", "row count"), ("cols", "column count")):
+            self.expect_keyword(keyword)
+            self.expect(":", "':'")
+            counts.append(self.parse_uint(what))
+            self.expect(";", "';'")
+        rows, cols = counts
         if rows < 1 or cols < 1:
             self.error("rows and cols must be positive")
 

@@ -94,17 +94,50 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(is_number, value))
+
+
+def _fields(data, what: str, *keys: str) -> list:
+    """``data[key]`` for each key, with ``field`` read as a ScalarField.
+
+    ValueError naming the key unless ``data`` is a JSON object holding every
+    key, with ``m``, ``n`` and ``t`` JSON integers.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object with keys {', '.join(keys)}")
+    values = []
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing the key {key!r}")
+        value = data[key]
+        if key in ("m", "n", "t") and not (isinstance(value, int) and is_number(value)):
+            raise ValueError(f"{what} key {key!r} must be a JSON integer, got {value!r}")
+        values.append(ScalarField(value) if key == "field" else value)
+    return values
+
+
 def matrix_from_json(data: dict) -> np.ndarray:
-    m, n = int(data["m"]), int(data["n"])
-    field = ScalarField(data["field"])
-    entries = data["entries"]
+    m, n, field, entries = _fields(data, "matrix", "m", "n", "field", "entries")
+    if not isinstance(entries, list):
+        raise ValueError("matrix key 'entries' must be a list")
     if len(entries) != m * n:
         raise ValueError(f"expected {m * n} entries, got {len(entries)}")
     if field is ScalarField.COMPLEX:
-        values = [complex(re, im) for re, im in entries]
+        kind, valid = "an [re, im] pair of numbers", _is_pair
     else:
-        values = [float(x) for x in entries]
-    return np.array(values, dtype=field.dtype).reshape(m, n)
+        kind, valid = "a number", is_number
+    for k, x in enumerate(entries):
+        if not valid(x):
+            raise ValueError(f"matrix key 'entries'[{k}] must be {kind}, got {x!r}")
+    if field is ScalarField.COMPLEX:
+        entries = [complex(*x) for x in entries]
+    return np.array(entries, dtype=field.dtype).reshape(m, n)
 
 
 def descriptor_to_json(d: VarietyDescriptor) -> dict:
@@ -112,9 +145,7 @@ def descriptor_to_json(d: VarietyDescriptor) -> dict:
 
 
 def descriptor_from_json(data: dict) -> VarietyDescriptor:
-    return VarietyDescriptor(
-        int(data["m"]), int(data["n"]), int(data["t"]), ScalarField(data["field"])
-    )
+    return VarietyDescriptor(*_fields(data, "descriptor", "m", "n", "t", "field"))
 
 
 def branch_trace_to_json(trace: tuple[BranchTag, ...]) -> list:

@@ -13,7 +13,9 @@ from rankpath import ScalarField, VarietyDescriptor, sample_stratum
 from rankpath.cli import cli
 from rankpath.polymap import CUSP_FAMILY_TEXT
 from rankpath.serialize import (
+    descriptor_from_json,
     descriptor_to_json,
+    matrix_from_json,
     matrix_to_json,
     write_json,
 )
@@ -314,6 +316,122 @@ class TestFamilyCommand:
         assert len(rows) == 3
         assert float(rows[0][1]) == 0.0  # the zero matrix is a member
         assert float(rows[1][1]) == pytest.approx(1.0)  # identity is full rank
+
+
+class TestMalformedInput:
+    """Malformed JSON and grid input exits 1 with one ``error:`` line naming
+    what is wrong, and writes no output file."""
+
+    @staticmethod
+    def assert_refused(code, capsys, out, fragment):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+        assert not out.exists()
+
+    def run_path(self, workspace, descriptor="d.json", p="p.json"):
+        out = workspace / "path.json"
+        code = cli(
+            [
+                "path",
+                "--descriptor", str(workspace / descriptor),
+                "--p", str(workspace / p),
+                "--q", str(workspace / "q.json"),
+                "--out", str(out),
+            ]
+        )
+        return code, out
+
+    @pytest.mark.parametrize(
+        "descriptor, fragment",
+        [
+            ([1, 2], "JSON object"),
+            ({"m": 3, "t": 2, "field": "complex"}, "'n'"),
+            ({"m": 2.7, "n": 3, "t": 2, "field": "complex"}, "'m'"),
+            ({"m": 3, "n": True, "t": 2, "field": "complex"}, "'n'"),
+            ({"m": 3, "n": 3, "t": "2", "field": "complex"}, "'t'"),
+        ],
+        ids=["not-an-object", "missing-n", "float-m", "bool-n", "string-t"],
+    )
+    def test_malformed_descriptor(self, workspace, capsys, descriptor, fragment):
+        (workspace / "bad.json").write_text(json.dumps(descriptor))
+        code, out = self.run_path(workspace, descriptor="bad.json")
+        self.assert_refused(code, capsys, out, fragment)
+
+    @pytest.mark.parametrize(
+        "matrix, fragment",
+        [
+            ("3x3", "JSON object"),
+            ({"m": 3, "field": "complex", "entries": []}, "'n'"),
+            ({"m": 2, "n": 2, "field": "complex", "entries": [1, 2, 3, 4]}, "'entries'[0]"),
+            ({"m": 1, "n": 2, "field": "complex", "entries": [[1, 0], [1, "0"]]}, "'entries'[1]"),
+            ({"m": 1, "n": 2, "field": "complex", "entries": [[1, 0], [1, 0, 0]]}, "'entries'[1]"),
+            ({"m": 1, "n": 2, "field": "real", "entries": [0, "1"]}, "'entries'[1]"),
+            ({"m": 1, "n": 2, "field": "real", "entries": [True, 1]}, "'entries'[0]"),
+        ],
+        ids=[
+            "not-an-object",
+            "missing-n",
+            "complex-as-reals",
+            "complex-string-part",
+            "complex-triple",
+            "real-string",
+            "real-bool",
+        ],
+    )
+    def test_malformed_matrix(self, workspace, capsys, matrix, fragment):
+        (workspace / "bad.json").write_text(json.dumps(matrix))
+        code, out = self.run_path(workspace, p="bad.json")
+        self.assert_refused(code, capsys, out, fragment)
+
+    @pytest.mark.parametrize(
+        "points, fragment",
+        [
+            ({"0": [1, 2]}, "JSON list"),
+            ([[1, 2], ["1", "2"]], "point 1"),
+            ([[True, 2]], "point 0"),
+            ([1, 2], "point 0"),
+        ],
+        ids=["not-a-list", "strings", "bool", "bare-numbers"],
+    )
+    def test_malformed_points(self, workspace, capsys, points, fragment):
+        map_path = workspace / "user.poly"
+        map_path.write_text("vars: x,y; rows:2; cols:2; [1,1]=x; [2,2]=y;")
+        (workspace / "points.json").write_text(json.dumps(points))
+        out = workspace / "f.csv"
+        code = cli(
+            [
+                "family",
+                "--map", str(map_path),
+                "--t", "2",
+                "--points", str(workspace / "points.json"),
+                "--out", str(out),
+            ]
+        )
+        self.assert_refused(code, capsys, out, fragment)
+
+    def test_cusp_zero_steps(self, workspace, capsys):
+        out = workspace / "cusp.csv"
+        code = cli(["cusp", "--s-min", "0.01", "--s-max", "0.1", "--steps", "0", "--out", str(out)])
+        self.assert_refused(code, capsys, out, "steps")
+
+    def test_family_zero_steps(self, workspace, capsys):
+        map_path = workspace / "family.poly"
+        map_path.write_text(CUSP_FAMILY_TEXT)
+        out = workspace / "family.csv"
+        code = cli(["family", "--map", str(map_path), "--steps", "0", "--out", str(out)])
+        self.assert_refused(code, capsys, out, "steps")
+
+    def test_written_matrices_read_back(self, workspace):
+        for field in ScalarField:
+            d = VarietyDescriptor(3, 4, 2, field)
+            a = sample_stratum(d, 1, 1.0, 7)
+            write_json(matrix_to_json(a), workspace / "a.json")
+            back = matrix_from_json(json.loads((workspace / "a.json").read_text()))
+            assert back.dtype == a.dtype and np.array_equal(back, a)
+            write_json(descriptor_to_json(d), workspace / "d.json")
+            assert descriptor_from_json(json.loads((workspace / "d.json").read_text())) == d
 
 
 class TestOracleCommand:

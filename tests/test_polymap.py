@@ -111,6 +111,44 @@ class TestParser:
         assert (info.value.line, info.value.column) == (1, text.index(bad) + 1)
 
     @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("vars: x; rows: 1; cols: 1; [1,1] = 1.e5*x;", {(0, 0): {(1,): 1e5}}),
+            ("vars: x; rows: 1; cols: 1; [1,1] = .5*x;", {(0, 0): {(1,): 0.5}}),
+            # an exponent needs a digit after its sign: 1, e, +, x
+            ("vars: x; rows: 1; cols: 1; [1,1] = 1e+x;", ("found 'e'", 1, 37)),
+            ("vars: x; rows: 1; cols: 1; [1,1] = 1_000;", ("found '_000'", 1, 37)),
+            ("vars: x1; rows: 1; cols: 1; [1,1] = x1.5;", ("found '.5'", 1, 39)),
+            ("vars: x; rows: 1; cols: 1; [1,1] = x\u00b2;", ("identifier 'x\u00b2'", 1, 36)),
+            ("vars: x; rows: 1; cols: 1; [1,1] = \u00e9;", ("identifier '\u00e9'", 1, 36)),
+            (
+                "vars: x; rows: 1; cols: 2;\u00a0[1,1]\u00a0=\tx;\t[1,2] = 2\t*\u00a0x;",
+                {(0, 0): {(1,): 1.0}, (0, 1): {(1,): 2.0}},
+            ),
+            ("vars: x;\r\nrows: 1; cols: 1;\r\n\t[1,1] = x + @;", ("character '@'", 3, 14)),
+        ],
+        ids=[
+            "point-then-exponent",
+            "leading-point",
+            "exponent-without-digit",
+            "number-then-word",
+            "word-then-number",
+            "word-with-superscript",
+            "non-ascii-word",
+            "nbsp-and-tab",
+            "crlf-and-tab-line-3",
+        ],
+    )
+    def test_scanner_edges(self, text, outcome):
+        if isinstance(outcome, dict):
+            assert parse_poly_map(text).entries == outcome
+            return
+        fragment, line, column = outcome
+        with pytest.raises(PolyParseError, match=fragment) as info:
+            parse_poly_map(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
         "entry, bad",
         [
             ("1e999*x", "1e999"),
