@@ -148,7 +148,9 @@ def _cmd_family(args) -> int:
         raise ValueError("--points must hold a JSON list of points")
     for i, pt in enumerate(points):
         if not (isinstance(pt, list) and all(map(is_number, pt))):
-            raise ValueError(f"point {i} must be a list of numbers, got {pt!r}")
+            raise ValueError(
+                f"point {i} must be a list of numbers in the double range, got {pt!r}"
+            )
     rows = [
         [str(i), format_number(pullback_residual(poly_map, np.asarray(pt), descriptor))]
         for i, pt in enumerate(points)

@@ -163,8 +163,9 @@ _ADVERSARIAL_KINDS = (
 )
 
 
-def adversarial_pair(d: VarietyDescriptor, seed: int, index: int):
-    """One pair from the adversarial cycle.
+def adversarial_pair(d: VarietyDescriptor, seed: int, index: int, radius_range=(0.5, 2.0)):
+    """One pair from the adversarial cycle, its radii drawn from
+    ``radius_range``.
 
     Cycles through: coincident pairs, near-coincident pairs (q the
     projection of a 1e-6 perturbation of p), near-orthogonal pairs just
@@ -175,7 +176,6 @@ def adversarial_pair(d: VarietyDescriptor, seed: int, index: int):
     """
     rng = np.random.default_rng(mix_seed(seed, index))
     kind = _ADVERSARIAL_KINDS[index % len(_ADVERSARIAL_KINDS)]
-    radius_range = (0.5, 2.0)
     if kind == "coincident":
         p = _sample(d, d.max_rank, rng, radius_range)
         return p, p.copy()
@@ -226,7 +226,7 @@ def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:
             p = _sample(d, d.max_rank, rng, cfg.radius_range)
             q = _sample(d, d.max_rank, rng, cfg.radius_range)
         else:
-            p, q = adversarial_pair(d, cfg.master_seed, index)
+            p, q = adversarial_pair(d, cfg.master_seed, index, cfg.radius_range)
         _, cert = build_path(p, q, d)
         rank_p, rank_q = cert.endpoint_ranks
         return TrialRecord(

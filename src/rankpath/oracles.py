@@ -1,12 +1,16 @@
 """Independent inner-distance estimators.
 
 These deliberately avoid the path construction's machinery: a proximity
-graph over sampled variety points gives one upper bound on the inner
+graph over sampled variety points gives one estimate of the inner
 distance, and local curve shortening with projection gives another.  Both
-are estimates with stated tolerances, never certificates, and both can
-only tighten the sandwich
+are estimates with stated tolerances, never certificates.  The shortened
+length can only tighten the sandwich
 
     outer distance <= shortened length <= constructed length.
+
+The graph's value is at least the outer distance but is not a proved upper
+bound: it admits an edge from a few interior samples, so an admitted edge
+may leave the variety between them.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ _RESIDUAL_CEILING = 1e-8
 #: interior point of an admitted edge may have
 EDGE_MEMBERSHIP_TOL = 1e-6
 
-#: equispaced interior points checked per proximity-graph edge, in
-#: ``graph_upper_bound`` and in ``polymap.surface_demo``
+#: equispaced interior points checked per proximity-graph edge in
+#: ``graph_upper_bound``
 CHECKS_PER_EDGE = 3
 
 #: matrices per stacked call in ``shorten``: blocks are independent, so
@@ -142,7 +146,7 @@ def proximity_graph_distance(
 
 
 def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
-    """Inner-distance upper bound from a sampled on-variety proximity graph.
+    """Inner-distance estimate from a sampled on-variety proximity graph.
 
     Samples ``cfg.n_samples`` stratum points (ranks cycling through the
     nonzero strata) inside the ball of radius twice the larger endpoint
@@ -153,9 +157,10 @@ def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
     the oracle report records them in its ``config``).  The search
     is lazy, so only the edges of candidate shortest paths are checked,
     each point at most once, and the value is the one checking every edge
-    would give.  Any finite value is an upper bound on the inner distance
-    up to the edge-tube tolerance, and no value can undercut the outer
-    distance.
+    would give.  A finite value is an estimate of the inner distance, not
+    an upper bound: an edge is admitted from its checked points alone, so
+    it may leave the variety between them.  No value can undercut the
+    outer distance.
 
     Raises DimensionMismatch when p or q does not have the descriptor's
     shape, and MembershipError when either is off the variety (membership

@@ -17,8 +17,20 @@ column of the offending token; only a line feed starts a new line.
 
 Preimages of a bounded-rank variety under such a map are probed through the
 pullback residual.  The module also ships two demonstrations where the
-inner/outer distance ratio blows up near the origin: the plane cusp
-x^3 = y^2 and the surface x^3 = y^2 z swept by a family of such cusps.
+inner/outer distance ratio blows up near the origin, both from closed forms
+along the branch pair (s^2, +-s^3), whose chord is exactly 2 s^3:
+
+* the plane cusp x^3 = y^2 (``cusp_ratio_table``), whose inner distance is
+  the arc length through the origin, 2 s^2 (a^2 + 2a + 4) / (3 (a + 2))
+  with a = sqrt(4 + 9 s^2);
+* the surface x^3 = y^2 z (``surface_demo``) at z = 1.  A curve on it
+  between the branches must cross y = 0, where x = 0, so it meets the
+  z-axis: its length is at least L(s) = 2 s^2 sqrt(1 + s^2), the reported
+  d_in.  The z = 1 slice is the plane cusp, so the inner distance is at
+  most the cusp's arc length U(s), and U/L <= 1 + s^2/15 on (0, 1].
+
+Both refuse an s outside (0, 1], and one whose chord 2 s^3 is below the
+smallest normal double (s below about 2.2e-103).
 """
 
 from __future__ import annotations
@@ -31,10 +43,12 @@ from typing import Callable
 import numpy as np
 
 from .numkernel import ScalarField
-from .oracles import CHECKS_PER_EDGE, proximity_graph_distance
+from .oracles import (
+    proximity_graph_distance,  # noqa: F401  unused here, but per-layer tracing wraps this name
+)
 from .variety import VarietyDescriptor, membership_residual
 
-#: the smallest positive normal double; ``cusp_ratio_table`` rejects chords below it
+#: the smallest positive normal double; the ratio tables reject chords below it
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 _MAX_EXPONENT = 2**31
@@ -364,11 +378,6 @@ def cusp_family_map() -> PolyMap:
     return parse_poly_map(CUSP_FAMILY_TEXT)
 
 
-def _surface_point(u: float, v: float) -> np.ndarray:
-    # (u^2 v)^3 - (u^3)^2 * v^3 = 0 identically
-    return np.array([u * u * v, u**3, v**3])
-
-
 @dataclass(frozen=True)
 class ParamCurvePair:
     """A parametrized curve branch and its mirror image on the same variety.
@@ -395,36 +404,31 @@ PLANE_CUSP_BRANCHES = ParamCurvePair(
 
 #: the same branches inside the z = 1 slice of the surface x^3 = y^2 z
 SURFACE_SLICE_BRANCHES = ParamCurvePair(
-    parametrization=lambda s: _surface_point(s, 1.0),
-    mirror=lambda s: _surface_point(-s, 1.0),
+    parametrization=lambda s: np.array([s * s, s**3, 1.0]),
+    mirror=lambda s: np.array([s * s, -(s**3), 1.0]),
     label="z = 1 cusp slice of x^3 = y^2 z",
 )
-
-
-#: relative agreement of two successive refinements that ends ``cusp_arc_length``
-_ARC_REL_TOL = 1e-8
 
 
 def cusp_arc_length(s: float) -> float:
     """Arc length along u -> (u^2, u^3) for u in [-s, s], through the origin.
 
-    Computed by doubling polyline resolution until two successive
-    refinements agree to 1e-8 relative; inscribed polylines only ever
-    undershoot, so the limit is approached from below.
+    Each half has length ((4 + 9 s^2)^{3/2} - 8) / 27.  Written with
+    a = sqrt(4 + 9 s^2) as 2 s^2 (a^2 + 2a + 4) / (3 (a + 2)), the whole
+    length has no cancellation: every term is positive, so it keeps its
+    relative accuracy down to the smallest s whose s^2 is a normal double.
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    n = 64
-    previous = None
-    while n <= 2**22:
-        u = np.linspace(-s, s, n + 1)
-        x, y = u * u, u**3
-        length = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
-        if previous is not None and abs(length - previous) < _ARC_REL_TOL * length:
-            return length
-        previous = length
-        n *= 2
-    return previous
+    a = math.sqrt(4.0 + 9.0 * s * s)
+    return 2.0 * s * s * (a * a + 2.0 * a + 4.0) / (3.0 * (a + 2.0))
+
+
+def _axis_crossing_length(s: float) -> float:
+    """2 s^2 sqrt(1 + s^2): twice the distance from (s^2, s^3, 1) to the
+    z-axis, the least length of a curve on x^3 = y^2 z between the branch
+    points (s^2, +-s^3, 1) (see ``surface_demo``)."""
+    return 2.0 * s * s * math.sqrt(1.0 + s * s)
 
 
 @dataclass(frozen=True)
@@ -435,103 +439,58 @@ class RatioRow:
     ratio: float
 
 
-def cusp_ratio_table(s_values) -> list[RatioRow]:
-    """Inner/outer ratio for the plane-cusp branch pair (s^2, +-s^3).
-
-    The chord between the branches has length exactly 2 s^3; any curve on
-    the cusp joining them runs through the origin, and its arc length
-    behaves like 2 s^2, so the ratio grows like 1/s as s shrinks.  An s
-    whose chord 2 s^3 falls below the smallest normal double (s below about
-    2.2e-103) is rejected with ValueError: the chord would lose its digits
-    or read 0.
-    """
+def _ratio_rows(s_values, inner_distance: Callable[[float], float]) -> list[RatioRow]:
+    """One row per s for the branch pair (s^2, +-s^3, ...), whose points
+    differ only in y, so the chord d_out is exactly 2 s^3.  An s outside
+    (0, 1], or one whose chord is below the smallest normal double (s below
+    about 2.2e-103, where it would lose its digits or read 0), is rejected
+    with ValueError."""
     rows = []
     for s in s_values:
         s = float(s)
         if not 0.0 < s <= 1.0:
             raise ValueError("s values must lie in (0, 1]")
-        if 2.0 * s**3 < _SMALLEST_NORMAL:
+        d_out = 2.0 * s**3
+        if d_out < _SMALLEST_NORMAL:
             raise ValueError(f"s = {s:g} is too small: the chord 2 s^3 underflows")
-        p, q = PLANE_CUSP_BRANCHES.points(s)
-        d_out = float(np.linalg.norm(p - q))
-        d_in = cusp_arc_length(s)
+        d_in = inner_distance(s)
         rows.append(RatioRow(s, d_out, d_in, d_in / d_out))
     return rows
 
 
-#: grid points per layer of ``surface_demo``'s u-grid.  The count is odd, so
-#: u = 0, where every route between the branches crosses the z-axis, is a
-#: grid point
-_SURFACE_GRID_POINTS = 25
+def cusp_ratio_table(s_values) -> list[RatioRow]:
+    """Inner/outer ratio for the plane-cusp branch pair (s^2, +-s^3).
 
-#: the v-values of ``surface_demo``'s grid layers, around the z = 1 slice
-_SURFACE_V_LAYERS = (0.95, 1.0, 1.05)
-
-#: ``surface_demo``'s edge tolerance, in units of s^4
-_SURFACE_EDGE_TOL_SCALE = 0.05
+    Any curve on the cusp joining the branches runs through the origin, so
+    the inner distance is exactly ``cusp_arc_length(s)``, which behaves like
+    2 s^2; the chord is 2 s^3, and the ratio grows like 1/s as s shrinks.
+    The s values are checked as ``_ratio_rows`` states.
+    """
+    return _ratio_rows(s_values, cusp_arc_length)
 
 
 def surface_demo(s_values) -> list[RatioRow]:
-    """Graph-estimated inner/outer ratio on the surface x^3 = y^2 z.
+    """Proved lower end of the inner/outer ratio on the surface x^3 = y^2 z.
 
-    For each s the branch points p = (s^2, s^3, 1) and q = (s^2, -s^3, 1)
-    are joined through a proximity graph over parametrized surface samples
-    (u, v) -> (u^2 v, u^3, v^3): 25 equispaced u in [-s, s] (so u = 0 is
-    one of them) on each of the layers v = 0.95, 1.0 and 1.05.  On the
-    surface, any route between the branches must cross the z-axis, which
-    keeps the inner distance near 2 s^2 while the chord is exactly 2 s^3.
+    The branch points are p = (s^2, s^3, 1) and q = (s^2, -s^3, 1), with
+    chord exactly 2 s^3.  The inner distance d between them lies in
+    [L(s), U(s)]:
 
-    Edge admission measures how far segment interiors drift from the
-    surface, via the pullback residual of the cusp-family matrix at its
-    z-flipped argument (the flip matches the matrix determinant x^3 + y^2 z
-    to the surface equation; the two zero sets are isometric), at the
-    ``oracles.CHECKS_PER_EDGE`` = 3 interior points of each edge.  In this
-    residual both the drift of legitimate local edges (about 0.005 s^4 on
-    this grid) and the shortcut straight across the branch gap (about
-    0.75 s^4) scale as s^4, so the admission tolerance is 0.05 s^4: an
-    order of magnitude above the former, an order below the latter.  The
-    grid and the tolerance are fixed.  An s whose tolerance 0.05 s^4 falls
-    below the smallest normal double (s below about 2.6e-77) is rejected
-    with ValueError: the residuals and the tolerance would underflow, the
-    graph would admit the shortcut, and the ratio would read 1.
+    * L(s) = 2 s^2 sqrt(1 + s^2) (``_axis_crossing_length``).  A curve on the
+      surface from p to q changes the sign of y, so it crosses y = 0, where
+      x^3 = 0; there it meets the z-axis, at distance s^2 sqrt(1 + s^2) from
+      both p and q.
+    * U(s) = ``cusp_arc_length(s)``, the d_in of ``cusp_ratio_table`` at the
+      same s: the z = 1 slice curve (u^2, u^3, 1), u in [-s, s], lies on the
+      surface and joins p to q.
+
+    The rows report d_in = L(s), so their ratio sqrt(1 + s^2) / s is a proved
+    lower bound on the inner/outer ratio, which therefore diverges.  The
+    sandwich is narrow: U/L <= 1 + s^2/15 on (0, 1], up to rounding.  The s
+    values are checked as ``_ratio_rows`` states: s in (0, 1] and 2 s^3 a
+    normal double.
     """
-    family = cusp_family_map()
-    target = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
-
-    def residuals(points: np.ndarray) -> np.ndarray:
-        return np.array(
-            [pullback_residual(family, np.array([x, y, -z]), target) for x, y, z in points]
-        )
-
-    rows = []
-    for s in s_values:
-        s = float(s)
-        if not 0.0 < s <= 1.0:
-            raise ValueError("s values must lie in (0, 1]")
-        tol = _SURFACE_EDGE_TOL_SCALE * s**4
-        if tol < _SMALLEST_NORMAL:
-            raise ValueError(f"s = {s:g} is too small: the edge tolerance 0.05 s^4 underflows")
-        nodes = [
-            _surface_point(u, v)
-            for v in _SURFACE_V_LAYERS
-            for u in np.linspace(-s, s, _SURFACE_GRID_POINTS)
-        ]
-        # linspace returns -s and s exactly, so the branch points p = (u = s,
-        # v = 1) and q = (u = -s, v = 1) are the ends of the v = 1 layer
-        layer = _SURFACE_V_LAYERS.index(1.0) * _SURFACE_GRID_POINTS
-        estimate = proximity_graph_distance(
-            nodes,
-            source=layer + _SURFACE_GRID_POINTS - 1,
-            target=layer,
-            residuals_of=residuals,
-            tol=tol,
-            checks_per_edge=CHECKS_PER_EDGE,
-        )
-        if math.isinf(estimate):
-            raise RuntimeError(f"surface graph disconnected at s={s:g}")
-        d_out = 2.0 * s**3
-        rows.append(RatioRow(s, d_out, estimate, estimate / d_out))
-    return rows
+    return _ratio_rows(s_values, _axis_crossing_length)
 
 
 def fit_loglog_slope(rows: list[RatioRow]) -> float:

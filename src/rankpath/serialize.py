@@ -16,6 +16,8 @@ from .oracles import CHECKS_PER_EDGE, EDGE_MEMBERSHIP_TOL, OracleConfig
 from .paths import BranchKind, BranchTag, PathCertificate, PiecewisePath
 from .variety import VarietyDescriptor
 
+_DOUBLE_MAX = float(np.finfo(np.float64).max)
+
 
 def format_number(value: float) -> str:
     """A number at 17 significant digits; a float always reads back as one.
@@ -94,9 +96,14 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a double holds: a float, or an int (not a bool) within
+    the double range, which ``float`` converts without an OverflowError."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= _DOUBLE_MAX
 
 
 def _is_pair(value) -> bool:
@@ -116,7 +123,7 @@ def _fields(data, what: str, *keys: str) -> list:
         if key not in data:
             raise ValueError(f"{what} is missing the key {key!r}")
         value = data[key]
-        if key in ("m", "n", "t") and not (isinstance(value, int) and is_number(value)):
+        if key in ("m", "n", "t") and not _is_int(value):
             raise ValueError(f"{what} key {key!r} must be a JSON integer, got {value!r}")
         values.append(ScalarField(value) if key == "field" else value)
     return values
@@ -129,9 +136,9 @@ def matrix_from_json(data: dict) -> np.ndarray:
     if len(entries) != m * n:
         raise ValueError(f"expected {m * n} entries, got {len(entries)}")
     if field is ScalarField.COMPLEX:
-        kind, valid = "an [re, im] pair of numbers", _is_pair
+        kind, valid = "an [re, im] pair of numbers in the double range", _is_pair
     else:
-        kind, valid = "a number", is_number
+        kind, valid = "a number in the double range", is_number
     for k, x in enumerate(entries):
         if not valid(x):
             raise ValueError(f"matrix key 'entries'[{k}] must be {kind}, got {x!r}")

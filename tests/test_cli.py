@@ -232,6 +232,18 @@ class TestCuspCommand:
         assert slope == pytest.approx(-1.0, abs=0.05)
 
 
+    def test_chord_with_subnormal_square_runs(self, workspace):
+        # (2 s^3)^2 is subnormal here; the chord 2 s^3 itself is a normal double
+        out = workspace / "c.csv"
+        code = cli(
+            ["cusp", "--s-min", "1e-60", "--s-max", "1e-59", "--steps", "2", "--out", str(out)]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        for s, d_out, d_in, ratio in ([float(x) for x in row] for row in rows):
+            assert d_out == 2.0 * s**3
+            assert ratio == pytest.approx(1.0 / s, rel=1e-15, abs=0)
+
     def test_underflowing_chord_exits_one(self, workspace, capsys):
         # 2 s^3 underflows to 0 at s = 1e-110; the table refuses it
         code = cli(
@@ -268,16 +280,38 @@ class TestFamilyCommand:
         assert header == "s,d_out,d_in,ratio"
         assert len(rows) == 6
 
-    def test_underflowing_edge_tolerance_exits_one(self, workspace, capsys):
-        # below s of about 2.6e-77 the edge tolerance 0.05 s^4 underflows
+    @pytest.mark.parametrize("s_min", ["8e-77", "1e-78", "1e-90"])
+    def test_small_scales_hold_the_axis_bound(self, workspace, s_min):
+        # s^4 is subnormal or 0 here; the rows need only s^2 and 2 s^3
+        map_path = workspace / "family.poly"
+        map_path.write_text(CUSP_FAMILY_TEXT)
+        out = workspace / "tiny.csv"
+        code = cli(
+            [
+                "family",
+                "--map", str(map_path),
+                "--s-min", s_min,
+                "--s-max", "1e-70",
+                "--steps", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        for s, d_out, d_in, ratio in ([float(x) for x in row] for row in rows):
+            assert d_in == pytest.approx(2.0 * s * s, rel=1e-15, abs=0)
+            assert ratio == pytest.approx(1.0 / s, rel=1e-15, abs=0)
+
+    def test_underflowing_chord_exits_one(self, workspace, capsys):
+        # 2 s^3 underflows at s = 1e-110, as in the cusp table
         map_path = workspace / "family.poly"
         map_path.write_text(CUSP_FAMILY_TEXT)
         code = cli(
             [
                 "family",
                 "--map", str(map_path),
-                "--s-min", "1e-90",
-                "--s-max", "1e-89",
+                "--s-min", "1e-110",
+                "--s-max", "1e-109",
                 "--steps", "2",
                 "--out", str(workspace / "tiny.csv"),
             ]
@@ -369,6 +403,8 @@ class TestMalformedInput:
             ({"m": 1, "n": 2, "field": "complex", "entries": [[1, 0], [1, 0, 0]]}, "'entries'[1]"),
             ({"m": 1, "n": 2, "field": "real", "entries": [0, "1"]}, "'entries'[1]"),
             ({"m": 1, "n": 2, "field": "real", "entries": [True, 1]}, "'entries'[0]"),
+            ({"m": 1, "n": 2, "field": "real", "entries": [1, 10**400]}, "'entries'[1]"),
+            ({"m": 1, "n": 1, "field": "complex", "entries": [[0, -(10**400)]]}, "'entries'[0]"),
         ],
         ids=[
             "not-an-object",
@@ -378,6 +414,8 @@ class TestMalformedInput:
             "complex-triple",
             "real-string",
             "real-bool",
+            "real-huge-int",
+            "complex-huge-int",
         ],
     )
     def test_malformed_matrix(self, workspace, capsys, matrix, fragment):
@@ -392,8 +430,9 @@ class TestMalformedInput:
             ([[1, 2], ["1", "2"]], "point 1"),
             ([[True, 2]], "point 0"),
             ([1, 2], "point 0"),
+            ([[0, 1], [10**400, 1]], "point 1"),
         ],
-        ids=["not-a-list", "strings", "bool", "bare-numbers"],
+        ids=["not-a-list", "strings", "bool", "bare-numbers", "huge-int"],
     )
     def test_malformed_points(self, workspace, capsys, points, fragment):
         map_path = workspace / "user.poly"
@@ -410,6 +449,22 @@ class TestMalformedInput:
             ]
         )
         self.assert_refused(code, capsys, out, fragment)
+
+    def test_oracle_huge_int_entry(self, workspace, capsys):
+        (workspace / "bad.json").write_text(
+            json.dumps({"m": 1, "n": 2, "field": "real", "entries": [10**400, 0]})
+        )
+        out = workspace / "oracle.json"
+        code = cli(
+            [
+                "oracle",
+                "--descriptor", str(workspace / "d.json"),
+                "--p", str(workspace / "bad.json"),
+                "--q", str(workspace / "q.json"),
+                "--out", str(out),
+            ]
+        )
+        self.assert_refused(code, capsys, out, "'entries'[0]")
 
     def test_cusp_zero_steps(self, workspace, capsys):
         out = workspace / "cusp.csv"

@@ -115,7 +115,7 @@ class TestRunTrials:
     def test_antipodal_pairs_count_no_escape(self, d, monkeypatch):
         # p to -p runs through 0 along p's ray; at even t >= 4 its certificate
         # used to read up to 0.1 and count as a residual escape
-        def antipodal_pair(d, seed, index):
+        def antipodal_pair(d, seed, index, radius_range):
             p = sample_stratum(d, d.max_rank, 1.0, mix_seed(seed, index))
             return p, -p
 
@@ -157,6 +157,15 @@ class TestAdversarialPairs:
         assert cert.branch_trace[0].kind is BranchKind.GENERAL
         assert cert.ratio <= 2.0 * min(1, D332.t - 1) * 1.0 + 1e-9
         assert cert.max_relative_residual <= 1e-8
+
+    def test_trials_draw_from_the_radius_range(self):
+        # with radii from (0.5, 2) every outer distance would stay below 4
+        d = VarietyDescriptor(4, 4, 3, ScalarField.COMPLEX)
+        cfg = TrialConfig(d, 12, 3, RankPairStrategy.ADVERSARIAL, radius_range=(50.0, 100.0))
+        assert max(r.outer for r in run_trials(cfg).records) > 50.0
+        for index in range(12):
+            p, _ = harness.adversarial_pair(d, 3, index, (50.0, 100.0))
+            assert 50.0 * (1 - 1e-12) <= frobenius_norm(p) <= 100.0 * (1 + 1e-12)
 
     def test_cross_strata_ranks_differ(self):
         d = VarietyDescriptor(4, 4, 4, ScalarField.COMPLEX)

@@ -16,12 +16,10 @@ from rankpath import (
     pullback_residual,
     surface_demo,
 )
-from rankpath import polymap
-from rankpath.oracles import proximity_graph_distance
 from rankpath.polymap import CUSP_FAMILY_TEXT, cusp_arc_length
-from conftest import reference_graph_distance
 
 D333 = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
+EPS = float(np.finfo(np.float64).eps)
 
 
 def closed_form_cusp_length(s):
@@ -251,6 +249,23 @@ class TestCuspTable:
                 closed_form_cusp_length(s), rel=1e-7
             )
 
+    def test_arc_length_above_a_fine_inscribed_polyline(self):
+        # an inscribed polyline can only undershoot; 2^18 segments come
+        # within 1e-11 of the arc, and its sum rounds by far less than 1e-13
+        for s in (1e-100, 1e-30, 1e-3, 0.1, 0.5, 1.0):
+            u = np.linspace(-s, s, 2**18 + 1)
+            polyline = float(np.sum(np.hypot(np.diff(u * u), np.diff(u**3))))
+            arc = cusp_arc_length(s)
+            assert arc * (1.0 - 1e-11) <= polyline <= arc * (1.0 + 1e-13)
+
+    def test_chord_is_exact_where_its_square_underflows(self):
+        # (2 s^3)^2 is subnormal below s of about 4e-52, so the chord must
+        # not come from a norm of p - q
+        s = 1e-54
+        (row,) = cusp_ratio_table([s])
+        assert row.d_out == 2.0 * s**3
+        assert row.d_in == pytest.approx(2.0 * s * s, rel=4 * EPS, abs=0)
+
     def test_monotone_divergence_and_slope(self):
         rows = cusp_ratio_table(np.geomspace(1e-3, 1e-1, 20))
         ratios = [r.ratio for r in rows]
@@ -291,49 +306,38 @@ class TestSurfaceDemo:
         rows = surface_demo([0.05])
         assert rows[0].d_out == pytest.approx(2.0 * 0.05**3)
 
-    def test_rows_match_the_scalar_graph(self, monkeypatch):
-        # the nodes surface_demo builds, rerun through the eager scalar loop
-        graphs = []
+    def test_rows_hold_the_proved_lower_end(self):
+        # L(s) = 2 dist((s^2, s^3, 1), z-axis): every curve between the
+        # branches meets the axis
+        for row in surface_demo([1e-3, 1e-2, 1e-1, 1.0]):
+            s = row.s
+            assert row.d_in == pytest.approx(2.0 * np.hypot(s**2, s**3), rel=4 * EPS, abs=0)
+            assert row.d_out == 2.0 * s**3
+            assert row.ratio == row.d_in / row.d_out
 
-        def recording(nodes, source, target, residuals_of, tol, checks_per_edge):
-            graphs.append((nodes, source, target, tol, checks_per_edge))
-            return proximity_graph_distance(
-                nodes, source, target, residuals_of, tol, checks_per_edge
-            )
+    @pytest.mark.parametrize("s", [8e-77, 1e-77, 1e-78, 1e-90])
+    def test_small_scales_hold_the_axis_bound(self, s):
+        # s^4 is subnormal or 0 here, but only s^2 and 2 s^3 enter the row
+        (row,) = surface_demo([s])
+        assert row.d_in == pytest.approx(2.0 * s * s, rel=4 * EPS, abs=0)
+        assert row.d_out == 2.0 * s**3
 
-        monkeypatch.setattr(polymap, "proximity_graph_distance", recording)
-        rows = surface_demo([1e-3, 1e-2, 1e-1])
-        family = cusp_family_map()
+    def test_sandwich_between_axis_bound_and_slice_arc(self):
+        # L <= inner distance <= U, with U the z = 1 slice's arc length and
+        # U / L <= 1 + s^2 / 15, each side up to 4 eps
+        s_values = np.append(np.geomspace(1e-100, 1.0, 400), [0.3, 0.7])
+        for low, high in zip(surface_demo(s_values), cusp_ratio_table(s_values)):
+            s, lower, upper = low.s, low.d_in, high.d_in
+            assert lower * (1.0 - 4 * EPS) <= upper <= lower * (1.0 + s * s / 15 + 4 * EPS)
 
-        def residual_of(point):
-            x, y, z = point
-            return pullback_residual(family, np.array([x, y, -z]), D333)
-
-        assert len(graphs) == len(rows)
-        for row, (nodes, source, target, tol, checks) in zip(rows, graphs):
-            expected = reference_graph_distance(nodes, source, target, residual_of, tol, checks)
-            assert row.d_in == expected
-
-    def test_smallest_scale_reads_the_axis_crossing(self):
-        # the edge tolerance 0.05 s^4 is still a normal double at s = 8e-77,
-        # and the steps between nodes, of order s^2, are normed without
-        # underflow: d_in / (2 s^2) reads as at 1e-70
-        (row,), (base,) = surface_demo([8e-77]), surface_demo([1e-70])
-        assert row.d_out == 2.0 * 8e-77**3
-        assert row.d_in / (2.0 * row.s**2) == pytest.approx(0.1597, abs=1e-4)
-        assert row.d_in / (2.0 * row.s**2) == pytest.approx(base.d_in / (2.0 * base.s**2))
-
-    @pytest.mark.parametrize("s", [1e-77, 1e-78, 1e-90])
-    def test_underflowing_edge_tolerance_is_rejected(self, s):
-        # there the residuals and the tolerance underflow, the graph admitted
-        # the straight shortcut across the branch gap, and the ratio read 1
-        with pytest.raises(ValueError, match="edge tolerance 0.05 s\\^4 underflows"):
-            surface_demo([s])
+    def test_underflowing_chord_is_rejected(self):
+        with pytest.raises(ValueError, match="chord 2 s\\^3 underflows"):
+            surface_demo([1e-110])
 
     def test_slope_in_band(self):
         rows = surface_demo(np.geomspace(1e-3, 1e-1, 8))
         slope = fit_loglog_slope(rows)
         assert -1.3 <= slope <= -0.7
-        # the inner estimate tracks the 2 s^2 axis-crossing scale
+        # the proved lower end tracks the 2 s^2 axis-crossing scale
         for row in rows:
-            assert row.d_in == pytest.approx(2.0 * row.s**2, rel=0.5)
+            assert row.d_in == pytest.approx(2.0 * row.s**2, rel=row.s**2, abs=0)
