@@ -34,6 +34,7 @@ from .paths import MembershipError, build_path
 from .polymap import (
     cusp_family_map,
     cusp_ratio_table,
+    evaluate,
     format_poly_map,
     parse_poly_map,
     pullback_residual,
@@ -151,10 +152,15 @@ def _cmd_family(args) -> int:
             raise ValueError(
                 f"point {i} must be a list of numbers in the double range, got {pt!r}"
             )
-    rows = [
-        [str(i), format_number(pullback_residual(poly_map, np.asarray(pt), descriptor))]
-        for i, pt in enumerate(points)
-    ]
+    rows = []
+    for i, pt in enumerate(points):
+        point = np.asarray(pt)
+        # a value that overflows has no residual; refused before it is taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(evaluate(poly_map, point)).all()
+        if not finite:
+            raise ValueError(f"point {i}: the map's value at {pt!r} overflows a double")
+        rows.append([str(i), format_number(pullback_residual(poly_map, point, descriptor))])
     write_csv("index,residual", rows, args.out)
     return 0
 

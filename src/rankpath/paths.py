@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack, schur
@@ -55,6 +56,7 @@ from scipy.linalg import lapack, schur
 from .numkernel import (
     RANK_REL_TOL,
     DimensionMismatch,
+    ScalarField,
     as_matrix,
     frobenius_distance,
     frobenius_norm,
@@ -89,19 +91,17 @@ _COLLINEAR_TOL = 1e-12
 _DEGENERATE_TOL = 1e-14
 
 #: largest relative residual the tail of a step may add to its segment
-#: before ``certify`` checks the segment at full degree t instead
+#: before the segment is checked at full degree t instead
 _TAIL_CHARGE_LIMIT = 1e-12
 
-#: columns a range sketch takes beyond the rank it must settle: t - 1 for
-#: the endpoints (``_sketched_svd``), 1 for a step (``_step_bounds``)
+#: columns the endpoints' range sketch (``_sketched_svd``) takes beyond the
+#: rank t - 1 it must settle
 _SKETCH_OVERSAMPLING = 3
 
-#: a sketch is taken where this many times its width w is at most
-#: min(m, n).  Measured on square pairs with one BLAS thread, the endpoint
-#: sketch breaks even with the full SVD at min(m, n) of about 36 to 44 for
-#: w = 4 to 7, and is 20 to 45% faster at 48; smaller shapes keep the full
-#: SVD.  The step sketch (w = 4) of rank-1 steps breaks even at about 16 and
-#: takes a quarter of the steps' SVD at 32 and 38.
+#: the sketch is taken where this many times its width w is at most
+#: min(m, n).  Measured on square pairs with one BLAS thread, it breaks even
+#: with the full SVD at min(m, n) of about 36 to 44 for w = 4 to 7, and is
+#: 20 to 45% faster at 48; smaller shapes keep the full SVD.
 _SKETCH_RATIO = 8
 
 #: seed of the sketch's Gaussian test matrix: fixed, so a path is a function
@@ -121,6 +121,9 @@ _BATCH_ENTRIES = 2**14
 _EPS = float(np.finfo(np.float64).eps)
 
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+#: a norm at least this large lost none of its squares to underflow
+_NORM_SAFE = math.sqrt(UNDERFLOW_SAFE)
 
 
 class BranchKind(str, Enum):
@@ -313,20 +316,342 @@ def _inner(a: np.ndarray, b: np.ndarray):
     return complex(value) if np.iscomplexobj(a) else float(value)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of x, also where the squares of its entries underflow."""
+    norm = float(np.linalg.norm(x))
+    if norm >= _NORM_SAFE or not x.any():
+        return norm
+    return float(frobenius_norms(x.reshape(1, -1))[0])
+
+
+def _quotient(error: float, floor: float) -> float:
+    """error / floor: 0 without an error, inf without a positive floor."""
+    if error <= 0.0:
+        return 0.0
+    return error / floor if floor > 0.0 else math.inf
+
+
+def _ratio(bottom: float, top: float) -> float:
+    """A bound bottom / top on sigma_t / sigma_1 from bounds on both: 0 for
+    bottom 0, and at most 1, which bounds every residual."""
+    return 0.0 if bottom <= 0.0 else min(1.0, _quotient(bottom, top))
+
+
+def _segment_ratios(pairs, tops, norms, floor: float) -> list[float]:
+    """The largest ((1 - s) e_a + s e_b) / l(s) over s in [0, 1] for each
+    pair (e_a, e_b) on a segment from a to b, where
+
+        l(s) = max(floor, (1 - s) top_a - s norm_b, s top_b - (1 - s) norm_a)
+
+    is at most sigma_1((1 - s) a + s b) for sigma_1 >= top and
+    ||.||_F <= norm at both ends.  The quotient of two linear functions is
+    monotone between the points where l changes line, so it is largest at
+    one of them or at an end of the segment.
+    """
+    (top_a, top_b), (norm_a, norm_b) = (max(top, 0.0) for top in tops), norms
+    turns = [0.0, 1.0]
+    for above, below in (
+        (top_a - floor, top_a + norm_b),
+        (norm_a + floor, top_b + norm_a),
+        (top_a + norm_a, top_a + norm_a + top_b + norm_b),
+    ):
+        if below > 0.0:
+            turns.append(min(1.0, max(0.0, above / below)))
+    worst = [0.0] * len(pairs)
+    for s in turns:
+        line = max(floor, (1.0 - s) * top_a - s * norm_b, s * top_b - (1.0 - s) * norm_a)
+        for k, (error_a, error_b) in enumerate(pairs):
+            worst[k] = max(worst[k], _quotient((1.0 - s) * error_a + s * error_b, line))
+    return worst
+
+
+@dataclass(frozen=True)
+class _MapBound:
+    """What a computed map x -> fl(fl(A x) B^H), A and B of nearly
+    orthonormal columns, does to x: every singular value of the exact image
+    A x B^H lies between ``lower`` and ``upper`` times the matching one of
+    x, and the computed image lies within ``factor`` ||x||_F + ``absolute``
+    of the exact one in Frobenius norm."""
+
+    upper: float
+    lower: float
+    factor: float
+    absolute: float
+
+    def then(self, outer: _MapBound) -> _MapBound:
+        """The bound of ``outer`` applied to this map's computed image."""
+        return _MapBound(
+            self.upper * outer.upper,
+            self.lower * outer.lower,
+            outer.upper * self.factor + outer.factor * (self.upper + self.factor),
+            (outer.upper + outer.factor) * self.absolute + outer.absolute,
+        )
+
+    def residual(self, residual: float, kappa: float) -> float:
+        """A bound on sigma_t / sigma_1 of a point A x B^H + E, given
+        rho >= sigma_t(x) / sigma_1(x) and kappa >= ||E||_2 / sigma_1(x).
+
+        By Weyl's inequality sigma_t <= upper sigma_t(x) + ||E||_2 and
+        sigma_1 >= lower sigma_1(x) - ||E||_2, so the residual is at most
+        (upper rho + kappa) / (lower - kappa).
+        """
+        return _ratio(self.upper * residual + kappa, self.lower - kappa)
+
+
+#: the map of a point onto itself
+_EXACT = _MapBound(1.0, 1.0, 0.0, 0.0)
+
+
+def _frame_bounds(a: np.ndarray, field: ScalarField) -> tuple[float, float]:
+    """Bounds sqrt(1 + delta) >= sigma_1(a) and sigma_min(a) >= sqrt(1 - delta)
+    from the unitarity defect delta >= ||a^H a - I||_2: the computed
+    ||fl(a^H a) - I||_F plus the rounding gamma ||a||_F^2 of the product."""
+    gram = a.conj().T @ a
+    gram.flat[:: len(gram) + 1] -= 1.0
+    defect = math.sqrt(np.vdot(gram, gram).real) + product_gamma(len(a), field) * np.vdot(a, a).real
+    return math.sqrt(1.0 + defect), math.sqrt(max(0.0, 1.0 - defect))
+
+
+def _map_bound(a: np.ndarray, b: np.ndarray, field: ScalarField) -> _MapBound:
+    """The ``_MapBound`` of x -> fl(fl(a x) b^H).
+
+    The singular values of a x b^H lie within the products of those of a
+    and b (``_frame_bounds``) times x's.  The first product errs by at most
+    gamma_a || |a| |x| ||_F <= gamma_a ||a||_F ||x||_F (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.5), which b^H carries on at most
+    ||b||_2 times, and the second by gamma_b ||fl(a x)||_F ||b||_F.  An
+    underflowing product adds at most one subnormal unit per term.
+    """
+    (upper_a, lower_a), (upper_b, lower_b) = (_frame_bounds(x, field) for x in (a, b))
+    first = float(product_gamma(a.shape[1], field)) * math.sqrt(np.vdot(a, a).real)
+    second = float(product_gamma(b.shape[1], field)) * math.sqrt(np.vdot(b, b).real)
+    return _MapBound(
+        upper_a * upper_b,
+        lower_a * lower_b,
+        first * upper_b + second * (upper_a + first),
+        2.0 * max(a.shape[1], b.shape[1]) * max(len(a), len(b)) * _SMALLEST_SUBNORMAL,
+    )
+
+
+class _Ends(NamedTuple):
+    """The exact endpoints p, q of a returned path, their membership
+    residuals and lower bounds on their sigma_1 from the endpoint SVD, the
+    ``lift`` that maps the core onto them, and how far each lies from the
+    exact lift of its core point."""
+
+    points: tuple[np.ndarray, np.ndarray]
+    residuals: list[float]
+    tops: list[float]
+    lift: _MapBound
+    errors: list[float]
+    d: VarietyDescriptor
+
+    def swapped(self) -> _Ends:
+        reversed_ = (self.points[::-1], self.residuals[::-1], self.tops[::-1])
+        return _Ends(*reversed_, self.lift, self.errors[::-1], self.d)
+
+
+def _ray_floor(coef, top: float, tail: float) -> float:
+    """A lower bound on sigma_1 along the segment from x to y = c x + r, for
+    sigma_1(x) >= ``top`` and ||r||_F <= ``tail``.
+
+    The segment is (1 - s + s c) x + s r, and |1 - s + s c| is least at the
+    point of the complex segment [1, c] nearest 0.
+    """
+    step = coef - 1.0
+    s = 0.0 if step == 0.0 else min(1.0, max(0.0, -step.real / abs(step) ** 2))
+    return abs(1.0 + s * step) * top - tail
+
+
+def _nearest(a: np.ndarray, b: np.ndarray) -> float:
+    """The least ||a + s (b - a)||_F over s in [0, 1]."""
+    step = b - a
+    squared = np.vdot(step, step).real
+    s = 0.0 if squared == 0.0 else min(1.0, max(0.0, -np.vdot(step, a).real / squared))
+    return _norm(a + s * step)
+
+
+def _trailing_residual(blocks: np.ndarray, j: int, top: float, t: int) -> float:
+    """A bound on sigma_t / sigma_1 of the points D_j + T for a stack of
+    trailing blocks T behind a diagonal corner D_j of j units of rank with
+    sigma_1(D_j) >= ``top``: the spectrum of D_j + T is D_j's and T's, so
+    sigma_1 >= max(top, sigma_1(T)) and sigma_t <= sigma_{t-j}(T)."""
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    tops = np.maximum(sigma[:, 0], top).tolist()
+    bottoms = sigma[:, t - j - 1].tolist() if j < t else tops
+    return max(_ratio(bottom, top) for bottom, top in zip(bottoms, tops))
+
+
+def _direct_residual(middle: int, ray: tuple[int, object], ends: _Ends) -> tuple[float, int]:
+    """The residual bound of a route without a Schur form, and its samples
+    per segment.
+
+    Its returned polyline joins the exact endpoints, through 0 for the
+    orthogonal route.  A leg to 0 is a ray, every point a multiple of its
+    endpoint, so the endpoints certify it.  The segment from p to q is the
+    ray of ``ray`` = (base, c), which runs from x, the endpoint ``base``
+    names, to the other one y = c x + r: every point (1 - s + s c) x + s r
+    lies within s ||r||_2 of a multiple of x, so its residual is at most
+    x's plus twice the largest s ||r||_F / sigma_1 along the segment
+    (``_segment_ratios``, with the floor of ``_ray_floor``).  Where that
+    charge exceeds ``_TAIL_CHARGE_LIMIT`` (a segment passing near 0), the
+    segment is checked at full degree t, or by its endpoints where
+    q = -2^k p exactly (``_on_negative_ray``).
+    """
+    worst = max(ends.residuals)
+    if middle:
+        return worst, 0
+    base, coef = ray
+    x, y = ends.points[base], ends.points[1 - base]
+    tail = _norm(y - coef * x)
+    floor = _ray_floor(coef, ends.tops[base], tail)
+    anchor = (0.0, tail) if base == 0 else (tail, 0.0)
+    norms = [_norm(point) for point in ends.points]
+    charge = 2.0 * _segment_ratios([anchor], ends.tops, norms, floor)[0]
+    if charge <= _TAIL_CHARGE_LIMIT:
+        return max(worst, ends.residuals[base] + charge), 0
+    p, q = ends.points
+    if _on_negative_ray(p, q):
+        return worst, 0
+    nodes = _lobatto_interior(ends.d.t)[:, np.newaxis, np.newaxis]
+    sampled = membership_residuals(p + nodes * (q - p), ends.d)
+    return max(worst, float(sampled.max())), len(nodes)
+
+
+def _schur_residual(
+    stack, positions, kinds, tops_d, z, v, core, differs, ends, d
+) -> tuple[float, int]:
+    """The residual bound of the returned polyline whose core breakpoints are
+    z b v^H for the Schur-coordinate points b of ``stack``, and its samples
+    per segment.
+
+    ``stack`` holds the route in Schur coordinates, p_hat and q_hat at its
+    ends.  Point i is exactly D_j + x: ``positions[i]`` = j units of q_hat's
+    diagonal blocks, whose sigma_1 is at least ``tops_d[j]``, and a trailing
+    block x; its spectrum is D_j's and x's.  Each level takes one
+    ``compute_uv=False`` call on its two trailing blocks; the endpoints'
+    spectra come from the endpoint SVD, through the map.  Segment i shares
+    the corner D_j, j the smaller position of its ends, and is one of
+    ``kinds``:
+
+    * ("leg", r, tau), a leg of a Schur block of size r: its step changes
+      one block of r rows or of r columns, rank <= r, up to the entries the
+      route drops, whose norm is the tail tau.  Its points are checked at
+      min(t, r) - 1 interior Chebyshev-Lobatto points (one for a
+      ``RealBlock`` leg), and tau enters as the Weyl charge of
+      ``_residual_bound``: twice the largest s tau / sigma_1 along the
+      segment, s measured from whichever end makes it smaller
+      (``_segment_ratios``).  sigma_1 is bounded below by the corner the
+      leg keeps, by the trailing block it keeps, and at the first level by
+      the least norm of the rows it moves;
+    * ("ray", base, c), a terminal leg from D_j + x to D_j + c x + r, x at
+      the end ``base`` names: every point lies within s ||r||_2 of
+      D_j + (1 - s + s c) x, whose residual is at most
+      sigma_{t-j}(x) / sigma_1(x), so r is charged like a tail from x, with
+      the floor of ``_ray_floor``.
+
+    A segment whose charge exceeds ``_TAIL_CHARGE_LIMIT`` is checked at full
+    degree t instead.  Then every point and segment is carried onto the
+    returned path through ``_MapBound.residual`` of the z map and the frame
+    lift: their unitarity defects, the rounding of both products, and at
+    the endpoints the computed ||p - z p_hat v^H|| and the lift's snap.  A
+    point that equals p or q on the core (``differs`` is False from one
+    core point to the next) is deduplicated into that endpoint and returned
+    as it, so the endpoint's snap charges it too.
+    """
+    t, count = d.t, len(stack)
+    zmap = _map_bound(z, v, d.field)
+    route = zmap.then(ends.lift)
+    norms = frobenius_norms(stack).tolist()
+    checks = frobenius_norms(np.stack(core) - z @ stack[[0, -1]] @ v.conj().T).tolist()
+    errors = [route.factor * norm + route.absolute for norm in norms]
+    for i in range(1, count - 1):
+        if differs[i - 1]:
+            break
+        errors[i] += ends.errors[0]
+    for i in range(count - 2, 0, -1):
+        if differs[i]:
+            break
+        errors[i] += ends.errors[1]
+    trail_tops, trail_bottoms = [0.0] * count, [0.0] * count
+    for e, i in ((0, 0), (1, count - 1)):
+        errors[i] = ends.errors[e] + ends.lift.upper * (
+            checks[e] + zmap.factor * norms[i] + zmap.absolute
+        )
+        trail_tops[i] = (ends.tops[e] - errors[i]) / route.upper
+        trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / route.lower
+    for i in range(1, count // 2):
+        j = positions[i]
+        blocks = np.stack([stack[i, j:, j:], stack[-1 - i, j:, j:]])
+        if blocks.any():
+            sigma = np.linalg.svd(blocks, compute_uv=False)
+            trail_tops[i], trail_tops[-1 - i] = sigma[:, 0].tolist()
+            trail_bottoms[i], trail_bottoms[-1 - i] = sigma[:, max(t - j - 1, 0)].tolist()
+    tops = [max(top, tops_d[j]) for top, j in zip(trail_tops, positions)]
+    residuals = [_ratio(bottom, top) for bottom, top in zip(trail_bottoms, tops)]
+
+    worst = max(ends.residuals)
+    for i in range(1, count - 1):
+        worst = max(worst, route.residual(residuals[i], _quotient(errors[i], tops[i])))
+    samples = 0
+    for i, kind in enumerate(kinds):
+        j = min(positions[i], positions[i + 1])
+        a, b = stack[i, j:, j:], stack[i + 1, j:, j:]
+        start = max(residuals[i], residuals[i + 1])
+        if kind[0] == "leg":
+            _, size, tail = kind
+            # a first leg keeps D_j and the trailing block of its later end,
+            # a closing leg the corner and trailing block of its earlier end
+            first = positions[i + 1] > positions[i]
+            deeper = i + 1 if first else i
+            floor = max(tops_d[j if first else positions[i]], trail_tops[deeper])
+            if i == 0:
+                floor = max(floor, _nearest(a[:size], b[:size]) / math.sqrt(size))
+            anchors = [(0.0, tail), (tail, 0.0)]
+        else:
+            _, base, coef = kind
+            x, y = (a, b) if base == 0 else (b, a)
+            tail = _norm(y - coef * x)
+            floor = max(tops_d[j], _ray_floor(coef, trail_tops[i + base], tail))
+            start = _ratio(trail_bottoms[i + base], trail_tops[i + base])
+            anchors = [(0.0, tail) if base == 0 else (tail, 0.0)]
+            size = 0
+        kappa = _quotient(max(errors[i], errors[i + 1]), floor)
+        charge = 2.0 * _quotient(tail, floor)
+        if max(kappa, charge) > _TAIL_CHARGE_LIMIT:
+            # near a point of small sigma_1: follow sigma_1 along the segment
+            kappa, *charges = _segment_ratios(
+                [(errors[i], errors[i + 1]), *anchors], tops[i : i + 2], norms[i : i + 2], floor
+            )
+            charge = 2.0 * min(charges)
+        if charge > _TAIL_CHARGE_LIMIT:
+            size, charge, start = t, 0.0, max(residuals[i], residuals[i + 1])
+        degree = min(t, size)
+        if degree >= 2:
+            nodes = _lobatto_interior(degree)[:, np.newaxis, np.newaxis]
+            start = max(start, _trailing_residual(a + nodes * (b - a), j, tops_d[j], t))
+            samples = max(samples, degree - 1)
+        worst = max(worst, route.residual(start + charge, kappa))
+    return float(worst), samples
+
+
 def _dispatch(
     p: np.ndarray,
     q: np.ndarray,
     d: VarietyDescriptor,
     scale: float,
     ranks: tuple[int, int],
-) -> tuple[np.ndarray, list[BranchTag], float]:
-    """The (N, k, k) stack of breakpoints, endpoints included, branch tags
-    and ratio bound of the route from p to q.
+    ends: _Ends,
+) -> tuple[np.ndarray, list[BranchTag], float, float, int]:
+    """The (N, k, k) stack of breakpoints, endpoints included, branch tags,
+    ratio bound, residual bound and samples per segment of the route from p
+    to q.
 
-    ``ranks`` are the numerical ranks of p and q, read off the endpoint SVD.
-    The route leads with the endpoint of smaller rank and is reversed when
-    that is q.  Each pass of the loop is one level: the pair (x, y) of
-    blocks behind the corner D_j fixed so far, at first (p, q) itself.  A
+    ``ranks`` are the numerical ranks of p and q, read off the endpoint SVD,
+    and ``ends`` what else that SVD and the frame lift tell of them.  The
+    route leads with the endpoint of smaller rank and is reversed when that
+    is q.  Each pass of the loop is one level: the pair (x, y) of blocks
+    behind the corner D_j fixed so far, at first (p, q) itself.  A
     coincident pair ends the route, a zero or collinear one ends it with
     the radial segment, and a nearly orthogonal one with the two legs
     through D_j.  Otherwise the Schur block of ``normalize_pair`` at
@@ -339,28 +664,35 @@ def _dispatch(
     The tests read the Frobenius norms, distances and inner products of
     these blocks directly, as views.  The stack is written once the route
     ends: q_hat's diagonal block of level i lies in every point from the
-    i-th after p to the i-th before q.  Every point but the endpoints is
-    made in the Schur coordinates and mapped back by z b v^H.  The bound
-    is 2 * min rank once a step was taken, else 2 for the orthogonal route
-    and 1 for the others.
+    i-th after p to the i-th before q.  The residual is bounded on that
+    stack in Schur coordinates (``_schur_residual``), or on the returned
+    endpoints for a route without a Schur form (``_direct_residual``), and
+    then every point but the endpoints is mapped back by z b v^H.  The
+    bound is 2 * min rank once a step was taken, else 2 for the orthogonal
+    route and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        stack, tags, bound = _dispatch(q, p, d, scale, (ranks[1], ranks[0]))
-        return stack[::-1], tags, bound
+        stack, *route = _dispatch(q, p, d, scale, ranks[::-1], ends.swapped())
+        return stack[::-1], *route
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
     x, y, inner = p, q, _inner(p, q)
     levels, tags = [], []
     j, t, middle = 0, None, 0
+    # the terminal leg is the ray (base, c) from x to y = c x + r, or from y
+    # to x = c y + r for base 1; a coincident pair is x to x + (y - x)
+    ray = (0, 1.0)
     while np.linalg.norm(x - y) > _DEGENERATE_TOL * scale:
         norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
             tags.append(BranchTag(BranchKind.RADIAL, j))
+            ray = (int(norm_x <= _ZERO_TOL * scale), 0.0)
             break
         # y a scalar multiple of x: the whole segment lies on one ray's span
         coef = _inner(y, x) / (norm_x * norm_x)
         if np.linalg.norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
             tags.append(BranchTag(BranchKind.RADIAL, j))
+            ray = (0, coef)
             break
         if abs(inner) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
             tags.append(BranchTag(BranchKind.ORTHOGONAL, j))
@@ -388,19 +720,51 @@ def _dispatch(
         inner = np.trace(t[j:, j:])
         levels.append((j - size, j, x, y))
 
+    bound = 2.0 * min(ranks) if j > 0 else 2.0 if middle else 1.0
     stack = np.zeros((2 * len(levels) + middle + 2,) + p.shape, dtype=p.dtype)
-    stack[0], stack[-1] = p, q
+    if t is None:
+        stack[0], stack[-1] = p, q
+        worst, samples = _direct_residual(middle, ray, ends)
+        return _deduplicated(stack), tags, bound, worst, samples
+    stack[0], stack[-1] = p_hat, q_hat
+    # sigma_1 of the corner D_j is at least that of each of its blocks
+    tops_d = [0.0] * (j + 1)
+    firsts, closings = [], []
     for i, (start, end, x, y) in enumerate(levels):
-        stack[1 + i : len(stack) - 1 - i, start:end, start:end] = q_hat[start:end, start:end]
+        corner = q_hat[start:end, start:end]
+        stack[1 + i : len(stack) - 1 - i, start:end, start:end] = corner
         stack[1 + i, end:, end:] = x
         stack[-2 - i, end:, end:] = y
-    if t is not None:
-        stack[1:-1] = z @ stack[1:-1] @ v.conj().T
-    if j > 0:
-        bound = 2.0 * min(ranks)
-    else:
-        bound = 2.0 if tags and tags[0].kind is BranchKind.ORTHOGONAL else 1.0
-    return stack, tags, bound
+        tops_d[end] = max(tops_d[start], frobenius_norm(corner) / math.sqrt(end - start))
+        # each leg drops p_hat's entries below the corner, and a trailing
+        # block zeroed to its known rank
+        zeroed_p = _norm(p_hat[end:, end:]) if known_p <= end else 0.0
+        zeroed_q = _norm(q_hat[end:, end:]) if known_q <= end else 0.0
+        dropped = math.hypot(_norm(p_hat[end:, start:end]), zeroed_p)
+        firsts.append(("leg", end - start, dropped))
+        closings.append(("leg", end - start, zeroed_q))
+    ends_at = [end for _, end, _, _ in levels]
+    positions = [0, *ends_at, *[j] * middle, *ends_at[::-1], 0]
+    rays = [("ray", 0, 0.0), ("ray", 1, 0.0)] if middle else [("ray", *ray)]
+    interior = z @ stack[1:-1] @ v.conj().T
+    # whether each core point differs from the one before it
+    differs = np.r_[
+        (interior[0] != p).any(),
+        (interior[1:] != interior[:-1]).any(axis=(1, 2)),
+        (q != interior[-1]).any(),
+    ]
+    kinds = firsts + rays + closings[::-1]
+    worst, samples = _schur_residual(
+        stack, positions, kinds, tops_d, z, v, (p, q), differs.tolist(), ends, d
+    )
+    stack[0], stack[1:-1], stack[-1] = p, interior, q
+    return stack[np.r_[True, differs]], tags, bound, worst, samples
+
+
+def _deduplicated(stack: np.ndarray) -> np.ndarray:
+    """The stack without the points equal to the one before them, which add
+    nothing to the path."""
+    return stack[np.r_[True, (stack[1:] != stack[:-1]).any(axis=(1, 2))]]
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
@@ -420,14 +784,6 @@ def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
     if exponent == 0:
         return x
     return np.ldexp(_real_view(x), exponent).view(x.dtype)
-
-
-def _relative_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """||x - y|| / ||x||, and 0 for x = 0, from ``frobenius_norms``: the
-    quotient of ``np.linalg.norm``s, but for an x so small that the squares
-    of its entries underflow, whose norms it still takes."""
-    norm = frobenius_norms(x[np.newaxis])[0]
-    return 0.0 if norm == 0.0 else float(frobenius_norms((x - y)[np.newaxis])[0] / norm)
 
 
 def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
@@ -452,7 +808,7 @@ def _test_matrix(n: int, width: int) -> np.ndarray:
 def _sketch_margins(stack, basis, small, sigma, d: VarietyDescriptor):
     """How far each matrix x of a (k, m, n) stack may be from its sketch.
 
-    ``basis`` holds orthonormal m x w bases Q, one per matrix or one shared
+    ``basis`` holds the orthonormal m x w basis Q that the matrices share
     (a stack of 1), ``small`` the compressions B = Q^H x and ``sigma`` their
     singular values.  Every singular value of x lies within a margin delta
     of B's: B = Q^H x gives sigma_i(B) <= sigma_i(x), and Weyl's inequality
@@ -498,45 +854,6 @@ def _exact_step_bounds(steps: np.ndarray, d: VarietyDescriptor):
     return ranks, padded[np.arange(len(steps)), ranks], step_sigma[:, 0]
 
 
-def _tail_charges_bounded(sigma, ranks, tails, tops, d: VarietyDescriptor):
-    """The floor l = (sigma_1(a) + sigma_1(b) - top) / 2 of sigma_1 on each
-    segment, and whether its step has r < t and a tail charge 2 tau / l
-    within ``_TAIL_CHARGE_LIMIT``."""
-    floors = 0.5 * (sigma[:-1, 0] + sigma[1:, 0] - tops)
-    return floors, (ranks < d.t) & (2.0 * tails <= _TAIL_CHARGE_LIMIT * floors)
-
-
-def _step_bounds(steps: np.ndarray, sigma: np.ndarray, d: VarietyDescriptor):
-    """Each step's rank r, an upper bound tau on its tail sigma_{r+1}, and an
-    upper bound on its sigma_1, given the breakpoints' spectra ``sigma``.
-
-    Where ``_SKETCH_RATIO`` w <= min(m, n), w = 1 + ``_SKETCH_OVERSAMPLING``,
-    each step D takes its own range sketch, Q = qr(D Omega) and B = Q^H D,
-    O(m n w) work against O(m n min(m, n)) for its SVD, and the bounds are
-    sigma_{r+1}(B) + delta and sigma_1(B) + delta with the margin delta of
-    ``_sketch_margins``.  A step keeps them only where the margin settles
-    its rank, r < w, and its tail charge passes ``_tail_charges_bounded``
-    with them; every other step, and every step where the sketch is not
-    taken, reads its exact spectrum.  So ranks, degrees and samples are
-    those of the exact spectra, and only a charge tau / l can be larger.
-    """
-    width = 1 + _SKETCH_OVERSAMPLING
-    if _SKETCH_RATIO * width > min(d.shape):
-        return _exact_step_bounds(steps, d)
-    basis, _ = np.linalg.qr(steps @ _test_matrix(d.n, width))
-    small = basis.conj().transpose(0, 2, 1) @ steps
-    small_sigma = np.linalg.svd(small, compute_uv=False)
-    margins, settled = _sketch_margins(steps, basis, small, small_sigma, d)
-    ranks = numerical_ranks(small_sigma)
-    settled &= ranks < width
-    tails = small_sigma[np.arange(len(steps)), np.minimum(ranks, width - 1)] + margins
-    tops = small_sigma[:, 0] + margins
-    exact = ~(settled & _tail_charges_bounded(sigma, ranks, tails, tops, d)[1])
-    if exact.any():
-        ranks[exact], tails[exact], tops[exact] = _exact_step_bounds(steps[exact], d)
-    return ranks, tails, tops
-
-
 def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int]:
     """A bound on the membership residual along the polyline through a
     (N, m, n) stack of breakpoints, and the largest number of interior
@@ -546,9 +863,10 @@ def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int
     as many interior points as the rank of its step requires (none for a
     repeated breakpoint, whose step has rank 0).  Split D = D_r + E with
     D_r its truncation to rank r (the ``numerical_ranks`` rule) and
-    ||E||_2 = tau = sigma_{r+1}(D).  Along a + s D_r each t x t minor is a polynomial in s of degree at most
-    k = min(t, r): its coefficient of s^j is a sum of products of minors
-    of D_r of size j, which vanish for j > r.  So if the minors vanish at
+    ||E||_2 = tau = sigma_{r+1}(D).  Along a + s D_r each t x t minor is a
+    polynomial in s of degree at most k = min(t, r): its coefficient of s^j
+    is a sum of products of minors of D_r of size j, which vanish for
+    j > r.  So if the minors vanish at
     the k + 1 Chebyshev-Lobatto nodes s_j = (1 - cos(j pi / k)) / 2, the
     two breakpoints and k - 1 interior points, they vanish identically.  A
     rank-1 step, which is every leg of a scalar Schur block, needs no
@@ -572,18 +890,9 @@ def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int
     against about 1.1e4 for 21 equispaced ones, so small sampled residuals
     keep the residual between them small too.
 
-    Only upper bounds on tau and sigma_1(D) enter.  So where
-    ``_SKETCH_RATIO`` (1 + ``_SKETCH_OVERSAMPLING``) <= min(m, n), 32 for
-    the defaults, each step's rank and both bounds come from a range sketch
-    of the step (``_step_bounds``), O(m n) work instead of its SVD; a step
-    whose rank the sketch cannot settle, or whose charge it cannot keep
-    within the limit, takes its exact spectrum, so every rank, degree and
-    sample is that of the exact spectra, and only the charge can be larger.
-
     The breakpoints take one batched singular-value call, all steps one
-    more (of their sketches, and one of the steps the sketch leaves), and
-    each segment with k >= 2 one more.  The worst relative membership
-    residual is returned, never raised.
+    more (``_exact_step_bounds``), and each segment with k >= 2 one more.
+    The worst relative membership residual is returned, never raised.
     """
     sigma = spectra(stack, d)
     residuals = spectral_residuals(sigma, d)
@@ -592,8 +901,9 @@ def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int
     if len(stack) > 1:
         # a repeated breakpoint gives a zero step: rank 0, nothing to sample
         steps = np.diff(stack, axis=0)
-        ranks, tails, tops = _step_bounds(steps, sigma, d)
-        floors, bounded = _tail_charges_bounded(sigma, ranks, tails, tops, d)
+        ranks, tails, tops = _exact_step_bounds(steps, d)
+        floors = 0.5 * (sigma[:-1, 0] + sigma[1:, 0] - tops)
+        bounded = (ranks < d.t) & (2.0 * tails <= _TAIL_CHARGE_LIMIT * floors)
         degrees = np.where(bounded, ranks, d.t)
         # a ray through 0 has l = 0: it goes to full degree t unless its tail is 0
         for i in np.flatnonzero(~bounded & (sigma[:-1, 0] > 0.0) & (sigma[1:, 0] > 0.0)):
@@ -675,16 +985,18 @@ def _sketched_svd(stack: np.ndarray, d: VarietyDescriptor):
 
 
 def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
-    """Membership residuals and ranks of both endpoints, and frames of their core.
+    """Membership residuals and ranks of both endpoints, frames of their
+    core, and lower bounds on their sigma_1.
 
     One stacked SVD gives both spectra and singular vectors: of the pair
     itself, or of its compression Q^H p, Q^H q onto a range sketch where
     ``_sketched_svd`` decides membership and ranks as that SVD would (then
-    the residuals are its upper bounds, and the left singular vectors are
-    mapped back by Q).  With ranks r_p and r_q (the ``rank_of`` rule) and
-    k = max(r_p + r_q, t), QR of the leading singular vectors gives U
-    (m x k) and V (n x k) with orthonormal columns spanning col p + col q
-    and row p + row q, so p = U (U^H p V) V^H and likewise q.  When
+    the residuals are its upper bounds, sigma_1(Q^H x) <= sigma_1(x), and
+    the left singular vectors are mapped back by Q).  With ranks r_p and
+    r_q (the ``rank_of`` rule) and k = max(r_p + r_q, t), QR of the
+    leading singular vectors gives U (m x k) and V (n x k) with orthonormal
+    columns spanning col p + col q and row p + row q, so p = U (U^H p V) V^H
+    and likewise q.  When
     r_p + r_q < t, p's next singular vectors pad the frames to t columns,
     so the core lies on a variety with the same t and takes the same
     branches.  The frames are None when k >= min(m, n): compressing would
@@ -700,11 +1012,11 @@ def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
     rank_p, rank_q = (int(r) for r in numerical_ranks(sigma))
     k = max(rank_p + rank_q, d.t)
     if k >= min(d.shape):
-        return residuals, (rank_p, rank_q), None
+        return residuals, (rank_p, rank_q), None, sigma[:, 0]
     left = np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1)
     frame_u, _ = np.linalg.qr(left if sketch is None else basis @ left)
     frame_v, _ = np.linalg.qr(np.concatenate([vh[0, : k - rank_q], vh[1, :rank_q]]).conj().T)
-    return residuals, (rank_p, rank_q), (frame_u, frame_v)
+    return residuals, (rank_p, rank_q), (frame_u, frame_v), sigma[:, 0]
 
 
 def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
@@ -758,29 +1070,29 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
 
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
     p_scaled, q_scaled = _ldexp(p, -exponent), _ldexp(q, -exponent)
-    residuals, ranks, frames = _core_frames(p_scaled, q_scaled, d)
+    residuals, ranks, frames, tops = _core_frames(p_scaled, q_scaled, d)
     for name, residual in zip("pq", residuals):
         if residual > DEFAULT_MEMBERSHIP_TOL:
             raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
 
     if frames is None:
         core_d, core_p, core_q = d, p_scaled, q_scaled
+        lift, errors = _EXACT, [0.0, 0.0]
     else:
         u, v = frames
+        vh = v.conj().T
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
+        lift = _map_bound(u, v, d.field)
+        # how far each endpoint lies from the exact lift of its core point
+        cores = np.stack([core_p, core_q])
+        snaps = frobenius_norms(np.stack([p_scaled, q_scaled]) - u @ cores @ vh)
+        errors = (snaps + lift.factor * frobenius_norms(cores) + lift.absolute).tolist()
+    ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), lift, errors, d)
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    stack, tags, bound = _dispatch(core_p, core_q, core_d, scale, ranks)
-    # a point equal to the one before it adds nothing to the path
-    stack = stack[np.r_[True, (stack[1:] != stack[:-1]).any(axis=(1, 2))]]
-    worst, samples = _residual_bound(stack, core_d)
+    stack, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, scale, ranks, ends)
     interior = stack[1:-1]
-    snap = 0.0
     if frames is not None:
-        vh = v.conj().T
-        # relative distance from each endpoint to its lift
-        endpoints = ((p_scaled, stack[0]), (q_scaled, stack[-1]))
-        snap = max(_relative_distance(x, u @ b @ vh) for x, b in endpoints)
         interior = u @ interior @ vh
     # deduplicated once, on the core: its points differ in turn, and so do
     # their lifts but for rounding, so only the ends of a coincident core
@@ -798,7 +1110,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         ratio=ratio,
         certified_bound=bound,
         branch_trace=tuple(tags),
-        max_relative_residual=worst + snap,
+        max_relative_residual=worst,
         samples_per_segment=samples,
         endpoint_ranks=ranks,
     )

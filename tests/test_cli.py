@@ -450,6 +450,26 @@ class TestMalformedInput:
         )
         self.assert_refused(code, capsys, out, fragment)
 
+    def test_overflowing_point(self, workspace, capsys):
+        # x^2 overflows a double at x = 1e300: the point is refused by its
+        # index, without a numpy warning and without a CSV
+        map_path = workspace / "user.poly"
+        map_path.write_text(
+            "vars: x,y; rows: 2; cols: 2; [1,1] = x^2; [1,2] = y; [2,1] = y; [2,2] = x;"
+        )
+        (workspace / "points.json").write_text(json.dumps([[0.5, 1], [1e300, 1]]))
+        out = workspace / "f.csv"
+        code = cli(
+            [
+                "family",
+                "--map", str(map_path),
+                "--t", "2",
+                "--points", str(workspace / "points.json"),
+                "--out", str(out),
+            ]
+        )
+        self.assert_refused(code, capsys, out, "point 1: the map's value at [1e+300, 1] overflows")
+
     def test_oracle_huge_int_entry(self, workspace, capsys):
         (workspace / "bad.json").write_text(
             json.dumps({"m": 1, "n": 2, "field": "real", "entries": [10**400, 0]})

@@ -10,6 +10,7 @@ from rankpath import (
     flat_builder,
     line_builder,
     product_builder,
+    sample_stratum,
     variety_builder,
 )
 from rankpath.harness import adversarial_pair
@@ -65,18 +66,23 @@ class TestVarietyBuilder:
         _, cert = builder.build(random_member(d, rng, 2), random_member(d, rng, 2))
         assert {tag.kind for tag in cert.branch_trace} == {BranchKind.GENERAL}
         assert cert.samples_per_segment == 0
-        # the two-leg route passes through 0, where the step-rank rule has no
-        # lower bound on sigma_1 to charge the steps' rounding tails against,
-        # so both legs are checked at full degree t
+        # the two legs through 0 are rays, every point a multiple of its
+        # endpoint, so the endpoints certify them
         p, q = adversarial_pair(d, 2, 2)
         _, cert = builder.build(p, q)
         assert [tag.kind for tag in cert.branch_trace] == [BranchKind.ORTHOGONAL]
-        assert cert.samples_per_segment == d.t - 1
+        assert cert.samples_per_segment == 0
+        # a RealBlock leg has rank 2, so it is sampled once
+        real = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        p, q = sample_stratum(real, 2, 1.0, 6), sample_stratum(real, 2, 1.5, 1006)
+        _, cert = variety_builder(real).build(p, q)
+        assert [str(tag) for tag in cert.branch_trace] == ["RealBlock(0)"]
+        assert cert.samples_per_segment == 1
         # a product reports the larger count of its factors; a line takes none
-        factor = flat_builder(builder, d.shape)
+        factor = flat_builder(variety_builder(real), real.shape)
         lifted = [np.concatenate([x.reshape(-1), rng.standard_normal(2)]) for x in (p, q)]
         _, cert = product_builder(factor, line_builder(2)).build(*lifted)
-        assert cert.samples_per_segment == d.t - 1
+        assert cert.samples_per_segment == 1
         _, cert = line_builder(2).build(np.zeros(2), np.ones(2))
         assert cert.samples_per_segment == 0
 

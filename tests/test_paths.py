@@ -23,8 +23,8 @@ from rankpath import (
 )
 from rankpath import paths
 from rankpath.harness import adversarial_pair
-from rankpath.numkernel import numerical_ranks
-from rankpath.variety import spectra
+from rankpath.numkernel import RANK_REL_TOL, numerical_ranks
+from rankpath.variety import spectra, spectral_residuals
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -787,7 +787,7 @@ class TestSketchedCore:
 @st.composite
 def large_core_pairs(draw):
     """Pairs whose core, max(rank p + rank q, t) on a side, is at least 32,
-    so ``certify`` sketches their steps: square 34 to 44 with t from 17,
+    so their routes have 16 levels or more: square 34 to 44 with t from 17,
     and tall ones up to 30 rows or columns longer; top-stratum, lower-rank
     and adversarial pairs over both fields."""
     short = draw(st.integers(34, 44))
@@ -804,122 +804,211 @@ def large_core_pairs(draw):
     return d, random_member(d, rng, rank_p), random_member(d, rng, rank_q)
 
 
-def _exact_steps(monkeypatch):
-    """Have ``certify`` read every step's exact spectrum: the reference the
-    sketched certificate must match."""
-    monkeypatch.setattr(
-        paths, "_step_bounds", lambda steps, sigma, d: paths._exact_step_bounds(steps, d)
-    )
+EPS = float(np.finfo(np.float64).eps)
 
 
-class TestSketchedSteps:
-    """On cores at least 8 (1 + oversampling) wide, ``certify`` takes each
-    step's rank and upper bounds on its tail and sigma_1 from a range
-    sketch, and the exact spectrum only for steps the sketch cannot settle."""
+def residuals_less_rounding(points, d):
+    """sigma_t / sigma_1 of each point of a stack, less an allowance for the
+    rounding of the point and of its SVD: 4 max(m, n) eps ||x||_F / sigma_1."""
+    sigma = spectra(points, d)
+    tops = np.maximum(sigma[:, 0], np.finfo(np.float64).tiny)
+    slack = 4 * max(d.shape) * EPS * np.linalg.norm(points, axis=(1, 2)) / tops
+    return spectral_residuals(sigma, d) - slack
 
-    @settings(max_examples=40)
-    @given(large_core_pairs())
-    def test_matches_the_exact_spectra(self, case):
+
+def built(p, q, d):
+    """``build_path``'s path and certificate, with the core stack and core
+    descriptor of ``_dispatch`` and the arguments of ``_schur_residual``
+    (None for a route without a Schur form)."""
+    seen = {"route": None}
+    dispatch, schur = paths._dispatch, paths._schur_residual
+
+    def recording_dispatch(*args):
+        out = dispatch(*args)
+        seen["core"] = (out[0], args[2])
+        return out
+
+    def recording_schur(stack, *args):
+        # a copy: ``_dispatch`` maps the stack back in place afterwards
+        seen["route"] = (stack.copy(), *args)
+        return schur(stack, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paths, "_dispatch", recording_dispatch)
+        patch.setattr(paths, "_schur_residual", recording_schur)
+        path, cert = build_path(p, q, d)
+    return path, cert, seen
+
+
+def sampled_residuals(stack, d):
+    """Every residual ``_residual_bound`` reads on a stack of breakpoints,
+    the breakpoints' own and its samples inside segments, less rounding."""
+    seen = [residuals_less_rounding(stack, d)]
+    real = paths.membership_residuals
+
+    def recording(points, core):
+        seen.append(residuals_less_rounding(points, core))
+        return real(points, core)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paths, "membership_residuals", recording)
+        paths._residual_bound(stack, d)
+    return np.concatenate(seen)
+
+
+def dense_residuals(path, d, count=50):
+    """Residuals, less rounding, at ``count`` evenly spaced points inside
+    each segment of a path."""
+    s = (np.arange(1, count + 1) / (count + 1))[:, np.newaxis, np.newaxis]
+    found = [
+        residuals_less_rounding(a + s * (b - a), d)
+        for a, b in zip(path.breakpoints, path.breakpoints[1:])
+    ]
+    return np.concatenate(found) if found else np.zeros(0)
+
+
+def leg_steps(route):
+    """The legs of a Schur-coordinate route: each step with its structural
+    rank r and tail tau."""
+    stack, _, kinds = route[:3]
+    return [
+        (stack[i + 1] - stack[i], kind[1], kind[2])
+        for i, kind in enumerate(kinds)
+        if kind[0] == "leg"
+    ]
+
+
+class TestStructuralBound:
+    """``build_path`` bounds the residual of its route from the Schur block
+    structure: one SVD of the two trailing blocks per level, a rank and tail
+    per step read off the blocks it moves and drops, and one Weyl charge for
+    the map back onto the returned path."""
+
+    @settings(max_examples=60)
+    @given(st.one_of(member_pairs(), large_core_pairs(), tall_member_pairs()))
+    def test_bounds_every_sampled_residual(self, case):
+        # the residuals that the generic rule (``certify``'s) reads on the
+        # same core stack, and 50 points inside each returned segment
         d, p, q = case
-        seen = []
-        sketched = paths._step_bounds
+        path, cert, seen = built(p, q, d)
+        stack, core = seen["core"]
+        assert sampled_residuals(stack, core).max() <= cert.max_relative_residual
+        assert dense_residuals(path, d).max(initial=0.0) <= cert.max_relative_residual
+        assert cert.max_relative_residual <= 1e-8
 
-        def recording(steps, sigma, core):
-            bounds = sketched(steps, sigma, core)
-            seen.append((steps, core, bounds[0].copy()))
-            return bounds
+    @settings(max_examples=60)
+    @given(st.one_of(member_pairs(), large_core_pairs(), tall_member_pairs()))
+    def test_leg_ranks_and_tails_match_exact_spectra(self, case):
+        # a leg's tail bounds its step's next singular value (Weyl: the step
+        # less the rows or columns it moves is the dropped block), and where
+        # the tail is below the step's rank threshold, the structural rank is
+        # its numerical rank.  A larger tail (a near-coincident pair's short
+        # step, say) can count as rank for the step, though not against the
+        # sigma_1 of the points it is charged to
+        d, p, q = case
+        _, _, seen = built(p, q, d)
+        if seen["route"] is None:
+            return
+        for step, rank, tail in leg_steps(seen["route"]):
+            sigma = np.concatenate([np.linalg.svd(step, compute_uv=False), [0.0]])
+            if tail < RANK_REL_TOL * sigma[0]:
+                assert numerical_ranks(sigma[np.newaxis])[0] == rank
+            assert sigma[rank] <= tail + 4 * max(step.shape) * EPS * sigma[0]
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(paths, "_step_bounds", recording)
+    def test_dropped_entries_are_charged(self, monkeypatch):
+        # entries far above rounding below a corner of p_hat: each leg's tail
+        # still bounds the exact sigma_{r+1} of its step
+        d = VarietyDescriptor(8, 8, 5, ScalarField.COMPLEX)
+        p, q = sample_stratum(d, 4, 1.0, 1), sample_stratum(d, 4, 1.3, 2)
+        real = paths.normalize_pair
+
+        def noisy(lead, trail):
+            z, v, p_hat, q_hat, t = real(lead, trail)
+            p_hat = p_hat.copy()
+            p_hat[2:, 1] += 1e-7
+            return z, v, p_hat, q_hat, t
+
+        monkeypatch.setattr(paths, "normalize_pair", noisy)
+        _, cert, seen = built(p, q, d)
+        assert trace_kinds(cert) == [BranchKind.GENERAL] * 4
+        tails = []
+        for step, rank, tail in leg_steps(seen["route"]):
+            sigma = np.linalg.svd(step, compute_uv=False)
+            assert sigma[rank] <= tail + 4 * max(step.shape) * EPS * sigma[0]
+            tails.append(sigma[rank])
+        assert max(tails) > 1e-7
+
+    def test_map_charges_its_unitarity_defect(self, rng):
+        # frames 1e-3 from orthonormal stretch the second singular direction
+        # of x, so the residual of a x b^H exceeds x's 1e-6
+        d = VarietyDescriptor(3, 3, 2, ScalarField.REAL)
+        x = np.diag([1.0, 1e-6, 0.0])
+        a = random_unitary(3, rng, d.field) @ np.diag([1.0, 1.0 + 1e-3, 1.0])
+        b = random_unitary(3, rng, d.field)
+        moved = membership_residual(a @ x @ b.T, d)
+        assert moved > 1e-6 * (1.0 + 5e-4)
+        assert paths._map_bound(a, b, d.field).residual(1e-6, 0.0) >= moved
+
+    @pytest.mark.parametrize(
+        "d, pairs",
+        [
+            # the adversarial cycle, on a tall complex pair
+            (VarietyDescriptor(120, 80, 4, ScalarField.COMPLEX), None),
+            # top-stratum, lower-rank and zero endpoints on a tall real pair
+            (VarietyDescriptor(200, 150, 4, ScalarField.REAL), [(3, 3), (1, 3), (2, 2), (0, 3)]),
+        ],
+    )
+    def test_returned_path_is_covered(self, rng, d, pairs):
+        # the frames' unitarity defects and the lift's rounding are charged,
+        # so the bound covers the returned m x n polyline, not only its core
+        if pairs is None:
+            cases = [adversarial_pair(d, 1, i) for i in range(12)]
+        else:
+            cases = [(random_member(d, rng, a), random_member(d, rng, b)) for a, b in pairs]
+        for p, q in cases:
             path, cert = build_path(p, q, d)
-        with pytest.MonkeyPatch.context() as patch:
-            _exact_steps(patch)
-            exact_path, exact = build_path(p, q, d)
+            assert dense_residuals(path, d).max(initial=0.0) <= cert.max_relative_residual
+            assert cert.max_relative_residual <= 1e-8
 
-        # a coincident pair has no step to sketch
-        for steps, core, ranks in seen:
-            assert min(core.shape) >= 32
-            assert ranks.tolist() == numerical_ranks(spectra(steps, core)).tolist()
-        assert all(np.array_equal(a, b) for a, b in zip(path.breakpoints, exact_path.breakpoints))
-        assert cert.branch_trace == exact.branch_trace
-        assert cert.samples_per_segment == exact.samples_per_segment
-        assert cert.ratio == exact.ratio
-        assert cert.endpoint_ranks == exact.endpoint_ranks
-        residual = cert.max_relative_residual
-        assert exact.max_relative_residual <= residual <= exact.max_relative_residual + 1e-12
-        assert residual <= 1e-8
-        assert_certified(cert, p, q, d)
-
-    def test_no_step_svd_is_full_size(self, monkeypatch):
-        # 38 rank-1 steps on the 38 x 38 core: one SVD of the 39 breakpoints,
-        # one of the 38 sketches (4 x 38 each), none of the steps themselves
+    def test_no_step_or_breakpoint_is_decomposed(self, monkeypatch):
+        # 38 rank-1 steps on the 38 x 38 core: the endpoint SVD, one SVD of
+        # two trailing blocks per level, and QR only of the frames and of the
+        # normal form; no step, sketch of a step or k x k breakpoint
         d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
         p, q = sample_stratum(d, 19, 1.0, 1), sample_stratum(d, 19, 1.3, 2)
-        shapes = []
-        real_svd = np.linalg.svd
+        calls = []
+        for name in ("svd", "qr"):
+            real = getattr(np.linalg, name)
 
-        def recording_svd(*args, **kwargs):
-            shapes.append(np.shape(args[0]))
-            return real_svd(*args, **kwargs)
+            def recording(*args, _real=real, _name=name, **kwargs):
+                calls.append((_name, np.shape(args[0])))
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+            monkeypatch.setattr(np.linalg, name, recording)
         path, cert = build_path(p, q, d)
-        segments = len(path.breakpoints) - 1
         assert trace_kinds(cert) == [BranchKind.GENERAL] * 19
-        assert segments == 38
-        width = 1 + paths._SKETCH_OVERSAMPLING
-        assert (segments, 38, 38) not in shapes
-        assert shapes[1:] == [(segments + 1, 38, 38), (segments, width, 38)]
+        assert len(path.breakpoints) - 1 == 38
+        svds = [shape for name, shape in calls if name == "svd"]
+        # the last level's blocks are zero, and take no SVD
+        assert svds == [(2, 40, 40)] + [(2, n, n) for n in range(37, 19, -1)]
+        assert [shape for name, shape in calls if name == "qr"] == [(40, 38), (40, 38), (38, 38)]
+        assert cert.samples_per_segment == 0
+        assert cert.max_relative_residual <= 1e-11
 
-    def test_step_as_wide_as_the_sketch_takes_its_exact_spectrum(self, monkeypatch):
-        # a rank-4 step whose fourth singular value sits just above the rank
-        # threshold, between breakpoints 1e5 times larger: its charge would
-        # pass with sigma_4(B) + delta, but a sketch of width 4 shows no
-        # sigma_5(B), so the step reads its exact spectrum
-        d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
-        rng = np.random.default_rng(3)
-        u = random_unitary(40, rng, d.field)[:, :4]
-        v = random_unitary(40, rng, d.field)[:, :4]
-        step = u @ np.diag([1.0, 0.5, 0.25, 1e-9]) @ v.conj().T
-        a = 1e5 * sample_stratum(d, 10, 1.0, 1)
-        exact_calls = []
-        exact_step_bounds = paths._exact_step_bounds
-
-        def recording(steps, core):
-            exact_calls.append(len(steps))
-            return exact_step_bounds(steps, core)
-
-        monkeypatch.setattr(paths, "_exact_step_bounds", recording)
-        cert = certify(PiecewisePath((a, a + step)), d)
-        assert exact_calls == [1]
-        assert cert.samples_per_segment == 3
-        assert cert.max_relative_residual <= 1e-12
-
-    def test_high_rank_leg_takes_its_exact_spectrum(self, monkeypatch):
+    def test_high_rank_ray_is_certified_by_its_endpoints(self):
         # ranks 13 and 19 give a 32 x 32 core: 13 General levels, then the
-        # Radial leg from the corner to q's rank-6 trailing block.  That step
-        # has rank 6 >= the sketch width, so it alone reads its exact
-        # spectrum, and is sampled at min(t, 6) - 1 = 5 interior points
+        # Radial leg from the corner to q's rank-6 trailing block.  That leg
+        # is a ray, so its endpoints certify it; ``certify``, which knows no
+        # route, reads the step's exact spectrum, rank 6, and samples it at
+        # min(t, 6) - 1 = 5 interior points
         d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
         p, q = sample_stratum(d, 13, 1.0, 3), sample_stratum(d, 19, 1.2, 4)
-        exact_calls = []
-        exact_step_bounds = paths._exact_step_bounds
-
-        def recording(steps, core):
-            exact_calls.append(len(steps))
-            return exact_step_bounds(steps, core)
-
-        monkeypatch.setattr(paths, "_exact_step_bounds", recording)
-        _, cert = build_path(p, q, d)
+        path, cert = build_path(p, q, d)
         assert [str(tag) for tag in cert.branch_trace[-2:]] == ["General(12)", "Radial(13)"]
-        assert exact_calls == [1]
-        assert cert.samples_per_segment == 5
-        _exact_steps(monkeypatch)
-        _, exact = build_path(p, q, d)
-        assert cert.ratio == exact.ratio
-        assert cert.samples_per_segment == exact.samples_per_segment
-        residual = cert.max_relative_residual
-        assert exact.max_relative_residual <= residual <= exact.max_relative_residual + 1e-12
+        assert cert.samples_per_segment == 0
+        generic = certify(path, d)
+        assert generic.samples_per_segment == 5
+        assert generic.max_relative_residual <= cert.max_relative_residual <= 1e-8
 
 
 class TestMeasure:
@@ -998,6 +1087,29 @@ class TestCertify:
             cert = certify(PiecewisePath((a, b)), d)
             assert cert.samples_per_segment == samples
             assert cert.max_relative_residual == pytest.approx(residual * eps / np.sqrt(2.0))
+
+    def test_step_rank_from_its_exact_spectrum(self, monkeypatch):
+        # a rank-4 step whose fourth singular value sits just above the rank
+        # threshold, between breakpoints 1e5 times larger: the step's exact
+        # spectrum gives rank 4, so the segment is sampled at 3 points
+        d = VarietyDescriptor(40, 40, 20, ScalarField.COMPLEX)
+        rng = np.random.default_rng(3)
+        u = random_unitary(40, rng, d.field)[:, :4]
+        v = random_unitary(40, rng, d.field)[:, :4]
+        step = u @ np.diag([1.0, 0.5, 0.25, 1e-9]) @ v.conj().T
+        a = 1e5 * sample_stratum(d, 10, 1.0, 1)
+        exact_calls = []
+        exact_step_bounds = paths._exact_step_bounds
+
+        def recording(steps, core):
+            exact_calls.append(len(steps))
+            return exact_step_bounds(steps, core)
+
+        monkeypatch.setattr(paths, "_exact_step_bounds", recording)
+        cert = certify(PiecewisePath((a, a + step)), d)
+        assert exact_calls == [1]
+        assert cert.samples_per_segment == 3
+        assert cert.max_relative_residual <= 1e-12
 
     def test_t_at_least_32_pair(self):
         d = VarietyDescriptor(34, 34, 33, ScalarField.COMPLEX)
