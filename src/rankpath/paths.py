@@ -20,12 +20,15 @@ re-checked for membership, and every segment a + s D at min(t, rank D) - 1
 interior Chebyshev-Lobatto points: none for the rank-1 legs of a scalar
 block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
 each t x t minor has degree at most min(t, rank D) in s, so this
-certifies the whole segment; the numerical tail sigma_{r+1}(D) of the
-step enters the residual through Weyl's inequality (see
-``_residual_bound``).  On a core at least 8 (1 + 3) = 32 wide, each step's
-rank and an upper bound on its tail come from a range sketch of that step,
-and only steps the sketch cannot settle take their exact spectrum.
-``certify`` measures any given path and bounds its residual this way.
+certifies the whole segment; the numerical tail of the step enters the
+residual through Weyl's inequality.  ``build_path`` reads all of it off
+its route's Schur block structure, with no SVD of a step or of a whole
+breakpoint: every breakpoint is D_j + x, with the spectrum of D_j and of
+its trailing block x, every leg moves one block of rows or columns and
+drops entries of known norm, and the terminal legs are rays
+(``_schur_residual``).  ``certify`` measures any given path and bounds its
+residual from the exact spectra of its breakpoints and steps
+(``_residual_bound``).
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
@@ -38,9 +41,10 @@ Gaussian sketch of its ranges, O(mn t) work, and only where the small
 spectrum provably decides membership and ranks as the full SVD would; any
 other pair takes the full SVD.  On the core the route is one stack of
 breakpoints, endpoints included: every breakpoint past the endpoints is
-made in the Schur coordinates and mapped back once, repeated points are
-dropped by one comparison, and the residual is bounded on that stack.
-Only the returned polyline is measured.
+made in the Schur coordinates, where its residual is bounded, and mapped
+back once; repeated points are dropped by one comparison.  The residual
+bound charges the map back and the lift onto m x n, so it holds for the
+returned polyline, the only one measured.
 """
 
 from __future__ import annotations
@@ -205,20 +209,21 @@ class PathCertificate:
     ``max_relative_residual`` bounds the membership residual along the whole
     path: the worst residual over all breakpoints and the min(t, r) - 1
     Chebyshev-Lobatto points inside each segment whose step has rank r, plus
-    for r < t the Weyl term 2 tau / l of the step's tail tau >= sigma_{r+1}
-    against a lower bound l of sigma_1 on the segment (see
-    ``_residual_bound``).
-    tau is sigma_{r+1} itself, or an upper bound on it from a range sketch
-    of the step where the path lies on a space at least
-    8 (1 + ``_SKETCH_OVERSAMPLING``) wide.
+    for r < t the Weyl term 2 tau / l of the step's tail tau against a lower
+    bound l of sigma_1 on the segment.  ``certify`` reads r and
+    tau = sigma_{r+1} off each step's exact spectrum (``_residual_bound``).
     ``samples_per_segment`` is the largest number of interior points any
     segment took: 0 when every step has rank <= 1.
 
     From ``build_path``, distance, length and ratio are measured on the
-    returned polyline.  When the path was built on a compressed core, the
-    residual also includes the relative distance by which each endpoint was
-    snapped back to the exact input: by Weyl's inequality sigma_t moves by
-    at most that much, so the residual still bounds the returned path.
+    returned polyline, and the residual is read off the structure of the
+    route (``_schur_residual``): trailing-block spectra for the
+    breakpoints, rank 1 or 2 and the norm of the dropped entries for each
+    leg, rays for the terminal legs, and one Weyl charge for the map back
+    onto the returned m x n polyline.  That charge covers the unitarity
+    defects of the Schur factors and of the core frames, the rounding of
+    their products, and the distance by which each endpoint was snapped
+    back to the exact input, so the residual bounds the returned path.
     ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
     rule) that ``build_path`` read off its endpoint SVD; None from
     ``certify`` and the ``combinators``, which do not read them.
@@ -740,8 +745,7 @@ def _dispatch(
         # block zeroed to its known rank
         zeroed_p = _norm(p_hat[end:, end:]) if known_p <= end else 0.0
         zeroed_q = _norm(q_hat[end:, end:]) if known_q <= end else 0.0
-        dropped = math.hypot(_norm(p_hat[end:, start:end]), zeroed_p)
-        firsts.append(("leg", end - start, dropped))
+        firsts.append(("leg", end - start, math.hypot(_norm(p_hat[end:, start:end]), zeroed_p)))
         closings.append(("leg", end - start, zeroed_q))
     ends_at = [end for _, end, _, _ in levels]
     positions = [0, *ends_at, *[j] * middle, *ends_at[::-1], 0]
@@ -801,7 +805,7 @@ def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _test_matrix(n: int, width: int) -> np.ndarray:
-    """The Gaussian n x width test matrix Omega of every range sketch."""
+    """The Gaussian n x width test matrix Omega of the endpoints' range sketch."""
     return np.random.default_rng(_SKETCH_SEED).standard_normal((n, width))
 
 
@@ -931,8 +935,8 @@ def certify(path: PiecewisePath, d: VarietyDescriptor) -> PathCertificate:
 
     It takes no branch trace and no bound: the trace is empty and the bound
     the generic variety constant max(1, 2t - 2).  ``build_path`` does not
-    call it; it bounds the residual of its core stack and measures the
-    polyline it returns, once each.
+    call it; it bounds the residual of its route from the route's structure
+    and measures the polyline it returns, once each.
     """
     outer, length, ratio = path.measure()
     worst, samples = _residual_bound(np.stack(path.breakpoints), d)
@@ -1043,13 +1047,16 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     as the full SVD would (``_sketched_svd``): every input is accepted or
     rejected as with the full SVD, with the same message.  The returned
     path starts and ends at exact copies of p and q, and the certificate
-    carries the endpoint ranks.  The residual is bounded on the core stack
-    by ``_residual_bound``: every breakpoint, plus min(t, r) - 1
-    Chebyshev-Lobatto points inside each segment whose step has rank r and
-    the Weyl term of the step's numerical tail, which certifies each whole
-    segment, not only the samples, up to floating point.  Distance, length
-    and ratio are measured once, on the returned polyline, and the
-    certificate is built once from both.
+    carries the endpoint ranks.  The residual is bounded while the route is
+    built, from its Schur block structure (``_schur_residual``): the
+    spectra of each level's trailing blocks for the breakpoints, rank 1 or
+    2 and the norm of the dropped entries for each leg (one interior
+    Chebyshev-Lobatto point for a ``RealBlock`` leg), rays for the terminal
+    legs, and one Weyl charge for the map back and the lift, so it bounds
+    each whole segment of the returned polyline, not only samples, up to
+    floating point; no step and no whole breakpoint is decomposed.
+    Distance, length and ratio are measured once, on the returned polyline,
+    and the certificate is built once from both.
 
     The whole recursion reads one ordered Schur form of p q^H on the core
     (``normalize_pair``), taken once and only by routes that get past the
@@ -1085,9 +1092,10 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
         lift = _map_bound(u, v, d.field)
         # how far each endpoint lies from the exact lift of its core point
-        cores = np.stack([core_p, core_q])
-        snaps = frobenius_norms(np.stack([p_scaled, q_scaled]) - u @ cores @ vh)
-        errors = (snaps + lift.factor * frobenius_norms(cores) + lift.absolute).tolist()
+        errors = [
+            _norm(x - u @ core @ vh) + lift.factor * _norm(core) + lift.absolute
+            for x, core in ((p_scaled, core_p), (q_scaled, core_q))
+        ]
     ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), lift, errors, d)
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
     stack, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, scale, ranks, ends)
@@ -1102,8 +1110,8 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     scaled_path = PiecewisePath((p_scaled,) if same else (p_scaled, *interior, q_scaled))
     outer, length, ratio = scaled_path.measure()
     # copies, so a caller changing p or q afterwards cannot move the certified path
-    ends = (p.copy(),) if same else (p.copy(), q.copy())
-    path = PiecewisePath(ends[:1] + tuple(_ldexp(b, exponent) for b in interior) + ends[1:])
+    copies = (p.copy(),) if same else (p.copy(), q.copy())
+    path = PiecewisePath(copies[:1] + tuple(_ldexp(b, exponent) for b in interior) + copies[1:])
     return path, PathCertificate(
         outer_distance=math.ldexp(outer, exponent),
         length=math.ldexp(length, exponent),
