@@ -591,6 +591,7 @@ def _schur_residual(
         if blocks.any():
             sigma = np.linalg.svd(blocks, compute_uv=False)
             trail_tops[i], trail_tops[-1 - i] = sigma[:, 0].tolist()
+            # sigma_t <= sigma_{t-j}(x) needs j < t; sigma_1 bounds it anyway
             trail_bottoms[i], trail_bottoms[-1 - i] = sigma[:, max(t - j - 1, 0)].tolist()
     tops = [max(top, tops_d[j]) for top, j in zip(trail_tops, positions)]
     residuals = [_ratio(bottom, top) for bottom, top in zip(trail_bottoms, tops)]
@@ -730,7 +731,9 @@ def _dispatch(
     if t is None:
         stack[0], stack[-1] = p, q
         worst, samples = _direct_residual(middle, ray, ends)
-        return _deduplicated(stack), tags, bound, worst, samples
+        # a point equal to the one before it adds nothing to the path
+        stack = stack[np.r_[True, (stack[1:] != stack[:-1]).any(axis=(1, 2))]]
+        return stack, tags, bound, worst, samples
     stack[0], stack[-1] = p_hat, q_hat
     # sigma_1 of the corner D_j is at least that of each of its blocks
     tops_d = [0.0] * (j + 1)
@@ -763,12 +766,6 @@ def _dispatch(
     )
     stack[0], stack[1:-1], stack[-1] = p, interior, q
     return stack[np.r_[True, differs]], tags, bound, worst, samples
-
-
-def _deduplicated(stack: np.ndarray) -> np.ndarray:
-    """The stack without the points equal to the one before them, which add
-    nothing to the path."""
-    return stack[np.r_[True, (stack[1:] != stack[:-1]).any(axis=(1, 2))]]
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
