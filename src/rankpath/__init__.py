@@ -53,11 +53,8 @@ from .paths import (
     normalize_pair,
 )
 from .polymap import (
-    PLANE_CUSP_BRANCHES,
-    ParamCurvePair,
     PolyMap,
     PolyParseError,
-    SURFACE_SLICE_BRANCHES,
     cusp_family_map,
     cusp_ratio_table,
     evaluate,

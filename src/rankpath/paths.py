@@ -34,17 +34,17 @@ The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
 2(t - 1) on each side.  ``build_path`` therefore divides the pair by a
 power of two, compresses it onto that core with orthonormal frames taken
-from one stacked SVD of the endpoints, constructs and certifies the path
-there, and lifts every breakpoint back isometrically.  Where min(m, n) is
-at least 8 (t + 2), that SVD is taken of the pair compressed onto a
-Gaussian sketch of its ranges, O(mn t) work, and only where the small
-spectrum provably decides membership and ranks as the full SVD would; any
-other pair takes the full SVD.  On the core the route is one stack of
-breakpoints, endpoints included: every breakpoint past the endpoints is
-made in the Schur coordinates, where its residual is bounded, and mapped
-back once; repeated points are dropped by one comparison.  The residual
-bound charges the map back and the lift onto m x n, so it holds for the
-returned polyline, the only one measured.
+from one stacked SVD of the endpoints, and constructs the route there.
+Where min(m, n) is at least 8 (t + 2), that SVD is taken of the pair
+compressed onto a Gaussian sketch of its ranges, O(mn t) work, and only
+where the small spectrum provably decides membership and ranks as the full
+SVD would; any other pair takes the full SVD.  The route is one stack of breakpoints in
+the Schur coordinates of the core, endpoints included, where its residual
+is bounded and repeated points are dropped by one comparison.  The frames
+and the Schur factors compose into one map b -> L b R^H onto m x n, which
+carries every kept point onto the returned polyline in one product.  The
+residual bound charges that map, so it holds for the returned polyline,
+the only one measured.
 """
 
 from __future__ import annotations
@@ -219,11 +219,12 @@ class PathCertificate:
     returned polyline, and the residual is read off the structure of the
     route (``_schur_residual``): trailing-block spectra for the
     breakpoints, rank 1 or 2 and the norm of the dropped entries for each
-    leg, rays for the terminal legs, and one Weyl charge for the map back
-    onto the returned m x n polyline.  That charge covers the unitarity
-    defects of the Schur factors and of the core frames, the rounding of
-    their products, and the distance by which each endpoint was snapped
-    back to the exact input, so the residual bounds the returned path.
+    leg, rays for the terminal legs, and one Weyl charge for the map
+    b -> L b R^H from the Schur coordinates onto the returned m x n
+    polyline, L and R the core frames times the Schur factors.  That charge
+    covers the unitarity defects of L and R, the rounding of the map's
+    products, and the computed distance from each exact endpoint to the map
+    of its Schur point, so the residual bounds the returned path.
     ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
     rule) that ``build_path`` read off its endpoint SVD; None from
     ``certify`` and the ``combinators``, which do not read them.
@@ -383,15 +384,6 @@ class _MapBound:
     factor: float
     absolute: float
 
-    def then(self, outer: _MapBound) -> _MapBound:
-        """The bound of ``outer`` applied to this map's computed image."""
-        return _MapBound(
-            self.upper * outer.upper,
-            self.lower * outer.lower,
-            outer.upper * self.factor + outer.factor * (self.upper + self.factor),
-            (outer.upper + outer.factor) * self.absolute + outer.absolute,
-        )
-
     def residual(self, residual: float, kappa: float) -> float:
         """A bound on sigma_t / sigma_1 of a point A x B^H + E, given
         rho >= sigma_t(x) / sigma_1(x) and kappa >= ||E||_2 / sigma_1(x).
@@ -401,10 +393,6 @@ class _MapBound:
         (upper rho + kappa) / (lower - kappa).
         """
         return _ratio(self.upper * residual + kappa, self.lower - kappa)
-
-
-#: the map of a point onto itself
-_EXACT = _MapBound(1.0, 1.0, 0.0, 0.0)
 
 
 def _frame_bounds(a: np.ndarray, field: ScalarField) -> tuple[float, float]:
@@ -441,19 +429,18 @@ def _map_bound(a: np.ndarray, b: np.ndarray, field: ScalarField) -> _MapBound:
 class _Ends(NamedTuple):
     """The exact endpoints p, q of a returned path, their membership
     residuals and lower bounds on their sigma_1 from the endpoint SVD, the
-    ``lift`` that maps the core onto them, and how far each lies from the
-    exact lift of its core point."""
+    frames (U, V) of their core (None where the route is built on p and q
+    themselves), and the descriptor of the returned path."""
 
     points: tuple[np.ndarray, np.ndarray]
     residuals: list[float]
     tops: list[float]
-    lift: _MapBound
-    errors: list[float]
+    frames: tuple[np.ndarray, np.ndarray] | None
     d: VarietyDescriptor
 
     def swapped(self) -> _Ends:
         reversed_ = (self.points[::-1], self.residuals[::-1], self.tops[::-1])
-        return _Ends(*reversed_, self.lift, self.errors[::-1], self.d)
+        return _Ends(*reversed_, self.frames, self.d)
 
 
 def _ray_floor(coef, top: float, tail: float) -> float:
@@ -523,11 +510,9 @@ def _direct_residual(middle: int, ray: tuple[int, object], ends: _Ends) -> tuple
     return max(worst, float(sampled.max())), len(nodes)
 
 
-def _schur_residual(
-    stack, positions, kinds, tops_d, z, v, core, differs, ends, d
-) -> tuple[float, int]:
-    """The residual bound of the returned polyline whose core breakpoints are
-    z b v^H for the Schur-coordinate points b of ``stack``, and its samples
+def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) -> tuple[float, int]:
+    """The residual bound of the returned polyline whose breakpoints are
+    L b R^H for the Schur-coordinate points b of ``stack``, and its samples
     per segment.
 
     ``stack`` holds the route in Schur coordinates, p_hat and q_hat at its
@@ -557,34 +542,32 @@ def _schur_residual(
 
     A segment whose charge exceeds ``_TAIL_CHARGE_LIMIT`` is checked at full
     degree t instead.  Then every point and segment is carried onto the
-    returned path through ``_MapBound.residual`` of the z map and the frame
-    lift: their unitarity defects, the rounding of both products, and at
-    the endpoints the computed ||p - z p_hat v^H|| and the lift's snap.  A
-    point that equals p or q on the core (``differs`` is False from one
-    core point to the next) is deduplicated into that endpoint and returned
-    as it, so the endpoint's snap charges it too.
+    returned path through ``_MapBound.residual`` of the one map
+    b -> L b R^H (``left`` and ``right``): its unitarity defects, the
+    rounding of its products, and at each endpoint the computed
+    ||p - L p_hat R^H||.  A point equal to p_hat or q_hat (``same`` tells
+    whether each point equals the one before it) is returned as that
+    endpoint, and charged as it.
     """
-    t, count = d.t, len(stack)
-    zmap = _map_bound(z, v, d.field)
-    route = zmap.then(ends.lift)
+    t, count = ends.d.t, len(stack)
+    route = _map_bound(left, right, ends.d.field)
     norms = frobenius_norms(stack).tolist()
-    checks = frobenius_norms(np.stack(core) - z @ stack[[0, -1]] @ v.conj().T).tolist()
+    mapped = left @ stack[[0, -1]] @ right.conj().T
+    checks = frobenius_norms(np.stack(ends.points) - mapped).tolist()
     errors = [route.factor * norm + route.absolute for norm in norms]
-    for i in range(1, count - 1):
-        if differs[i - 1]:
-            break
-        errors[i] += ends.errors[0]
-    for i in range(count - 2, 0, -1):
-        if differs[i]:
-            break
-        errors[i] += ends.errors[1]
     trail_tops, trail_bottoms = [0.0] * count, [0.0] * count
     for e, i in ((0, 0), (1, count - 1)):
-        errors[i] = ends.errors[e] + ends.lift.upper * (
-            checks[e] + zmap.factor * norms[i] + zmap.absolute
-        )
+        errors[i] = checks[e] + route.factor * norms[i] + route.absolute
         trail_tops[i] = (ends.tops[e] - errors[i]) / route.upper
         trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / route.lower
+    for i in range(1, count - 1):
+        if not same[i - 1]:
+            break
+        errors[i] = errors[0]
+    for i in range(count - 2, 0, -1):
+        if not same[i]:
+            break
+        errors[i] = errors[-1]
     for i in range(1, count // 2):
         j = positions[i]
         blocks = np.stack([stack[i, j:, j:], stack[-1 - i, j:, j:]])
@@ -649,12 +632,12 @@ def _dispatch(
     ranks: tuple[int, int],
     ends: _Ends,
 ) -> tuple[np.ndarray, list[BranchTag], float, float, int]:
-    """The (N, k, k) stack of breakpoints, endpoints included, branch tags,
-    ratio bound, residual bound and samples per segment of the route from p
-    to q.
+    """The (N, m, n) stack of the returned path's interior breakpoints, its
+    branch tags, ratio bound, residual bound and samples per segment: the
+    route from the core points p to q, mapped onto the returned path.
 
     ``ranks`` are the numerical ranks of p and q, read off the endpoint SVD,
-    and ``ends`` what else that SVD and the frame lift tell of them.  The
+    and ``ends`` holds what else that SVD tells of them and the frames.  The
     route leads with the endpoint of smaller rank and is reversed when that
     is q.  Each pass of the loop is one level: the pair (x, y) of blocks
     behind the corner D_j fixed so far, at first (p, q) itself.  A
@@ -668,18 +651,23 @@ def _dispatch(
     t[j':, j':], so the orthogonality test reads |tr t[j':, j':]|; a block
     whose known rank, its endpoint's rank less j', is 0 is the cone point.
     The tests read the Frobenius norms, distances and inner products of
-    these blocks directly, as views.  The stack is written once the route
-    ends: q_hat's diagonal block of level i lies in every point from the
-    i-th after p to the i-th before q.  The residual is bounded on that
-    stack in Schur coordinates (``_schur_residual``), or on the returned
-    endpoints for a route without a Schur form (``_direct_residual``), and
-    then every point but the endpoints is mapped back by z b v^H.  The
-    bound is 2 * min rank once a step was taken, else 2 for the orthogonal
-    route and 1 for the others.
+    these blocks directly, as views.  The stack of Schur-coordinate points
+    is written once the route ends: q_hat's diagonal block of level i lies
+    in every point from the i-th after p to the i-th before q.  A point
+    equal to the one before it adds nothing, and points equal to q_hat at
+    the end are q, so both are dropped there, where they compare exactly.
+    The frames and the normal form make one map b -> L b R^H with L = U z
+    and R = V v (z and v without frames) from the Schur coordinates onto
+    the returned path, which carries every kept point in one product.  The
+    residual is bounded on the stack and that map (``_schur_residual``),
+    or on the returned endpoints for a route without a Schur form
+    (``_direct_residual``), whose only interior point is the orthogonal
+    route's 0.  The bound is 2 * min rank once a step was taken, else 2 for
+    the orthogonal route and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        stack, *route = _dispatch(q, p, d, scale, ranks[::-1], ends.swapped())
-        return stack[::-1], *route
+        interior, *route = _dispatch(q, p, d, scale, ranks[::-1], ends.swapped())
+        return interior[::-1], *route
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
     x, y, inner = p, q, _inner(p, q)
@@ -727,13 +715,10 @@ def _dispatch(
         levels.append((j - size, j, x, y))
 
     bound = 2.0 * min(ranks) if j > 0 else 2.0 if middle else 1.0
-    stack = np.zeros((2 * len(levels) + middle + 2,) + p.shape, dtype=p.dtype)
     if t is None:
-        stack[0], stack[-1] = p, q
         worst, samples = _direct_residual(middle, ray, ends)
-        # a point equal to the one before it adds nothing to the path
-        stack = stack[np.r_[True, (stack[1:] != stack[:-1]).any(axis=(1, 2))]]
-        return stack, tags, bound, worst, samples
+        return np.zeros((middle,) + ends.d.shape, dtype=p.dtype), tags, bound, worst, samples
+    stack = np.zeros((2 * len(levels) + middle + 2,) + p.shape, dtype=p.dtype)
     stack[0], stack[-1] = p_hat, q_hat
     # sigma_1 of the corner D_j is at least that of each of its blocks
     tops_d = [0.0] * (j + 1)
@@ -753,19 +738,16 @@ def _dispatch(
     ends_at = [end for _, end, _, _ in levels]
     positions = [0, *ends_at, *[j] * middle, *ends_at[::-1], 0]
     rays = [("ray", 0, 0.0), ("ray", 1, 0.0)] if middle else [("ray", *ray)]
-    interior = z @ stack[1:-1] @ v.conj().T
-    # whether each core point differs from the one before it
-    differs = np.r_[
-        (interior[0] != p).any(),
-        (interior[1:] != interior[:-1]).any(axis=(1, 2)),
-        (q != interior[-1]).any(),
-    ]
     kinds = firsts + rays + closings[::-1]
+    left, right = (z, v) if ends.frames is None else (ends.frames[0] @ z, ends.frames[1] @ v)
+    same = ~(stack[1:] != stack[:-1]).any(axis=(1, 2))
+    # whether each point equals q_hat, and so does every point after it
+    at_q = np.logical_and.accumulate(same[::-1])[::-1]
     worst, samples = _schur_residual(
-        stack, positions, kinds, tops_d, z, v, (p, q), differs.tolist(), ends, d
+        stack, positions, kinds, tops_d, left, right, same.tolist(), ends
     )
-    stack[0], stack[1:-1], stack[-1] = p, interior, q
-    return stack[np.r_[True, differs]], tags, bound, worst, samples
+    kept = stack[1:-1][~same[:-1] & ~at_q[1:]]
+    return left @ kept @ right.conj().T, tags, bound, worst, samples
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
@@ -809,9 +791,9 @@ def _test_matrix(n: int, width: int) -> np.ndarray:
 def _sketch_margins(stack, basis, small, sigma, d: VarietyDescriptor):
     """How far each matrix x of a (k, m, n) stack may be from its sketch.
 
-    ``basis`` holds the orthonormal m x w basis Q that the matrices share
-    (a stack of 1), ``small`` the compressions B = Q^H x and ``sigma`` their
-    singular values.  Every singular value of x lies within a margin delta
+    ``basis`` is the orthonormal m x w basis Q that the matrices share,
+    ``small`` holds the compressions B = Q^H x and ``sigma`` their singular
+    values.  Every singular value of x lies within a margin delta
     of B's: B = Q^H x gives sigma_i(B) <= sigma_i(x), and Weyl's inequality
     with x = Q B + E gives sigma_i(x) <= sigma_i(Q B) + ||E||_2
     (sigma_i(B) = 0 for i > w).  delta is the computed ||E||_F, plus
@@ -829,8 +811,8 @@ def _sketch_margins(stack, basis, small, sigma, d: VarietyDescriptor):
     underflow, and the rounding model of ``product_gamma`` fails.
     """
     norms = frobenius_norms(stack)
-    rounding = product_gamma(basis.shape[-1] + 1, d.field) * (
-        norms + frobenius_norms(basis) * frobenius_norms(small)
+    rounding = product_gamma(basis.shape[1] + 1, d.field) * (
+        norms + _norm(basis) * frobenius_norms(small)
     )
     residual = basis @ small
     np.subtract(stack, residual, out=residual)
@@ -975,7 +957,7 @@ def _sketched_svd(stack: np.ndarray, d: VarietyDescriptor):
     basis, _ = np.linalg.qr(np.concatenate(list(stack @ _test_matrix(d.n, width)), axis=1))
     small = basis.conj().T @ stack
     u, sigma, vh = np.linalg.svd(small, full_matrices=False)
-    margins, settled = _sketch_margins(stack, basis[np.newaxis], small, sigma, d)
+    margins, settled = _sketch_margins(stack, basis, small, sigma, d)
     # 0 for a zero endpoint (0 over the smallest subnormal), and inf, so
     # undecided, where sigma_1(B) is too small against the margin: that is
     # an endpoint the sketch missed
@@ -1036,9 +1018,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     its largest entry into [1/2, 1), which is exact, so tiny and huge pairs
     take the same route as at unit scale; breakpoints, distance and length
     are multiplied back by 2^e.  When k = max(rank p + rank q, t) is below
-    min(m, n), the path is built and certified on the k x k core U^H p V,
-    U^H q V (see ``_core_frames``) and lifted back by b -> U b V^H, an
-    isometry that preserves rank.  Where min(m, n) is large against t the
+    min(m, n), the route is built on the k x k core U^H p V, U^H q V (see
+    ``_core_frames``), and its breakpoints are carried onto m x n by U and
+    V, which preserve rank.  Where min(m, n) is large against t the
     endpoint SVD that finds the core is taken of the pair compressed onto a
     sketch of its ranges, and only where that decides membership and ranks
     as the full SVD would (``_sketched_svd``): every input is accepted or
@@ -1049,8 +1031,8 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     spectra of each level's trailing blocks for the breakpoints, rank 1 or
     2 and the norm of the dropped entries for each leg (one interior
     Chebyshev-Lobatto point for a ``RealBlock`` leg), rays for the terminal
-    legs, and one Weyl charge for the map back and the lift, so it bounds
-    each whole segment of the returned polyline, not only samples, up to
+    legs, and one Weyl charge for the map onto m x n, so it bounds each
+    whole segment of the returned polyline, not only samples, up to
     floating point; no step and no whole breakpoint is decomposed.
     Distance, length and ratio are measured once, on the returned polyline,
     and the certificate is built once from both.
@@ -1058,9 +1040,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     The whole recursion reads one ordered Schur form of p q^H on the core
     (``normalize_pair``), taken once and only by routes that get past the
     first level's tests; the ranks of both endpoints come from the
-    endpoint SVD.  Every breakpoint but the endpoints is mapped back from
-    the Schur coordinates once, and lifted once more onto m x n, all of
-    them in one product.
+    endpoint SVD.  Every breakpoint but the endpoints goes from the Schur
+    coordinates onto m x n by one map, b -> L b R^H with L = U z and
+    R = V v, all of them in one product.
     """
     p = as_matrix(p, d.field)
     q = as_matrix(q, d.field)
@@ -1081,28 +1063,15 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
 
     if frames is None:
         core_d, core_p, core_q = d, p_scaled, q_scaled
-        lift, errors = _EXACT, [0.0, 0.0]
     else:
         u, v = frames
-        vh = v.conj().T
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
-        lift = _map_bound(u, v, d.field)
-        # how far each endpoint lies from the exact lift of its core point
-        errors = [
-            _norm(x - u @ core @ vh) + lift.factor * _norm(core) + lift.absolute
-            for x, core in ((p_scaled, core_p), (q_scaled, core_q))
-        ]
-    ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), lift, errors, d)
+    ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), frames, d)
     scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    stack, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, scale, ranks, ends)
-    interior = stack[1:-1]
-    if frames is not None:
-        interior = u @ interior @ vh
-    # deduplicated once, on the core: its points differ in turn, and so do
-    # their lifts but for rounding, so only the ends of a coincident core
-    # are compared again
-    same = len(stack) == 1 and np.array_equal(p_scaled, q_scaled)
+    interior, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, scale, ranks, ends)
+    # a coincident pair has no interior point; its path is the one point
+    same = np.array_equal(p_scaled, q_scaled)
     # measured on the polyline that is returned, with the exact endpoints
     scaled_path = PiecewisePath((p_scaled,) if same else (p_scaled, *interior, q_scaled))
     outer, length, ratio = scaled_path.measure()

@@ -378,38 +378,6 @@ def cusp_family_map() -> PolyMap:
     return parse_poly_map(CUSP_FAMILY_TEXT)
 
 
-@dataclass(frozen=True)
-class ParamCurvePair:
-    """A parametrized curve branch and its mirror image on the same variety.
-
-    Both branches must land on the target variety for every parameter in
-    (0, 1]; the pair (parametrization(s), mirror(s)) is the probe whose
-    chord shrinks faster than any on-variety route between the branches.
-    """
-
-    parametrization: Callable[[float], np.ndarray]
-    mirror: Callable[[float], np.ndarray]
-    label: str
-
-    def points(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.parametrization(s), self.mirror(s)
-
-
-#: branch pair (s^2, +-s^3) on the plane cusp x^3 = y^2
-PLANE_CUSP_BRANCHES = ParamCurvePair(
-    parametrization=lambda s: np.array([s * s, s**3]),
-    mirror=lambda s: np.array([s * s, -(s**3)]),
-    label="plane cusp x^3 = y^2",
-)
-
-#: the same branches inside the z = 1 slice of the surface x^3 = y^2 z
-SURFACE_SLICE_BRANCHES = ParamCurvePair(
-    parametrization=lambda s: np.array([s * s, s**3, 1.0]),
-    mirror=lambda s: np.array([s * s, -(s**3), 1.0]),
-    label="z = 1 cusp slice of x^3 = y^2 z",
-)
-
-
 def cusp_arc_length(s: float) -> float:
     """Arc length along u -> (u^2, u^3) for u in [-s, s], through the origin.
 

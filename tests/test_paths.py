@@ -817,24 +817,16 @@ def residuals_less_rounding(points, d):
 
 
 def built(p, q, d):
-    """``build_path``'s path and certificate, with the core stack and core
-    descriptor of ``_dispatch`` and the arguments of ``_schur_residual``
-    (None for a route without a Schur form)."""
+    """``build_path``'s path and certificate, with the arguments of
+    ``_schur_residual`` (None for a route without a Schur form)."""
     seen = {"route": None}
-    dispatch, schur = paths._dispatch, paths._schur_residual
+    schur = paths._schur_residual
 
-    def recording_dispatch(*args):
-        out = dispatch(*args)
-        seen["core"] = (out[0], args[2])
-        return out
-
-    def recording_schur(stack, *args):
-        # a copy: ``_dispatch`` maps the stack back in place afterwards
-        seen["route"] = (stack.copy(), *args)
-        return schur(stack, *args)
+    def recording_schur(*args):
+        seen["route"] = args
+        return schur(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(paths, "_dispatch", recording_dispatch)
         patch.setattr(paths, "_schur_residual", recording_schur)
         path, cert = build_path(p, q, d)
     return path, cert, seen
@@ -888,11 +880,10 @@ class TestStructuralBound:
     @given(st.one_of(member_pairs(), large_core_pairs(), tall_member_pairs()))
     def test_bounds_every_sampled_residual(self, case):
         # the residuals that the generic rule (``certify``'s) reads on the
-        # same core stack, and 50 points inside each returned segment
+        # returned path, and 50 points inside each returned segment
         d, p, q = case
-        path, cert, seen = built(p, q, d)
-        stack, core = seen["core"]
-        assert sampled_residuals(stack, core).max() <= cert.max_relative_residual
+        path, cert = build_path(p, q, d)
+        assert sampled_residuals(np.stack(path.breakpoints), d).max() <= cert.max_relative_residual
         assert dense_residuals(path, d).max(initial=0.0) <= cert.max_relative_residual
         assert cert.max_relative_residual <= 1e-8
 
@@ -937,6 +928,37 @@ class TestStructuralBound:
             assert sigma[rank] <= tail + 4 * max(step.shape) * EPS * sigma[0]
             tails.append(sigma[rank])
         assert max(tails) > 1e-7
+
+    @pytest.mark.parametrize("end", ["p", "q"])
+    def test_endpoint_misses_are_charged(self, monkeypatch, end):
+        # a normal form whose p_hat (or q_hat) misses its endpoint by 1e-7 of
+        # its norm, at an entry that only the endpoint itself holds: p_hat's
+        # first row is traded at the first leg, q_hat's first column below
+        # the corner closed at the last.  The returned path starts at the
+        # exact endpoint, so the certificate charges the miss: at least a
+        # tenth of it, against below 1e-12 without the miss
+        d = VarietyDescriptor(12, 12, 5, ScalarField.COMPLEX)
+        p, q = sample_stratum(d, 4, 1.0, 1), sample_stratum(d, 4, 1.3, 2)
+        real = paths.normalize_pair
+
+        def missing(lead, trail):
+            z, v, p_hat, q_hat, t = real(lead, trail)
+            p_hat, q_hat = p_hat.copy(), q_hat.copy()
+            if end == "p":
+                p_hat[0, 0] += 1e-7 * np.linalg.norm(p_hat)
+            else:
+                q_hat[1, 0] += 1e-7 * np.linalg.norm(q_hat)
+            return z, v, p_hat, q_hat, t
+
+        assert build_path(p, q, d)[1].max_relative_residual < 1e-12
+        monkeypatch.setattr(paths, "normalize_pair", missing)
+        path, cert, seen = built(p, q, d)
+        # a route with frames: its Schur stack is 8 x 8, and L maps it onto 12 x 12
+        stack, left = seen["route"][0], seen["route"][4]
+        assert stack.shape[1:] == (8, 8) and left.shape == (12, 8)
+        assert trace_kinds(cert) == [BranchKind.GENERAL] * 4
+        assert cert.max_relative_residual >= 1e-8
+        assert dense_residuals(path, d).max() <= cert.max_relative_residual
 
     def test_map_charges_its_unitarity_defect(self, rng):
         # frames 1e-3 from orthonormal stretch the second singular direction

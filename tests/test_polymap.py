@@ -277,25 +277,6 @@ class TestCuspTable:
             cusp_ratio_table([2.0])
 
 
-class TestBranchPairs:
-    def test_plane_cusp_branches_on_curve(self, rng):
-        from rankpath import PLANE_CUSP_BRANCHES
-
-        for s in rng.uniform(1e-4, 1.0, size=25):
-            for point in PLANE_CUSP_BRANCHES.points(float(s)):
-                x, y = point
-                assert abs(x**3 - y * y) <= 1e-10 * max(1.0, abs(x) ** 3)
-
-    def test_surface_branches_on_pullback(self, rng):
-        from rankpath import SURFACE_SLICE_BRANCHES
-
-        f = cusp_family_map()
-        for s in rng.uniform(1e-2, 1.0, size=25):
-            for point in SURFACE_SLICE_BRANCHES.points(float(s)):
-                flipped = np.array([point[0], point[1], -point[2]])
-                assert pullback_residual(f, flipped, D333) <= 1e-10
-
-
 class TestSurfaceDemo:
     def test_parametrization_identity(self, rng):
         for _ in range(50):
