@@ -141,6 +141,21 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
+def real_view(x: np.ndarray) -> np.ndarray:
+    """The float64 entries of x: of a complex x, its real and imaginary parts."""
+    return np.ascontiguousarray(x).view(np.float64) if np.iscomplexobj(x) else x
+
+
+def ldexp(x: np.ndarray, exponent) -> np.ndarray:
+    """x * 2**exponent, exact unless an entry leaves the normal range; x
+    itself, not a copy, for the integer 0.  An array of exponents broadcasts
+    against x's real view: shape (k, 1, 1) scales each matrix of a stack by
+    its own power of two."""
+    if np.ndim(exponent) == 0 and exponent == 0:
+        return x
+    return np.ldexp(real_view(x), exponent).view(x.dtype)
+
+
 def frobenius_distance(a, b) -> float:
     """Euclidean (Frobenius) distance between two same-shape arrays."""
     a = as_matrix(a)

@@ -26,9 +26,9 @@ from scipy.sparse.csgraph import dijkstra
 from .numkernel import (
     DimensionMismatch,
     as_matrix,
-    frobenius_distance,
     frobenius_norm,
     frobenius_norms,
+    ldexp,
 )
 from .paths import MembershipError, PiecewisePath, build_path
 from .variety import (
@@ -38,7 +38,6 @@ from .variety import (
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
     membership_residuals,
     project,  # noqa: F401  unused here, but per-layer tracing wraps this name
-    projections,
     sample_stratum,
 )
 
@@ -216,12 +215,15 @@ def _smoothing_sweep(points: np.ndarray, d: VarietyDescriptor, parities=(1, 2)) 
 
     The odd interior breakpoints move first, then the even ones (or only
     the given ``parities``).  Points of one parity share no segment, so each
-    candidate (the projected midpoint of its two neighbours) is judged on
-    its own two segments, and every accepted move strictly shortens the
-    polyline.  A candidate must also have residual <= 1e-8: the bound
-    ``bounded_projections`` proves from the projection's own factorization
-    decides, and a singular-value residual check runs only where that
-    bound is inconclusive.
+    candidate is judged on its own two segments, and every accepted move
+    strictly shortens the polyline.  A candidate is its neighbours' midpoint
+    taken to rank <= t-1 by ``bounded_projections``: one stacked Gram
+    eigendecomposition per block, not an SVD, and within
+    c eps sigma_1^2 / sigma_{t-1} of the truncated SVD where
+    sigma_{t-1} >= 2 sigma_t.  It must also have residual <= 1e-8: the
+    bound ``bounded_projections`` proves from the candidate's own factors
+    decides, and a singular-value residual check runs only where that bound
+    is inconclusive.
     """
     changed = False
     for parity in parities:
@@ -252,7 +254,7 @@ _SWEEPS_PER_ROUND = 3
 
 def _project_in_place(points: np.ndarray, d: VarietyDescriptor) -> None:
     for k in range(0, len(points), _BLOCK):
-        points[k : k + _BLOCK] = projections(points[k : k + _BLOCK], d)
+        points[k : k + _BLOCK] = bounded_projections(points[k : k + _BLOCK], d)[0]
 
 
 def _refined(points: np.ndarray, d: VarietyDescriptor) -> np.ndarray:
@@ -269,6 +271,14 @@ def _refined(points: np.ndarray, d: VarietyDescriptor) -> np.ndarray:
 def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> PiecewisePath:
     """Locally shorten an on-variety polyline without leaving the variety.
 
+    The polyline is divided by the power of two that brings its largest
+    entry into [1/2, 1), which is exact, shortened, and multiplied back, as
+    ``build_path`` does with its pair, so the result scales with the path
+    even where the squares of its entries or steps would leave the normal
+    range.  Every projection is ``bounded_projections``' one kernel, a Gram
+    eigendecomposition rather than an SVD (see there for its scaling and
+    accuracy).
+
     The interior breakpoints are projected onto the variety once.  Each
     round then refines the polyline (segment midpoints inserted while the
     count stays at most 4097, and only those new points projected) and runs
@@ -276,14 +286,16 @@ def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> Pie
     breakpoint, then every even one, is replaced by the projected midpoint
     of its neighbors wherever that strictly shortens its two segments and
     keeps the residual under 1e-8.  The residual is proved from the
-    projection's own factorization, with a singular-value check where that
-    bound is inconclusive.  Right after refinement every odd breakpoint
-    already is the projected midpoint of its neighbours, so the first sweep
-    of a refining round moves only the even ones.  A round's output is only
-    accepted if it did not lengthen the path, so the length is
-    non-increasing across rounds and the endpoints never move.
+    projection's own factors, with a singular-value check where that bound
+    is inconclusive.  Right after refinement every odd breakpoint already
+    is the projected midpoint of its neighbours, by the same kernel, so the
+    first sweep of a refining round moves only the even ones.  A round's
+    output is only accepted if it did not lengthen the path, so the length
+    is non-increasing across rounds and the endpoints never move.
     """
-    current = as_matrix(np.stack(path.breakpoints), d.field)
+    points = as_matrix(np.stack(path.breakpoints), d.field)
+    exponent = int(np.frexp(np.abs(points).max())[1])
+    current = ldexp(points, -exponent)
     _project_in_place(current[1:-1], d)
     for _ in range(cfg.shorten_iterations):
         if len(current) < 2:
@@ -298,6 +310,9 @@ def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> Pie
             current = candidate
         elif not _smoothing_sweep(current, d):
             break
+    current = ldexp(current, exponent)
+    # the endpoints themselves, even where scaling rounded a subnormal entry
+    current[0], current[-1] = points[0], points[-1]
     return PiecewisePath(tuple(current))
 
 
@@ -311,11 +326,18 @@ class Sandwich:
 
 
 def sandwich(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> Sandwich:
-    """outer <= shortened <= constructed, all for the same pair of members."""
+    """outer <= shortened <= constructed, all for the same pair of members.
+
+    Each value scales with the pair: ``outer`` comes from
+    ``frobenius_norms``, which rescales a step whose squares underflow,
+    ``shortened`` from ``shorten``'s rescaled polyline, and ``constructed``
+    from ``build_path``'s certificate.
+    """
     path, cert = build_path(p, q, d)
     shorter = shorten(path, d, cfg)
     return Sandwich(
-        outer=frobenius_distance(p, q),
+        # the path runs from p to q (a coincident pair's path is p alone)
+        outer=float(frobenius_norms((path.start - path.end)[np.newaxis])[0]),
         shortened=shorter.length(),
         constructed=cert.length,
     )

@@ -65,8 +65,10 @@ from .numkernel import (
     frobenius_distance,
     frobenius_norm,
     frobenius_norms,
+    ldexp,
     leading_nonzero_eigenpair,  # noqa: F401  unused here, but per-layer tracing wraps this name
     numerical_ranks,
+    real_view,
     unitary_completion,  # noqa: F401  unused here, but per-layer tracing wraps this name
 )
 from .variety import (
@@ -130,6 +132,11 @@ _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 _NORM_SAFE = math.sqrt(UNDERFLOW_SAFE)
 
 
+def _step_norm(step: np.ndarray) -> float:
+    norm = np.linalg.norm(step)
+    return norm if norm >= _NORM_SAFE else frobenius_norms(step[np.newaxis])[0]
+
+
 class BranchKind(str, Enum):
     RADIAL = "Radial"
     ORTHOGONAL = "Orthogonal"
@@ -169,10 +176,13 @@ class PiecewisePath:
         """The sum of ``np.linalg.norm(b - a)`` over the segments, added in
         order.  A polyline of ``_BATCH_MIN_POINTS`` breakpoints or more takes
         the norms from ``frobenius_norms``, bitwise the same, in batches of
-        about ``_BATCH_ENTRIES`` entries."""
+        about ``_BATCH_ENTRIES`` entries.  Either way a step whose norm may
+        have lost its squares to underflow is normed by ``frobenius_norms``,
+        which rescales it, so the length of a tiny polyline is its true
+        length, not 0."""
         points = self.breakpoints
         if len(points) < _BATCH_MIN_POINTS:
-            return float(sum(np.linalg.norm(b - a) for a, b in zip(points, points[1:])))
+            return float(sum(_step_norm(b - a) for a, b in zip(points, points[1:])))
         size = max(1, _BATCH_ENTRIES // points[0].size)
         norms = [
             frobenius_norms(np.diff(np.stack(points[k : k + size + 1]), axis=0))
@@ -756,24 +766,11 @@ def _lobatto_interior(degree: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(j * np.pi / degree))
 
 
-def _real_view(x: np.ndarray) -> np.ndarray:
-    """The float64 entries of x: of a complex x, its real and imaginary parts."""
-    return np.ascontiguousarray(x).view(np.float64) if np.iscomplexobj(x) else x
-
-
-def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
-    """x * 2**exponent, exact unless an entry leaves the normal range; x
-    itself, not a copy, for exponent 0."""
-    if exponent == 0:
-        return x
-    return np.ldexp(_real_view(x), exponent).view(x.dtype)
-
-
 def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether b = -2^k a exactly for an integer k.  The segment from a to b
     is then (1 - s (1 + 2^k)) a, a multiple of a at every point: it runs
     along a's ray through 0."""
-    x, y = _real_view(a).ravel(), _real_view(b).ravel()
+    x, y = real_view(a).ravel(), real_view(b).ravel()
     i = int(np.argmax(np.abs(x)))
     (mantissa, exponent), (image, k) = math.frexp(float(x[i])), math.frexp(float(y[i]))
     if mantissa == 0.0 or image != -mantissa:
@@ -1055,7 +1052,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         raise ValueError("the Frobenius distance between p and q overflows")
 
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
-    p_scaled, q_scaled = _ldexp(p, -exponent), _ldexp(q, -exponent)
+    p_scaled, q_scaled = ldexp(p, -exponent), ldexp(q, -exponent)
     residuals, ranks, frames, tops = _core_frames(p_scaled, q_scaled, d)
     for name, residual in zip("pq", residuals):
         if residual > DEFAULT_MEMBERSHIP_TOL:
@@ -1077,7 +1074,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     outer, length, ratio = scaled_path.measure()
     # copies, so a caller changing p or q afterwards cannot move the certified path
     copies = (p.copy(),) if same else (p.copy(), q.copy())
-    path = PiecewisePath(copies[:1] + tuple(_ldexp(b, exponent) for b in interior) + copies[1:])
+    path = PiecewisePath(copies[:1] + tuple(ldexp(b, exponent) for b in interior) + copies[1:])
     return path, PathCertificate(
         outer_distance=math.ldexp(outer, exponent),
         length=math.ldexp(length, exponent),

@@ -17,7 +17,9 @@ from .numkernel import (
     DimensionMismatch,
     ScalarField,
     as_matrix,
+    ldexp,
     numerical_ranks,
+    real_view,
 )
 
 #: default membership acceptance threshold on the relative residual
@@ -127,16 +129,6 @@ def is_member(p, d: VarietyDescriptor) -> bool:
     return membership_residual(p, d) <= DEFAULT_MEMBERSHIP_TOL
 
 
-def _truncated_factors(stack: np.ndarray, d: VarietyDescriptor):
-    """A = U_{t-1} diag(sigma_{t-1}), B = V_{t-1}^H and the kept singular
-    values sigma_{t-1} of every matrix of a checked stack, from one batched
-    SVD (t >= 2)."""
-    keep = d.t - 1
-    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
-    kept = sigma[:, :keep]
-    return u[..., :keep] * kept[:, np.newaxis, :], vh[:, :keep], kept
-
-
 def projections(stack, d: VarietyDescriptor) -> np.ndarray:
     """Nearest matrix of rank <= t-1 to every matrix of a (k, m, n) stack.
 
@@ -145,49 +137,91 @@ def projections(stack, d: VarietyDescriptor) -> np.ndarray:
     decomposition returns them, so the output is deterministic.
     """
     stack = _checked_stack(stack, d)
-    if d.t == 1:
+    keep = d.t - 1
+    if keep == 0:
         return np.zeros(stack.shape, dtype=d.field.dtype)
-    a, b, _ = _truncated_factors(stack, d)
-    return a @ b
+    u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    return (u[..., :keep] * sigma[:, np.newaxis, :keep]) @ vh[:, :keep]
 
 
 def bounded_projections(stack, d: VarietyDescriptor):
-    """``projections`` of a (k, m, n) stack, bitwise, and for each an upper
-    bound on its membership residual read off the same decomposition.
+    """A matrix C of rank <= t-1 near every matrix M of a (k, m, n) stack,
+    and for each an upper bound on its membership residual read off the
+    factors C is made from.
 
-    The projection is C = fl(A B) with A = U_{t-1} diag(sigma) and
-    B = V_{t-1}^H.  The exact product A B has rank <= t-1, and the rounding
-    obeys |C - A B| <= gamma |A| |B| entrywise (gamma_{t-1} over the reals,
-    sqrt(2) gamma_{t+1} over the complex numbers; Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.5-3.6).  By Weyl's inequality and
-    sigma_1(C) >= ||C||_F / sqrt(min(m, n)),
+    The kernel takes no SVD.  M is divided by the power of two that brings
+    its largest real or imaginary part into [1/2, 1), which is exact, so
+    nothing below over- or underflows at any scale.  One batched
+    ``np.linalg.eigh`` of the Gram matrices M^H M (M M^H when m < n) gives
+    the t-1 leading eigenvectors V of each, and C = fl(A B) with A = fl(M V)
+    and B = V^H (A = V and B = fl(V^H M) when m < n), multiplied back by
+    the same power of two.  ``projections`` and ``project`` stay the exact
+    truncated SVD.
 
-        sigma_t(C) / sigma_1(C) <= gamma sqrt(min(m, n)) ||A||_F ||B||_F / ||C||_F.
+    Accuracy.  Where sigma_{t-1} >= 2 sigma_t, to first order in eps,
 
-    The bound adds max(m, n) eps, an allowance for the error a computed
-    SVD of C makes in sigma_t relative to sigma_1 (LAPACK's p(m, n) eps;
-    under 2 eps as measured up to 100 x 60), so it also covers the residual
-    ``membership_residuals`` reads.  A zero projection has residual 0.  Where
-    the largest entry of C is below tiny / eps, products may underflow and
-    the rounding model fails, so the bound is inf: inconclusive, not a
-    rejection.
+        ||C - projections(M)||_F <= c eps sigma_1^2 / sigma_{t-1},
+        c = r (3 g / 2 + 3 h + 4 sqrt(r) + 1 / 2) + 4 sqrt(r) N,
+
+    with r = min(m, n), N = max(m, n), g eps = ``product_gamma(N)`` and
+    h eps = ``product_gamma(r)``.  The terms: the Gram product's rounding
+    (g eps ||M||_F^2 <= g r eps sigma_1^2) and ``eigh``'s backward error
+    (modelled as LAPACK's p(r) eps ||M^H M||, p(r) = r, as the allowance
+    below models the SVD's) perturb the leading eigenspace by a first-order
+    mixing of each leading direction i with each trailing one j, which
+    moves C by at most sqrt(sigma_i^2 + sigma_j^2) / (sigma_i^2 - sigma_j^2)
+    <= sqrt(20 / 9) / sigma_{t-1} per unit of perturbation; V's departure
+    from orthonormality (r eps), the two products (h eps each), and the
+    reference SVD (N eps sigma_1 of backward error, which its truncation
+    amplifies at most twofold, and N eps of departure from orthonormality,
+    by the same model) add the rest.  Where the gap is small, C is still a
+    point of rank <= t-1 whose residual the bound below certifies; it is
+    just not the nearest one.
+
+    Bound.  The exact product A B has rank <= t-1 whatever V is, and the
+    rounding obeys |C - A B| <= gamma |A| |B| entrywise (gamma_{t-1} over
+    the reals, sqrt(2) gamma_{t+1} over the complex numbers; Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5-3.6).  By Weyl's
+    inequality and sigma_1(C) >= ||C||_F / sqrt(min(m, n)),
+
+        sigma_t(C) / sigma_1(C) <= gamma sqrt(min(m, n)) ||A||_F ||B||_F / ||C||_F,
+
+    read off the scaled factors.  The bound adds max(m, n) eps, an
+    allowance for the error a computed SVD of C makes in sigma_t relative
+    to sigma_1 (LAPACK's p(m, n) eps; under 2 eps as measured up to
+    100 x 60), so it also covers the residual ``membership_residuals``
+    reads.  A zero C has residual 0.  Multiplying back is exact unless an
+    entry of C falls below the normal range, so where the largest entry of
+    the returned C is below tiny / eps the bound is inf: inconclusive, not
+    a rejection.
     """
     stack = _checked_stack(stack, d)
     keep = d.t - 1
     if keep == 0:
         return np.zeros(stack.shape, dtype=d.field.dtype), np.zeros(len(stack))
-    a, b, _ = _truncated_factors(stack, d)
+    wide = d.m < d.n
+    # x is tall or square, so x^H x is the smaller Gram matrix
+    x = stack.conj().swapaxes(1, 2) if wide else stack
+    top = np.abs(real_view(stack)).max(axis=(1, 2))
+    exponents = np.frexp(top)[1][:, np.newaxis, np.newaxis]
+    x = ldexp(x, -exponents)
+    _, vectors = np.linalg.eigh(x.conj().swapaxes(1, 2) @ x)
+    v = vectors[..., -keep:]
+    a, b = x @ v, v.conj().swapaxes(1, 2)
+    if wide:
+        a, b = b.conj().swapaxes(1, 2), a.conj().swapaxes(1, 2)
     c = a @ b
-    scale = np.abs(c).max(axis=(1, 2))
-    conclusive = scale >= UNDERFLOW_SAFE
-    # divide by the largest entry of C, so no square below over- or underflows
-    divisor = np.where(conclusive, scale, 1.0)[:, np.newaxis, np.newaxis]
+    norm_c = np.linalg.norm(c, axis=(1, 2))
+    ratio = (
+        np.linalg.norm(a, axis=(1, 2))
+        * np.linalg.norm(b, axis=(1, 2))
+        / np.where(norm_c > 0.0, norm_c, 1.0)
+    )
     gamma = product_gamma(keep, d.field)
-    norm_c = np.linalg.norm(c / divisor, axis=(1, 2))
-    norm_c[~conclusive] = 1.0
-    ratio = np.linalg.norm(a / divisor, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)) / norm_c
     bound = gamma * np.sqrt(min(d.m, d.n)) * ratio + max(d.m, d.n) * _EPS
-    bound[~conclusive] = np.inf
+    c = ldexp(c, exponents)
+    scale = np.abs(c).max(axis=(1, 2))
+    bound[scale < UNDERFLOW_SAFE] = np.inf
     bound[scale == 0.0] = 0.0
     return c, bound
 

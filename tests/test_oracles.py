@@ -18,13 +18,13 @@ from rankpath import (
     membership_residual,
     membership_residuals,
     sample_stratum,
-    projections,
     sandwich,
     shorten,
 )
 from rankpath import oracles
 from rankpath.numkernel import frobenius_norms
 from rankpath.oracles import EDGE_MEMBERSHIP_TOL, proximity_graph_distance
+from rankpath.variety import bounded_projections
 from conftest import random_member, reference_graph_distance
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
@@ -249,6 +249,25 @@ class TestSandwich:
             assert result.shortened <= result.constructed + 1e-9
             assert result.constructed <= 2.0 * result.outer + 1e-9
 
+    @pytest.mark.parametrize("exponent", [-540, -530, 0, 500])
+    def test_scales_with_the_pair(self, exponent):
+        # at 2^-540 the squares of the entries underflow, and at 2^-530 those
+        # of the polyline's steps do; the oracle works on a rescaled copy
+        d = VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX)
+        p, q = sample_stratum(d, 3, 1.0, 1), sample_stratum(d, 3, 1.0, 2)
+        cfg = OracleConfig(seed=3)
+        unit = sandwich(p, q, d, cfg)
+        scaled = sandwich(
+            np.ldexp(p.view(float), exponent).view(complex),
+            np.ldexp(q.view(float), exponent).view(complex),
+            d,
+            cfg,
+        )
+        for name in ("outer", "shortened", "constructed"):
+            expected = math.ldexp(getattr(unit, name), exponent)
+            assert getattr(scaled, name) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert unit.outer < unit.shortened < unit.constructed
+
 
 @st.composite
 def member_paths(draw):
@@ -303,7 +322,8 @@ class TestShortenResidualBound:
         proved = shorten(path, d, cfg)
 
         def inconclusive(stack, d):
-            return projections(stack, d), np.full(len(stack), np.inf)
+            # the kernel's own candidates, with no proof: the SVD check decides
+            return bounded_projections(stack, d)[0], np.full(len(stack), np.inf)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "bounded_projections", inconclusive)

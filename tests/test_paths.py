@@ -1048,6 +1048,16 @@ class TestMeasure:
         assert ratio == length / outer
         assert ratio < 1.0
 
+    @pytest.mark.parametrize("count", [3, 12])
+    def test_length_of_a_tiny_polyline_scales(self, rng, count):
+        # below and above _BATCH_MIN_POINTS: at 2^-540 the squares of every
+        # step underflow, and the length must still be the unit one scaled
+        d = VarietyDescriptor(3, 4, 3, ScalarField.COMPLEX)
+        points = [random_member(d, rng, 2) for _ in range(count)]
+        tiny = PiecewisePath(tuple(np.ldexp(p.view(float), -540).view(complex) for p in points))
+        expected = np.ldexp(PiecewisePath(tuple(points)).length(), -540)
+        assert tiny.length() == pytest.approx(expected, rel=1e-14, abs=0.0)
+
 
 class TestCertify:
     def test_single_breakpoint(self):

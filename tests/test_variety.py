@@ -18,10 +18,12 @@ from rankpath import (
     rank_of,
     sample_stratum,
 )
-from rankpath.variety import bounded_projections, spectra
+from rankpath.numkernel import frobenius_norms
+from rankpath.variety import bounded_projections, product_gamma, spectra
 from conftest import random_member, random_unitary
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
+EPS = float(np.finfo(np.float64).eps)
 
 
 class TestDescriptor:
@@ -155,7 +157,9 @@ class TestProjections:
 @st.composite
 def projection_stacks(draw):
     """Stacks up to 8x8, both fields, any t, with zero and rank-deficient
-    matrices among them, scaled by 2^-200, 1 or 2^200."""
+    matrices among them, scaled by 2^-540, 2^-500, 2^-200, 1, 2^200, 2^500
+    or 2^540.  The squares of entries near 2^+-540 leave the normal range,
+    so a Gram matrix taken without rescaling over- or underflows there."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 8))
     t = draw(st.integers(1, min(m, n)))
@@ -169,7 +173,7 @@ def projection_stacks(draw):
             left = left + 1j * rng.standard_normal((m, rank))
             right = right + 1j * rng.standard_normal((rank, n))
         matrices.append(left @ right)
-    scale = 2.0 ** draw(st.sampled_from([-200, 0, 200]))
+    scale = 2.0 ** draw(st.sampled_from([-540, -500, -200, 0, 200, 500, 540]))
     return d, np.stack(matrices) * scale
 
 
@@ -179,7 +183,21 @@ class TestBoundedProjections:
     def test_bound_covers_the_residual(self, case):
         d, stack = case
         projected, bound = bounded_projections(stack, d)
-        assert np.array_equal(projected, projections(stack, d))
+        if d.t > 1:
+            # the accuracy bounded_projections states, c eps sigma_1^2 /
+            # sigma_{t-1} off the truncated SVD where sigma_{t-1} >= 2 sigma_t,
+            # with c from its first-order derivation, not from a fit
+            r, big = min(d.m, d.n), max(d.m, d.n)
+            g = product_gamma(big, d.field) / EPS
+            h = product_gamma(r, d.field) / EPS
+            c = r * (1.5 * g + 3.0 * h + 4.0 * np.sqrt(r) + 0.5) + 4.0 * np.sqrt(r) * big
+            sigma = spectra(stack, d)
+            gap = (sigma[:, d.t - 2] > 0.0) & (sigma[:, d.t - 2] >= 2.0 * sigma[:, d.t - 1])
+            # frobenius_norms and sigma_1 (sigma_1 / sigma_{t-1}) stay clear of
+            # under- and overflow at every scale of the stacks
+            error = frobenius_norms(projected - projections(stack, d))[gap]
+            lead, kept = sigma[gap, 0], sigma[gap, d.t - 2]
+            assert (error <= c * EPS * lead * (lead / kept)).all()
         assert bound.shape == (len(stack),)
         assert (bound >= membership_residuals(projected, d)).all()
         nonzero = np.abs(projected).max(axis=(1, 2)) > 0
