@@ -51,8 +51,9 @@ EDGE_MEMBERSHIP_TOL = 1e-6
 #: ``graph_upper_bound``
 CHECKS_PER_EDGE = 3
 
-#: matrices per stacked call in ``shorten``: blocks are independent, so
-#: results do not depend on it, and peak memory stays flat on long polylines
+#: matrices per stacked call in ``shorten`` and steps per block of the
+#: proximity graph's edge weights: blocks are independent, so results do not
+#: depend on it, and peak memory stays flat on long polylines and large graphs
 _BLOCK = 256
 
 
@@ -105,12 +106,11 @@ def proximity_graph_distance(
     rows, cols = np.triu_indices(count, 1)
     weights = np.empty(len(rows))
     valid = np.empty(len(rows), dtype=bool)
-    done = 0
-    for i in range(count - 1):
-        steps = stack[i + 1 :] - stack[i]
-        weights[done : done + len(steps)] = frobenius_norms(steps)
-        valid[done : done + len(steps)] = ~steps.reshape(len(steps), -1).any(axis=1)
-        done += len(steps)
+    for k in range(0, len(rows), _BLOCK):
+        block = slice(k, k + _BLOCK)
+        steps = stack[cols[block]] - stack[rows[block]]
+        weights[block] = frobenius_norms(steps)
+        valid[block] = ~steps.reshape(len(steps), -1).any(axis=1)
     rejected = np.zeros(len(rows), dtype=bool)
     edge_of = np.empty((count, count), dtype=np.intp)
     edge_of[rows, cols] = edge_of[cols, rows] = np.arange(len(rows))
@@ -200,25 +200,33 @@ def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(b - a, axis=(1, 2))
 
 
-def _total_length(points: np.ndarray) -> float:
+def _polyline_lengths(points: np.ndarray) -> np.ndarray:
+    """The length of every segment of a polyline, ``_BLOCK`` at a time."""
     starts, ends = points[:-1], points[1:]
-    return float(
-        sum(
-            _segment_lengths(starts[k : k + _BLOCK], ends[k : k + _BLOCK]).sum()
-            for k in range(0, len(starts), _BLOCK)
-        )
-    )
+    lengths = np.empty(len(starts))
+    for k in range(0, len(starts), _BLOCK):
+        lengths[k : k + _BLOCK] = _segment_lengths(starts[k : k + _BLOCK], ends[k : k + _BLOCK])
+    return lengths
 
 
-def _smoothing_sweep(points: np.ndarray, d: VarietyDescriptor, parities=(1, 2)) -> bool:
+def _total_length(lengths: np.ndarray) -> float:
+    """The sum of cached segment lengths, in ``_BLOCK`` chunks."""
+    return float(sum(lengths[k : k + _BLOCK].sum() for k in range(0, len(lengths), _BLOCK)))
+
+
+def _smoothing_sweep(
+    points: np.ndarray, lengths: np.ndarray, d: VarietyDescriptor, parities=(1, 2)
+) -> bool:
     """One red-black pass of corner cutting, in place; True on any change.
 
     The odd interior breakpoints move first, then the even ones (or only
     the given ``parities``).  Points of one parity share no segment, so each
-    candidate is judged on its own two segments, and every accepted move
-    strictly shortens the polyline.  A candidate is its neighbours' midpoint
-    taken to rank <= t-1 by ``bounded_projections``: one stacked Gram
-    eigendecomposition per block, not an SVD, and within
+    candidate's two segments are judged against its center's two entries of
+    ``lengths``, the polyline's cached segment lengths, and every accepted
+    move strictly shortens the polyline and rewrites those two entries.
+    Only the candidates' own segments are measured.  A candidate is its
+    neighbours' midpoint taken to rank <= t-1 by ``bounded_projections``:
+    one stacked Gram eigendecomposition per block, not an SVD, and within
     c eps sigma_1^2 / sigma_{t-1} of the truncated SVD where
     sigma_{t-1} >= 2 sigma_t.  It must also have residual <= 1e-8: the
     bound ``bounded_projections`` proves from the candidate's own factors
@@ -230,13 +238,16 @@ def _smoothing_sweep(points: np.ndarray, d: VarietyDescriptor, parities=(1, 2)) 
         centers = points[parity:-1:2]
         before = points[parity - 1 : -2 : 2]
         after = points[parity + 1 :: 2]
+        lefts = lengths[parity - 1 : -1 : 2]
+        rights = lengths[parity::2]
         for k in range(0, len(centers), _BLOCK):
             block = slice(k, k + _BLOCK)
             a, b, c = before[block], centers[block], after[block]
+            left, right = lefts[block], rights[block]
             candidate, bound = bounded_projections(0.5 * (a + c), d)
-            accept = _segment_lengths(a, candidate) + _segment_lengths(candidate, c) < (
-                _segment_lengths(a, b) + _segment_lengths(b, c)
-            )
+            new_left = _segment_lengths(a, candidate)
+            new_right = _segment_lengths(candidate, c)
+            accept = new_left + new_right < left + right
             unproven = accept & ~(bound <= _RESIDUAL_CEILING)
             if unproven.any():
                 accept[unproven] = (
@@ -244,6 +255,8 @@ def _smoothing_sweep(points: np.ndarray, d: VarietyDescriptor, parities=(1, 2)) 
                 )
             if accept.any():
                 b[accept] = candidate[accept]
+                left[accept] = new_left[accept]
+                right[accept] = new_right[accept]
                 changed = True
     return changed
 
@@ -291,24 +304,32 @@ def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> Pie
     is the projected midpoint of its neighbours, by the same kernel, so the
     first sweep of a refining round moves only the even ones.  A round's
     output is only accepted if it did not lengthen the path, so the length
-    is non-increasing across rounds and the endpoints never move.
+    is non-increasing across rounds and the endpoints never move.  The
+    segment lengths are measured once per round, after refinement, and
+    kept beside the breakpoints: a sweep measures only its candidates'
+    segments, and the round compares the cached sums.
     """
     points = as_matrix(np.stack(path.breakpoints), d.field)
     exponent = int(np.frexp(np.abs(points).max())[1])
     current = ldexp(points, -exponent)
     _project_in_place(current[1:-1], d)
+    lengths = _polyline_lengths(current)
     for _ in range(cfg.shorten_iterations):
         if len(current) < 2:
             break
         refine = len(current) * 2 - 1 <= _MAX_BREAKPOINTS
-        candidate = _refined(current, d) if refine else current.copy()
+        if refine:
+            candidate = _refined(current, d)
+            candidate_lengths = _polyline_lengths(candidate)
+        else:
+            candidate, candidate_lengths = current.copy(), lengths.copy()
         for sweep in range(_SWEEPS_PER_ROUND):
             parities = (2,) if refine and sweep == 0 else (1, 2)
-            if not _smoothing_sweep(candidate, d, parities):
+            if not _smoothing_sweep(candidate, candidate_lengths, d, parities):
                 break
-        if _total_length(candidate) <= _total_length(current):
-            current = candidate
-        elif not _smoothing_sweep(current, d):
+        if _total_length(candidate_lengths) <= _total_length(lengths):
+            current, lengths = candidate, candidate_lengths
+        elif not _smoothing_sweep(current, lengths, d):
             break
     current = ldexp(current, exponent)
     # the endpoints themselves, even where scaling rounded a subnormal entry

@@ -315,12 +315,19 @@ def normalize_pair(p, q):
     real = not np.iscomplexobj(cross)
     t, z = schur(cross, output="real" if real else "complex")
     trexc = lapack.dtrexc if real else lapack.ztrexc
+    # the block starts from j on, best first; only trexc changes t, so they
+    # are ranked again only after it runs (a declined swap included)
+    ranked = None
     j = 0
     while j < len(t):
-        starts, eig = _block_eigenvalues(t[j:, j:])
-        first = j + starts[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))[0]]
+        if ranked is None:
+            starts, eig = _block_eigenvalues(t[j:, j:])
+            ranked = j + starts[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]
+        ranked = ranked[ranked >= j]
+        first = ranked[0]
         if first != j:
             t, z, _ = trexc(t, z, first + 1, j + 1)
+            ranked = None
         j += _block_size(t, j)
     v, r = np.linalg.qr(q.conj().T @ z, mode="complete")
     return z, v, z.conj().T @ p @ v, r.conj().T, t

@@ -7,7 +7,9 @@ from hypothesis import settings
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from rankpath import ScalarField, VarietyDescriptor, sample_stratum
+from rankpath import PiecewisePath, ScalarField, VarietyDescriptor, oracles, sample_stratum
+from rankpath.numkernel import as_matrix, ldexp
+from rankpath.variety import membership_residuals
 
 # derandomized and without an example database, so property tests replay the
 # same examples on every run; hypothesis still caches the source constants it
@@ -62,3 +64,63 @@ def reference_graph_distance(nodes, source, target, residual_of, tol, checks_per
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _reference_total_length(points):
+    starts, ends, size = points[:-1], points[1:], oracles._BLOCK
+    return float(
+        sum(
+            oracles._segment_lengths(starts[k : k + size], ends[k : k + size]).sum()
+            for k in range(0, len(starts), size)
+        )
+    )
+
+
+def _reference_sweep(points, d, parities=(1, 2)):
+    changed = False
+    for parity in parities:
+        centers = points[parity:-1:2]
+        before = points[parity - 1 : -2 : 2]
+        after = points[parity + 1 :: 2]
+        for k in range(0, len(centers), oracles._BLOCK):
+            block = slice(k, k + oracles._BLOCK)
+            a, b, c = before[block], centers[block], after[block]
+            candidate, bound = oracles.bounded_projections(0.5 * (a + c), d)
+            lengths = oracles._segment_lengths
+            accept = lengths(a, candidate) + lengths(candidate, c) < lengths(a, b) + lengths(b, c)
+            unproven = accept & ~(bound <= oracles._RESIDUAL_CEILING)
+            if unproven.any():
+                accept[unproven] = (
+                    membership_residuals(candidate[unproven], d) <= oracles._RESIDUAL_CEILING
+                )
+            if accept.any():
+                b[accept] = candidate[accept]
+                changed = True
+    return changed
+
+
+def reference_shorten(path, d, cfg):
+    """``shorten`` measuring every segment afresh in every sweep and every
+    round comparison: the loop whose breakpoints the length cache must
+    reproduce bit for bit.  It reads ``oracles``' kernels and ``_BLOCK`` at
+    call time, so a test that patches them patches both."""
+    points = as_matrix(np.stack(path.breakpoints), d.field)
+    exponent = int(np.frexp(np.abs(points).max())[1])
+    current = ldexp(points, -exponent)
+    oracles._project_in_place(current[1:-1], d)
+    for _ in range(cfg.shorten_iterations):
+        if len(current) < 2:
+            break
+        refine = len(current) * 2 - 1 <= oracles._MAX_BREAKPOINTS
+        candidate = oracles._refined(current, d) if refine else current.copy()
+        for sweep in range(oracles._SWEEPS_PER_ROUND):
+            parities = (2,) if refine and sweep == 0 else (1, 2)
+            if not _reference_sweep(candidate, d, parities):
+                break
+        if _reference_total_length(candidate) <= _reference_total_length(current):
+            current = candidate
+        elif not _reference_sweep(current, d):
+            break
+    current = ldexp(current, exponent)
+    current[0], current[-1] = points[0], points[-1]
+    return PiecewisePath(tuple(current))

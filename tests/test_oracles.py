@@ -25,7 +25,7 @@ from rankpath import oracles
 from rankpath.numkernel import frobenius_norms
 from rankpath.oracles import EDGE_MEMBERSHIP_TOL, proximity_graph_distance
 from rankpath.variety import bounded_projections
-from conftest import random_member, reference_graph_distance
+from conftest import random_member, reference_graph_distance, reference_shorten
 
 D22 = VarietyDescriptor(2, 2, 2, ScalarField.REAL)
 CFG = OracleConfig(n_samples=48, seed=11)
@@ -123,14 +123,20 @@ class TestProximityGraphExactness:
 
         for source, target in ((0, 1), (5, 25), (24, 3)):
             scalar_points.clear()
-            lazy_points.clear()
             expected = reference_graph_distance(nodes, source, target, residual_of, 1e-6, checks)
-            got = proximity_graph_distance(nodes, source, target, residuals_of, 1e-6, checks)
-            assert got == expected
-            # only points the scalar loop evaluates, each at most once
-            assert set(lazy_points) <= set(scalar_points)
-            assert len(set(lazy_points)) == len(lazy_points)
-            assert len(lazy_points) < len(scalar_points)
+            # a block of 5 edge weights splits the source nodes' rows
+            for block in (5, oracles._BLOCK):
+                lazy_points.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(oracles, "_BLOCK", block)
+                    got = proximity_graph_distance(
+                        nodes, source, target, residuals_of, 1e-6, checks
+                    )
+                assert got == expected
+                # only points the scalar loop evaluates, each at most once
+                assert set(lazy_points) <= set(scalar_points)
+                assert len(set(lazy_points)) == len(lazy_points)
+                assert len(lazy_points) < len(scalar_points)
 
     def test_batched_weights_are_the_per_edge_norms(self, rng):
         for d in (
@@ -178,10 +184,13 @@ class TestProximityGraphExactness:
         expected = reference_graph_distance(
             nodes, source, target, lambda x: membership_residual(x, d), tol, checks
         )
-        got = proximity_graph_distance(
-            nodes, source, target, lambda stack: membership_residuals(stack, d), tol, checks
-        )
-        assert got == expected
+        for block in (3, oracles._BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracles, "_BLOCK", block)
+                got = proximity_graph_distance(
+                    nodes, source, target, lambda stack: membership_residuals(stack, d), tol, checks
+                )
+            assert got == expected
 
 
 class TestShorten:
@@ -282,6 +291,24 @@ def member_paths(draw):
     return d, build_path(p, q, d)[0], draw(st.integers(1, 8))
 
 
+def assert_same_polyline(got, expected):
+    assert len(got.breakpoints) == len(expected.breakpoints)
+    for a, b in zip(got.breakpoints, expected.breakpoints):
+        assert np.array_equal(a, b)
+
+
+def wavy_polyline(count):
+    """Rank-one 2 x 2 points on an arc whose radii alternate by 5%."""
+    angles = np.linspace(0.0, 1.0, count)
+    radii = 1.0 + 0.05 * (-1.0) ** np.arange(count)
+    return PiecewisePath(
+        tuple(
+            r * np.outer([np.cos(a), np.sin(a)], [np.cos(a), np.sin(a)])
+            for a, r in zip(angles, radii)
+        )
+    )
+
+
 class TestShortenProperties:
     @settings(max_examples=60)
     @given(member_paths())
@@ -298,15 +325,9 @@ class TestShortenProperties:
 
     def test_long_polyline_is_swept_without_refinement(self):
         # 2101 breakpoints: refining would exceed 4097, so rounds only sweep
-        angles = np.linspace(0.0, 1.0, 2101)
-        radii = 1.0 + 0.05 * (-1.0) ** np.arange(len(angles))
-        points = tuple(
-            r * np.outer([np.cos(a), np.sin(a)], [np.cos(a), np.sin(a)])
-            for a, r in zip(angles, radii)
-        )
-        path = PiecewisePath(points)
+        path = wavy_polyline(2101)
         out = shorten(path, D22, OracleConfig(shorten_iterations=2))
-        assert len(out.breakpoints) == len(points)
+        assert len(out.breakpoints) == len(path.breakpoints)
         assert np.array_equal(out.start, path.start)
         assert np.array_equal(out.end, path.end)
         assert out.length() < path.length()
@@ -340,5 +361,66 @@ class TestShortenResidualBound:
         points = np.stack(shorten(path, d, OracleConfig(shorten_iterations=rounds)).breakpoints)
         refined = oracles._refined(points, d)
         swept = refined.copy()
-        assert not oracles._smoothing_sweep(swept, d, parities=(1,))
+        assert not oracles._smoothing_sweep(swept, oracles._polyline_lengths(swept), d, (1,))
         assert np.array_equal(swept, refined)
+
+
+class TestShortenLengthCache:
+    """``shorten`` keeps its segment lengths beside the breakpoints; the
+    reference measures every segment afresh.  Every breakpoint must agree
+    bit for bit, whatever the block size."""
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    @settings(max_examples=25)
+    @given(member_paths())
+    def test_bitwise_equal_to_fresh_lengths(self, block, case):
+        d, path, rounds = case
+        cfg = OracleConfig(shorten_iterations=rounds)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "_BLOCK", block)
+            assert_same_polyline(shorten(path, d, cfg), reference_shorten(path, d, cfg))
+
+    @pytest.mark.parametrize("block", [3, 256])
+    def test_non_refining_polyline(self, block, monkeypatch):
+        # 2101 breakpoints: every round copies the polyline and its lengths
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+        path = wavy_polyline(2101)
+        cfg = OracleConfig(shorten_iterations=3)
+        assert_same_polyline(shorten(path, D22, cfg), reference_shorten(path, D22, cfg))
+
+    def test_rejected_round_sweeps_the_current_polyline(self, monkeypatch):
+        # the refined midpoints are pushed off the chord (scaling keeps their
+        # rank), so each round's candidate comes out longer than the current
+        # polyline, and shorten sweeps that one instead
+        real_refined, real_sweep = oracles._refined, oracles._smoothing_sweep
+        rejected = []
+
+        def pushed(points, d):
+            refined = real_refined(points, d)
+            refined[1::2] *= 3.0
+            return refined
+
+        def counting(points, lengths, d, *parities):
+            # the round's own sweeps pass their parities, the rejected round's does not
+            rejected.append(not parities)
+            out = real_sweep(points, lengths, d, *parities)
+            assert np.array_equal(lengths, oracles._polyline_lengths(points))
+            return out
+
+        monkeypatch.setattr(oracles, "_refined", pushed)
+        monkeypatch.setattr(oracles, "_smoothing_sweep", counting)
+        d = VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX)
+        path, _ = build_path(sample_stratum(d, 3, 1.0, 1), sample_stratum(d, 3, 1.0, 2), d)
+        cfg = OracleConfig(shorten_iterations=4)
+        assert_same_polyline(shorten(path, d, cfg), reference_shorten(path, d, cfg))
+        assert any(rejected)
+
+    @settings(max_examples=20)
+    @given(member_paths())
+    def test_cache_is_the_polyline_lengths_after_every_sweep(self, case):
+        d, path, _ = case
+        points = oracles._refined(np.stack(path.breakpoints), d)
+        lengths = oracles._polyline_lengths(points)
+        for parities in ((2,), (1, 2), (1, 2)):
+            oracles._smoothing_sweep(points, lengths, d, parities)
+            assert np.array_equal(lengths, oracles._polyline_lengths(points))

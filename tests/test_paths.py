@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack, schur
 
 from rankpath import (
     BranchKind,
@@ -23,7 +24,7 @@ from rankpath import (
 )
 from rankpath import paths
 from rankpath.harness import adversarial_pair
-from rankpath.numkernel import RANK_REL_TOL, numerical_ranks
+from rankpath.numkernel import RANK_REL_TOL, as_matrix, numerical_ranks
 from rankpath.variety import spectra, spectral_residuals
 from conftest import random_member, random_unitary
 
@@ -164,6 +165,70 @@ class TestNormalizePair:
         t = form[4]
         assert t[1, 0] != 0.0
         assert np.abs(t[2:, 2:]).max() <= 1e-14
+
+
+def reference_normalize_pair(p, q):
+    """``normalize_pair`` ranking the trailing blocks afresh at every
+    position: the loop whose outputs ranking once per swap must reproduce
+    bit for bit."""
+    p, q = as_matrix(p), as_matrix(q)
+    cross = p @ q.conj().T
+    real = not np.iscomplexobj(cross)
+    t, z = schur(cross, output="real" if real else "complex")
+    trexc = lapack.dtrexc if real else lapack.ztrexc
+    j = 0
+    while j < len(t):
+        starts, eig = paths._block_eigenvalues(t[j:, j:])
+        first = j + starts[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))[0]]
+        if first != j:
+            t, z, _ = trexc(t, z, first + 1, j + 1)
+        j += paths._block_size(t, j)
+    v, r = np.linalg.qr(q.conj().T @ z, mode="complete")
+    return z, v, z.conj().T @ p @ v, r.conj().T, t
+
+
+@st.composite
+def schur_pairs(draw):
+    """Pairs up to 40 x 40 over both fields: Gaussian ones, whose p q^H has
+    distinct eigenvalues (complex-conjugate 2 x 2 blocks over the reals),
+    lower-rank members (a repeated zero eigenvalue), signed permutations
+    (eigenvalues of equal modulus, over the reals many conjugate blocks of
+    modulus 1), diagonals over a few values (exactly tied keys) and those
+    diagonals in a random unitary basis (near ties)."""
+    field = draw(st.sampled_from(list(ScalarField)))
+    kind = draw(st.sampled_from(["gaussian", "member", "permutation", "diagonal", "rotated"]))
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40)) if kind in ("gaussian", "member") else m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    identity = np.eye(m, dtype=field.dtype)
+    if kind == "gaussian":
+        shape = (2, m, n)
+        pair = rng.standard_normal(shape)
+        if field is ScalarField.COMPLEX:
+            pair = pair + 1j * rng.standard_normal(shape)
+        return pair[0], pair[1]
+    if kind == "member":
+        d = VarietyDescriptor(m, n, min(m, n), field)
+        return random_member(d, rng, min(m, n) - 1), random_member(d, rng, min(m, n) - 1)
+    if kind == "permutation":
+        signs = rng.choice([-1.0, 1.0], m)
+        return (identity[rng.permutation(m)] * signs).astype(field.dtype), identity
+    values = [-2.0, -1.0, 0.0, 1.0, 2.0] + ([1j, -1j, 1 + 1j] if field is ScalarField.COMPLEX else [])
+    diagonal = np.diag(rng.choice(values, m)).astype(field.dtype)
+    if kind == "rotated":
+        u = random_unitary(m, rng, field)
+        diagonal = u @ diagonal @ u.conj().T
+    return diagonal, identity
+
+
+class TestNormalizePairOrdering:
+    @settings(max_examples=150)
+    @given(schur_pairs())
+    def test_bitwise_equal_to_ranking_every_position(self, pair):
+        p, q = pair
+        for got, expected in zip(normalize_pair(p, q), reference_normalize_pair(p, q)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 class TestGeneralPath:
