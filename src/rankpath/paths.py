@@ -42,9 +42,10 @@ SVD would; any other pair takes the full SVD.  The route is one stack of breakpo
 the Schur coordinates of the core, endpoints included, where its residual
 is bounded and repeated points are dropped by one comparison.  The frames
 and the Schur factors compose into one map b -> L b R^H onto m x n, which
-carries every kept point onto the returned polyline in one product.  The
-residual bound charges that map, so it holds for the returned polyline,
-the only one measured.
+carries every kept point onto the returned polyline in one product; a
+route without a Schur form is its returned points, under the identity
+map.  The residual bound charges that map, so it holds for the returned
+polyline, the only one measured.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from .numkernel import (
     DimensionMismatch,
     ScalarField,
     as_matrix,
-    frobenius_distance,
-    frobenius_norm,
     frobenius_norms,
     ldexp,
     leading_nonzero_eigenpair,  # noqa: F401  unused here, but per-layer tracing wraps this name
@@ -132,9 +131,19 @@ _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 _NORM_SAFE = math.sqrt(UNDERFLOW_SAFE)
 
 
-def _step_norm(step: np.ndarray) -> float:
-    norm = np.linalg.norm(step)
-    return norm if norm >= _NORM_SAFE else frobenius_norms(step[np.newaxis])[0]
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of x, also where the squares of its entries underflow:
+    ``np.linalg.norm(x)`` bitwise, one dot of each real part of x.ravel("K"),
+    down to ``_NORM_SAFE``, and below it ``frobenius_norms``, which rescales x."""
+    flat = x.ravel(order="K")
+    if flat.dtype.kind == "c":
+        squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
+    else:
+        squares = flat.dot(flat)
+    norm = math.sqrt(squares)
+    if norm >= _NORM_SAFE or not flat.any():
+        return norm
+    return float(frobenius_norms(flat[np.newaxis])[0])
 
 
 class BranchKind(str, Enum):
@@ -182,7 +191,7 @@ class PiecewisePath:
         length, not 0."""
         points = self.breakpoints
         if len(points) < _BATCH_MIN_POINTS:
-            return float(sum(_step_norm(b - a) for a, b in zip(points, points[1:])))
+            return float(sum(_norm(b - a) for a, b in zip(points, points[1:])))
         size = max(1, _BATCH_ENTRIES // points[0].size)
         norms = [
             frobenius_norms(np.diff(np.stack(points[k : k + size + 1]), axis=0))
@@ -196,8 +205,9 @@ class PiecewisePath:
         The ratio is length / outer unclamped: a value below 1 would mean a
         polyline shorter than its chord, a measurement fault, and shows as such.
         """
-        length = self.length()
-        outer = frobenius_distance(self.start, self.end)
+        outer = _norm(self.start - self.end)
+        # one segment is its own chord: ||a - b|| = ||b - a||, bitwise
+        length = outer if len(self.breakpoints) == 2 else self.length()
         ratio = 1.0 if outer == 0.0 else length / outer
         return outer, length, ratio
 
@@ -234,7 +244,8 @@ class PathCertificate:
     polyline, L and R the core frames times the Schur factors.  That charge
     covers the unitarity defects of L and R, the rounding of the map's
     products, and the computed distance from each exact endpoint to the map
-    of its Schur point, so the residual bounds the returned path.
+    of its Schur point, so the residual bounds the returned path.  A route
+    without a Schur form is read on its returned points, under the identity.
     ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
     rule) that ``build_path`` read off its endpoint SVD; None from
     ``certify`` and the ``combinators``, which do not read them.
@@ -335,16 +346,8 @@ def normalize_pair(p, q):
 
 def _inner(a: np.ndarray, b: np.ndarray):
     """``frobenius_inner(a, b)`` of two blocks of one frame, unchecked."""
-    value = np.sum(a * np.conjugate(b))
+    value = (a * b.conj()).sum()
     return complex(value) if np.iscomplexobj(a) else float(value)
-
-
-def _norm(x: np.ndarray) -> float:
-    """The Frobenius norm of x, also where the squares of its entries underflow."""
-    norm = float(np.linalg.norm(x))
-    if norm >= _NORM_SAFE or not x.any():
-        return norm
-    return float(frobenius_norms(x.reshape(1, -1))[0])
 
 
 def _quotient(error: float, floor: float) -> float:
@@ -410,6 +413,10 @@ class _MapBound:
         (upper rho + kappa) / (lower - kappa).
         """
         return _ratio(self.upper * residual + kappa, self.lower - kappa)
+
+
+#: the exact map of a route built on the points it returns
+_IDENTITY = _MapBound(1.0, 1.0, 0.0, 0.0)
 
 
 def _frame_bounds(a: np.ndarray, field: ScalarField) -> tuple[float, float]:
@@ -491,49 +498,17 @@ def _trailing_residual(blocks: np.ndarray, j: int, top: float, t: int) -> float:
     return max(_ratio(bottom, top) for bottom, top in zip(bottoms, tops))
 
 
-def _direct_residual(middle: int, ray: tuple[int, object], ends: _Ends) -> tuple[float, int]:
-    """The residual bound of a route without a Schur form, and its samples
-    per segment.
-
-    Its returned polyline joins the exact endpoints, through 0 for the
-    orthogonal route.  A leg to 0 is a ray, every point a multiple of its
-    endpoint, so the endpoints certify it.  The segment from p to q is the
-    ray of ``ray`` = (base, c), which runs from x, the endpoint ``base``
-    names, to the other one y = c x + r: every point (1 - s + s c) x + s r
-    lies within s ||r||_2 of a multiple of x, so its residual is at most
-    x's plus twice the largest s ||r||_F / sigma_1 along the segment
-    (``_segment_ratios``, with the floor of ``_ray_floor``).  Where that
-    charge exceeds ``_TAIL_CHARGE_LIMIT`` (a segment passing near 0), the
-    segment is checked at full degree t, or by its endpoints where
-    q = -2^k p exactly (``_on_negative_ray``).
-    """
-    worst = max(ends.residuals)
-    if middle:
-        return worst, 0
-    base, coef = ray
-    x, y = ends.points[base], ends.points[1 - base]
-    tail = _norm(y - coef * x)
-    floor = _ray_floor(coef, ends.tops[base], tail)
-    anchor = (0.0, tail) if base == 0 else (tail, 0.0)
-    norms = [_norm(point) for point in ends.points]
-    charge = 2.0 * _segment_ratios([anchor], ends.tops, norms, floor)[0]
-    if charge <= _TAIL_CHARGE_LIMIT:
-        return max(worst, ends.residuals[base] + charge), 0
-    p, q = ends.points
-    if _on_negative_ray(p, q):
-        return worst, 0
-    nodes = _lobatto_interior(ends.d.t)[:, np.newaxis, np.newaxis]
-    sampled = membership_residuals(p + nodes * (q - p), ends.d)
-    return max(worst, float(sampled.max())), len(nodes)
-
-
 def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) -> tuple[float, int]:
     """The residual bound of the returned polyline whose breakpoints are
     L b R^H for the Schur-coordinate points b of ``stack``, and its samples
-    per segment.
+    per segment: the one residual bound of ``build_path``.
 
     ``stack`` holds the route in Schur coordinates, p_hat and q_hat at its
-    ends.  Point i is exactly D_j + x: ``positions[i]`` = j units of q_hat's
+    ends.  A route without a Schur form (Radial, Orthogonal or coincident
+    at the first level) is the stack of the scaled m x n points it returns,
+    with the orthogonal route's 0 between them, all at position 0, and
+    ``left`` None: the identity map, exact, with endpoint checks of 0.
+    Point i is exactly D_j + x: ``positions[i]`` = j units of q_hat's
     diagonal blocks, whose sigma_1 is at least ``tops_d[j]``, and a trailing
     block x; its spectrum is D_j's and x's.  Each level takes one
     ``compute_uv=False`` call on its two trailing blocks; the endpoints'
@@ -558,33 +533,40 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
       the floor of ``_ray_floor``.
 
     A segment whose charge exceeds ``_TAIL_CHARGE_LIMIT`` is checked at full
-    degree t instead.  Then every point and segment is carried onto the
-    returned path through ``_MapBound.residual`` of the one map
-    b -> L b R^H (``left`` and ``right``): its unitarity defects, the
-    rounding of its products, and at each endpoint the computed
+    degree t instead, unless it is a ray from D_j + x to D_j - 2^k x exactly
+    (``_on_negative_ray``, p to -p say): every point of it is
+    D_j + c(s) x, so x's residual bounds it, where a sample at its crossing
+    of D_j would hold only rounding.  Then every point and segment is
+    carried onto the returned path through ``_MapBound.residual`` of the
+    one map b -> L b R^H (``left`` and ``right``): its unitarity defects,
+    the rounding of its products, and at each endpoint the computed
     ||p - L p_hat R^H||.  A point equal to p_hat or q_hat (``same`` tells
     whether each point equals the one before it) is returned as that
     endpoint, and charged as it.
     """
     t, count = ends.d.t, len(stack)
-    route = _map_bound(left, right, ends.d.field)
-    norms = frobenius_norms(stack).tolist()
-    mapped = left @ stack[[0, -1]] @ right.conj().T
-    checks = frobenius_norms(np.stack(ends.points) - mapped).tolist()
-    errors = [route.factor * norm + route.absolute for norm in norms]
+    if left is None:
+        route, errors = _IDENTITY, [0.0] * count
+    else:
+        route = _map_bound(left, right, ends.d.field)
+        norms = frobenius_norms(stack).tolist()
+        errors = [route.factor * norm + route.absolute for norm in norms]
+        mapped = left @ stack[[0, -1]] @ right.conj().T
+        checks = frobenius_norms(np.stack(ends.points) - mapped).tolist()
+        for e, i in ((0, 0), (1, count - 1)):
+            errors[i] = checks[e] + route.factor * norms[i] + route.absolute
+        for i in range(1, count - 1):
+            if not same[i - 1]:
+                break
+            errors[i] = errors[0]
+        for i in range(count - 2, 0, -1):
+            if not same[i]:
+                break
+            errors[i] = errors[-1]
     trail_tops, trail_bottoms = [0.0] * count, [0.0] * count
     for e, i in ((0, 0), (1, count - 1)):
-        errors[i] = checks[e] + route.factor * norms[i] + route.absolute
         trail_tops[i] = (ends.tops[e] - errors[i]) / route.upper
         trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / route.lower
-    for i in range(1, count - 1):
-        if not same[i - 1]:
-            break
-        errors[i] = errors[0]
-    for i in range(count - 2, 0, -1):
-        if not same[i]:
-            break
-        errors[i] = errors[-1]
     for i in range(1, count // 2):
         j = positions[i]
         blocks = np.stack([stack[i, j:, j:], stack[-1 - i, j:, j:]])
@@ -617,7 +599,7 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
         else:
             _, base, coef = kind
             x, y = (a, b) if base == 0 else (b, a)
-            tail = _norm(y - coef * x)
+            tail = _norm(y - coef * x if coef else y)
             floor = max(tops_d[j], _ray_floor(coef, trail_tops[i + base], tail))
             start = _ratio(trail_bottoms[i + base], trail_tops[i + base])
             anchors = [(0.0, tail) if base == 0 else (tail, 0.0)]
@@ -626,11 +608,14 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
         charge = 2.0 * _quotient(tail, floor)
         if max(kappa, charge) > _TAIL_CHARGE_LIMIT:
             # near a point of small sigma_1: follow sigma_1 along the segment
+            norms = frobenius_norms(stack[i : i + 2]).tolist()
             kappa, *charges = _segment_ratios(
-                [(errors[i], errors[i + 1]), *anchors], tops[i : i + 2], norms[i : i + 2], floor
+                [(errors[i], errors[i + 1]), *anchors], tops[i : i + 2], norms, floor
             )
             charge = 2.0 * min(charges)
-        if charge > _TAIL_CHARGE_LIMIT:
+        if charge > _TAIL_CHARGE_LIMIT and kind[0] == "ray" and _on_negative_ray(a, b):
+            charge = 0.0  # every point is D_j + c(s) x, so x's residual bounds it
+        elif charge > _TAIL_CHARGE_LIMIT:
             size, charge, start = t, 0.0, max(residuals[i], residuals[i + 1])
         degree = min(t, size)
         if degree >= 2:
@@ -645,7 +630,7 @@ def _dispatch(
     p: np.ndarray,
     q: np.ndarray,
     d: VarietyDescriptor,
-    scale: float,
+    norms: tuple[float, float],
     ranks: tuple[int, int],
     ends: _Ends,
 ) -> tuple[np.ndarray, list[BranchTag], float, float, int]:
@@ -675,36 +660,44 @@ def _dispatch(
     the end are q, so both are dropped there, where they compare exactly.
     The frames and the normal form make one map b -> L b R^H with L = U z
     and R = V v (z and v without frames) from the Schur coordinates onto
-    the returned path, which carries every kept point in one product.  The
-    residual is bounded on the stack and that map (``_schur_residual``),
-    or on the returned endpoints for a route without a Schur form
-    (``_direct_residual``), whose only interior point is the orthogonal
-    route's 0.  The bound is 2 * min rank once a step was taken, else 2 for
-    the orthogonal route and 1 for the others.
+    the returned path, which carries every kept point in one product.  A
+    route that ends at the first level has no Schur form: its stack is the
+    returned points ``ends.points`` (with 0 between them for the orthogonal
+    route), its map the identity, and its interior is returned as it is.
+    The residual is bounded on the stack and its map (``_schur_residual``).
+    The first level's tests read ``norms``, those of p and q, and its
+    orthogonality test the <q, p> that its collinearity test takes.
+    The bound is 2 * min rank once a step was taken, else 2 for the
+    orthogonal route and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        interior, *route = _dispatch(q, p, d, scale, ranks[::-1], ends.swapped())
+        interior, *route = _dispatch(q, p, d, norms[::-1], ranks[::-1], ends.swapped())
         return interior[::-1], *route
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
-    x, y, inner = p, q, _inner(p, q)
+    scale = max(norms) or 1.0
+    x, y = p, q
+    norm_x, norm_y = norms
     levels, tags = [], []
     j, t, middle = 0, None, 0
     # the terminal leg is the ray (base, c) from x to y = c x + r, or from y
     # to x = c y + r for base 1; a coincident pair is x to x + (y - x)
     ray = (0, 1.0)
-    while np.linalg.norm(x - y) > _DEGENERATE_TOL * scale:
-        norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    while _norm(x - y) > _DEGENERATE_TOL * scale:
+        if j > 0:
+            norm_x, norm_y = _norm(x), _norm(y)
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (int(norm_x <= _ZERO_TOL * scale), 0.0)
             break
         # y a scalar multiple of x: the whole segment lies on one ray's span
-        coef = _inner(y, x) / (norm_x * norm_x)
-        if np.linalg.norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
+        cross = _inner(y, x)
+        coef = cross / (norm_x * norm_x)
+        if _norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (0, coef)
             break
+        inner = cross if j == 0 else np.trace(t[j:, j:])
         if abs(inner) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
             tags.append(BranchTag(BranchKind.ORTHOGONAL, j))
             middle = 1  # the two legs meet at D_j
@@ -715,7 +708,7 @@ def _dispatch(
         # |tr t[j:, j:]| above the threshold puts the dominant |lambda| at
         # twice this floor or more, so only rounding can land below it.  The
         # determinant of a scalar block is lambda, of a 2 x 2 block |lambda|^2
-        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * np.linalg.norm(t[j:, j:])
+        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * _norm(t[j:, j:])
         block = t[j : j + size, j : j + size]
         det = block[0, 0] if size == 1 else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
         if abs(det) < floor**size:
@@ -728,14 +721,15 @@ def _dispatch(
         j += size
         x = p_hat[j:, j:] if known_p > j else np.zeros_like(p_hat[j:, j:])
         y = q_hat[j:, j:] if known_q > j else np.zeros_like(q_hat[j:, j:])
-        inner = np.trace(t[j:, j:])
         levels.append((j - size, j, x, y))
 
     bound = 2.0 * min(ranks) if j > 0 else 2.0 if middle else 1.0
     if t is None:
-        worst, samples = _direct_residual(middle, ray, ends)
-        return np.zeros((middle,) + ends.d.shape, dtype=p.dtype), tags, bound, worst, samples
-    stack = np.zeros((2 * len(levels) + middle + 2,) + p.shape, dtype=p.dtype)
+        # no Schur form: the stack is the returned points, mapped by the identity
+        p_hat, q_hat, left, right = *ends.points, None, None
+    else:
+        left, right = (z, v) if ends.frames is None else (ends.frames[0] @ z, ends.frames[1] @ v)
+    stack = np.zeros((2 * len(levels) + middle + 2,) + p_hat.shape, dtype=p.dtype)
     stack[0], stack[-1] = p_hat, q_hat
     # sigma_1 of the corner D_j is at least that of each of its blocks
     tops_d = [0.0] * (j + 1)
@@ -745,7 +739,7 @@ def _dispatch(
         stack[1 + i : len(stack) - 1 - i, start:end, start:end] = corner
         stack[1 + i, end:, end:] = x
         stack[-2 - i, end:, end:] = y
-        tops_d[end] = max(tops_d[start], frobenius_norm(corner) / math.sqrt(end - start))
+        tops_d[end] = max(tops_d[start], _norm(corner) / math.sqrt(end - start))
         # each leg drops p_hat's entries below the corner, and a trailing
         # block zeroed to its known rank
         zeroed_p = _norm(p_hat[end:, end:]) if known_p <= end else 0.0
@@ -756,7 +750,6 @@ def _dispatch(
     positions = [0, *ends_at, *[j] * middle, *ends_at[::-1], 0]
     rays = [("ray", 0, 0.0), ("ray", 1, 0.0)] if middle else [("ray", *ray)]
     kinds = firsts + rays + closings[::-1]
-    left, right = (z, v) if ends.frames is None else (ends.frames[0] @ z, ends.frames[1] @ v)
     same = ~(stack[1:] != stack[:-1]).any(axis=(1, 2))
     # whether each point equals q_hat, and so does every point after it
     at_q = np.logical_and.accumulate(same[::-1])[::-1]
@@ -764,7 +757,7 @@ def _dispatch(
         stack, positions, kinds, tops_d, left, right, same.tolist(), ends
     )
     kept = stack[1:-1][~same[:-1] & ~at_q[1:]]
-    return left @ kept @ right.conj().T, tags, bound, worst, samples
+    return kept if left is None else left @ kept @ right.conj().T, tags, bound, worst, samples
 
 
 def _lobatto_interior(degree: int) -> np.ndarray:
@@ -1053,9 +1046,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     for name, point in (("p", p), ("q", q)):
         if point.shape != d.shape:
             raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
-        if not np.isfinite(frobenius_norm(point)):
+        if not np.isfinite(_norm(point)):
             raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
-    if not np.isfinite(frobenius_distance(p, q)):
+    if not np.isfinite(_norm(p - q)):
         raise ValueError("the Frobenius distance between p and q overflows")
 
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
@@ -1072,8 +1065,8 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
     ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), frames, d)
-    scale = max(frobenius_norm(core_p), frobenius_norm(core_q)) or 1.0
-    interior, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, scale, ranks, ends)
+    norms = (_norm(core_p), _norm(core_q))
+    interior, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, norms, ranks, ends)
     # a coincident pair has no interior point; its path is the one point
     same = np.array_equal(p_scaled, q_scaled)
     # measured on the polyline that is returned, with the exact endpoints

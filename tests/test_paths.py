@@ -882,8 +882,8 @@ def residuals_less_rounding(points, d):
 
 
 def built(p, q, d):
-    """``build_path``'s path and certificate, with the arguments of
-    ``_schur_residual`` (None for a route without a Schur form)."""
+    """``build_path``'s path and certificate, with the arguments of its one
+    ``_schur_residual`` call, which every route makes."""
     seen = {"route": None}
     schur = paths._schur_residual
 
@@ -963,8 +963,6 @@ class TestStructuralBound:
         # sigma_1 of the points it is charged to
         d, p, q = case
         _, _, seen = built(p, q, d)
-        if seen["route"] is None:
-            return
         for step, rank, tail in leg_steps(seen["route"]):
             sigma = np.concatenate([np.linalg.svd(step, compute_uv=False), [0.0]])
             if tail < RANK_REL_TOL * sigma[0]:
@@ -1097,6 +1095,68 @@ class TestStructuralBound:
         assert generic.samples_per_segment == 5
         assert generic.max_relative_residual <= cert.max_relative_residual <= 1e-8
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX),
+            # compressed onto a core, and still read on the m x n points
+            VarietyDescriptor(12, 9, 4, ScalarField.REAL),
+        ],
+    )
+    def test_first_level_routes_reach_the_kernel_with_the_identity_map(self, d):
+        # a route that ends at its first level has no Schur form: its stack
+        # is the scaled points it returns, every one at position 0, its
+        # segments are rays, and its map is the identity (left None)
+        p = sample_stratum(d, d.max_rank, 1.0, 1)
+        cases = [
+            ([BranchKind.RADIAL], p, 0 * p),
+            ([BranchKind.RADIAL], 0 * p, p),
+            ([BranchKind.RADIAL], p, -3.0 * p),
+            ([BranchKind.ORTHOGONAL], *adversarial_pair(d, 1, 2)),
+            ([], p, p.copy()),
+        ]
+        for kinds, a, b in cases:
+            path, cert, seen = built(a, b, d)
+            assert trace_kinds(cert) == kinds
+            stack, positions, rays, tops_d, left, right = seen["route"][:6]
+            assert left is None and right is None
+            assert stack.shape[1:] == d.shape
+            assert positions == [0] * len(stack) and tops_d == [0.0]
+            assert [kind[0] for kind in rays] == ["ray"] * (len(stack) - 1)
+            ends = seen["route"][-1]
+            assert {stack[0].tobytes(), stack[-1].tobytes()} == {
+                point.tobytes() for point in ends.points
+            }
+            if kinds == [BranchKind.ORTHOGONAL]:
+                assert len(path.breakpoints) == 3 and not path.breakpoints[1].any()
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            VarietyDescriptor(12, 9, 4, ScalarField.REAL),
+            VarietyDescriptor(10, 10, 3, ScalarField.COMPLEX),
+        ],
+    )
+    def test_first_level_rays_certified_by_their_endpoint_residuals(self, d):
+        # on pairs compressed onto a core, a ray to 0 and the two legs of the
+        # orthogonal route are certified by their endpoints alone: the
+        # certificate is the larger endpoint residual, bitwise.  A map through
+        # the frames would charge a zero endpoint, whose sigma_1 bound is 0, a
+        # residual of 1, and the legs its rounding
+        for seed in range(5):
+            p = sample_stratum(d, d.max_rank, 1.0, seed)
+            cases = [
+                (BranchKind.RADIAL, (p, 0 * p)),
+                (BranchKind.RADIAL, (0 * p, p)),
+                (BranchKind.ORTHOGONAL, adversarial_pair(d, seed, 2)),
+            ]
+            for kind, (a, b) in cases:
+                _, cert, seen = built(a, b, d)
+                ends = seen["route"][-1]
+                assert ends.frames is not None
+                assert trace_kinds(cert) == [kind]
+                assert cert.max_relative_residual == max(ends.residuals)
+
 
 class TestMeasure:
     def test_two_point_ratio_is_length_over_outer(self, rng):
@@ -1113,15 +1173,20 @@ class TestMeasure:
         assert ratio == length / outer
         assert ratio < 1.0
 
-    @pytest.mark.parametrize("count", [3, 12])
+    @pytest.mark.parametrize("count", [2, 3, 12])
     def test_length_of_a_tiny_polyline_scales(self, rng, count):
-        # below and above _BATCH_MIN_POINTS: at 2^-540 the squares of every
-        # step underflow, and the length must still be the unit one scaled
+        # one segment, and below and above _BATCH_MIN_POINTS: at 2^-540 the
+        # squares of every step underflow, and the length, the chord and
+        # their ratio must still be the unit ones, scaled
         d = VarietyDescriptor(3, 4, 3, ScalarField.COMPLEX)
         points = [random_member(d, rng, 2) for _ in range(count)]
         tiny = PiecewisePath(tuple(np.ldexp(p.view(float), -540).view(complex) for p in points))
-        expected = np.ldexp(PiecewisePath(tuple(points)).length(), -540)
+        unit = PiecewisePath(tuple(points))
+        expected = np.ldexp(unit.length(), -540)
         assert tiny.length() == pytest.approx(expected, rel=1e-14, abs=0.0)
+        (outer, _, ratio), (tiny_outer, _, tiny_ratio) = unit.measure(), tiny.measure()
+        assert tiny_outer == pytest.approx(np.ldexp(outer, -540), rel=1e-14, abs=0.0)
+        assert tiny_ratio == pytest.approx(ratio, rel=1e-14)
 
 
 class TestCertify:
@@ -1219,7 +1284,14 @@ class TestCertify:
         assert cert.ratio <= cert.certified_bound + 1e-9
 
     @pytest.mark.parametrize(
-        "shape, t, field", [((5, 5), 4, ScalarField.REAL), ((6, 6), 6, ScalarField.COMPLEX)]
+        "shape, t, field",
+        [
+            ((5, 5), 4, ScalarField.REAL),
+            ((6, 6), 6, ScalarField.COMPLEX),
+            # compressed onto a 6 x 6 core: the ray is read on the returned
+            # points, where q = -2^k p exactly, under the exact identity map
+            ((12, 9), 4, ScalarField.REAL),
+        ],
     )
     def test_ray_through_zero_certified_by_its_endpoints(self, shape, t, field):
         # q = -2^k p rides p's ray through 0, every point a multiple of p.  For
