@@ -173,7 +173,7 @@ def cone_builder(link: CertifiedBuilder) -> CertifiedBuilder:
                 [x.copy(), y.copy()], 1.0, (BranchTag(BranchKind.RADIAL, 0),), 0.0
             )
         unit_x, unit_y = x / rx, y / ry
-        if float(np.linalg.norm(unit_x - unit_y)) <= 1e-12:
+        if frobenius_norm(unit_x - unit_y) <= 1e-12:
             # same ray: the straight segment is radial and exactly optimal
             return _certificate(
                 [x.copy(), y.copy()], 1.0, (BranchTag(BranchKind.RADIAL, 0),), 0.0
@@ -217,7 +217,7 @@ def circle_builder() -> CertifiedBuilder:
         if a.shape != (2,) or b.shape != (2,):
             raise DimensionMismatch("circle points live in the plane")
         for name, point in (("a", a), ("b", b)):
-            if abs(np.linalg.norm(point) - 1.0) > 1e-9:
+            if abs(frobenius_norm(point) - 1.0) > 1e-9:
                 raise ValueError(f"{name} is not on the unit circle")
         theta_a = float(np.arctan2(a[1], a[0]))
         theta_b = float(np.arctan2(b[1], b[0]))
@@ -229,7 +229,7 @@ def circle_builder() -> CertifiedBuilder:
         points = [np.array([np.cos(t), np.sin(t)]) for t in thetas]
         points[0] = a.copy()
         points[-1] = b.copy()
-        residual = max(abs(float(np.linalg.norm(p)) - 1.0) for p in points)
+        residual = max(abs(frobenius_norm(p) - 1.0) for p in points)
         return _certificate(points, np.pi / 2.0, (), residual)
 
     return CertifiedBuilder(build, np.pi / 2.0, 2)

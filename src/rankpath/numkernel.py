@@ -1,6 +1,7 @@
 """Dense-matrix numeric kernel.
 
-Scalar fields, Frobenius geometry and the numerical rank rule that the
+Scalar fields, Frobenius geometry (the package's one norm and its one
+rule for the length of a polyline) and the numerical rank rule that the
 path construction is built on, plus two small factorizations it no longer
 calls (unitary completions and dominant eigenpairs), kept while the
 benchmark's per-layer tracer still looks them up by name.  Everything here
@@ -33,6 +34,16 @@ _EPS = float(np.finfo(np.float64).eps)
 #: below this largest entry a product's roundings may underflow, and the
 #: rounding model of ``variety.product_gamma`` fails
 UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
+
+#: ``step_norms`` norms the steps of a polyline with this many breakpoints or
+#: more in batches, which saves a call per step; below it a batch's fixed
+#: cost is more than the calls it saves
+_BATCH_MIN_POINTS = 10
+
+#: entries per batch of steps, so that a batch stays in cache: batching all
+#: the steps of 40 breakpoints at 40 x 40 took twice as long as one norm per
+#: step
+_BATCH_ENTRIES = 2**14
 
 
 class ScalarField(str, Enum):
@@ -109,36 +120,73 @@ def frobenius_inner(a, b):
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """The Frobenius norm of a, also where the squares of its entries
+    underflow: ``np.linalg.norm(a)`` bitwise, one dot of each real part of
+    a.ravel("K"), down to sqrt(``UNDERFLOW_SAFE``), and below it
+    ``frobenius_norms``, which rescales a exactly.  Either way it is
+    ``frobenius_norms(a[np.newaxis])[0]`` of a C-ordered a, bitwise."""
+    flat = np.asarray(a).ravel(order="K")
+    if flat.dtype.kind == "c":
+        squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
+    else:
+        squares = flat.dot(flat)
+    norm = math.sqrt(squares)
+    if norm >= math.sqrt(UNDERFLOW_SAFE) or not flat.any():
+        return norm
+    return float(frobenius_norms(flat[np.newaxis])[0])
 
 
 def _dot_norms(flat: np.ndarray) -> np.ndarray:
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in parts))
+    return np.sqrt(sum(np.vecdot(x, x) for x in parts))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each matrix of a (k, m, n) stack, bitwise,
     wherever the squares of its entries stay clear of underflow.
 
-    ``np.linalg.norm`` takes one BLAS dot per real part, and a row-times-
-    column ``matmul`` runs that same dot on each row; a summing reduction
-    rounds differently in the last bit for about a quarter of 6 x 6 steps.
+    ``np.linalg.norm`` takes one BLAS dot per real part, and ``np.vecdot``
+    runs that same dot on each row; a summing reduction rounds differently
+    in the last bit for about a quarter of 6 x 6 steps.
     A matrix whose norm comes out below sqrt(``UNDERFLOW_SAFE``) may have
     lost its squares to underflow (a matrix of entries near 1e-160 reads 0),
-    so it is divided by the power of two that brings its largest entry into
-    [1/2, 1), which is exact, normed, and multiplied back.
+    so it is divided by the power of two that brings its largest real or
+    imaginary part into [1/2, 1), which is exact, normed, and multiplied
+    back.
     """
     flat = stack.reshape(len(stack), -1)
     norms = _dot_norms(flat)
     for i in np.flatnonzero(norms < math.sqrt(UNDERFLOW_SAFE)):
-        row = np.ascontiguousarray(flat[i : i + 1])
-        parts = row.view(np.float64) if np.iscomplexobj(row) else row
-        top = float(np.abs(parts).max())
+        row = flat[i : i + 1]
+        top = float(np.abs(real_view(row)).max())
         if top > 0.0:
             exponent = math.frexp(top)[1]
-            norms[i] = math.ldexp(float(_dot_norms(np.ldexp(parts, -exponent))[0]), exponent)
+            norms[i] = math.ldexp(float(_dot_norms(ldexp(row, -exponent))[0]), exponent)
     return norms
+
+
+def step_norms(points) -> np.ndarray:
+    """``frobenius_norm(b - a)`` of each step a -> b of a polyline, given as a
+    sequence or a stack of same-shape matrices.  From ``_BATCH_MIN_POINTS``
+    points on the steps are normed by ``frobenius_norms``, bitwise the same,
+    in batches of about ``_BATCH_ENTRIES`` entries."""
+    if len(points) < _BATCH_MIN_POINTS:
+        return np.array([frobenius_norm(b - a) for a, b in zip(points, points[1:])])
+    size = max(1, _BATCH_ENTRIES // points[0].size)
+    return np.concatenate(
+        [
+            frobenius_norms(np.diff(points[k : k + size + 1], axis=0))
+            for k in range(0, len(points) - 1, size)
+        ]
+    )
+
+
+def sequential_sum(values) -> float:
+    """The sum of ``values`` added one at a time, first to last, the rule by
+    which every polyline length is summed: ``np.cumsum``'s order is fixed,
+    where ``np.sum`` adds pairwise and Python's ``sum`` compensates from
+    Python 3.12 on."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def real_view(x: np.ndarray) -> np.ndarray:
@@ -161,7 +209,7 @@ def frobenius_distance(a, b) -> float:
     a = as_matrix(a)
     b = as_matrix(b)
     _check_same_frame(a, b)
-    return float(np.linalg.norm(a - b))
+    return frobenius_norm(a - b)
 
 
 def numerical_ranks(sigma) -> np.ndarray:
@@ -184,7 +232,7 @@ def unitary_completion(w, side: Side) -> np.ndarray:
     """
     w = np.ravel(as_matrix(w))
     k = w.shape[0]
-    norm = float(np.linalg.norm(w))
+    norm = frobenius_norm(w)
     if abs(norm - 1.0) > UNITARITY_TOL:
         raise NormalizationError(f"expected a unit vector, got norm {norm!r}")
 

@@ -29,6 +29,8 @@ from .numkernel import (
     frobenius_norm,
     frobenius_norms,
     ldexp,
+    sequential_sum,
+    step_norms,
 )
 from .paths import MembershipError, PiecewisePath, build_path
 from .variety import (
@@ -196,24 +198,6 @@ def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
     )
 
 
-def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(b - a, axis=(1, 2))
-
-
-def _polyline_lengths(points: np.ndarray) -> np.ndarray:
-    """The length of every segment of a polyline, ``_BLOCK`` at a time."""
-    starts, ends = points[:-1], points[1:]
-    lengths = np.empty(len(starts))
-    for k in range(0, len(starts), _BLOCK):
-        lengths[k : k + _BLOCK] = _segment_lengths(starts[k : k + _BLOCK], ends[k : k + _BLOCK])
-    return lengths
-
-
-def _total_length(lengths: np.ndarray) -> float:
-    """The sum of cached segment lengths, in ``_BLOCK`` chunks."""
-    return float(sum(lengths[k : k + _BLOCK].sum() for k in range(0, len(lengths), _BLOCK)))
-
-
 def _smoothing_sweep(
     points: np.ndarray, lengths: np.ndarray, d: VarietyDescriptor, parities=(1, 2)
 ) -> bool:
@@ -245,8 +229,8 @@ def _smoothing_sweep(
             a, b, c = before[block], centers[block], after[block]
             left, right = lefts[block], rights[block]
             candidate, bound = bounded_projections(0.5 * (a + c), d)
-            new_left = _segment_lengths(a, candidate)
-            new_right = _segment_lengths(candidate, c)
+            new_left = frobenius_norms(candidate - a)
+            new_right = frobenius_norms(c - candidate)
             accept = new_left + new_right < left + right
             unproven = accept & ~(bound <= _RESIDUAL_CEILING)
             if unproven.any():
@@ -305,29 +289,30 @@ def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> Pie
     first sweep of a refining round moves only the even ones.  A round's
     output is only accepted if it did not lengthen the path, so the length
     is non-increasing across rounds and the endpoints never move.  The
-    segment lengths are measured once per round, after refinement, and
-    kept beside the breakpoints: a sweep measures only its candidates'
-    segments, and the round compares the cached sums.
+    segment lengths are measured once per round, after refinement, by
+    ``step_norms``, and kept beside the breakpoints: a sweep measures only
+    its candidates' segments, and the round compares the cached lengths'
+    ``sequential_sum``s, the rule ``PiecewisePath.length`` sums by.
     """
     points = as_matrix(np.stack(path.breakpoints), d.field)
     exponent = int(np.frexp(np.abs(points).max())[1])
     current = ldexp(points, -exponent)
     _project_in_place(current[1:-1], d)
-    lengths = _polyline_lengths(current)
+    lengths = step_norms(current)
     for _ in range(cfg.shorten_iterations):
         if len(current) < 2:
             break
         refine = len(current) * 2 - 1 <= _MAX_BREAKPOINTS
         if refine:
             candidate = _refined(current, d)
-            candidate_lengths = _polyline_lengths(candidate)
+            candidate_lengths = step_norms(candidate)
         else:
             candidate, candidate_lengths = current.copy(), lengths.copy()
         for sweep in range(_SWEEPS_PER_ROUND):
             parities = (2,) if refine and sweep == 0 else (1, 2)
             if not _smoothing_sweep(candidate, candidate_lengths, d, parities):
                 break
-        if _total_length(candidate_lengths) <= _total_length(lengths):
+        if sequential_sum(candidate_lengths) <= sequential_sum(lengths):
             current, lengths = candidate, candidate_lengths
         elif not _smoothing_sweep(current, lengths, d):
             break
@@ -339,7 +324,8 @@ def shorten(path: PiecewisePath, d: VarietyDescriptor, cfg: OracleConfig) -> Pie
 
 @dataclass(frozen=True)
 class Sandwich:
-    """Outer distance and the two inner-distance upper bounds around it."""
+    """Outer distance and two inner-distance estimates: the lengths of the
+    shortened and of the constructed path."""
 
     outer: float
     shortened: float
@@ -350,7 +336,7 @@ def sandwich(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> Sandwich:
     """outer <= shortened <= constructed, all for the same pair of members.
 
     Each value scales with the pair: ``outer`` comes from
-    ``frobenius_norms``, which rescales a step whose squares underflow,
+    ``frobenius_norm``, which rescales a step whose squares underflow,
     ``shortened`` from ``shorten``'s rescaled polyline, and ``constructed``
     from ``build_path``'s certificate.
     """
@@ -358,7 +344,7 @@ def sandwich(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> Sandwich:
     shorter = shorten(path, d, cfg)
     return Sandwich(
         # the path runs from p to q (a coincident pair's path is p alone)
-        outer=float(frobenius_norms((path.start - path.end)[np.newaxis])[0]),
+        outer=frobenius_norm(path.start - path.end),
         shortened=shorter.length(),
         constructed=cert.length,
     )

@@ -63,11 +63,14 @@ from .numkernel import (
     DimensionMismatch,
     ScalarField,
     as_matrix,
+    frobenius_norm,
     frobenius_norms,
     ldexp,
     leading_nonzero_eigenpair,  # noqa: F401  unused here, but per-layer tracing wraps this name
     numerical_ranks,
     real_view,
+    sequential_sum,
+    step_norms,
     unitary_completion,  # noqa: F401  unused here, but per-layer tracing wraps this name
 )
 from .variety import (
@@ -113,38 +116,9 @@ _SKETCH_RATIO = 8
 #: of its pair alone
 _SKETCH_SEED = 0
 
-#: ``PiecewisePath.length`` norms the steps of a polyline with this many
-#: breakpoints or more in batches, which saves a call per step; below it a
-#: batch's fixed cost is more than the calls it saves
-_BATCH_MIN_POINTS = 10
-
-#: entries per batch of steps, so that a batch stays in cache: batching all
-#: the steps of 40 breakpoints at 40 x 40 took twice as long as one norm per
-#: step
-_BATCH_ENTRIES = 2**14
-
 _EPS = float(np.finfo(np.float64).eps)
 
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
-
-#: a norm at least this large lost none of its squares to underflow
-_NORM_SAFE = math.sqrt(UNDERFLOW_SAFE)
-
-
-def _norm(x: np.ndarray) -> float:
-    """The Frobenius norm of x, also where the squares of its entries underflow:
-    ``np.linalg.norm(x)`` bitwise, one dot of each real part of x.ravel("K"),
-    down to ``_NORM_SAFE``, and below it ``frobenius_norms``, which rescales x."""
-    flat = x.ravel(order="K")
-    if flat.dtype.kind == "c":
-        squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
-    else:
-        squares = flat.dot(flat)
-    norm = math.sqrt(squares)
-    if norm >= _NORM_SAFE or not flat.any():
-        return norm
-    return float(frobenius_norms(flat[np.newaxis])[0])
-
 
 class BranchKind(str, Enum):
     RADIAL = "Radial"
@@ -182,22 +156,11 @@ class PiecewisePath:
                 raise DimensionMismatch("breakpoints disagree in shape or field")
 
     def length(self) -> float:
-        """The sum of ``np.linalg.norm(b - a)`` over the segments, added in
-        order.  A polyline of ``_BATCH_MIN_POINTS`` breakpoints or more takes
-        the norms from ``frobenius_norms``, bitwise the same, in batches of
-        about ``_BATCH_ENTRIES`` entries.  Either way a step whose norm may
-        have lost its squares to underflow is normed by ``frobenius_norms``,
-        which rescales it, so the length of a tiny polyline is its true
-        length, not 0."""
-        points = self.breakpoints
-        if len(points) < _BATCH_MIN_POINTS:
-            return float(sum(_norm(b - a) for a, b in zip(points, points[1:])))
-        size = max(1, _BATCH_ENTRIES // points[0].size)
-        norms = [
-            frobenius_norms(np.diff(np.stack(points[k : k + size + 1]), axis=0))
-            for k in range(0, len(points) - 1, size)
-        ]
-        return float(np.cumsum(np.concatenate(norms))[-1])
+        """The sum of the segments' ``frobenius_norm``s (``step_norms``),
+        added in order (``sequential_sum``).  A step whose squares underflow
+        is normed after an exact rescaling, so the length of a tiny polyline
+        is its true length, not 0."""
+        return sequential_sum(step_norms(self.breakpoints))
 
     def measure(self) -> tuple[float, float, float]:
         """Outer distance, length, and their ratio (1 for coincident endpoints).
@@ -205,7 +168,7 @@ class PiecewisePath:
         The ratio is length / outer unclamped: a value below 1 would mean a
         polyline shorter than its chord, a measurement fault, and shows as such.
         """
-        outer = _norm(self.start - self.end)
+        outer = frobenius_norm(self.start - self.end)
         # one segment is its own chord: ||a - b|| = ||b - a||, bitwise
         length = outer if len(self.breakpoints) == 2 else self.length()
         ratio = 1.0 if outer == 0.0 else length / outer
@@ -484,7 +447,7 @@ def _nearest(a: np.ndarray, b: np.ndarray) -> float:
     step = b - a
     squared = np.vdot(step, step).real
     s = 0.0 if squared == 0.0 else min(1.0, max(0.0, -np.vdot(step, a).real / squared))
-    return _norm(a + s * step)
+    return frobenius_norm(a + s * step)
 
 
 def _trailing_residual(blocks: np.ndarray, j: int, top: float, t: int) -> float:
@@ -599,7 +562,7 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
         else:
             _, base, coef = kind
             x, y = (a, b) if base == 0 else (b, a)
-            tail = _norm(y - coef * x if coef else y)
+            tail = frobenius_norm(y - coef * x if coef else y)
             floor = max(tops_d[j], _ray_floor(coef, trail_tops[i + base], tail))
             start = _ratio(trail_bottoms[i + base], trail_tops[i + base])
             anchors = [(0.0, tail) if base == 0 else (tail, 0.0)]
@@ -683,9 +646,9 @@ def _dispatch(
     # the terminal leg is the ray (base, c) from x to y = c x + r, or from y
     # to x = c y + r for base 1; a coincident pair is x to x + (y - x)
     ray = (0, 1.0)
-    while _norm(x - y) > _DEGENERATE_TOL * scale:
+    while frobenius_norm(x - y) > _DEGENERATE_TOL * scale:
         if j > 0:
-            norm_x, norm_y = _norm(x), _norm(y)
+            norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (int(norm_x <= _ZERO_TOL * scale), 0.0)
@@ -693,7 +656,7 @@ def _dispatch(
         # y a scalar multiple of x: the whole segment lies on one ray's span
         cross = _inner(y, x)
         coef = cross / (norm_x * norm_x)
-        if _norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
+        if frobenius_norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (0, coef)
             break
@@ -708,7 +671,7 @@ def _dispatch(
         # |tr t[j:, j:]| above the threshold puts the dominant |lambda| at
         # twice this floor or more, so only rounding can land below it.  The
         # determinant of a scalar block is lambda, of a 2 x 2 block |lambda|^2
-        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * _norm(t[j:, j:])
+        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * frobenius_norm(t[j:, j:])
         block = t[j : j + size, j : j + size]
         det = block[0, 0] if size == 1 else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
         if abs(det) < floor**size:
@@ -739,12 +702,13 @@ def _dispatch(
         stack[1 + i : len(stack) - 1 - i, start:end, start:end] = corner
         stack[1 + i, end:, end:] = x
         stack[-2 - i, end:, end:] = y
-        tops_d[end] = max(tops_d[start], _norm(corner) / math.sqrt(end - start))
+        tops_d[end] = max(tops_d[start], frobenius_norm(corner) / math.sqrt(end - start))
         # each leg drops p_hat's entries below the corner, and a trailing
         # block zeroed to its known rank
-        zeroed_p = _norm(p_hat[end:, end:]) if known_p <= end else 0.0
-        zeroed_q = _norm(q_hat[end:, end:]) if known_q <= end else 0.0
-        firsts.append(("leg", end - start, math.hypot(_norm(p_hat[end:, start:end]), zeroed_p)))
+        zeroed_p = frobenius_norm(p_hat[end:, end:]) if known_p <= end else 0.0
+        zeroed_q = frobenius_norm(q_hat[end:, end:]) if known_q <= end else 0.0
+        below = frobenius_norm(p_hat[end:, start:end])
+        firsts.append(("leg", end - start, math.hypot(below, zeroed_p)))
         closings.append(("leg", end - start, zeroed_q))
     ends_at = [end for _, end, _, _ in levels]
     positions = [0, *ends_at, *[j] * middle, *ends_at[::-1], 0]
@@ -809,7 +773,7 @@ def _sketch_margins(stack, basis, small, sigma, d: VarietyDescriptor):
     """
     norms = frobenius_norms(stack)
     rounding = product_gamma(basis.shape[1] + 1, d.field) * (
-        norms + _norm(basis) * frobenius_norms(small)
+        norms + frobenius_norm(basis) * frobenius_norms(small)
     )
     residual = basis @ small
     np.subtract(stack, residual, out=residual)
@@ -1046,9 +1010,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     for name, point in (("p", p), ("q", q)):
         if point.shape != d.shape:
             raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
-        if not np.isfinite(_norm(point)):
+        if not np.isfinite(frobenius_norm(point)):
             raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
-    if not np.isfinite(_norm(p - q)):
+    if not np.isfinite(frobenius_norm(p - q)):
         raise ValueError("the Frobenius distance between p and q overflows")
 
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
@@ -1065,7 +1029,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
         core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
         core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
     ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), frames, d)
-    norms = (_norm(core_p), _norm(core_q))
+    norms = (frobenius_norm(core_p), frobenius_norm(core_q))
     interior, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, norms, ranks, ends)
     # a coincident pair has no interior point; its path is the one point
     same = np.array_equal(p_scaled, q_scaled)

@@ -17,6 +17,7 @@ from .numkernel import (
     DimensionMismatch,
     ScalarField,
     as_matrix,
+    frobenius_norm,
     ldexp,
     numerical_ranks,
     real_view,
@@ -253,7 +254,7 @@ def sample_stratum(d: VarietyDescriptor, r: int, radius: float, seed: int) -> np
         g = rng.standard_normal((d.m, r))
         h = rng.standard_normal((r, d.n))
     sample = g @ h
-    norm = np.linalg.norm(sample)
+    norm = frobenius_norm(sample)
     if norm == 0.0:
         raise StratumError("degenerate Gaussian draw; use a different seed")
     return np.asarray(sample * (radius / norm), dtype=d.field.dtype)

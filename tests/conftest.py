@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from rankpath import PiecewisePath, ScalarField, VarietyDescriptor, oracles, sample_stratum
-from rankpath.numkernel import as_matrix, ldexp
+from rankpath.numkernel import as_matrix, frobenius_norms, ldexp
 from rankpath.variety import membership_residuals
 
 # derandomized and without an example database, so property tests replay the
@@ -66,16 +66,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def _reference_total_length(points):
-    starts, ends, size = points[:-1], points[1:], oracles._BLOCK
-    return float(
-        sum(
-            oracles._segment_lengths(starts[k : k + size], ends[k : k + size]).sum()
-            for k in range(0, len(starts), size)
-        )
-    )
-
-
 def _reference_sweep(points, d, parities=(1, 2)):
     changed = False
     for parity in parities:
@@ -86,8 +76,8 @@ def _reference_sweep(points, d, parities=(1, 2)):
             block = slice(k, k + oracles._BLOCK)
             a, b, c = before[block], centers[block], after[block]
             candidate, bound = oracles.bounded_projections(0.5 * (a + c), d)
-            lengths = oracles._segment_lengths
-            accept = lengths(a, candidate) + lengths(candidate, c) < lengths(a, b) + lengths(b, c)
+            norms = frobenius_norms
+            accept = norms(candidate - a) + norms(c - candidate) < norms(b - a) + norms(c - b)
             unproven = accept & ~(bound <= oracles._RESIDUAL_CEILING)
             if unproven.any():
                 accept[unproven] = (
@@ -101,9 +91,10 @@ def _reference_sweep(points, d, parities=(1, 2)):
 
 def reference_shorten(path, d, cfg):
     """``shorten`` measuring every segment afresh in every sweep and every
-    round comparison: the loop whose breakpoints the length cache must
-    reproduce bit for bit.  It reads ``oracles``' kernels and ``_BLOCK`` at
-    call time, so a test that patches them patches both."""
+    round comparison, each step by ``frobenius_norms`` and each polyline by
+    ``PiecewisePath.length``: the loop whose breakpoints the length cache
+    must reproduce bit for bit.  It reads ``oracles``' kernels and ``_BLOCK``
+    at call time, so a test that patches them patches both."""
     points = as_matrix(np.stack(path.breakpoints), d.field)
     exponent = int(np.frexp(np.abs(points).max())[1])
     current = ldexp(points, -exponent)
@@ -117,7 +108,7 @@ def reference_shorten(path, d, cfg):
             parities = (2,) if refine and sweep == 0 else (1, 2)
             if not _reference_sweep(candidate, d, parities):
                 break
-        if _reference_total_length(candidate) <= _reference_total_length(current):
+        if PiecewisePath(tuple(candidate)).length() <= PiecewisePath(tuple(current)).length():
             current = candidate
         elif not _reference_sweep(current, d):
             break

@@ -149,6 +149,27 @@ class TestConeBuilder:
         np.testing.assert_allclose(path.start, x, atol=1e-15)
         np.testing.assert_allclose(path.end, y, atol=1e-15)
 
+    def test_tiny_pair_takes_the_unit_route(self):
+        # at 2^-540 the squares of the entries underflow; the radii, and with
+        # them the whole certificate, must still be the unit pair's, scaled
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        cone = cone_builder(variety_builder(d))
+        x, y = sample_stratum(d, 2, 1.0, 3), sample_stratum(d, 2, 1.5, 103)
+        unit_path, unit_cert = cone.build(x, y)
+        tiny_path, tiny_cert = cone.build(np.ldexp(x, -540), np.ldexp(y, -540))
+        assert [str(tag) for tag in unit_cert.branch_trace] == [
+            "Radial(0)",
+            "General(0)",
+            "General(1)",
+        ]
+        assert tiny_cert.branch_trace == unit_cert.branch_trace
+        assert tiny_cert.ratio == unit_cert.ratio
+        assert tiny_cert.max_relative_residual == unit_cert.max_relative_residual > 0.0
+        assert tiny_cert.length == np.ldexp(unit_cert.length, -540)
+        assert len(tiny_path.breakpoints) == len(unit_path.breakpoints)
+        for a, b in zip(tiny_path.breakpoints, unit_path.breakpoints):
+            assert np.array_equal(a, np.ldexp(b, -540))
+
     def test_variety_is_cone_over_its_link(self, rng):
         # equal-norm pairs: wrapping the path builder as the link of its own
         # cone must still emit valid certificates, as must the direct build

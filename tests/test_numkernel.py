@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankpath import (
     DimensionMismatch,
@@ -14,7 +18,13 @@ from rankpath import (
     numerical_ranks,
     unitary_completion,
 )
-from rankpath.numkernel import RANK_REL_TOL, frobenius_norms
+from rankpath.numkernel import (
+    RANK_REL_TOL,
+    UNDERFLOW_SAFE,
+    frobenius_norm,
+    frobenius_norms,
+    ldexp,
+)
 from rankpath.variety import spectra
 from conftest import random_unitary
 
@@ -73,11 +83,27 @@ class TestFrobeniusDistance:
         assert frobenius_distance(a, b) == pytest.approx(np.sqrt(2.0))
 
 
+@st.composite
+def contract_matrices(draw):
+    """Up to 6 x 6 over either field, every real or imaginary part 0 or of
+    magnitude in [1/16, 2], so no square underflows unless the whole matrix
+    is scaled down, with a power of two 2^k, k in [-600, 600], drawn from
+    the tiny, the unit and the huge end alike."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    field = draw(st.sampled_from(list(ScalarField)))
+    count = m * n * (2 if field is ScalarField.COMPLEX else 1)
+    part = st.one_of(st.just(0.0), st.floats(1 / 16, 2), st.floats(-2, -1 / 16))
+    parts = np.array(draw(st.lists(part, min_size=count, max_size=count)))
+    ends = st.one_of(st.integers(-600, -400), st.integers(-400, 400), st.integers(400, 600))
+    return parts.view(field.dtype).reshape(m, n), draw(ends)
+
+
 class TestFrobeniusNorms:
     def test_tiny_matrices_keep_their_norm(self, rng):
         # squares of entries below about 1e-154 underflow: such a matrix is
         # normed after an exact power-of-two rescaling, and every other one
-        # stays bitwise np.linalg.norm
+        # stays bitwise np.linalg.norm; the scalar norm and the distance
+        # take the same rule
         for field in ScalarField:
             unit = random_unitary(5, rng, field)[:, :3]
             scales = [1.0, 1e-140, 1e-160, 1e-300, 1e-310]
@@ -87,6 +113,25 @@ class TestFrobeniusNorms:
             assert norms[-1] == 0.0
             for scale, norm in zip(scales[2:], norms[2:]):
                 assert norm == pytest.approx(np.sqrt(3.0) * scale, rel=1e-9)
+            tiny = stack[2]
+            assert frobenius_norm(tiny) == frobenius_distance(tiny, 0 * tiny) == norms[2] > 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=300)
+    @given(contract_matrices())
+    def test_one_norm_everywhere(self, case):
+        # bitwise np.linalg.norm wherever no square under- or overflows,
+        # bitwise the stacked kernel everywhere, and exact under 2^k while
+        # the squares stay finite
+        x, k = case
+        y = ldexp(x, k)
+        norm = frobenius_norm(y)
+        assert norm == frobenius_norms(y[np.newaxis])[0]
+        reference = float(np.linalg.norm(y))
+        if reference >= math.sqrt(UNDERFLOW_SAFE):
+            assert norm == reference
+        if math.isfinite(reference):
+            assert norm == math.ldexp(frobenius_norm(x), k)
 
 
 class TestSingularValues:

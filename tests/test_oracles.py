@@ -22,7 +22,7 @@ from rankpath import (
     shorten,
 )
 from rankpath import oracles
-from rankpath.numkernel import frobenius_norms
+from rankpath.numkernel import frobenius_norms, step_norms
 from rankpath.oracles import EDGE_MEMBERSHIP_TOL, proximity_graph_distance
 from rankpath.variety import bounded_projections
 from conftest import random_member, reference_graph_distance, reference_shorten
@@ -75,6 +75,35 @@ class TestGraphUpperBound:
             ]
             medians.append(float(np.median(values)))
         assert medians[0] >= medians[1] >= medians[2]
+
+    @pytest.mark.parametrize(
+        "d, seed",
+        [
+            (VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX), 1),
+            (VarietyDescriptor(8, 8, 5, ScalarField.REAL), 7),
+        ],
+    )
+    def test_samples_and_scales_with_the_pair(self, d, seed, monkeypatch):
+        # at 2^-540 the squares of the entries underflow: the ball the
+        # samples are drawn from must still be the unit one, scaled, so every
+        # sample becomes a node and the estimate scales with the pair
+        p = sample_stratum(d, d.max_rank, 1.0, seed)
+        q = sample_stratum(d, d.max_rank, 1.0, seed + 1)
+        cfg = OracleConfig(seed=3)
+        unit = graph_upper_bound(p, q, d, cfg)
+        counts = []
+        real_distance = oracles.proximity_graph_distance
+
+        def counting(nodes, *args, **kwargs):
+            counts.append(len(nodes))
+            return real_distance(nodes, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "proximity_graph_distance", counting)
+        tiny = [np.ldexp(x.view(float), -540).view(d.field.dtype) for x in (p, q)]
+        value = graph_upper_bound(*tiny, d, cfg)
+        assert counts == [3 + cfg.n_samples]
+        assert math.isfinite(unit)
+        assert value == pytest.approx(math.ldexp(unit, -540), rel=1e-12, abs=0.0)
 
     def test_rejects_off_variety_endpoints(self):
         d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
@@ -150,7 +179,7 @@ class TestProximityGraphExactness:
             expected = [float(np.linalg.norm(step)) for step in steps]
             assert frobenius_norms(steps).tolist() == expected
             # the polyline measure adds the same norms in order
-            assert PiecewisePath(tuple(points)).length() == float(sum(expected))
+            assert PiecewisePath(tuple(points)).length() == float(np.cumsum(expected)[-1])
 
     @settings(max_examples=80)
     @given(
@@ -361,7 +390,7 @@ class TestShortenResidualBound:
         points = np.stack(shorten(path, d, OracleConfig(shorten_iterations=rounds)).breakpoints)
         refined = oracles._refined(points, d)
         swept = refined.copy()
-        assert not oracles._smoothing_sweep(swept, oracles._polyline_lengths(swept), d, (1,))
+        assert not oracles._smoothing_sweep(swept, step_norms(swept), d, (1,))
         assert np.array_equal(swept, refined)
 
 
@@ -404,7 +433,7 @@ class TestShortenLengthCache:
             # the round's own sweeps pass their parities, the rejected round's does not
             rejected.append(not parities)
             out = real_sweep(points, lengths, d, *parities)
-            assert np.array_equal(lengths, oracles._polyline_lengths(points))
+            assert np.array_equal(lengths, step_norms(points))
             return out
 
         monkeypatch.setattr(oracles, "_refined", pushed)
@@ -420,7 +449,7 @@ class TestShortenLengthCache:
     def test_cache_is_the_polyline_lengths_after_every_sweep(self, case):
         d, path, _ = case
         points = oracles._refined(np.stack(path.breakpoints), d)
-        lengths = oracles._polyline_lengths(points)
+        lengths = step_norms(points)
         for parities in ((2,), (1, 2), (1, 2)):
             oracles._smoothing_sweep(points, lengths, d, parities)
-            assert np.array_equal(lengths, oracles._polyline_lengths(points))
+            assert np.array_equal(lengths, step_norms(points))

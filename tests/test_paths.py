@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -24,7 +25,7 @@ from rankpath import (
 )
 from rankpath import paths
 from rankpath.harness import adversarial_pair
-from rankpath.numkernel import RANK_REL_TOL, as_matrix, numerical_ranks
+from rankpath.numkernel import _BATCH_MIN_POINTS, RANK_REL_TOL, as_matrix, numerical_ranks
 from rankpath.variety import spectra, spectral_residuals
 from conftest import random_member, random_unitary
 
@@ -1172,6 +1173,20 @@ class TestMeasure:
         outer, length, ratio = path.measure()
         assert ratio == length / outer
         assert ratio < 1.0
+
+    @pytest.mark.parametrize("count", [_BATCH_MIN_POINTS - 1, _BATCH_MIN_POINTS + 2])
+    def test_length_adds_its_steps_in_order(self, count):
+        # steps of norm 1, 2^-53, 2^-53, ...: added one at a time from the
+        # first, every small step rounds away (half an ulp of 1, to even),
+        # where a pairwise or compensated sum keeps them.  Both sides of the
+        # batching threshold sum by the same rule
+        half_ulp = 2.0**-53
+        xs = [0.0] + [1.0 - half_ulp * (i % 2) for i in range(count - 1)]
+        norms = np.abs(np.diff(xs))
+        assert norms.tolist() == [1.0] + [half_ulp] * (count - 2)
+        path = PiecewisePath(tuple(np.array([[x]]) for x in xs))
+        assert path.length() == float(np.cumsum(norms)[-1]) == 1.0
+        assert math.fsum(norms) > 1.0
 
     @pytest.mark.parametrize("count", [2, 3, 12])
     def test_length_of_a_tiny_polyline_scales(self, rng, count):
