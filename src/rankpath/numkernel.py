@@ -121,17 +121,18 @@ def frobenius_inner(a, b):
 
 def frobenius_norm(a) -> float:
     """The Frobenius norm of a, also where the squares of its entries
-    underflow: ``np.linalg.norm(a)`` bitwise, one dot of each real part of
-    a.ravel("K"), down to sqrt(``UNDERFLOW_SAFE``), and below it
-    ``frobenius_norms``, which rescales a exactly.  Either way it is
-    ``frobenius_norms(a[np.newaxis])[0]`` of a C-ordered a, bitwise."""
+    underflow or overflow: ``np.linalg.norm(a)`` bitwise, one dot of each
+    real part of a.ravel("K"), from sqrt(``UNDERFLOW_SAFE``) up to where
+    it overflows, and beyond that range ``frobenius_norms``, which rescales
+    a exactly.  Either way it is ``frobenius_norms(a[np.newaxis])[0]`` of a
+    C-ordered a, bitwise."""
     flat = np.asarray(a).ravel(order="K")
     if flat.dtype.kind == "c":
         squares = flat.real.dot(flat.real) + flat.imag.dot(flat.imag)
     else:
         squares = flat.dot(flat)
     norm = math.sqrt(squares)
-    if norm >= math.sqrt(UNDERFLOW_SAFE) or not flat.any():
+    if math.sqrt(UNDERFLOW_SAFE) <= norm < math.inf or not flat.any():
         return norm
     return float(frobenius_norms(flat[np.newaxis])[0])
 
@@ -143,25 +144,31 @@ def _dot_norms(flat: np.ndarray) -> np.ndarray:
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each matrix of a (k, m, n) stack, bitwise,
-    wherever the squares of its entries stay clear of underflow.
+    wherever the squares of its entries stay clear of underflow and
+    overflow.
 
     ``np.linalg.norm`` takes one BLAS dot per real part, and ``np.vecdot``
     runs that same dot on each row; a summing reduction rounds differently
     in the last bit for about a quarter of 6 x 6 steps.
     A matrix whose norm comes out below sqrt(``UNDERFLOW_SAFE``) may have
     lost its squares to underflow (a matrix of entries near 1e-160 reads 0),
-    so it is divided by the power of two that brings its largest real or
-    imaginary part into [1/2, 1), which is exact, normed, and multiplied
-    back.
+    and one of finite entries whose norm comes out inf may have lost them to
+    overflow (entries near 1e155), so it is divided by the power of two
+    that brings its largest real or imaginary part into [1/2, 1), normed,
+    and multiplied back.  The division is exact but for parts so far below
+    the largest one that their squares vanish against its own, and the norm
+    is inf only where the true norm lies beyond the double range.
     """
     flat = stack.reshape(len(stack), -1)
     norms = _dot_norms(flat)
-    for i in np.flatnonzero(norms < math.sqrt(UNDERFLOW_SAFE)):
+    for i in np.flatnonzero((norms < math.sqrt(UNDERFLOW_SAFE)) | (norms == math.inf)):
         row = flat[i : i + 1]
         top = float(np.abs(real_view(row)).max())
-        if top > 0.0:
+        if 0.0 < top < math.inf:
             exponent = math.frexp(top)[1]
-            norms[i] = math.ldexp(float(_dot_norms(ldexp(row, -exponent))[0]), exponent)
+            scaled, power = math.frexp(float(_dot_norms(ldexp(row, -exponent))[0]))
+            power += exponent
+            norms[i] = math.ldexp(scaled, power) if power <= 1024 else math.inf
     return norms
 
 

@@ -336,9 +336,9 @@ def sandwich(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> Sandwich:
     """outer <= shortened <= constructed, all for the same pair of members.
 
     Each value scales with the pair: ``outer`` comes from
-    ``frobenius_norm``, which rescales a step whose squares underflow,
-    ``shortened`` from ``shorten``'s rescaled polyline, and ``constructed``
-    from ``build_path``'s certificate.
+    ``frobenius_norm``, which rescales a step whose squares underflow or
+    overflow, ``shortened`` from ``shorten``'s rescaled polyline, and
+    ``constructed`` from ``build_path``'s certificate.
     """
     path, cert = build_path(p, q, d)
     shorter = shorten(path, d, cfg)

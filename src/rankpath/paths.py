@@ -22,10 +22,11 @@ block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
 each t x t minor has degree at most min(t, rank D) in s, so this
 certifies the whole segment; the numerical tail of the step enters the
 residual through Weyl's inequality.  ``build_path`` reads all of it off
-its route's Schur block structure, with no SVD of a step or of a whole
-breakpoint: every breakpoint is D_j + x, with the spectrum of D_j and of
-its trailing block x, every leg moves one block of rows or columns and
-drops entries of known norm, and the terminal legs are rays
+its route's Schur block structure, with no SVD of a step, of a whole
+breakpoint or of a trailing block: every breakpoint is D_j + x, with the
+spectrum of D_j and of its trailing block x, which the norms of x's rows,
+columns and trailing strips bound, every leg moves one block of rows or
+columns and drops entries of known norm, and the terminal legs are rays
 (``_schur_residual``).  ``certify`` measures any given path and bounds its
 residual from the exact spectra of its breakpoints and steps
 (``_residual_bound``).
@@ -200,15 +201,17 @@ class PathCertificate:
 
     From ``build_path``, distance, length and ratio are measured on the
     returned polyline, and the residual is read off the structure of the
-    route (``_schur_residual``): trailing-block spectra for the
-    breakpoints, rank 1 or 2 and the norm of the dropped entries for each
-    leg, rays for the terminal legs, and one Weyl charge for the map
-    b -> L b R^H from the Schur coordinates onto the returned m x n
-    polyline, L and R the core frames times the Schur factors.  That charge
-    covers the unitarity defects of L and R, the rounding of the map's
-    products, and the computed distance from each exact endpoint to the map
-    of its Schur point, so the residual bounds the returned path.  A route
-    without a Schur form is read on its returned points, under the identity.
+    route (``_schur_residual``): bounds on the trailing blocks' sigma_1 and
+    sigma_{t-j} from the norms of their rows, columns and strips
+    (``_trailing_bounds``) for the breakpoints, rank 1 or 2 and the norm of
+    the dropped entries for each leg, rays for the terminal legs, and one
+    Weyl charge for the map b -> L b R^H from the Schur coordinates onto
+    the returned m x n polyline, L and R the core frames times the Schur
+    factors.  That charge covers the unitarity defects of L and R, the
+    rounding of the map's products, and the computed distance from each
+    exact endpoint to the map of its Schur point, so the residual bounds
+    the returned path.  A route without a Schur form is read on its
+    returned points, under the identity.
     ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
     rule) that ``build_path`` read off its endpoint SVD; None from
     ``certify`` and the ``combinators``, which do not read them.
@@ -461,6 +464,40 @@ def _trailing_residual(blocks: np.ndarray, j: int, top: float, t: int) -> float:
     return max(_ratio(bottom, top) for bottom, top in zip(bottoms, tops))
 
 
+def _trailing_bounds(stack: np.ndarray, positions, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds top <= sigma_1(x) and bottom >= sigma_{t-j}(x) for each point
+    D_j + x of a (N, m, n) stack, read off x's entries: ``positions[i]`` = j,
+    and the point is block diagonal, D_j its leading j x j block and x its
+    trailing block, so its rows and columns from j on are x's alone.
+
+    sigma_1(x) is at least the 2-norm of each row and column of x.  With
+    c = max(t - 1 - j, 0), x less its columns from c on has rank at most c,
+    so by Weyl's inequality sigma_{c+1}(x) <= ||x[:, c:]||_2
+    <= ||x[:, c:]||_F, and likewise for its rows from c on: bottom is the
+    smaller strip.  For j < t that bounds sigma_{t-j}(x); for j >= t it
+    bounds sigma_1(x).  In ``normalize_pair``'s coordinates both bounds are
+    tight: p_hat's rows from t - 1 on, and q_hat's columns from t - 1 on,
+    are rounding.  A square below the smallest normal number rounds by at
+    most half a smallest-subnormal unit, to 0 below about 1e-162, so each
+    real or imaginary part of the point charges one unit inside the square
+    roots: added to a strip, taken off a row or column.
+    """
+    count, m, n = stack.shape
+    parts = real_view(stack)
+    squares = np.square(parts)
+    # over each row, then over each column (both parts of an entry)
+    rows = squares @ np.ones(parts.shape[2])
+    cols = (np.ones(m) @ squares).reshape(count, n, -1).sum(axis=2)
+    sums = np.concatenate([rows, cols], axis=1)
+    charge = parts[0].size * _SMALLEST_SUBNORMAL
+    index = np.concatenate([np.arange(m), np.arange(n)])
+    j = np.asarray(positions)[:, np.newaxis]
+    tops = np.sqrt(np.maximum(np.where(index >= j, sums, 0.0).max(axis=1) - charge, 0.0))
+    strips = np.where(index >= np.maximum(j, t - 1), sums, 0.0)
+    bottoms = np.sqrt(np.minimum(strips[:, :m].sum(axis=1), strips[:, m:].sum(axis=1)) + charge)
+    return tops, bottoms
+
+
 def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) -> tuple[float, int]:
     """The residual bound of the returned polyline whose breakpoints are
     L b R^H for the Schur-coordinate points b of ``stack``, and its samples
@@ -473,11 +510,12 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
     ``left`` None: the identity map, exact, with endpoint checks of 0.
     Point i is exactly D_j + x: ``positions[i]`` = j units of q_hat's
     diagonal blocks, whose sigma_1 is at least ``tops_d[j]``, and a trailing
-    block x; its spectrum is D_j's and x's.  Each level takes one
-    ``compute_uv=False`` call on its two trailing blocks; the endpoints'
-    spectra come from the endpoint SVD, through the map.  Segment i shares
-    the corner D_j, j the smaller position of its ends, and is one of
-    ``kinds``:
+    block x; its spectrum is D_j's and x's.  Every interior point's
+    sigma_1(x) and sigma_{t-j}(x) are bounded at once from the norms of x's
+    rows, columns and trailing strips (``_trailing_bounds``), with no SVD;
+    the endpoints' spectra come from the endpoint SVD, through the map.
+    Segment i shares the corner D_j, j the smaller position of its ends, and
+    is one of ``kinds``:
 
     * ("leg", r, tau), a leg of a Schur block of size r: its step changes
       one block of r rows or of r columns, rank <= r, up to the entries the
@@ -491,9 +529,11 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
       the least norm of the rows it moves;
     * ("ray", base, c), a terminal leg from D_j + x to D_j + c x + r, x at
       the end ``base`` names: every point lies within s ||r||_2 of
-      D_j + (1 - s + s c) x, whose residual is at most
-      sigma_{t-j}(x) / sigma_1(x), so r is charged like a tail from x, with
-      the floor of ``_ray_floor``.
+      D_j + mu x, mu = 1 - s + s c, whose sigma_t is at most
+      |mu| sigma_{t-j}(x) and whose sigma_1 is at least |mu| sigma_1(x) and
+      sigma_1(D_j) >= |mu| sigma_1(D_j) / max(1, |c|), so its residual is at
+      most sigma_{t-j}(x) / max(sigma_1(x), sigma_1(D_j) / max(1, |c|)); r
+      is charged like a tail from x, with the floor of ``_ray_floor``.
 
     A segment whose charge exceeds ``_TAIL_CHARGE_LIMIT`` is checked at full
     degree t instead, unless it is a ray from D_j + x to D_j - 2^k x exactly
@@ -527,17 +567,12 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
                 break
             errors[i] = errors[-1]
     trail_tops, trail_bottoms = [0.0] * count, [0.0] * count
+    if count > 3:  # a route of 2 or 3 points ends at its first level: no trailing block
+        inner = _trailing_bounds(stack[1:-1], positions[1:-1], t)
+        trail_tops[1:-1], trail_bottoms[1:-1] = (bound.tolist() for bound in inner)
     for e, i in ((0, 0), (1, count - 1)):
         trail_tops[i] = (ends.tops[e] - errors[i]) / route.upper
         trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / route.lower
-    for i in range(1, count // 2):
-        j = positions[i]
-        blocks = np.stack([stack[i, j:, j:], stack[-1 - i, j:, j:]])
-        if blocks.any():
-            sigma = np.linalg.svd(blocks, compute_uv=False)
-            trail_tops[i], trail_tops[-1 - i] = sigma[:, 0].tolist()
-            # sigma_t <= sigma_{t-j}(x) needs j < t; sigma_1 bounds it anyway
-            trail_bottoms[i], trail_bottoms[-1 - i] = sigma[:, max(t - j - 1, 0)].tolist()
     tops = [max(top, tops_d[j]) for top, j in zip(trail_tops, positions)]
     residuals = [_ratio(bottom, top) for bottom, top in zip(trail_bottoms, tops)]
 
@@ -564,7 +599,9 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
             x, y = (a, b) if base == 0 else (b, a)
             tail = frobenius_norm(y - coef * x if coef else y)
             floor = max(tops_d[j], _ray_floor(coef, trail_tops[i + base], tail))
-            start = _ratio(trail_bottoms[i + base], trail_tops[i + base])
+            # sigma_1(D_j + mu x) >= |mu| sigma_1(D_j) / max(1, |c|), as |mu| <= max(1, |c|)
+            top = max(trail_tops[i + base], tops_d[j] / max(1.0, abs(coef)))
+            start = _ratio(trail_bottoms[i + base], top)
             anchors = [(0.0, tail) if base == 0 else (tail, 0.0)]
             size = 0
         kappa = _quotient(max(errors[i], errors[i + 1]), floor)
@@ -974,11 +1011,14 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     block takes a RealBlock step of two legs and two units of rank.
 
     Inputs with a non-finite entry, or whose Frobenius norms or distance
-    overflow, are rejected with ValueError: their measurements would be
-    meaningless.  The pair is divided by the power of two 2^e that brings
-    its largest entry into [1/2, 1), which is exact, so tiny and huge pairs
-    take the same route as at unit scale; breakpoints, distance and length
-    are multiplied back by 2^e.  When k = max(rank p + rank q, t) is below
+    lie beyond the double range, are rejected with ValueError: their
+    measurements would be meaningless.  Finite entries whose squares
+    overflow are measured after an exact rescaling, so a pair at 2^512
+    takes its unit pair's route.  The pair is divided by the power of two
+    2^e that brings its largest entry into [1/2, 1), which is exact, so
+    tiny and huge pairs take the same route as at unit scale; breakpoints,
+    distance and length are multiplied back by 2^e, the breakpoints by one
+    ``ldexp`` of their stack.  When k = max(rank p + rank q, t) is below
     min(m, n), the route is built on the k x k core U^H p V, U^H q V (see
     ``_core_frames``), and its breakpoints are carried onto m x n by U and
     V, which preserve rank.  Where min(m, n) is large against t the
@@ -988,9 +1028,10 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     rejected as with the full SVD, with the same message.  The returned
     path starts and ends at exact copies of p and q, and the certificate
     carries the endpoint ranks.  The residual is bounded while the route is
-    built, from its Schur block structure (``_schur_residual``): the
-    spectra of each level's trailing blocks for the breakpoints, rank 1 or
-    2 and the norm of the dropped entries for each leg (one interior
+    built, from its Schur block structure (``_schur_residual``): bounds on
+    the spectra of the breakpoints' trailing blocks read off their entries
+    (``_trailing_bounds``), rank 1 or 2 and the norm of the dropped entries
+    for each leg (one interior
     Chebyshev-Lobatto point for a ``RealBlock`` leg), rays for the terminal
     legs, and one Weyl charge for the map onto m x n, so it bounds each
     whole segment of the returned polyline, not only samples, up to
@@ -1010,10 +1051,13 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     for name, point in (("p", p), ("q", q)):
         if point.shape != d.shape:
             raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
-        if not np.isfinite(frobenius_norm(point)):
-            raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
-    if not np.isfinite(frobenius_norm(p - q)):
-        raise ValueError("the Frobenius distance between p and q overflows")
+    # squares that overflow are rescaled: only a norm beyond the double range reads inf
+    with np.errstate(over="ignore"):
+        for name, point in (("p", p), ("q", q)):
+            if not np.isfinite(frobenius_norm(point)):
+                raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
+        if not np.isfinite(frobenius_norm(p - q)):
+            raise ValueError("the Frobenius distance between p and q overflows")
 
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
     p_scaled, q_scaled = ldexp(p, -exponent), ldexp(q, -exponent)
@@ -1038,7 +1082,7 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     outer, length, ratio = scaled_path.measure()
     # copies, so a caller changing p or q afterwards cannot move the certified path
     copies = (p.copy(),) if same else (p.copy(), q.copy())
-    path = PiecewisePath(copies[:1] + tuple(ldexp(b, exponent) for b in interior) + copies[1:])
+    path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
     return path, PathCertificate(
         outer_distance=math.ldexp(outer, exponent),
         length=math.ldexp(length, exponent),

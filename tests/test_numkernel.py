@@ -121,17 +121,26 @@ class TestFrobeniusNorms:
     @given(contract_matrices())
     def test_one_norm_everywhere(self, case):
         # bitwise np.linalg.norm wherever no square under- or overflows,
-        # bitwise the stacked kernel everywhere, and exact under 2^k while
-        # the squares stay finite
+        # bitwise the stacked kernel everywhere, and exact under 2^k wherever
+        # the true norm is finite: every k drawn here
         x, k = case
         y = ldexp(x, k)
         norm = frobenius_norm(y)
         assert norm == frobenius_norms(y[np.newaxis])[0]
         reference = float(np.linalg.norm(y))
-        if reference >= math.sqrt(UNDERFLOW_SAFE):
+        if math.sqrt(UNDERFLOW_SAFE) <= reference < math.inf:
             assert norm == reference
-        if math.isfinite(reference):
-            assert norm == math.ldexp(frobenius_norm(x), k)
+        assert norm == math.ldexp(frobenius_norm(x), k)
+
+    def test_norm_beyond_the_double_range_reads_inf(self):
+        # finite entries whose norm exceeds the largest double; a norm just
+        # inside the range is kept
+        for field in ScalarField:
+            x = np.full((2, 2), 0.75, dtype=field.dtype)
+            with np.errstate(over="ignore"):
+                assert frobenius_norm(ldexp(x, 1023)) == math.ldexp(1.5, 1023)
+                assert frobenius_norm(ldexp(x, 1024)) == math.inf
+                assert frobenius_norms(ldexp(x, 1024)[np.newaxis]).tolist() == [math.inf]
 
 
 class TestSingularValues:
