@@ -30,6 +30,7 @@ EIGENPAIR_RESIDUAL_TOL = 1e-10
 RANK_REL_TOL = 1e-10
 
 _EPS = float(np.finfo(np.float64).eps)
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 #: below this largest entry a product's roundings may underflow, and the
 #: rounding model of ``variety.product_gamma`` fails

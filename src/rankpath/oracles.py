@@ -24,7 +24,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .numkernel import (
-    DimensionMismatch,
     as_matrix,
     frobenius_norm,
     frobenius_norms,
@@ -32,9 +31,8 @@ from .numkernel import (
     sequential_sum,
     step_norms,
 )
-from .paths import MembershipError, PiecewisePath, build_path
+from .paths import PiecewisePath, _checked_pair, _refuse_nonmembers, build_path
 from .variety import (
-    DEFAULT_MEMBERSHIP_TOL,
     VarietyDescriptor,
     bounded_projections,
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
@@ -163,39 +161,37 @@ def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
     it may leave the variety between them.  No value can undercut the
     outer distance.
 
-    Raises DimensionMismatch when p or q does not have the descriptor's
-    shape, and MembershipError when either is off the variety (membership
-    residual above ``DEFAULT_MEMBERSHIP_TOL``), so ``math.inf`` only ever
-    means a disconnected sample.
+    p and q take ``build_path``'s checks: DimensionMismatch when either does
+    not have the descriptor's shape, ValueError naming it when it has a
+    non-finite entry or a norm beyond the double range, and MembershipError
+    when its membership residual is not at most ``DEFAULT_MEMBERSHIP_TOL``,
+    so ``math.inf`` only ever means a disconnected sample.  Squares of
+    entries that overflow are rescaled, so a pair at 2^600 runs silently and
+    gives its unit pair's value times 2^600.
     """
-    p = as_matrix(p, d.field)
-    q = as_matrix(q, d.field)
-    for name, point in (("p", p), ("q", q)):
-        if point.shape != d.shape:
-            raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
-    for name, residual in zip("pq", membership_residuals(np.stack([p, q]), d)):
-        if residual > DEFAULT_MEMBERSHIP_TOL:
-            raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
+    p, q = _checked_pair(p, q, d)
+    _refuse_nonmembers(membership_residuals(np.stack([p, q]), d))
     rng = np.random.default_rng(cfg.seed)
-    ball = 2.0 * max(frobenius_norm(p), frobenius_norm(q))
-    nodes = [p, q, np.zeros(d.shape, dtype=d.field.dtype)]
-    ranks = list(range(1, d.t)) or [0]
-    if ball > 0.0:
-        for i in range(cfg.n_samples):
-            rank = ranks[i % len(ranks)]
-            radius = ball * float(rng.uniform(0.0, 1.0))
-            seed = int(rng.integers(0, 2**63 - 1))
-            if rank == 0 or radius == 0.0:
-                continue
-            nodes.append(sample_stratum(d, rank, radius, seed))
-    return proximity_graph_distance(
-        nodes,
-        source=0,
-        target=1,
-        residuals_of=lambda stack: membership_residuals(stack, d),
-        tol=EDGE_MEMBERSHIP_TOL,
-        checks_per_edge=CHECKS_PER_EDGE,
-    )
+    with np.errstate(over="ignore"):
+        ball = 2.0 * max(frobenius_norm(p), frobenius_norm(q))
+        nodes = [p, q, np.zeros(d.shape, dtype=d.field.dtype)]
+        ranks = list(range(1, d.t)) or [0]
+        if ball > 0.0:
+            for i in range(cfg.n_samples):
+                rank = ranks[i % len(ranks)]
+                radius = ball * float(rng.uniform(0.0, 1.0))
+                seed = int(rng.integers(0, 2**63 - 1))
+                if rank == 0 or radius == 0.0:
+                    continue
+                nodes.append(sample_stratum(d, rank, radius, seed))
+        return proximity_graph_distance(
+            nodes,
+            source=0,
+            target=1,
+            residuals_of=lambda stack: membership_residuals(stack, d),
+            tol=EDGE_MEMBERSHIP_TOL,
+            checks_per_edge=CHECKS_PER_EDGE,
+        )
 
 
 def _smoothing_sweep(
@@ -340,11 +336,12 @@ def sandwich(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> Sandwich:
     overflow, ``shortened`` from ``shorten``'s rescaled polyline, and
     ``constructed`` from ``build_path``'s certificate.
     """
-    path, cert = build_path(p, q, d)
-    shorter = shorten(path, d, cfg)
-    return Sandwich(
-        # the path runs from p to q (a coincident pair's path is p alone)
-        outer=frobenius_norm(path.start - path.end),
-        shortened=shorter.length(),
-        constructed=cert.length,
-    )
+    with np.errstate(over="ignore"):  # norms rescale exactly where squares overflow
+        path, cert = build_path(p, q, d)
+        shorter = shorten(path, d, cfg)
+        return Sandwich(
+            # the path runs from p to q (a coincident pair's path is p alone)
+            outer=frobenius_norm(path.start - path.end),
+            shortened=shorter.length(),
+            constructed=cert.length,
+        )

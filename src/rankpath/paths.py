@@ -21,15 +21,16 @@ interior Chebyshev-Lobatto points: none for the rank-1 legs of a scalar
 block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
 each t x t minor has degree at most min(t, rank D) in s, so this
 certifies the whole segment; the numerical tail of the step enters the
-residual through Weyl's inequality.  ``build_path`` reads all of it off
-its route's Schur block structure, with no SVD of a step, of a whole
+residual through Weyl's inequality.  ``build_path`` reads it off its
+route's Schur block structure, with no SVD of a step, of a whole
 breakpoint or of a trailing block: every breakpoint is D_j + x, with the
 spectrum of D_j and of its trailing block x, which the norms of x's rows,
 columns and trailing strips bound, every leg moves one block of rows or
 columns and drops entries of known norm, and the terminal legs are rays
 (``_schur_residual``).  ``certify`` measures any given path and bounds its
 residual from the exact spectra of its breakpoints and steps
-(``_residual_bound``).
+(``_residual_bound``), the rule a route's segment takes on its two points
+where the structure cannot settle its tail charge.
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
@@ -60,6 +61,8 @@ import numpy as np
 from scipy.linalg import lapack, schur
 
 from .numkernel import (
+    _EPS,
+    _SMALLEST_SUBNORMAL,
     RANK_REL_TOL,
     DimensionMismatch,
     ScalarField,
@@ -79,7 +82,6 @@ from .variety import (
     UNDERFLOW_SAFE,
     VarietyDescriptor,
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
-    membership_residuals,
     product_gamma,
     project,  # noqa: F401  unused here, but per-layer tracing wraps this name
     rank_of,  # noqa: F401  unused here, but per-layer tracing wraps this name
@@ -117,9 +119,6 @@ _SKETCH_RATIO = 8
 #: of its pair alone
 _SKETCH_SEED = 0
 
-_EPS = float(np.finfo(np.float64).eps)
-
-_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 class BranchKind(str, Enum):
     RADIAL = "Radial"
@@ -204,14 +203,15 @@ class PathCertificate:
     route (``_schur_residual``): bounds on the trailing blocks' sigma_1 and
     sigma_{t-j} from the norms of their rows, columns and strips
     (``_trailing_bounds``) for the breakpoints, rank 1 or 2 and the norm of
-    the dropped entries for each leg, rays for the terminal legs, and one
-    Weyl charge for the map b -> L b R^H from the Schur coordinates onto
-    the returned m x n polyline, L and R the core frames times the Schur
-    factors.  That charge covers the unitarity defects of L and R, the
-    rounding of the map's products, and the computed distance from each
-    exact endpoint to the map of its Schur point, so the residual bounds
-    the returned path.  A route without a Schur form is read on its
-    returned points, under the identity.
+    the dropped entries for each leg, rays for the terminal legs,
+    ``certify``'s rule on the two points of a segment whose tail charge the
+    structure cannot settle, and one Weyl charge for the map b -> L b R^H
+    from the Schur coordinates onto the returned m x n polyline, L and R
+    the core frames times the Schur factors.  That charge covers the
+    unitarity defects of L and R, the rounding of the map's products, and
+    the computed distance from each exact endpoint to the map of its Schur
+    point, so the residual bounds the returned path.  A route without a
+    Schur form is read on its returned points, under the identity.
     ``endpoint_ranks`` are the numerical ranks of p and q (the ``rank_of``
     rule) that ``build_path`` read off its endpoint SVD; None from
     ``certify`` and the ``combinators``, which do not read them.
@@ -453,15 +453,19 @@ def _nearest(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius_norm(a + s * step)
 
 
-def _trailing_residual(blocks: np.ndarray, j: int, top: float, t: int) -> float:
-    """A bound on sigma_t / sigma_1 of the points D_j + T for a stack of
-    trailing blocks T behind a diagonal corner D_j of j units of rank with
-    sigma_1(D_j) >= ``top``: the spectrum of D_j + T is D_j's and T's, so
-    sigma_1 >= max(top, sigma_1(T)) and sigma_t <= sigma_{t-j}(T)."""
-    sigma = np.linalg.svd(blocks, compute_uv=False)
+def _sampled_residual(
+    a: np.ndarray, step: np.ndarray, degree: int, j: int, top: float, t: int
+) -> float:
+    """The worst sigma_t / sigma_1 at the degree - 1 interior
+    Chebyshev-Lobatto points s = (1 - cos(k pi / degree)) / 2 of D_j + x,
+    x = a + s step, behind a diagonal corner D_j of j < t units of rank with
+    sigma_1(D_j) >= ``top``: sigma_1 >= max(top, sigma_1(x)) and
+    sigma_t <= sigma_{t-j}(x).  With j = 0 and top = 0 it is ``certify``'s
+    rule on the points a + s step themselves."""
+    nodes = 0.5 * (1.0 - np.cos(np.arange(1, degree) * np.pi / degree))[:, np.newaxis, np.newaxis]
+    sigma = np.linalg.svd(a + nodes * step, compute_uv=False)
     tops = np.maximum(sigma[:, 0], top).tolist()
-    bottoms = sigma[:, t - j - 1].tolist() if j < t else tops
-    return max(_ratio(bottom, top) for bottom, top in zip(bottoms, tops))
+    return max(_ratio(bottom, top) for bottom, top in zip(sigma[:, t - j - 1].tolist(), tops))
 
 
 def _trailing_bounds(stack: np.ndarray, positions, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -535,19 +539,19 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
       most sigma_{t-j}(x) / max(sigma_1(x), sigma_1(D_j) / max(1, |c|)); r
       is charged like a tail from x, with the floor of ``_ray_floor``.
 
-    A segment whose charge exceeds ``_TAIL_CHARGE_LIMIT`` is checked at full
-    degree t instead, unless it is a ray from D_j + x to D_j - 2^k x exactly
-    (``_on_negative_ray``, p to -p say): every point of it is
-    D_j + c(s) x, so x's residual bounds it, where a sample at its crossing
-    of D_j would hold only rounding.  Then every point and segment is
-    carried onto the returned path through ``_MapBound.residual`` of the
-    one map b -> L b R^H (``left`` and ``right``): its unitarity defects,
-    the rounding of its products, and at each endpoint the computed
-    ||p - L p_hat R^H||.  A point equal to p_hat or q_hat (``same`` tells
-    whether each point equals the one before it) is returned as that
-    endpoint, and charged as it.
+    A segment whose charge still exceeds ``_TAIL_CHARGE_LIMIT`` (a large
+    dropped tail, or a pass near 0) is not settled by the structure: its two
+    points go to ``_residual_bound``, whose bound from their exact spectra
+    is its residual, with no charge, and whose samples count.  Then every
+    point and segment is carried onto the returned path through
+    ``_MapBound.residual`` of the one map b -> L b R^H (``left`` and
+    ``right``): its unitarity defects, the rounding of its products, and at
+    each endpoint the computed ||p - L p_hat R^H||.  A point equal to p_hat
+    or q_hat (``same`` tells whether each point equals the one before it) is
+    returned as that endpoint, and charged as it.
     """
     t, count = ends.d.t, len(stack)
+    core = VarietyDescriptor(*stack.shape[1:], t, ends.d.field)
     if left is None:
         route, errors = _IDENTITY, [0.0] * count
     else:
@@ -613,15 +617,12 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
                 [(errors[i], errors[i + 1]), *anchors], tops[i : i + 2], norms, floor
             )
             charge = 2.0 * min(charges)
-        if charge > _TAIL_CHARGE_LIMIT and kind[0] == "ray" and _on_negative_ray(a, b):
-            charge = 0.0  # every point is D_j + c(s) x, so x's residual bounds it
-        elif charge > _TAIL_CHARGE_LIMIT:
-            size, charge, start = t, 0.0, max(residuals[i], residuals[i + 1])
-        degree = min(t, size)
-        if degree >= 2:
-            nodes = _lobatto_interior(degree)[:, np.newaxis, np.newaxis]
-            start = max(start, _trailing_residual(a + nodes * (b - a), j, tops_d[j], t))
-            samples = max(samples, degree - 1)
+        if charge > _TAIL_CHARGE_LIMIT:  # not settled by the structure
+            start, taken = _residual_bound(stack[i : i + 2], core)
+            charge, samples = 0.0, max(samples, taken)
+        elif size == 2:  # a RealBlock leg, of degree 2: one interior point
+            start = max(start, _sampled_residual(a, b - a, 2, j, tops_d[j], t))
+            samples = max(samples, 1)
         worst = max(worst, route.residual(start + charge, kappa))
     return float(worst), samples
 
@@ -761,12 +762,6 @@ def _dispatch(
     return kept if left is None else left @ kept @ right.conj().T, tags, bound, worst, samples
 
 
-def _lobatto_interior(degree: int) -> np.ndarray:
-    """The degree - 1 interior Chebyshev-Lobatto nodes (1 - cos(j pi / degree)) / 2."""
-    j = np.arange(1, degree)
-    return 0.5 * (1.0 - np.cos(j * np.pi / degree))
-
-
 def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether b = -2^k a exactly for an integer k.  The segment from a to b
     is then (1 - s (1 + 2^k)) a, a multiple of a at every point: it runs
@@ -875,6 +870,7 @@ def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int
     more (``_exact_step_bounds``), and each segment with k >= 2 one more.
     The worst relative membership residual is returned, never raised.
     """
+    stack = as_matrix(stack, d.field)
     sigma = spectra(stack, d)
     residuals = spectral_residuals(sigma, d)
     worst = float(residuals.max())
@@ -896,13 +892,10 @@ def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int
         ends = np.maximum(residuals[:-1], residuals[1:])
         worst = max(worst, float((ends + charges).max()))
         for a, step, degree, charge in zip(stack, steps, degrees, charges):
-            if degree < 2:
-                continue
             # one segment at a time, never the whole path: at 40x40, t = 20
             # all samples of a path together would take about 20 MB
-            nodes = _lobatto_interior(degree)[:, np.newaxis, np.newaxis]
-            sampled = membership_residuals(a + nodes * step, d)
-            worst = max(worst, float(sampled.max()) + charge)
+            if degree >= 2:
+                worst = max(worst, _sampled_residual(a, step, degree, 0, 0.0, d.t) + charge)
         samples = max(0, int(degrees.max()) - 1)
     return worst, samples
 
@@ -1000,6 +993,30 @@ def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
     return residuals, (rank_p, rank_q), (frame_u, frame_v), sigma[:, 0]
 
 
+def _checked_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """p and q over d's field: DimensionMismatch off d's shape, ValueError
+    for a non-finite entry or a norm or distance beyond the double range."""
+    p = as_matrix(p, d.field)
+    q = as_matrix(q, d.field)
+    # squares that overflow are rescaled: only a norm beyond the double range reads inf
+    with np.errstate(over="ignore"):
+        for name, point in (("p", p), ("q", q)):
+            if point.shape != d.shape:
+                raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
+            if not np.isfinite(frobenius_norm(point)):
+                raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
+        if not np.isfinite(frobenius_norm(p - q)):
+            raise ValueError("the Frobenius distance between p and q overflows")
+    return p, q
+
+
+def _refuse_nonmembers(residuals) -> None:
+    """MembershipError naming the first of p, q off the variety."""
+    for name, residual in zip("pq", residuals):
+        if not residual <= DEFAULT_MEMBERSHIP_TOL:
+            raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
+
+
 def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
     """Construct and certify an on-variety path from p to q.
 
@@ -1031,11 +1048,11 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     built, from its Schur block structure (``_schur_residual``): bounds on
     the spectra of the breakpoints' trailing blocks read off their entries
     (``_trailing_bounds``), rank 1 or 2 and the norm of the dropped entries
-    for each leg (one interior
-    Chebyshev-Lobatto point for a ``RealBlock`` leg), rays for the terminal
-    legs, and one Weyl charge for the map onto m x n, so it bounds each
-    whole segment of the returned polyline, not only samples, up to
-    floating point; no step and no whole breakpoint is decomposed.
+    for each leg (one interior Chebyshev-Lobatto point for a ``RealBlock``
+    leg), rays for the terminal legs, and one Weyl charge for the map onto
+    m x n, so it bounds each whole segment of the returned polyline, not
+    only samples, up to floating point.  Only a segment whose tail charge
+    it cannot settle has its points decomposed (``certify``'s rule).
     Distance, length and ratio are measured once, on the returned polyline,
     and the certificate is built once from both.
 
@@ -1046,25 +1063,11 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     coordinates onto m x n by one map, b -> L b R^H with L = U z and
     R = V v, all of them in one product.
     """
-    p = as_matrix(p, d.field)
-    q = as_matrix(q, d.field)
-    for name, point in (("p", p), ("q", q)):
-        if point.shape != d.shape:
-            raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
-    # squares that overflow are rescaled: only a norm beyond the double range reads inf
-    with np.errstate(over="ignore"):
-        for name, point in (("p", p), ("q", q)):
-            if not np.isfinite(frobenius_norm(point)):
-                raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
-        if not np.isfinite(frobenius_norm(p - q)):
-            raise ValueError("the Frobenius distance between p and q overflows")
-
+    p, q = _checked_pair(p, q, d)
     exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
     p_scaled, q_scaled = ldexp(p, -exponent), ldexp(q, -exponent)
     residuals, ranks, frames, tops = _core_frames(p_scaled, q_scaled, d)
-    for name, residual in zip("pq", residuals):
-        if residual > DEFAULT_MEMBERSHIP_TOL:
-            raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
+    _refuse_nonmembers(residuals)
 
     if frames is None:
         core_d, core_p, core_q = d, p_scaled, q_scaled

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
+    _EPS,
+    _SMALLEST_SUBNORMAL,
     UNDERFLOW_SAFE,
     DimensionMismatch,
     ScalarField,
@@ -25,12 +27,6 @@ from .numkernel import (
 
 #: default membership acceptance threshold on the relative residual
 DEFAULT_MEMBERSHIP_TOL = 1e-8
-
-# the smallest positive double: max(sigma_1, it) is sigma_1 for every nonzero
-# spectrum, and a zero spectrum gives 0 / it = 0
-_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _gamma(n: int) -> float:
@@ -98,6 +94,8 @@ def spectral_residuals(sigma, d: VarietyDescriptor) -> np.ndarray:
     nonincreasing singular values; 0 for a zero spectrum.
 
     The membership rule itself, for callers that already hold the spectra.
+    max(sigma_1, the smallest subnormal) is sigma_1 for every nonzero
+    spectrum, and a zero spectrum gives 0 / it = 0.
     """
     return sigma[:, d.t - 1] / np.maximum(sigma[:, 0], _SMALLEST_SUBNORMAL)
 

@@ -113,6 +113,20 @@ class TestGraphUpperBound:
         with pytest.raises(MembershipError):
             graph_upper_bound(member, np.eye(4), d, CFG)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        # an inf entry gave a NaN residual, which passed the membership check,
+        # and then an inf that read as "unreachable"; a NaN entry stopped the
+        # SVD with LinAlgError.  Both are refused by name, as build_path does
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        member = sample_stratum(d, 2, 1.0, 3)
+        broken = member.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValueError, match="^p has a non-finite entry"):
+            graph_upper_bound(broken, member, d, CFG)
+        with pytest.raises(ValueError, match="^q has a non-finite entry"):
+            graph_upper_bound(member, broken, d, CFG)
+
     def test_rejects_shape_mismatch(self):
         d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
         member = sample_stratum(d, 2, 1.0, 3)
@@ -305,6 +319,23 @@ class TestSandwich:
             expected = math.ldexp(getattr(unit, name), exponent)
             assert getattr(scaled, name) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert unit.outer < unit.shortened < unit.constructed
+
+
+def test_huge_pair_runs_silently_and_exactly():
+    # the CLI's 3 x 3 oracle pair at 2^600, where the squares of the entries
+    # overflow: the suite turns a RuntimeWarning into an error, and every
+    # value must be the unit pair's times 2^600, bitwise
+    d = VarietyDescriptor(3, 3, 2, ScalarField.REAL)
+    p = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+    q = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    cfg = OracleConfig()
+    unit, huge = (sandwich(np.ldexp(p, k), np.ldexp(q, k), d, cfg) for k in (0, 600))
+    for name in ("outer", "shortened", "constructed"):
+        assert getattr(huge, name) == math.ldexp(getattr(unit, name), 600)
+    graph = graph_upper_bound(p, q, d, cfg)
+    assert math.isfinite(graph)
+    huge_graph = graph_upper_bound(np.ldexp(p, 600), np.ldexp(q, 600), d, cfg)
+    assert huge_graph == math.ldexp(graph, 600)
 
 
 @st.composite

@@ -909,14 +909,16 @@ def sampled_residuals(stack, d):
     """Every residual ``_residual_bound`` reads on a stack of breakpoints,
     the breakpoints' own and its samples inside segments, less rounding."""
     seen = [residuals_less_rounding(stack, d)]
-    real = paths.membership_residuals
+    real = paths._sampled_residual
 
-    def recording(points, core):
-        seen.append(residuals_less_rounding(points, core))
-        return real(points, core)
+    def recording(a, step, degree, *args):
+        nodes = 0.5 * (1.0 - np.cos(np.arange(1, degree) * np.pi / degree))
+        nodes = nodes[:, np.newaxis, np.newaxis]
+        seen.append(residuals_less_rounding(a + nodes * step, d))
+        return real(a, step, degree, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(paths, "membership_residuals", recording)
+        patch.setattr(paths, "_sampled_residual", recording)
         paths._residual_bound(stack, d)
     return np.concatenate(seen)
 
@@ -1367,6 +1369,34 @@ class TestCertify:
                 assert trace_kinds(cert) == [BranchKind.RADIAL]
                 assert cert.max_relative_residual <= 1e-12
                 assert cert.samples_per_segment == 0
+
+    @pytest.mark.parametrize(
+        "shape, t, seed, samples, ceiling",
+        [((8, 8), 5, 1, 1, 1e-13), ((4, 4), 3, 3, 2, 1e-14)],
+    )
+    def test_unsettled_segment_takes_the_generic_rule(
+        self, shape, t, seed, samples, ceiling, monkeypatch
+    ):
+        # pair 5 of the adversarial cycle is barely non-orthogonal, so its
+        # first leg drops a tail of about 3.5e-10, whose charge the structure
+        # cannot settle: its two Schur-coordinate points go to ``_residual_bound``,
+        # which samples by the exact rank of the step (full degree t would
+        # take 4 samples on the first pair) and reads its residual off their
+        # exact spectra (below the 1.23e-14 of the second pair's structure)
+        d = VarietyDescriptor(*shape, t, ScalarField.COMPLEX)
+        calls = []
+        residual_bound = paths._residual_bound
+
+        def recording(stack, core):
+            calls.append(len(stack))
+            return residual_bound(stack, core)
+
+        monkeypatch.setattr(paths, "_residual_bound", recording)
+        _, cert = build_path(*adversarial_pair(d, seed, 5), d)
+        assert trace_kinds(cert) == [BranchKind.GENERAL, BranchKind.RADIAL]
+        assert calls and set(calls) == {2}
+        assert cert.samples_per_segment == samples
+        assert cert.max_relative_residual < ceiling
 
     def test_negative_ray_test_is_exact(self):
         a = sample_stratum(VarietyDescriptor(4, 5, 3, ScalarField.COMPLEX), 2, 1.0, 1)
