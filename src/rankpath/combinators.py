@@ -59,10 +59,9 @@ def _certificate(
 def variety_builder(d: VarietyDescriptor) -> CertifiedBuilder:
     """The bounded-rank path construction packaged as a builder.
 
-    Certificates check each segment as ``build_path`` does, at as many
-    interior Chebyshev-Lobatto points as the rank of its step requires
-    (none for a rank-1 step), plus a Weyl term for the step's numerical
-    tail; see ``paths.certify``.
+    Certificates are ``build_path``'s, whose residual bounds every point of
+    every segment from the route's structure; ``paths.certify`` re-checks
+    any path from the exact spectra of its breakpoints and steps.
     """
     return CertifiedBuilder(
         build=lambda p, q: build_path(p, q, d),

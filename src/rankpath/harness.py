@@ -64,8 +64,8 @@ class TrialConfig:
         if self.pairs < 1:
             raise ValueError("pairs must be >= 1")
         low, high = self.radius_range
-        if not 0 < low <= high:
-            raise ValueError("radius_range must satisfy 0 < min <= max")
+        if not 0 < low <= high < math.inf:
+            raise ValueError("radius_range must satisfy 0 < min <= max < inf")
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,11 @@ def adversarial_pair(d: VarietyDescriptor, seed: int, index: int, radius_range=(
     below the dispatch threshold, scaled pairs q = lambda p, cross-strata
     pairs of distinct ranks, and pairs whose inner product sits just above
     the threshold (stressing the coordinate change where it is worst
-    conditioned).
+    conditioned).  On a t = 1 variety, {0}, every kind is the pair (0, 0).
     """
+    if d.max_rank == 0:
+        zero = np.zeros(d.shape, dtype=d.field.dtype)
+        return zero, zero.copy()
     rng = np.random.default_rng(mix_seed(seed, index))
     kind = _ADVERSARIAL_KINDS[index % len(_ADVERSARIAL_KINDS)]
     if kind == "coincident":

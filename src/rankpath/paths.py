@@ -15,22 +15,22 @@ the outer (Frobenius) distance:
   block (a complex-conjugate eigenvalue pair) strips two with two legs.
   So the certified constant is 2 * min(rank p, rank q) <= 2t - 2.
 
-Every branch decision is recorded in the certificate.  Every breakpoint is
-re-checked for membership, and every segment a + s D at min(t, rank D) - 1
-interior Chebyshev-Lobatto points: none for the rank-1 legs of a scalar
-block, one for the rank-2 legs of a real 2 x 2 block.  Along the segment
-each t x t minor has degree at most min(t, rank D) in s, so this
-certifies the whole segment; the numerical tail of the step enters the
-residual through Weyl's inequality.  ``build_path`` reads it off its
-route's Schur block structure, with no SVD of a step, of a whole
-breakpoint or of a trailing block: every breakpoint is D_j + x, with the
-spectrum of D_j and of its trailing block x, which the norms of x's rows,
-columns and trailing strips bound, every leg moves one block of rows or
-columns and drops entries of known norm, and the terminal legs are rays
-(``_schur_residual``).  ``certify`` measures any given path and bounds its
-residual from the exact spectra of its breakpoints and steps
-(``_residual_bound``), the rule a route's segment takes on its two points
-where the structure cannot settle its tail charge.
+Every branch decision is recorded in the certificate, and the membership
+residual is bounded at every point of every segment, not only at samples.
+``build_path`` reads the bound off its route's Schur block structure, with
+no SVD of a step, of a breakpoint or of a trailing block
+(``_schur_residual``): every breakpoint is D_j + x, and sigma_t of any
+matrix is at most the Frobenius norm of its rows from t - 1 on, and of its
+columns from t - 1 on.  Along a leg each of these two strips is the norm of
+a linear function of s, so at most its ends' strips interpolated, and it
+is taken over a lower bound on sigma_1 from the corner and the trailing
+block the leg keeps; the terminal legs are rays.  ``certify`` measures any
+given path and bounds its residual from the exact spectra of its
+breakpoints and steps (``_residual_bound``): it checks every segment
+a + s D at min(t, rank D) - 1 interior Chebyshev-Lobatto points, since each
+t x t minor has degree at most min(t, rank D) in s, and charges the
+numerical tail of the step through Weyl's inequality.  A route's segment
+that the structure cannot settle takes that rule on its two points.
 
 The construction commutes with unitary changes of coordinates, and both
 endpoints lie in (col p + col q) x (row p + row q), of dimension at most
@@ -101,8 +101,9 @@ _COLLINEAR_TOL = 1e-12
 #: relative threshold for treating a pair as coincident
 _DEGENERATE_TOL = 1e-14
 
-#: largest relative residual the tail of a step may add to its segment
-#: before the segment is checked at full degree t instead
+#: largest relative residual a segment's bound may add to its ends' before
+#: the segment takes a stronger rule: full degree t in ``certify``'s rule,
+#: ``certify``'s rule itself in ``build_path``'s
 _TAIL_CHARGE_LIMIT = 1e-12
 
 #: columns the endpoints' range sketch (``_sketched_svd``) takes beyond the
@@ -190,22 +191,23 @@ class PathCertificate:
     ``ratio`` is length over outer distance (1 by convention for coincident
     endpoints) and is guaranteed not to exceed ``certified_bound``.
     ``max_relative_residual`` bounds the membership residual along the whole
-    path: the worst residual over all breakpoints and the min(t, r) - 1
-    Chebyshev-Lobatto points inside each segment whose step has rank r, plus
-    for r < t the Weyl term 2 tau / l of the step's tail tau against a lower
-    bound l of sigma_1 on the segment.  ``certify`` reads r and
-    tau = sigma_{r+1} off each step's exact spectrum (``_residual_bound``).
-    ``samples_per_segment`` is the largest number of interior points any
-    segment took: 0 when every step has rank <= 1.
+    path.  From ``certify`` (``_residual_bound``) it is the worst residual
+    over all breakpoints and the min(t, r) - 1 Chebyshev-Lobatto points
+    inside each segment whose step has rank r, plus for r < t the Weyl term
+    2 tau / l of the step's tail tau = sigma_{r+1} against a lower bound l
+    of sigma_1 on the segment, r and tau read off each step's exact
+    spectrum.  ``samples_per_segment`` is the largest number of interior
+    points any segment took under that rule: 0 when every step has rank
+    <= 1, and from ``build_path`` 0 unless a segment went to it.
 
     From ``build_path``, distance, length and ratio are measured on the
     returned polyline, and the residual is read off the structure of the
-    route (``_schur_residual``): bounds on the trailing blocks' sigma_1 and
-    sigma_{t-j} from the norms of their rows, columns and strips
-    (``_trailing_bounds``) for the breakpoints, rank 1 or 2 and the norm of
-    the dropped entries for each leg, rays for the terminal legs,
-    ``certify``'s rule on the two points of a segment whose tail charge the
-    structure cannot settle, and one Weyl charge for the map b -> L b R^H
+    route (``_schur_residual``): bounds on the trailing blocks' sigma_1 from
+    the norms of their rows and columns, and on each point's sigma_t from
+    its row and column strips (``_trailing_bounds``), each strip
+    interpolated along every leg, rays for the terminal legs, ``certify``'s
+    rule on the two points of a segment the structure cannot settle, and
+    one Weyl charge for the map b -> L b R^H
     from the Schur coordinates onto the returned m x n polyline, L and R
     the core frames times the Schur factors.  That charge covers the
     unitarity defects of L and R, the rounding of the map's products, and
@@ -453,38 +455,32 @@ def _nearest(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius_norm(a + s * step)
 
 
-def _sampled_residual(
-    a: np.ndarray, step: np.ndarray, degree: int, j: int, top: float, t: int
-) -> float:
-    """The worst sigma_t / sigma_1 at the degree - 1 interior
-    Chebyshev-Lobatto points s = (1 - cos(k pi / degree)) / 2 of D_j + x,
-    x = a + s step, behind a diagonal corner D_j of j < t units of rank with
-    sigma_1(D_j) >= ``top``: sigma_1 >= max(top, sigma_1(x)) and
-    sigma_t <= sigma_{t-j}(x).  With j = 0 and top = 0 it is ``certify``'s
-    rule on the points a + s step themselves."""
+def _sampled_residual(a: np.ndarray, step: np.ndarray, degree: int, d: VarietyDescriptor) -> float:
+    """The worst membership residual at the degree - 1 interior
+    Chebyshev-Lobatto points s = (1 - cos(k pi / degree)) / 2 of the segment
+    a + s step: ``_residual_bound``'s samples."""
     nodes = 0.5 * (1.0 - np.cos(np.arange(1, degree) * np.pi / degree))[:, np.newaxis, np.newaxis]
-    sigma = np.linalg.svd(a + nodes * step, compute_uv=False)
-    tops = np.maximum(sigma[:, 0], top).tolist()
-    return max(_ratio(bottom, top) for bottom, top in zip(sigma[:, t - j - 1].tolist(), tops))
+    return float(spectral_residuals(np.linalg.svd(a + nodes * step, compute_uv=False), d).max())
 
 
-def _trailing_bounds(stack: np.ndarray, positions, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds top <= sigma_1(x) and bottom >= sigma_{t-j}(x) for each point
-    D_j + x of a (N, m, n) stack, read off x's entries: ``positions[i]`` = j,
-    and the point is block diagonal, D_j its leading j x j block and x its
-    trailing block, so its rows and columns from j on are x's alone.
+def _trailing_bounds(
+    stack: np.ndarray, positions, t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds on the spectrum of each point P = D_j + x of a (N, m, n)
+    stack, read off its entries: ``positions[i]`` = j, and the point is
+    block diagonal, D_j its leading j x j block and x its trailing block, so
+    its rows and columns from j on are x's alone.
 
-    sigma_1(x) is at least the 2-norm of each row and column of x.  With
-    c = max(t - 1 - j, 0), x less its columns from c on has rank at most c,
-    so by Weyl's inequality sigma_{c+1}(x) <= ||x[:, c:]||_2
-    <= ||x[:, c:]||_F, and likewise for its rows from c on: bottom is the
-    smaller strip.  For j < t that bounds sigma_{t-j}(x); for j >= t it
-    bounds sigma_1(x).  In ``normalize_pair``'s coordinates both bounds are
-    tight: p_hat's rows from t - 1 on, and q_hat's columns from t - 1 on,
-    are rounding.  A square below the smallest normal number rounds by at
-    most half a smallest-subnormal unit, to 0 below about 1e-162, so each
-    real or imaginary part of the point charges one unit inside the square
-    roots: added to a strip, taken off a row or column.
+    Returns ``(tops, rows, cols)``.  top <= sigma_1(x) is the largest 2-norm
+    of a row or column of x.  The row strip ||P[t-1:, :]||_F and the column
+    strip ||P[:, t-1:]||_F each bound sigma_t(P), of any P: P less those
+    rows, or those columns, has rank at most t - 1, so by Weyl's inequality
+    sigma_t(P) is at most their 2-norm.  In ``normalize_pair``'s coordinates
+    the strips are tight: p_hat's rows from t - 1 on, and q_hat's columns
+    from t - 1 on, are rounding.  A square below the smallest normal number
+    rounds by at most half a smallest-subnormal unit, to 0 below about
+    1e-162, so each real or imaginary part of the point charges one unit
+    inside the square roots: added to a strip, taken off a row or column.
     """
     count, m, n = stack.shape
     parts = real_view(stack)
@@ -497,9 +493,10 @@ def _trailing_bounds(stack: np.ndarray, positions, t: int) -> tuple[np.ndarray, 
     index = np.concatenate([np.arange(m), np.arange(n)])
     j = np.asarray(positions)[:, np.newaxis]
     tops = np.sqrt(np.maximum(np.where(index >= j, sums, 0.0).max(axis=1) - charge, 0.0))
-    strips = np.where(index >= np.maximum(j, t - 1), sums, 0.0)
-    bottoms = np.sqrt(np.minimum(strips[:, :m].sum(axis=1), strips[:, m:].sum(axis=1)) + charge)
-    return tops, bottoms
+    strips = np.where(index >= t - 1, sums, 0.0)
+    row_strips = np.sqrt(strips[:, :m].sum(axis=1) + charge)
+    col_strips = np.sqrt(strips[:, m:].sum(axis=1) + charge)
+    return tops, row_strips, col_strips
 
 
 def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) -> tuple[float, int]:
@@ -514,35 +511,39 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
     ``left`` None: the identity map, exact, with endpoint checks of 0.
     Point i is exactly D_j + x: ``positions[i]`` = j units of q_hat's
     diagonal blocks, whose sigma_1 is at least ``tops_d[j]``, and a trailing
-    block x; its spectrum is D_j's and x's.  Every interior point's
-    sigma_1(x) and sigma_{t-j}(x) are bounded at once from the norms of x's
-    rows, columns and trailing strips (``_trailing_bounds``), with no SVD;
-    the endpoints' spectra come from the endpoint SVD, through the map.
-    Segment i shares the corner D_j, j the smaller position of its ends, and
-    is one of ``kinds``:
+    block x; its spectrum is D_j's and x's.  Every point's sigma_1(x), and
+    its sigma_t through its row and column strips, are bounded at once from
+    the norms of its rows and columns (``_trailing_bounds``), with no SVD;
+    an interior point's residual takes the smaller strip, and the endpoints'
+    spectra come from the endpoint SVD, through the map.  Segment i shares
+    the corner D_j, j the smaller position of its ends, and is one of
+    ``kinds``:
 
-    * ("leg", r, tau), a leg of a Schur block of size r: its step changes
-      one block of r rows or of r columns, rank <= r, up to the entries the
-      route drops, whose norm is the tail tau.  Its points are checked at
-      min(t, r) - 1 interior Chebyshev-Lobatto points (one for a
-      ``RealBlock`` leg), and tau enters as the Weyl charge of
-      ``_residual_bound``: twice the largest s tau / sigma_1 along the
-      segment, s measured from whichever end makes it smaller
-      (``_segment_ratios``).  sigma_1 is bounded below by the corner the
-      leg keeps, by the trailing block it keeps, and at the first level by
-      the least norm of the rows it moves;
+    * ("leg", r), a leg of a Schur block of size r.  Each strip of its point
+      (1 - s) a + s b is at most (1 - s) times a's strip plus s times b's,
+      whatever the step's rank and whatever entries the route drops.  Each
+      strip is interpolated on its own: rows small at one end and columns
+      at the other leave both ends' smaller strips small, and neither strip
+      small in between.  sigma_1 is bounded below by the corner the leg
+      keeps, by the trailing block it keeps, and at the first level by the
+      least norm of the rows it moves; the bound is the smaller of the two
+      strips' larger ends over that floor;
     * ("ray", base, c), a terminal leg from D_j + x to D_j + c x + r, x at
       the end ``base`` names: every point lies within s ||r||_2 of
       D_j + mu x, mu = 1 - s + s c, whose sigma_t is at most
       |mu| sigma_{t-j}(x) and whose sigma_1 is at least |mu| sigma_1(x) and
       sigma_1(D_j) >= |mu| sigma_1(D_j) / max(1, |c|), so its residual is at
       most sigma_{t-j}(x) / max(sigma_1(x), sigma_1(D_j) / max(1, |c|)); r
-      is charged like a tail from x, with the floor of ``_ray_floor``.
+      is charged twice from x, by Weyl's inequality, over the floor of
+      ``_ray_floor``.
 
-    A segment whose charge still exceeds ``_TAIL_CHARGE_LIMIT`` (a large
-    dropped tail, or a pass near 0) is not settled by the structure: its two
-    points go to ``_residual_bound``, whose bound from their exact spectra
-    is its residual, with no charge, and whose samples count.  Then every
+    Where a segment's bound exceeds its ends' residual by more than
+    ``_TAIL_CHARGE_LIMIT``, or the map's error against the floor does, it
+    follows sigma_1 along the segment instead (``_segment_ratios``).  A
+    segment whose bound still exceeds its ends' by that much (a dropped
+    block far above rounding, or a pass near 0) is not settled by the
+    structure: its two points go to ``_residual_bound``, whose bound from
+    their exact spectra is its residual, and whose samples count.  Then every
     point and segment is carried onto the returned path through
     ``_MapBound.residual`` of the one map b -> L b R^H (``left`` and
     ``right``): its unitarity defects, the rounding of its products, and at
@@ -571,9 +572,11 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
                 break
             errors[i] = errors[-1]
     trail_tops, trail_bottoms = [0.0] * count, [0.0] * count
-    if count > 3:  # a route of 2 or 3 points ends at its first level: no trailing block
-        inner = _trailing_bounds(stack[1:-1], positions[1:-1], t)
-        trail_tops[1:-1], trail_bottoms[1:-1] = (bound.tolist() for bound in inner)
+    if count > 3:  # a route of 2 or 3 points ends at its first level: no leg, no trailing block
+        inner, rows, cols = _trailing_bounds(stack, positions, t)
+        trail_tops[1:-1] = inner[1:-1].tolist()
+        trail_bottoms[1:-1] = np.minimum(rows, cols)[1:-1].tolist()
+        rows, cols = rows.tolist(), cols.tolist()
     for e, i in ((0, 0), (1, count - 1)):
         trail_tops[i] = (ends.tops[e] - errors[i]) / route.upper
         trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / route.lower
@@ -589,15 +592,16 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
         a, b = stack[i, j:, j:], stack[i + 1, j:, j:]
         start = max(residuals[i], residuals[i + 1])
         if kind[0] == "leg":
-            _, size, tail = kind
             # a first leg keeps D_j and the trailing block of its later end,
             # a closing leg the corner and trailing block of its earlier end
             first = positions[i + 1] > positions[i]
             deeper = i + 1 if first else i
             floor = max(tops_d[j if first else positions[i]], trail_tops[deeper])
             if i == 0:
+                size = kind[1]
                 floor = max(floor, _nearest(a[:size], b[:size]) / math.sqrt(size))
-            anchors = [(0.0, tail), (tail, 0.0)]
+            # each strip of a point is the norm of a linear function of s
+            pairs, weight, offset = [rows[i : i + 2], cols[i : i + 2]], 1.0, 0.0
         else:
             _, base, coef = kind
             x, y = (a, b) if base == 0 else (b, a)
@@ -606,24 +610,21 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
             # sigma_1(D_j + mu x) >= |mu| sigma_1(D_j) / max(1, |c|), as |mu| <= max(1, |c|)
             top = max(trail_tops[i + base], tops_d[j] / max(1.0, abs(coef)))
             start = _ratio(trail_bottoms[i + base], top)
-            anchors = [(0.0, tail) if base == 0 else (tail, 0.0)]
-            size = 0
+            # r enters twice, by Weyl's inequality, on top of the ray's residual
+            pairs, weight, offset = [(0.0, tail) if base == 0 else (tail, 0.0)], 2.0, start
         kappa = _quotient(max(errors[i], errors[i + 1]), floor)
-        charge = 2.0 * _quotient(tail, floor)
-        if max(kappa, charge) > _TAIL_CHARGE_LIMIT:
+        bound = offset + weight * _quotient(min(map(max, pairs)), floor)
+        if max(kappa, bound - start) > _TAIL_CHARGE_LIMIT:
             # near a point of small sigma_1: follow sigma_1 along the segment
             norms = frobenius_norms(stack[i : i + 2]).tolist()
-            kappa, *charges = _segment_ratios(
-                [(errors[i], errors[i + 1]), *anchors], tops[i : i + 2], norms, floor
+            kappa, *ratios = _segment_ratios(
+                [(errors[i], errors[i + 1]), *pairs], tops[i : i + 2], norms, floor
             )
-            charge = 2.0 * min(charges)
-        if charge > _TAIL_CHARGE_LIMIT:  # not settled by the structure
-            start, taken = _residual_bound(stack[i : i + 2], core)
-            charge, samples = 0.0, max(samples, taken)
-        elif size == 2:  # a RealBlock leg, of degree 2: one interior point
-            start = max(start, _sampled_residual(a, b - a, 2, j, tops_d[j], t))
-            samples = max(samples, 1)
-        worst = max(worst, route.residual(start + charge, kappa))
+            bound = offset + weight * min(ratios)
+        if bound - start > _TAIL_CHARGE_LIMIT:  # not settled by the structure
+            bound, taken = _residual_bound(stack[i : i + 2], core)
+            samples = max(samples, taken)
+        worst = max(worst, route.residual(bound, kappa))
     return float(worst), samples
 
 
@@ -734,24 +735,17 @@ def _dispatch(
     stack[0], stack[-1] = p_hat, q_hat
     # sigma_1 of the corner D_j is at least that of each of its blocks
     tops_d = [0.0] * (j + 1)
-    firsts, closings = [], []
     for i, (start, end, x, y) in enumerate(levels):
         corner = q_hat[start:end, start:end]
         stack[1 + i : len(stack) - 1 - i, start:end, start:end] = corner
         stack[1 + i, end:, end:] = x
         stack[-2 - i, end:, end:] = y
         tops_d[end] = max(tops_d[start], frobenius_norm(corner) / math.sqrt(end - start))
-        # each leg drops p_hat's entries below the corner, and a trailing
-        # block zeroed to its known rank
-        zeroed_p = frobenius_norm(p_hat[end:, end:]) if known_p <= end else 0.0
-        zeroed_q = frobenius_norm(q_hat[end:, end:]) if known_q <= end else 0.0
-        below = frobenius_norm(p_hat[end:, start:end])
-        firsts.append(("leg", end - start, math.hypot(below, zeroed_p)))
-        closings.append(("leg", end - start, zeroed_q))
     ends_at = [end for _, end, _, _ in levels]
     positions = [0, *ends_at, *[j] * middle, *ends_at[::-1], 0]
+    legs = [("leg", end - start) for start, end, _, _ in levels]
     rays = [("ray", 0, 0.0), ("ray", 1, 0.0)] if middle else [("ray", *ray)]
-    kinds = firsts + rays + closings[::-1]
+    kinds = legs + rays + legs[::-1]
     same = ~(stack[1:] != stack[:-1]).any(axis=(1, 2))
     # whether each point equals q_hat, and so does every point after it
     at_q = np.logical_and.accumulate(same[::-1])[::-1]
@@ -895,7 +889,7 @@ def _residual_bound(stack: np.ndarray, d: VarietyDescriptor) -> tuple[float, int
             # one segment at a time, never the whole path: at 40x40, t = 20
             # all samples of a path together would take about 20 MB
             if degree >= 2:
-                worst = max(worst, _sampled_residual(a, step, degree, 0, 0.0, d.t) + charge)
+                worst = max(worst, _sampled_residual(a, step, degree, d) + charge)
         samples = max(0, int(degrees.max()) - 1)
     return worst, samples
 
@@ -1046,13 +1040,12 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     path starts and ends at exact copies of p and q, and the certificate
     carries the endpoint ranks.  The residual is bounded while the route is
     built, from its Schur block structure (``_schur_residual``): bounds on
-    the spectra of the breakpoints' trailing blocks read off their entries
-    (``_trailing_bounds``), rank 1 or 2 and the norm of the dropped entries
-    for each leg (one interior Chebyshev-Lobatto point for a ``RealBlock``
-    leg), rays for the terminal legs, and one Weyl charge for the map onto
-    m x n, so it bounds each whole segment of the returned polyline, not
-    only samples, up to floating point.  Only a segment whose tail charge
-    it cannot settle has its points decomposed (``certify``'s rule).
+    the breakpoints' spectra read off their entries (``_trailing_bounds``),
+    the row and column strips of each leg's ends interpolated along it,
+    rays for the terminal legs, and one Weyl charge for the map onto m x n,
+    so it bounds each whole segment of the returned polyline, not only
+    samples, up to floating point.  Only a segment that the structure cannot
+    settle has its points decomposed (``certify``'s rule).
     Distance, length and ratio are measured once, on the returned polyline,
     and the certificate is built once from both.
 

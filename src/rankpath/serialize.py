@@ -66,9 +66,9 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def write_json(obj, path) -> None:
+    text = dumps(obj) + "\n"  # before opening: a value dumps refuses leaves the file as it was
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dumps(obj))
-        handle.write("\n")
+        handle.write(text)
 
 
 def write_csv(header: str, rows, path) -> None:

@@ -105,6 +105,40 @@ class TestTrialsCommand:
         header, rows = read_csv(csv)
         assert len(rows) == 30
 
+    def test_t_one_adversarial_run_exits_zero(self, workspace, capsys):
+        write_json({"m": 3, "n": 3, "t": 1, "field": "complex"}, workspace / "d1.json")
+        code = cli(
+            [
+                "trials",
+                "--descriptor", str(workspace / "d1.json"),
+                "--pairs", "6",
+                "--seed", "1",
+                "--strategy", "Adversarial",
+                "--report", str(workspace / "r.json"),
+            ]
+        )
+        assert code == 0
+        assert "errors=0 residual_escapes=0" in capsys.readouterr().out
+
+    def test_infinite_radius_refused_before_any_trial(self, workspace, monkeypatch, capsys):
+        import rankpath.harness as harness_module
+
+        monkeypatch.setattr(harness_module, "_run_one", lambda *args: pytest.fail("a trial ran"))
+        report = workspace / "r.json"
+        code = cli(
+            [
+                "trials",
+                "--descriptor", str(workspace / "d.json"),
+                "--pairs", "2",
+                "--seed", "1",
+                "--radius-max", "inf",
+                "--report", str(report),
+            ]
+        )
+        assert code == 1
+        assert "radius_range" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_violations_exit_two(self, workspace, monkeypatch):
         import rankpath.cli as cli_module
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,21 @@ from rankpath import (
     sample_stratum,
     variety_builder,
 )
+from rankpath.combinators import CertifiedBuilder
 from rankpath.harness import adversarial_pair
 from conftest import random_member
+
+
+def sampling_builder(dimension, samples):
+    """The straight segment, its certificate reporting ``samples`` interior
+    points per segment, as a builder that samples would."""
+    line = line_builder(dimension)
+
+    def build(x, y):
+        path, cert = line.build(x, y)
+        return path, dataclasses.replace(cert, samples_per_segment=samples)
+
+    return CertifiedBuilder(build, line.constant, dimension)
 
 
 def unit(theta):
@@ -72,17 +87,23 @@ class TestVarietyBuilder:
         _, cert = builder.build(p, q)
         assert [tag.kind for tag in cert.branch_trace] == [BranchKind.ORTHOGONAL]
         assert cert.samples_per_segment == 0
-        # a RealBlock leg has rank 2, so it is sampled once
+        # a RealBlock leg has rank 2, but its ends' trailing strips bound it,
+        # so it is not sampled either
         real = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
         p, q = sample_stratum(real, 2, 1.0, 6), sample_stratum(real, 2, 1.5, 1006)
         _, cert = variety_builder(real).build(p, q)
         assert [str(tag) for tag in cert.branch_trace] == ["RealBlock(0)"]
-        assert cert.samples_per_segment == 1
+        assert cert.samples_per_segment == 0
         # a product reports the larger count of its factors; a line takes none
         factor = flat_builder(variety_builder(real), real.shape)
         lifted = [np.concatenate([x.reshape(-1), rng.standard_normal(2)]) for x in (p, q)]
-        _, cert = product_builder(factor, line_builder(2)).build(*lifted)
-        assert cert.samples_per_segment == 1
+        for samples in (0, 2):
+            _, cert = product_builder(factor, sampling_builder(2, samples)).build(*lifted)
+            assert cert.samples_per_segment == samples
+        _, cert = product_builder(sampling_builder(2, 3), sampling_builder(2, 1)).build(
+            np.zeros(4), np.ones(4)
+        )
+        assert cert.samples_per_segment == 3
         _, cert = line_builder(2).build(np.zeros(2), np.ones(2))
         assert cert.samples_per_segment == 0
 

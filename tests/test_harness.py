@@ -29,7 +29,7 @@ from rankpath.harness import (
     trial_config_from_json,
     trial_config_to_json,
 )
-from rankpath.serialize import dumps
+from rankpath.serialize import dumps, write_json
 
 D332 = VarietyDescriptor(3, 3, 2, ScalarField.COMPLEX)
 
@@ -167,6 +167,29 @@ class TestAdversarialPairs:
             p, _ = harness.adversarial_pair(d, 3, index, (50.0, 100.0))
             assert 50.0 * (1 - 1e-12) <= frobenius_norm(p) <= 100.0 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 4)])
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_t_one_variety_gives_zero_pairs(self, shape, field):
+        # {rank < 1} is {0}: every kind of the cycle is the pair (0, 0), and a
+        # run of all six exits clean, with no RuntimeWarning (the suite's
+        # filter turns one into an error)
+        d = VarietyDescriptor(*shape, 1, field)
+        for p, q in adversarial_pairs(d, seed=1, count=6):
+            assert p.shape == q.shape == shape and p.dtype == q.dtype == field.dtype
+            assert not p.any() and not q.any()
+        report = run_trials(TrialConfig(d, 6, 1, RankPairStrategy.ADVERSARIAL))
+        assert report.errors == report.residual_escapes == report.bound_violations == 0
+
+    @pytest.mark.parametrize(
+        "radius_range", [(0.5, math.inf), (math.inf, math.inf), (0.5, math.nan), (math.nan, 2.0)]
+    )
+    def test_radius_range_must_be_finite(self, radius_range, monkeypatch):
+        # refused before any trial runs: an infinite radius would only fill
+        # the report with OverflowErrors that JSON cannot hold
+        monkeypatch.setattr(harness, "_run_one", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="radius_range"):
+            run_trials(TrialConfig(D332, 2, 1, radius_range=radius_range))
+
     def test_cross_strata_ranks_differ(self):
         d = VarietyDescriptor(4, 4, 4, ScalarField.COMPLEX)
         p, q = adversarial_pairs(d, seed=2, count=6)[4]
@@ -185,6 +208,17 @@ class TestEmitReport:
         assert report_from_json(json.loads(text)) == report
         # integral floats, such as every bound 2(t-1), read back as floats
         assert all(type(r["certified_bound"]) is float for r in json.loads(text)["records"])
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_refused_value_leaves_the_file_alone(self, tmp_path, exists):
+        # a value JSON cannot hold raises before the file is opened: it is
+        # neither created nor emptied
+        out = tmp_path / "report.json"
+        if exists:
+            out.write_text("kept\n")
+        with pytest.raises(ValueError, match="not representable"):
+            write_json({"outer": 1.0, "ratio": math.inf}, out)
+        assert out.read_text() == "kept\n" if exists else not out.exists()
 
     @pytest.mark.parametrize("value", [7.0, -0.0, 0.5, 1e300, 7])
     def test_numbers_read_back_with_their_type(self, value):

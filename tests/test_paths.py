@@ -24,8 +24,8 @@ from rankpath import (
     sample_stratum,
 )
 from rankpath import paths
-from rankpath.harness import adversarial_pair
-from rankpath.numkernel import _BATCH_MIN_POINTS, RANK_REL_TOL, as_matrix, ldexp, numerical_ranks
+from rankpath.harness import RankPairStrategy, TrialConfig, adversarial_pair, mix_seed, run_trials
+from rankpath.numkernel import _BATCH_MIN_POINTS, as_matrix, ldexp
 from rankpath.variety import spectra, spectral_residuals
 from conftest import random_member, random_unitary
 
@@ -278,7 +278,8 @@ class TestGeneralPath:
         assert cert.certified_bound == 4.0
         assert cert.ratio == pytest.approx(1.3941955121748968, rel=1e-9)
         assert len(path.breakpoints) == 3
-        assert cert.samples_per_segment == 1
+        # each leg is bounded by its ends' trailing strips: nothing is sampled
+        assert cert.samples_per_segment == 0
         assert cert.max_relative_residual <= 1e-12
         # the two legs are disjoint blocks of p - q, so each is at most outer
         legs = [np.linalg.norm(b - a) for a, b in zip(path.breakpoints, path.breakpoints[1:])]
@@ -934,17 +935,6 @@ def dense_residuals(path, d, count=50):
     return np.concatenate(found) if found else np.zeros(0)
 
 
-def leg_steps(route):
-    """The legs of a Schur-coordinate route: each step with its structural
-    rank r and tail tau."""
-    stack, _, kinds = route[:3]
-    return [
-        (stack[i + 1] - stack[i], kind[1], kind[2])
-        for i, kind in enumerate(kinds)
-        if kind[0] == "leg"
-    ]
-
-
 @st.composite
 def trailing_points(draw):
     """A (2, m, n) stack of block-diagonal points D_j + x over either field,
@@ -969,10 +959,10 @@ def trailing_points(draw):
 
 class TestStructuralBound:
     """``build_path`` bounds the residual of its route from the Schur block
-    structure: bounds on each trailing block's sigma_1 and sigma_{t-j} from
-    the norms of its rows, columns and trailing strips, a rank and tail per
-    step read off the blocks it moves and drops, and one Weyl charge for the
-    map back onto the returned path."""
+    structure: bounds on each trailing block's sigma_1 from the norms of its
+    rows and columns, on each point's sigma_t from its row and column strips,
+    interpolated along each leg, and one Weyl charge for the map back onto
+    the returned path."""
 
     @settings(max_examples=60)
     @given(st.one_of(member_pairs(), large_core_pairs(), tall_member_pairs()))
@@ -989,40 +979,50 @@ class TestStructuralBound:
     @given(trailing_points())
     @example((np.stack([np.eye(3), np.eye(3)]), [0, 1], 3))
     def test_trailing_bounds_hold_against_exact_spectra(self, case):
-        # top <= sigma_1(x) and bottom >= sigma_{t-j}(x) (sigma_1(x) for
-        # j >= t) of each trailing block x, up to the SVD's own rounding,
-        # also where the squares of x's entries underflow.  The identity's
-        # sigma_3 is its last row and its last column alone
+        # top <= sigma_1(x) of each trailing block x, and each of the point's
+        # two strips >= its sigma_t, up to the SVD's own rounding, also where
+        # the squares of the entries underflow.  The identity's sigma_3 is its
+        # last row alone, and its last column alone
         stack, positions, t = case
-        tops, bottoms = paths._trailing_bounds(stack, positions, t)
-        for point, j, top, bottom in zip(stack, positions, tops, bottoms):
+        tops, rows, cols = paths._trailing_bounds(stack, positions, t)
+        for point, j, top, strips in zip(stack, positions, tops, zip(rows, cols)):
             block = point[j:, j:]
-            sigma = np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
-            sigma = np.concatenate([sigma, np.zeros(t + 1)])
-            slack = 8 * max(point.shape) * EPS * sigma[0]
+            sigma = np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(1)
+            whole = np.concatenate([np.linalg.svd(point, compute_uv=False), np.zeros(t)])
+            slack = 8 * max(point.shape) * EPS * whole[0]
             assert top <= sigma[0] + slack
-            assert bottom >= sigma[max(t - j, 1) - 1] - slack
+            for strip in strips:
+                assert strip >= whole[t - 1] - slack
 
-    @settings(max_examples=60)
-    @given(st.one_of(member_pairs(), large_core_pairs(), tall_member_pairs()))
-    def test_leg_ranks_and_tails_match_exact_spectra(self, case):
-        # a leg's tail bounds its step's next singular value (Weyl: the step
-        # less the rows or columns it moves is the dropped block), and where
-        # the tail is below the step's rank threshold, the structural rank is
-        # its numerical rank.  A larger tail (a near-coincident pair's short
-        # step, say) can count as rank for the step, though not against the
-        # sigma_1 of the points it is charged to
-        d, p, q = case
-        _, _, seen = built(p, q, d)
-        for step, rank, tail in leg_steps(seen["route"]):
-            sigma = np.concatenate([np.linalg.svd(step, compute_uv=False), [0.0]])
-            if tail < RANK_REL_TOL * sigma[0]:
-                assert numerical_ranks(sigma[np.newaxis])[0] == rank
-            assert sigma[rank] <= tail + 4 * max(step.shape) * EPS * sigma[0]
+    def test_legs_are_bounded_by_their_strips(self):
+        # a hand-built route of four points D_1 + x behind the corner 2, under
+        # the identity map.  Its first leg has a larger exact residual inside
+        # than at either end: x goes from [[1, 0], [e, 0]] to [[0, 1], [0, 0]],
+        # both of rank 1, through x(1/2) of sigma_2 about 0.35 e.  Its last leg
+        # has small rows at one end and small columns at the other: x goes from
+        # [[0, e], [0, 0]] to [[0, 0], [e, 0]], so the smaller strip of either
+        # end is 0, while sigma_3 reaches e / 2 at s = 1/2.  Each strip,
+        # interpolated on its own, bounds both legs from the structure
+        e = 1e-13
+        d = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
+        stack = np.zeros((4, 3, 3))
+        stack[:, 0, 0] = 2.0
+        stack[:, 1:, 1:] = [[[1.0, 0.0], [e, 0.0]], [[0.0, 1.0], [0.0, 0.0]],
+                            [[0.0, e], [0.0, 0.0]], [[0.0, 0.0], [e, 0.0]]]
+        sigma = spectra(stack[[0, -1]], d)
+        residuals, tops = spectral_residuals(sigma, d).tolist(), sigma[:, 0].tolist()
+        ends = paths._Ends((stack[0], stack[-1]), residuals, tops, None, d)
+        worst, samples = paths._schur_residual(
+            stack, [1] * 4, [("leg", 1)] * 3, [0.0, 2.0], None, None, [False] * 3, ends
+        )
+        assert samples == 0
+        dense = dense_residuals(PiecewisePath(tuple(stack)), d)
+        assert 1e-14 < dense.max() <= worst <= e
 
     def test_dropped_entries_are_charged(self, monkeypatch):
-        # entries far above rounding below a corner of p_hat: each leg's tail
-        # still bounds the exact sigma_{r+1} of its step
+        # entries far above rounding below a corner of p_hat, which every
+        # first leg drops: the certificate still bounds the exact residual
+        # inside each returned segment, and the entries show in it
         d = VarietyDescriptor(8, 8, 5, ScalarField.COMPLEX)
         p, q = sample_stratum(d, 4, 1.0, 1), sample_stratum(d, 4, 1.3, 2)
         real = paths.normalize_pair
@@ -1034,14 +1034,10 @@ class TestStructuralBound:
             return z, v, p_hat, q_hat, t
 
         monkeypatch.setattr(paths, "normalize_pair", noisy)
-        _, cert, seen = built(p, q, d)
+        path, cert = build_path(p, q, d)
         assert trace_kinds(cert) == [BranchKind.GENERAL] * 4
-        tails = []
-        for step, rank, tail in leg_steps(seen["route"]):
-            sigma = np.linalg.svd(step, compute_uv=False)
-            assert sigma[rank] <= tail + 4 * max(step.shape) * EPS * sigma[0]
-            tails.append(sigma[rank])
-        assert max(tails) > 1e-7
+        dense = dense_residuals(path, d)
+        assert 1e-8 < dense.max() <= cert.max_relative_residual <= 1e-6
 
     @pytest.mark.parametrize("end", ["p", "q"])
     def test_endpoint_misses_are_charged(self, monkeypatch, end):
@@ -1370,19 +1366,14 @@ class TestCertify:
                 assert cert.max_relative_residual <= 1e-12
                 assert cert.samples_per_segment == 0
 
-    @pytest.mark.parametrize(
-        "shape, t, seed, samples, ceiling",
-        [((8, 8), 5, 1, 1, 1e-13), ((4, 4), 3, 3, 2, 1e-14)],
-    )
-    def test_unsettled_segment_takes_the_generic_rule(
-        self, shape, t, seed, samples, ceiling, monkeypatch
+    @pytest.mark.parametrize("shape, t, seed", [((8, 8), 5, 1), ((4, 4), 3, 3)])
+    def test_barely_non_orthogonal_leg_settles_from_its_strips(
+        self, shape, t, seed, monkeypatch
     ):
         # pair 5 of the adversarial cycle is barely non-orthogonal, so its
-        # first leg drops a tail of about 3.5e-10, whose charge the structure
-        # cannot settle: its two Schur-coordinate points go to ``_residual_bound``,
-        # which samples by the exact rank of the step (full degree t would
-        # take 4 samples on the first pair) and reads its residual off their
-        # exact spectra (below the 1.23e-14 of the second pair's structure)
+        # first leg drops a tail of about 3.5e-10.  The ends' trailing strips
+        # bound that leg without a sample: no stack reaches
+        # ``_residual_bound``, and the structure's bound stays near rounding
         d = VarietyDescriptor(*shape, t, ScalarField.COMPLEX)
         calls = []
         residual_bound = paths._residual_bound
@@ -1392,11 +1383,77 @@ class TestCertify:
             return residual_bound(stack, core)
 
         monkeypatch.setattr(paths, "_residual_bound", recording)
-        _, cert = build_path(*adversarial_pair(d, seed, 5), d)
+        path, cert = build_path(*adversarial_pair(d, seed, 5), d)
         assert trace_kinds(cert) == [BranchKind.GENERAL, BranchKind.RADIAL]
-        assert calls and set(calls) == {2}
-        assert cert.samples_per_segment == samples
-        assert cert.max_relative_residual < ceiling
+        assert calls == []
+        assert cert.samples_per_segment == 0
+        assert dense_residuals(path, d).max() <= cert.max_relative_residual < 2e-14
+
+    def test_unsettled_leg_takes_the_generic_rule(self, monkeypatch):
+        # the pair ``rankpath trials`` draws at index 6 of seed 3 on 200 x 150
+        # real top-stratum pairs: p_hat's rows from t - 1 on hold about 2e-11,
+        # so the last first leg, which zeroes the trailing block, cannot be
+        # settled from its strips.  Its two Schur-coordinate points go to
+        # ``_residual_bound``, which samples by the exact rank of the step and
+        # reads its residual off their exact spectra
+        d = VarietyDescriptor(200, 150, 4, ScalarField.REAL)
+        rng = np.random.default_rng(mix_seed(3, 6))
+        p, q = (
+            sample_stratum(d, 3, float(rng.uniform(0.5, 2.0)), int(rng.integers(0, 2**63 - 1)))
+            for _ in range(2)
+        )
+        calls = []
+        residual_bound = paths._residual_bound
+
+        def recording(stack, core):
+            calls.append(len(stack))
+            return residual_bound(stack, core)
+
+        monkeypatch.setattr(paths, "_residual_bound", recording)
+        path, cert = build_path(p, q, d)
+        assert trace_kinds(cert) == [BranchKind.GENERAL] * 3
+        assert calls == [2]
+        assert cert.samples_per_segment == 3
+        assert dense_residuals(path, d).max() <= cert.max_relative_residual < 1e-11
+
+    @pytest.mark.parametrize(
+        "shape, t, pairs", [((8, 8), 5, 20), ((40, 40), 20, 4), ((200, 150), 4, 6)]
+    )
+    def test_settled_routes_take_no_svd(self, shape, t, pairs, monkeypatch):
+        # real top-stratum pairs as ``rankpath trials`` draws them, RealBlock
+        # steps among them: a route that sends no segment to
+        # ``_residual_bound`` takes no SVD in ``_schur_residual``, not even
+        # on the legs of a real 2 x 2 Schur block
+        d = VarietyDescriptor(*shape, t, ScalarField.REAL)
+        routes, inside = [], []
+        schur, residual_bound, svd = paths._schur_residual, paths._residual_bound, np.linalg.svd
+
+        def recording_schur(*args):
+            routes.append({"svd": 0, "generic": 0})
+            inside.append(True)
+            try:
+                return schur(*args)
+            finally:
+                inside.pop()
+
+        def counting_svd(*args, **kwargs):
+            if inside:
+                routes[-1]["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def recording_bound(*args):
+            routes[-1]["generic"] += 1
+            return residual_bound(*args)
+
+        monkeypatch.setattr(paths, "_schur_residual", recording_schur)
+        monkeypatch.setattr(paths, "_residual_bound", recording_bound)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = run_trials(TrialConfig(d, pairs, 1, RankPairStrategy.TOP_STRATUM_ONLY))
+        assert report.errors == 0 and len(routes) == pairs
+        kinds = {tag.kind for record in report.records for tag in record.branch_trace}
+        assert BranchKind.REAL_BLOCK in kinds
+        settled = [route["svd"] for route in routes if route["generic"] == 0]
+        assert settled and not any(settled)
 
     def test_negative_ray_test_is_exact(self):
         a = sample_stratum(VarietyDescriptor(4, 5, 3, ScalarField.COMPLEX), 2, 1.0, 1)
