@@ -49,6 +49,7 @@ from .paths import (
     PathCertificate,
     PiecewisePath,
     build_path,
+    build_paths,
     certify,
     normalize_pair,
 )

@@ -3,7 +3,9 @@
 Per-trial seeds are derived from the master seed by position through a
 64-bit avalanche mix (the splitmix64 finalizer), so a report is a pure
 function of its configuration and any single trial can be replayed from
-its index alone.
+its index alone.  Each pair is sampled on its own, and the sampled pairs
+are built together in blocks by ``paths.build_paths``, whose results are
+each pair's own, so the blocking changes no record.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from enum import Enum
 import numpy as np
 
 from .numkernel import frobenius_norm
-from .paths import ORTHOGONALITY_THRESHOLD, build_path
+from .paths import (
+    ORTHOGONALITY_THRESHOLD,
+    build_path,  # noqa: F401  unused here, but per-layer tracing wraps this name
+    build_paths,
+)
 from .serialize import (
     branch_trace_from_json,
     branch_trace_to_json,
@@ -34,6 +40,11 @@ from .variety import (
 )
 
 BOUND_SLACK = 1e-9
+
+#: matrix entries the returned paths of one ``build_paths`` call of
+#: ``run_trials`` may hold: blocks of pairs are independent, so records do
+#: not depend on it, and peak memory stays flat for any number of pairs
+_BLOCK_ENTRIES = 2**18
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,7 +156,9 @@ def _orthogonal_tilt(d, rng, radius_range, relative_inner):
         beta = 1.0
     else:
         ortho = u_p[:, 1]
-        beta = relative_inner * frobenius_norm(p) / sigma[0]
+        # squares that overflow are rescaled, so the norm is right at any radius
+        with np.errstate(over="ignore"):
+            beta = relative_inner * frobenius_norm(p) / sigma[0]
         beta = min(beta, 1.0)
     u = beta * u0 + math.sqrt(max(0.0, 1.0 - beta * beta)) * ortho
     radius_q = _sample_radius(rng, radius_range)
@@ -189,7 +202,8 @@ def adversarial_pair(d: VarietyDescriptor, seed: int, index: int, radius_range=(
             + (1j * rng.standard_normal(d.shape) if np.iscomplexobj(p) else 0.0),
             dtype=p.dtype,
         )
-        scale = 1e-6 * frobenius_norm(p) / max(frobenius_norm(noise), 1e-300)
+        with np.errstate(over="ignore"):
+            scale = 1e-6 * frobenius_norm(p) / max(frobenius_norm(noise), 1e-300)
         return p, project(p + scale * noise, d)
     if kind == "near_orthogonal":
         return _orthogonal_tilt(d, rng, radius_range, 0.1 * ORTHOGONALITY_THRESHOLD)
@@ -217,33 +231,21 @@ def adversarial_pairs(d: VarietyDescriptor, seed: int, count: int):
     return [adversarial_pair(d, seed, i) for i in range(count)]
 
 
-def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:
+def _sample_pair(cfg: TrialConfig, index: int, rng: np.random.Generator):
+    """The pair of trial ``index``, drawn from its own generator."""
     d = cfg.descriptor
-    seed = mix_seed(cfg.master_seed, index)
-    rng = np.random.default_rng(seed)
-    try:
-        strategy = cfg.rank_pair_strategy
-        if strategy is RankPairStrategy.ALL_STRATA_GRID:
-            p, q = _grid_pair(d, index, rng, cfg.radius_range)
-        elif strategy is RankPairStrategy.TOP_STRATUM_ONLY:
-            p = _sample(d, d.max_rank, rng, cfg.radius_range)
-            q = _sample(d, d.max_rank, rng, cfg.radius_range)
-        else:
-            p, q = adversarial_pair(d, cfg.master_seed, index, cfg.radius_range)
-        _, cert = build_path(p, q, d)
-        rank_p, rank_q = cert.endpoint_ranks
-        return TrialRecord(
-            seed=seed,
-            rank_p=rank_p,
-            rank_q=rank_q,
-            outer=cert.outer_distance,
-            length=cert.length,
-            ratio=cert.ratio,
-            certified_bound=cert.certified_bound,
-            branch_trace=cert.branch_trace,
-            max_residual=cert.max_relative_residual,
-        )
-    except Exception as exc:  # recorded, never aborts the run
+    strategy = cfg.rank_pair_strategy
+    if strategy is RankPairStrategy.ALL_STRATA_GRID:
+        return _grid_pair(d, index, rng, cfg.radius_range)
+    if strategy is RankPairStrategy.TOP_STRATUM_ONLY:
+        p = _sample(d, d.max_rank, rng, cfg.radius_range)
+        return p, _sample(d, d.max_rank, rng, cfg.radius_range)
+    return adversarial_pair(d, cfg.master_seed, index, cfg.radius_range)
+
+
+def _record(seed: int, outcome) -> TrialRecord:
+    """The record of one trial: its certificate, or the exception it raised."""
+    if isinstance(outcome, Exception):
         return TrialRecord(
             seed=seed,
             rank_p=-1,
@@ -254,17 +256,50 @@ def _run_one(cfg: TrialConfig, index: int) -> TrialRecord:
             certified_bound=float("nan"),
             branch_trace=(),
             max_residual=float("nan"),
-            error=f"{type(exc).__name__}: {exc}",
+            error=f"{type(outcome).__name__}: {outcome}",
         )
+    _, cert = outcome
+    rank_p, rank_q = cert.endpoint_ranks
+    return TrialRecord(
+        seed=seed,
+        rank_p=rank_p,
+        rank_q=rank_q,
+        outer=cert.outer_distance,
+        length=cert.length,
+        ratio=cert.ratio,
+        certified_bound=cert.certified_bound,
+        branch_trace=cert.branch_trace,
+        max_residual=cert.max_relative_residual,
+    )
 
 
 def run_trials(cfg: TrialConfig) -> TrialReport:
     """Sample pairs, build and certify paths, aggregate.
 
     Deterministic given the config: per-trial seeds are derived from the
-    trial index.
+    trial index.  Each pair is sampled on its own, and the sampled pairs
+    are built in blocks of ``build_paths`` of at most ``_BLOCK_ENTRIES``
+    entries, so memory stays flat for any number of pairs.  A trial that
+    raises, in sampling or in ``build_paths``, is recorded with its error
+    and never aborts the run; records keep the trials' order.
     """
-    records = [_run_one(cfg, i) for i in range(cfg.pairs)]
+    d = cfg.descriptor
+    # a path has at most 2t + 1 breakpoints: two legs per level, and three points more
+    block = max(1, _BLOCK_ENTRIES // ((2 * d.t + 1) * d.m * d.n))
+    records = []
+    for start in range(0, cfg.pairs, block):
+        seeds = [mix_seed(cfg.master_seed, i) for i in range(start, min(start + block, cfg.pairs))]
+        outcomes = []
+        for index, seed in enumerate(seeds, start):
+            try:
+                outcomes.append(_sample_pair(cfg, index, np.random.default_rng(seed)))
+            except Exception as exc:  # recorded, never aborts the run
+                outcomes.append(exc)
+        sampled = [i for i, pair in enumerate(outcomes) if not isinstance(pair, Exception)]
+        built = build_paths([outcomes[i][0] for i in sampled], [outcomes[i][1] for i in sampled], d)
+        for i, result in zip(sampled, built):
+            outcomes[i] = result
+        records += map(_record, seeds, outcomes)
     ratios = [r.ratio for r in records if r.error is None]
     return TrialReport(
         config=cfg,

@@ -36,6 +36,9 @@ _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 #: rounding model of ``variety.product_gamma`` fails
 UNDERFLOW_SAFE = float(np.finfo(np.float64).tiny) / _EPS
 
+#: a norm below this may have lost the squares of its entries to underflow
+_NORM_FLOOR = math.sqrt(UNDERFLOW_SAFE)
+
 #: ``step_norms`` norms the steps of a polyline with this many breakpoints or
 #: more in batches, which saves a call per step; below it a batch's fixed
 #: cost is more than the calls it saves
@@ -133,14 +136,15 @@ def frobenius_norm(a) -> float:
     else:
         squares = flat.dot(flat)
     norm = math.sqrt(squares)
-    if math.sqrt(UNDERFLOW_SAFE) <= norm < math.inf or not flat.any():
+    if _NORM_FLOOR <= norm < math.inf or not flat.any():
         return norm
     return float(frobenius_norms(flat[np.newaxis])[0])
 
 
 def _dot_norms(flat: np.ndarray) -> np.ndarray:
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(np.vecdot(x, x) for x in parts))
+    if np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -162,7 +166,9 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """
     flat = stack.reshape(len(stack), -1)
     norms = _dot_norms(flat)
-    for i in np.flatnonzero((norms < math.sqrt(UNDERFLOW_SAFE)) | (norms == math.inf)):
+    if norms.min() >= _NORM_FLOOR and norms.max() < math.inf:  # nothing to rescale
+        return norms
+    for i in np.flatnonzero((norms < _NORM_FLOOR) | (norms == math.inf)):
         row = flat[i : i + 1]
         top = float(np.abs(real_view(row)).max())
         if 0.0 < top < math.inf:
@@ -171,6 +177,32 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
             power += exponent
             norms[i] = math.ldexp(scaled, power) if power <= 1024 else math.inf
     return norms
+
+
+def difference_norms(starts, ends) -> np.ndarray:
+    """``frobenius_norm(b - a)`` of each a of ``starts`` and the b of
+    ``ends`` at its place, bitwise: two sequences or stacks of matrices, all
+    of one shape and field.  The differences are written about
+    ``_BATCH_ENTRIES`` entries at a time into one buffer, which is reused,
+    so a batch stays in cache and no difference is allocated on its own, and
+    each batch is normed by ``frobenius_norms``.  Matrices of
+    ``_BATCH_ENTRIES`` entries or more are normed one at a time."""
+    count = len(starts)
+    if count == 0:
+        return np.zeros(0)
+    size = _BATCH_ENTRIES // np.size(starts[0])
+    if size < 2:  # no two differences share a batch
+        return np.array([frobenius_norm(b - a) for a, b in zip(starts, ends)])
+    dtype = np.result_type(starts[0], ends[0])
+    buffer = np.empty((min(size, count), *np.shape(starts[0])), dtype=dtype)
+    return np.concatenate(
+        [
+            frobenius_norms(
+                np.subtract(ends[k : k + size], starts[k : k + size], out=buffer[: count - k])
+            )
+            for k in range(0, count, size)
+        ]
+    )
 
 
 def step_norms(points) -> np.ndarray:

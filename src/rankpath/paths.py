@@ -48,6 +48,15 @@ carries every kept point onto the returned polyline in one product; a
 route without a Schur form is its returned points, under the identity
 map.  The residual bound charges that map, so it holds for the returned
 polyline, the only one measured.
+
+``build_paths`` builds a block of pairs on one descriptor, and
+``build_path`` is its block of one.  Every stage that does not depend on a
+pair's route runs once for the whole block, each stacked call bitwise the
+per-matrix one: the input checks and the scaling, the endpoint SVD, the
+membership refusal, the frames and the cores, the first level's tests,
+and the measurement of the returned polylines.  The routes, from
+``normalize_pair`` to the map, are built one at a time.  So each pair's
+path and certificate, or its exception, are the ones it gets alone.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ from .numkernel import (
     DimensionMismatch,
     ScalarField,
     as_matrix,
+    difference_norms,
     frobenius_norm,
     frobenius_norms,
     ldexp,
@@ -120,6 +130,9 @@ _SKETCH_RATIO = 8
 #: of its pair alone
 _SKETCH_SEED = 0
 
+#: below this sum of the norms of p and q their distance cannot overflow
+_DISTANCE_SAFE = math.ldexp(1.0, 1023)
+
 
 class BranchKind(str, Enum):
     RADIAL = "Radial"
@@ -169,11 +182,7 @@ class PiecewisePath:
         The ratio is length / outer unclamped: a value below 1 would mean a
         polyline shorter than its chord, a measurement fault, and shows as such.
         """
-        outer = frobenius_norm(self.start - self.end)
-        # one segment is its own chord: ||a - b|| = ||b - a||, bitwise
-        length = outer if len(self.breakpoints) == 2 else self.length()
-        ratio = 1.0 if outer == 0.0 else length / outer
-        return outer, length, ratio
+        return _measure([self.breakpoints])[0]
 
     @property
     def start(self) -> np.ndarray:
@@ -182,6 +191,31 @@ class PiecewisePath:
     @property
     def end(self) -> np.ndarray:
         return self.breakpoints[-1]
+
+
+def _measure(lines) -> list[tuple[float, float, float]]:
+    """``PiecewisePath.measure`` of each of ``lines``, sequences of
+    breakpoints all of one shape and field: outer distance, length and
+    ratio.
+
+    The steps and chords of all the polylines take one ``difference_norms``
+    pass, and each length is its own steps added by ``sequential_sum``.
+    Every norm is that of one matrix, so each polyline measures bitwise as
+    it would alone.
+    """
+    # every step a -> b, then every chord from the end to the start
+    starts = [a for line in lines for a in line[:-1]] + [line[-1] for line in lines]
+    ends = [b for line in lines for b in line[1:]] + [line[0] for line in lines]
+    norms = difference_norms(starts, ends).tolist()
+    chords = norms[len(starts) - len(lines) :]
+    measures, start = [], 0
+    for line, outer in zip(lines, chords):
+        end = start + len(line) - 1
+        # one segment is its own chord: ||a - b|| = ||b - a||, bitwise
+        length = outer if len(line) == 2 else sequential_sum(norms[start:end])
+        measures.append((outer, length, 1.0 if outer == 0.0 else length / outer))
+        start = end
+    return measures
 
 
 @dataclass(frozen=True)
@@ -435,6 +469,40 @@ class _Ends(NamedTuple):
         return _Ends(*reversed_, self.frames, self.d)
 
 
+class _FirstLevel(NamedTuple):
+    """What the first level of a route measures of its pair (x, y), x the
+    endpoint of smaller rank: ||x - y||, (||x||, ||y||), <y, x>, and
+    ||y - c x|| for c = <y, x> / ||x||^2 (0 where ||x||^2 is 0, whose route
+    does not read it)."""
+
+    distance: float
+    norms: tuple[float, float]
+    cross: float | complex
+    off_ray: float
+
+
+def _first_levels(cores: np.ndarray, ranks) -> list[_FirstLevel]:
+    """The ``_FirstLevel`` of each pair of a (B, 2, k, k) stack of cores,
+    led by the endpoint of smaller rank, as ``_dispatch`` orders it, with
+    ``ranks`` the pairs' endpoint ranks.  The norms of all the endpoints and
+    differences take one ``frobenius_norms`` pass, the distances to the
+    rays another, and every value is bitwise what the level loop takes of
+    one pair."""
+    lead = np.array([int(rank_p > rank_q) for rank_p, rank_q in ranks])
+    rows = np.arange(len(cores))
+    x, y = cores[rows, lead], cores[rows, 1 - lead]
+    # ||p||, ||q|| and ||p - q|| (= ||x - y||, bitwise) of every pair in one pass
+    stack = np.concatenate([cores.reshape(-1, *cores.shape[2:]), cores[:, 0] - cores[:, 1]])
+    norms = frobenius_norms(stack)
+    distances = norms[2 * len(cores) :].tolist()
+    norms = norms[: 2 * len(cores)].reshape(-1, 2)
+    norms_x, norms_y = norms[rows, lead].tolist(), norms[rows, 1 - lead].tolist()
+    crosses = (y * x.conj()).sum(axis=(1, 2)).tolist()
+    coefs = [cross / (norm * norm) if norm * norm else 0.0 for cross, norm in zip(crosses, norms_x)]
+    off_rays = frobenius_norms(y - np.array(coefs)[:, np.newaxis, np.newaxis] * x).tolist()
+    return list(map(_FirstLevel, distances, zip(norms_x, norms_y), crosses, off_rays))
+
+
 def _ray_floor(coef, top: float, tail: float) -> float:
     """A lower bound on sigma_1 along the segment from x to y = c x + r, for
     sigma_1(x) >= ``top`` and ||r||_F <= ``tail``.
@@ -560,7 +628,7 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
         norms = frobenius_norms(stack).tolist()
         errors = [route.factor * norm + route.absolute for norm in norms]
         mapped = left @ stack[[0, -1]] @ right.conj().T
-        checks = frobenius_norms(np.stack(ends.points) - mapped).tolist()
+        checks = frobenius_norms(ends.points - mapped).tolist()
         for e, i in ((0, 0), (1, count - 1)):
             errors[i] = checks[e] + route.factor * norms[i] + route.absolute
         for i in range(1, count - 1):
@@ -632,7 +700,7 @@ def _dispatch(
     p: np.ndarray,
     q: np.ndarray,
     d: VarietyDescriptor,
-    norms: tuple[float, float],
+    first: _FirstLevel,
     ranks: tuple[int, int],
     ends: _Ends,
 ) -> tuple[np.ndarray, list[BranchTag], float, float, int]:
@@ -667,25 +735,26 @@ def _dispatch(
     returned points ``ends.points`` (with 0 between them for the orthogonal
     route), its map the identity, and its interior is returned as it is.
     The residual is bounded on the stack and its map (``_schur_residual``).
-    The first level's tests read ``norms``, those of p and q, and its
-    orthogonality test the <q, p> that its collinearity test takes.
+    The first level's tests read ``first``, its measurements of the pair in
+    route order, taken with those of other pairs (``_first_levels``); its
+    orthogonality test reads the <y, x> that its collinearity test takes.
     The bound is 2 * min rank once a step was taken, else 2 for the
     orthogonal route and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        interior, *route = _dispatch(q, p, d, norms[::-1], ranks[::-1], ends.swapped())
+        interior, *route = _dispatch(q, p, d, first, ranks[::-1], ends.swapped())
         return interior[::-1], *route
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
-    scale = max(norms) or 1.0
+    distance, (norm_x, norm_y), cross, off_ray = first
+    scale = max(norm_x, norm_y) or 1.0
     x, y = p, q
-    norm_x, norm_y = norms
     levels, tags = [], []
     j, t, middle = 0, None, 0
     # the terminal leg is the ray (base, c) from x to y = c x + r, or from y
     # to x = c y + r for base 1; a coincident pair is x to x + (y - x)
     ray = (0, 1.0)
-    while frobenius_norm(x - y) > _DEGENERATE_TOL * scale:
+    while (distance if j == 0 else frobenius_norm(x - y)) > _DEGENERATE_TOL * scale:
         if j > 0:
             norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
@@ -693,9 +762,12 @@ def _dispatch(
             ray = (int(norm_x <= _ZERO_TOL * scale), 0.0)
             break
         # y a scalar multiple of x: the whole segment lies on one ray's span
-        cross = _inner(y, x)
+        if j > 0:
+            cross = _inner(y, x)
         coef = cross / (norm_x * norm_x)
-        if frobenius_norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
+        if j > 0:
+            off_ray = frobenius_norm(y - coef * x)
+        if off_ray <= _COLLINEAR_TOL * norm_y:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (0, coef)
             break
@@ -952,56 +1024,144 @@ def _sketched_svd(stack: np.ndarray, d: VarietyDescriptor):
     return (basis, u, sigma, vh, residuals) if decided.all() else None
 
 
-def _core_frames(p: np.ndarray, q: np.ndarray, d: VarietyDescriptor):
-    """Membership residuals and ranks of both endpoints, frames of their
-    core, and lower bounds on their sigma_1.
+class _Spectra(NamedTuple):
+    """What the endpoint SVD tells of a pair: the singular triplets
+    ``(u, sigma, vh)`` of both endpoints, or of their compressions onto the
+    range sketch ``basis`` (None without a sketch), their membership
+    residuals and their ranks (the ``rank_of`` rule)."""
 
-    One stacked SVD gives both spectra and singular vectors: of the pair
-    itself, or of its compression Q^H p, Q^H q onto a range sketch where
-    ``_sketched_svd`` decides membership and ranks as that SVD would (then
-    the residuals are its upper bounds, sigma_1(Q^H x) <= sigma_1(x), and
-    the left singular vectors are mapped back by Q).  With ranks r_p and
-    r_q (the ``rank_of`` rule) and k = max(r_p + r_q, t), QR of the
-    leading singular vectors gives U (m x k) and V (n x k) with orthonormal
-    columns spanning col p + col q and row p + row q, so p = U (U^H p V) V^H
-    and likewise q.  When
-    r_p + r_q < t, p's next singular vectors pad the frames to t columns,
-    so the core lies on a variety with the same t and takes the same
-    branches.  The frames are None when k >= min(m, n): compressing would
-    not shrink the problem.
+    basis: np.ndarray | None
+    u: np.ndarray
+    sigma: np.ndarray
+    vh: np.ndarray
+    residuals: np.ndarray
+    ranks: tuple[int, int]
+
+
+def _endpoint_spectra(stack: np.ndarray, d: VarietyDescriptor) -> list[_Spectra]:
+    """The ``_Spectra`` of each pair of a (B, 2, m, n) stack.
+
+    A pair whose sketch decides membership and ranks as the full SVD would
+    (``_sketched_svd``) keeps the sketch's; then the residuals are its upper
+    bounds, sigma_1(Q^H x) <= sigma_1(x).  Every other pair takes the full
+    SVD, all of them in one stacked call, bitwise the SVD of each.
     """
-    stack = np.stack([p, q])
-    sketch = _sketched_svd(stack, d)
-    if sketch is None:
-        u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+    found = [_sketched_svd(pair, d) for pair in stack]
+    spectra = [
+        None if sketch is None else _Spectra(*sketch, tuple(numerical_ranks(sketch[2]).tolist()))
+        for sketch in found
+    ]
+    full = [i for i, sketch in enumerate(found) if sketch is None]
+    if full:
+        endpoints = (stack if len(full) == len(stack) else stack[full]).reshape(-1, *d.shape)
+        u, sigma, vh = np.linalg.svd(endpoints, full_matrices=False)
         residuals = spectral_residuals(sigma, d)
-    else:
-        basis, u, sigma, vh, residuals = sketch
-    rank_p, rank_q = (int(r) for r in numerical_ranks(sigma))
-    k = max(rank_p + rank_q, d.t)
-    if k >= min(d.shape):
-        return residuals, (rank_p, rank_q), None, sigma[:, 0]
-    left = np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1)
-    frame_u, _ = np.linalg.qr(left if sketch is None else basis @ left)
-    frame_v, _ = np.linalg.qr(np.concatenate([vh[0, : k - rank_q], vh[1, :rank_q]]).conj().T)
-    return residuals, (rank_p, rank_q), (frame_u, frame_v), sigma[:, 0]
+        ranks = numerical_ranks(sigma).tolist()
+        for k, i in enumerate(full):
+            pair = slice(2 * k, 2 * k + 2)
+            triplet = u[pair], sigma[pair], vh[pair]
+            spectra[i] = _Spectra(None, *triplet, residuals[pair], tuple(ranks[pair]))
+    return spectra
+
+
+def _core_frames(spectra: list[_Spectra], d: VarietyDescriptor):
+    """The pairs grouped by the size of their core, with their frames.
+
+    With ranks r_p and r_q and k = max(r_p + r_q, t), QR of the leading
+    singular vectors (the left ones mapped back by the sketch's Q) gives U
+    (m x k) and V (n x k) with orthonormal columns spanning col p + col q
+    and row p + row q, so p = U (U^H p V) V^H and likewise q.  When
+    r_p + r_q < t, p's next singular vectors pad the frames to t columns, so
+    the core lies on a variety with the same t and takes the same branches.
+    Returns ``(k, members, frames)`` per core size: the positions of its
+    pairs in ``spectra``, and the stacked frames (U, V) of all of them from
+    one stacked QR per side, bitwise the QR of each.  Pairs with
+    k >= min(m, n) have frames None: compressing would not shrink them.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, found in enumerate(spectra):
+        groups.setdefault(max(sum(found.ranks), d.t), []).append(i)
+    cores = []
+    for k, members in sorted(groups.items()):
+        if k >= min(d.shape):
+            cores.append((k, members, None))
+            continue
+        lefts, rights = [], []
+        for i in members:
+            basis, u, _, vh, _, (_, rank_q) = spectra[i]
+            left = np.concatenate([u[0, :, : k - rank_q], u[1, :, :rank_q]], axis=1)
+            lefts.append(left if basis is None else basis @ left)
+            rights.append(np.concatenate([vh[0, : k - rank_q], vh[1, :rank_q]]).conj().T)
+        frames = np.linalg.qr(np.stack(lefts))[0], np.linalg.qr(np.stack(rights))[0]
+        cores.append((k, members, frames))
+    return cores
+
+
+def _shaped_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """p and q over d's field, or DimensionMismatch for the first off d's
+    shape; a p of non-finite norm is refused before a q of the wrong shape."""
+    p, q = as_matrix(p, d.field), as_matrix(q, d.field)
+    if p.shape != d.shape:
+        raise DimensionMismatch(f"p: expected shape {d.shape}, got {p.shape}")
+    if q.shape != d.shape:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(frobenius_norm(p)):
+                raise ValueError("p has a non-finite entry or its Frobenius norm overflows")
+        raise DimensionMismatch(f"q: expected shape {d.shape}, got {q.shape}")
+    return p, q
+
+
+def _checked_pairs(P, Q, d: VarietyDescriptor) -> tuple[list, np.ndarray]:
+    """The input checks of ``build_path`` on each pair (p, q) of P and Q.
+
+    Returns each pair over d's field, or the exception it fails with, and
+    the (L, 2, m, n) stack of the L pairs that pass, in order: a copy of
+    their own, which the caller may overwrite.  A pair fails with
+    DimensionMismatch off d's shape, and with ValueError for a non-finite
+    entry or a norm or distance beyond the double range; p is checked
+    before q, each point's shape before its norm, and the distance last.
+    One ``frobenius_norms`` pass takes the norms of all the endpoints; a
+    distance is taken only where they could not bound it.
+    """
+    results = []
+    for p, q in zip(P, Q, strict=True):
+        try:
+            results.append(_shaped_pair(p, q, d))
+        except Exception as exc:
+            results.append(exc)
+    live = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
+    if not live:
+        return results, np.zeros((0, 2, *d.shape), d.field.dtype)
+    pairs = np.stack([point for i in live for point in results[i]])
+    # squares that overflow are rescaled: only a norm beyond the double range reads inf
+    with np.errstate(over="ignore"):
+        norms = frobenius_norms(pairs).reshape(-1, 2).tolist()
+        pairs = pairs.reshape(-1, 2, *d.shape)
+        passed = []
+        for k, (i, (norm_p, norm_q)) in enumerate(zip(live, norms)):
+            if not (math.isfinite(norm_p) and math.isfinite(norm_q)):
+                name = "q" if math.isfinite(norm_p) else "p"
+                results[i] = ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
+            # ||p - q|| <= ||p|| + ||q||, so only norms that add up past 2^1023
+            # leave the distance a chance to overflow
+            elif not norm_p + norm_q < _DISTANCE_SAFE and not math.isfinite(
+                frobenius_norm(pairs[k, 0] - pairs[k, 1])
+            ):
+                results[i] = ValueError("the Frobenius distance between p and q overflows")
+            passed.append(not isinstance(results[i], Exception))
+    return results, pairs if all(passed) else pairs[passed]
 
 
 def _checked_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """p and q over d's field: DimensionMismatch off d's shape, ValueError
-    for a non-finite entry or a norm or distance beyond the double range."""
-    p = as_matrix(p, d.field)
-    q = as_matrix(q, d.field)
-    # squares that overflow are rescaled: only a norm beyond the double range reads inf
-    with np.errstate(over="ignore"):
-        for name, point in (("p", p), ("q", q)):
-            if point.shape != d.shape:
-                raise DimensionMismatch(f"{name}: expected shape {d.shape}, got {point.shape}")
-            if not np.isfinite(frobenius_norm(point)):
-                raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
-        if not np.isfinite(frobenius_norm(p - q)):
-            raise ValueError("the Frobenius distance between p and q overflows")
-    return p, q
+    """``_checked_pairs`` of one pair: p and q, or its exception raised."""
+    return _unwrap(_checked_pairs([p], [q], d)[0][0])
+
+
+def _unwrap(result):
+    """``result``, or raise it where it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _refuse_nonmembers(residuals) -> None:
@@ -1011,8 +1171,103 @@ def _refuse_nonmembers(residuals) -> None:
             raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
 
 
+def build_paths(P, Q, d: VarietyDescriptor) -> list:
+    """``build_path`` of each pair (P[i], Q[i]), in order: its path and
+    certificate, or the exception that ``build_path`` would raise for it.
+
+    The stages that do not depend on a pair's route run once for all the
+    pairs, each bitwise what it does for one pair, so every pair's path,
+    certificate or exception is the one it gets alone: the input checks
+    (``_checked_pairs``) and the power-of-two scaling; the endpoint spectra,
+    one stacked SVD of all the endpoints that no range sketch decides
+    (``_endpoint_spectra``); the membership refusal; the frames, one stacked
+    QR per core size and side (``_core_frames``), and the cores; the first
+    level's tests (``_first_levels``); and the measurement of every returned
+    polyline (``_measure``).  The routes themselves (``_dispatch``) are built
+    one at a time.  A stacked SVD that fails fails its whole stack, so then
+    every pair is built alone, and only its own failure is charged to it.
+    """
+    results, scaled = _checked_pairs(P, Q, d)
+    live = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
+    if not live:
+        return results
+    exponents = np.frexp(np.abs(scaled).max(axis=(1, 2, 3)))[1]
+    # the checked stack is this call's own: divided by 2^e in place, exactly
+    parts = real_view(scaled)
+    np.ldexp(parts, -exponents[:, np.newaxis, np.newaxis, np.newaxis], out=parts)
+    try:
+        spectra = _endpoint_spectra(scaled, d)
+    except np.linalg.LinAlgError as exc:
+        if len(live) == 1:
+            results[live[0]] = exc
+        else:
+            for i in live:
+                results[i] = build_paths(*([point] for point in results[i]), d)[0]
+        return results
+    accepted = []
+    for k, found in enumerate(spectra):
+        try:
+            _refuse_nonmembers(found.residuals)
+            accepted.append(k)
+        except MembershipError as exc:
+            results[live[k]] = exc
+
+    routes = {}
+    for size, members, frames in _core_frames([spectra[k] for k in accepted], d):
+        members = [accepted[k] for k in members]
+        # every pair in one group, as always for one pair: no copy
+        group = scaled if len(members) == len(scaled) else scaled[members]
+        if frames is None:
+            core_d, cores = d, group
+        else:
+            u, v = frames
+            core_d = VarietyDescriptor(size, size, d.t, d.field)
+            cores = np.swapaxes(u, 1, 2).conj()[:, np.newaxis] @ group @ v[:, np.newaxis]
+        firsts = _first_levels(cores, [spectra[k].ranks for k in members])
+        for g, (k, first, core) in enumerate(zip(members, firsts, cores)):
+            found = spectra[k]
+            ends = _Ends(
+                scaled[k],
+                found.residuals.tolist(),
+                found.sigma[:, 0].tolist(),
+                None if frames is None else (u[g], v[g]),
+                d,
+            )
+            try:
+                routes[k] = _dispatch(*core, core_d, first, found.ranks, ends)
+            except Exception as exc:
+                results[live[k]] = exc
+
+    built = sorted(routes)
+    # a coincident pair has no interior point; its path is the one point
+    same = (scaled[:, 0] == scaled[:, 1]).all(axis=(1, 2)).tolist()
+    # measured on the polylines that are returned, with the exact endpoints
+    measures = _measure(
+        [scaled[k, :1] if same[k] else (scaled[k, 0], *routes[k][0], scaled[k, 1]) for k in built]
+    )
+    for k, (outer, length, ratio) in zip(built, measures):
+        interior, tags, bound, worst, samples = routes[k]
+        p, q = results[live[k]]
+        exponent = int(exponents[k])
+        # copies, so a caller changing p or q afterwards cannot move the certified path
+        copies = (p.copy(),) if same[k] else (p.copy(), q.copy())
+        path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
+        results[live[k]] = path, PathCertificate(
+            outer_distance=math.ldexp(outer, exponent),
+            length=math.ldexp(length, exponent),
+            ratio=ratio,
+            certified_bound=bound,
+            branch_trace=tuple(tags),
+            max_relative_residual=worst,
+            samples_per_segment=samples,
+            endpoint_ranks=spectra[k].ranks,
+        )
+    return results
+
+
 def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
-    """Construct and certify an on-variety path from p to q.
+    """Construct and certify an on-variety path from p to q: the batch of
+    one of ``build_paths``, raising the pair's exception.
 
     Dispatch: coincident or collinear pairs ride their own ray (ratio 1,
     bound 1); a zero endpoint gives the radial segment (bound 1); nearly
@@ -1056,36 +1311,4 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     coordinates onto m x n by one map, b -> L b R^H with L = U z and
     R = V v, all of them in one product.
     """
-    p, q = _checked_pair(p, q, d)
-    exponent = int(np.frexp(max(np.abs(p).max(), np.abs(q).max()))[1])
-    p_scaled, q_scaled = ldexp(p, -exponent), ldexp(q, -exponent)
-    residuals, ranks, frames, tops = _core_frames(p_scaled, q_scaled, d)
-    _refuse_nonmembers(residuals)
-
-    if frames is None:
-        core_d, core_p, core_q = d, p_scaled, q_scaled
-    else:
-        u, v = frames
-        core_d = VarietyDescriptor(u.shape[1], v.shape[1], d.t, d.field)
-        core_p, core_q = u.conj().T @ p_scaled @ v, u.conj().T @ q_scaled @ v
-    ends = _Ends((p_scaled, q_scaled), residuals.tolist(), tops.tolist(), frames, d)
-    norms = (frobenius_norm(core_p), frobenius_norm(core_q))
-    interior, tags, bound, worst, samples = _dispatch(core_p, core_q, core_d, norms, ranks, ends)
-    # a coincident pair has no interior point; its path is the one point
-    same = np.array_equal(p_scaled, q_scaled)
-    # measured on the polyline that is returned, with the exact endpoints
-    scaled_path = PiecewisePath((p_scaled,) if same else (p_scaled, *interior, q_scaled))
-    outer, length, ratio = scaled_path.measure()
-    # copies, so a caller changing p or q afterwards cannot move the certified path
-    copies = (p.copy(),) if same else (p.copy(), q.copy())
-    path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
-    return path, PathCertificate(
-        outer_distance=math.ldexp(outer, exponent),
-        length=math.ldexp(length, exponent),
-        ratio=ratio,
-        certified_bound=bound,
-        branch_trace=tuple(tags),
-        max_relative_residual=worst,
-        samples_per_segment=samples,
-        endpoint_ranks=ranks,
-    )
+    return _unwrap(build_paths([p], [q], d)[0])

@@ -33,8 +33,8 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def failing_build(p, q, d):
-    raise RuntimeError("construction failed")
+def failing_builds(P, Q, d):
+    return [RuntimeError("construction failed") for _ in P]
 
 
 def read_csv(path):
@@ -123,7 +123,9 @@ class TestTrialsCommand:
     def test_infinite_radius_refused_before_any_trial(self, workspace, monkeypatch, capsys):
         import rankpath.harness as harness_module
 
-        monkeypatch.setattr(harness_module, "_run_one", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(
+            harness_module, "_sample_pair", lambda *args: pytest.fail("a trial ran")
+        )
         report = workspace / "r.json"
         code = cli(
             [
@@ -173,7 +175,7 @@ class TestTrialsCommand:
     def test_errors_exit_three(self, workspace, monkeypatch, capsys):
         import rankpath.harness as harness_module
 
-        monkeypatch.setattr(harness_module, "build_path", failing_build)
+        monkeypatch.setattr(harness_module, "build_paths", failing_builds)
         assert self.trials(workspace) == 3
         assert "errors=4 residual_escapes=0" in capsys.readouterr().out
         data = json.loads((workspace / "r.json").read_text())
@@ -182,13 +184,15 @@ class TestTrialsCommand:
     def test_residual_escapes_exit_three(self, workspace, monkeypatch, capsys):
         import rankpath.harness as harness_module
 
-        real_build = harness_module.build_path
+        real_build = harness_module.build_paths
 
-        def leaky(p, q, d):
-            path, cert = real_build(p, q, d)
-            return path, dataclasses.replace(cert, max_relative_residual=1e-3)
+        def leaky(P, Q, d):
+            return [
+                (path, dataclasses.replace(cert, max_relative_residual=1e-3))
+                for path, cert in real_build(P, Q, d)
+            ]
 
-        monkeypatch.setattr(harness_module, "build_path", leaky)
+        monkeypatch.setattr(harness_module, "build_paths", leaky)
         assert self.trials(workspace) == 3
         assert "errors=0 residual_escapes=4" in capsys.readouterr().out
 
@@ -197,7 +201,7 @@ class TestTrialsCommand:
         import rankpath.harness as harness_module
 
         real_run = cli_module.run_trials
-        monkeypatch.setattr(harness_module, "build_path", failing_build)
+        monkeypatch.setattr(harness_module, "build_paths", failing_builds)
         monkeypatch.setattr(
             cli_module,
             "run_trials",

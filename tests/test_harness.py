@@ -126,6 +126,46 @@ class TestRunTrials:
         assert max(r.max_residual for r in report.records) <= 1e-12
 
 
+class TestBlockedTrials:
+    """``run_trials`` samples every pair on its own and builds them in blocks
+    of ``build_paths``: records keep their order and their own errors,
+    whatever the block size."""
+
+    def test_records_do_not_depend_on_the_block(self, monkeypatch):
+        d = VarietyDescriptor(4, 4, 3, ScalarField.COMPLEX)
+        cfg = TrialConfig(d, 18, 5, RankPairStrategy.ADVERSARIAL)
+        whole = run_trials(cfg)
+        blocks = []
+        real_build = harness.build_paths
+
+        def recording(P, Q, d):
+            blocks.append(len(P))
+            return real_build(P, Q, d)
+
+        monkeypatch.setattr(harness, "build_paths", recording)
+        # entries for 4 paths of at most 2t + 1 = 7 breakpoints of 16 entries
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 4 * 7 * 16)
+        assert run_trials(cfg) == whole
+        assert blocks == [4, 4, 4, 4, 2]
+
+    def test_a_failed_sample_is_recorded_in_its_place(self, monkeypatch):
+        real_sample = harness._sample_pair
+
+        def sample(cfg, index, rng):
+            if index % 4 == 1:
+                raise OverflowError("radius out of range")
+            return real_sample(cfg, index, rng)
+
+        monkeypatch.setattr(harness, "_sample_pair", sample)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 3 * 5 * 9)
+        report = run_trials(TrialConfig(D332, 10, 2))
+        errors = [i for i, r in enumerate(report.records) if r.error is not None]
+        assert errors == [1, 5, 9]
+        assert all(report.records[i].error == "OverflowError: radius out of range" for i in errors)
+        assert [r.seed for r in report.records] == [mix_seed(2, i) for i in range(10)]
+        assert report.errors == 3 and report.residual_escapes == 0
+
+
 class TestAdversarialPairs:
     def test_scaled_pair_ratio_one(self):
         pairs = adversarial_pairs(D332, seed=2, count=6)
@@ -167,6 +207,21 @@ class TestAdversarialPairs:
             p, _ = harness.adversarial_pair(d, 3, index, (50.0, 100.0))
             assert 50.0 * (1 - 1e-12) <= frobenius_norm(p) <= 100.0 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("radius", [1e200, 1e300])
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_extreme_radii_raise_no_warning(self, radius, field):
+        # the squares of these entries overflow: every norm rescales, and no
+        # RuntimeWarning leaks (the suite's filter turns one into an error).
+        # Each of the six kinds is drawn, at its radius, and built
+        d = VarietyDescriptor(8, 8, 5, field)
+        for index in range(6):
+            p, q = harness.adversarial_pair(d, 1, index, (radius, 2.0 * radius))
+            with np.errstate(over="ignore"):  # only the draws must run silently
+                assert radius * (1 - 1e-12) <= frobenius_norm(p) <= 2.0 * radius * (1 + 1e-12)
+                assert np.isfinite(frobenius_norm(q))
+        report = run_trials(TrialConfig(d, 12, 1, RankPairStrategy.ADVERSARIAL, (radius, radius)))
+        assert report.errors == report.residual_escapes == report.bound_violations == 0
+
     @pytest.mark.parametrize("shape", [(3, 3), (1, 4)])
     @pytest.mark.parametrize("field", list(ScalarField))
     def test_t_one_variety_gives_zero_pairs(self, shape, field):
@@ -186,7 +241,7 @@ class TestAdversarialPairs:
     def test_radius_range_must_be_finite(self, radius_range, monkeypatch):
         # refused before any trial runs: an infinite radius would only fill
         # the report with OverflowErrors that JSON cannot hold
-        monkeypatch.setattr(harness, "_run_one", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(harness, "_sample_pair", lambda *args: pytest.fail("a trial ran"))
         with pytest.raises(ValueError, match="radius_range"):
             run_trials(TrialConfig(D332, 2, 1, radius_range=radius_range))
 
@@ -229,19 +284,24 @@ class TestEmitReport:
     def test_errors_and_escapes_round_trip(self, tmp_path, monkeypatch):
         import rankpath.harness as harness_module
 
-        real_build = harness_module.build_path
+        real_build = harness_module.build_paths
         calls = []
 
-        def flaky(p, q, d):
-            calls.append(None)
-            if len(calls) % 3 == 0:
-                raise RuntimeError("construction failed")
-            path, cert = real_build(p, q, d)
-            if len(calls) % 3 == 1:
-                cert = dataclasses.replace(cert, max_relative_residual=1e-3)
-            return path, cert
+        def flaky(P, Q, d):
+            # every third pair fails, and the one after each inflates its residual
+            results = []
+            for path_and_cert in real_build(P, Q, d):
+                calls.append(None)
+                if len(calls) % 3 == 0:
+                    results.append(RuntimeError("construction failed"))
+                    continue
+                path, cert = path_and_cert
+                if len(calls) % 3 == 1:
+                    cert = dataclasses.replace(cert, max_relative_residual=1e-3)
+                results.append((path, cert))
+            return results
 
-        monkeypatch.setattr(harness_module, "build_path", flaky)
+        monkeypatch.setattr(harness_module, "build_paths", flaky)
         report = run_trials(TrialConfig(D332, pairs=9, master_seed=2))
         assert (report.errors, report.residual_escapes) == (3, 3)
         out = tmp_path / "report.json"

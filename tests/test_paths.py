@@ -16,6 +16,7 @@ from rankpath import (
     ScalarField,
     VarietyDescriptor,
     build_path,
+    build_paths,
     certify,
     membership_residual,
     membership_residuals,
@@ -756,15 +757,16 @@ class TestMeasuredOnce:
     @pytest.mark.parametrize("d, compressed", CASES)
     def test_one_measurement_per_call(self, rng, monkeypatch, d, compressed):
         p, q = random_member(d, rng, d.t - 1), random_member(d, rng, d.t - 1)
-        assert (paths._core_frames(p, q, d)[2] is not None) == compressed
+        spectra = paths._endpoint_spectra(np.stack([[p, q]]), d)
+        assert (paths._core_frames(spectra, d)[0][2] is not None) == compressed
         measured = []
-        real_measure = PiecewisePath.measure
+        real_measure = paths._measure
 
-        def counting_measure(path):
-            measured.append(len(path.breakpoints))
-            return real_measure(path)
+        def counting_measure(lines):
+            measured.extend(len(line) for line in lines)
+            return real_measure(lines)
 
-        monkeypatch.setattr(PiecewisePath, "measure", counting_measure)
+        monkeypatch.setattr(paths, "_measure", counting_measure)
         path, _ = build_path(p, q, d)
         assert measured == [len(path.breakpoints)]
 
@@ -778,6 +780,127 @@ class TestMeasuredOnce:
             p, q = p / top, q / top
             path, cert = build_path(p, q, d)
             assert (cert.outer_distance, cert.length, cert.ratio) == path.measure()
+
+
+_PAIR_KINDS = (
+    "members",
+    "coincident",
+    "scaled",
+    "zero",
+    "non_finite",
+    "wrong_shape",
+    "off_variety",
+    "overflowing_distance",
+)
+
+
+def _pair_of_kind(kind, d, rng, exponent):
+    """A pair of ``kind`` on d, its entries times 2^exponent: pairs that
+    ``build_path`` builds, and pairs that it must refuse."""
+    p, q = random_member(d, rng, int(rng.integers(0, d.t))), random_member(d, rng)
+    if kind == "coincident":
+        q = p.copy()
+    elif kind == "scaled":
+        q = float(rng.choice([-2.0, 0.25, 3.0])) * p
+    elif kind == "zero":
+        p = np.zeros(d.shape, dtype=d.field.dtype)
+    elif kind == "non_finite":
+        p = p.copy()
+        p.flat[int(rng.integers(0, p.size))] = rng.choice([np.inf, -np.inf, np.nan])
+    elif kind == "wrong_shape":
+        q = np.zeros((d.m + 1, d.n), dtype=d.field.dtype)
+    elif kind == "off_variety":
+        # every matrix of a Gaussian stack has full rank min(m, n) >= t
+        p = as_matrix(rng.standard_normal(d.shape), d.field)
+    elif kind == "overflowing_distance":
+        p = np.zeros(d.shape, dtype=d.field.dtype)
+        p[0, 0] = 1.5e308
+        q = -p
+        return p, q
+    return ldexp(p, exponent), ldexp(q, exponent)
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A descriptor and a block of up to six pairs for ``build_paths``: small
+    shapes up to 12 x 12 with t up to 8, or the tall 48 x 40 at t = 3 whose
+    pairs the range sketch compresses, over both fields, each pair of any
+    kind of ``_PAIR_KINDS`` and at unit scale or 2^+-540."""
+    field = draw(st.sampled_from(list(ScalarField)))
+    if draw(st.integers(0, 4)) == 0:
+        d = VarietyDescriptor(48, 40, 3, field)
+    else:
+        m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        d = VarietyDescriptor(m, n, draw(st.integers(1, min(m, n, 8))), field)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(_PAIR_KINDS), min_size=1, max_size=6))
+    exponents = draw(st.lists(st.sampled_from([0, 540, -540]), min_size=6, max_size=6))
+    return d, [_pair_of_kind(kind, d, rng, e) for kind, e in zip(kinds, exponents)]
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return exc
+
+
+class TestBuildPaths:
+    """``build_paths`` batches the stages of ``build_path`` that do not
+    depend on the route, and each pair comes out as it does alone."""
+
+    @settings(max_examples=150)
+    @given(mixed_blocks())
+    def test_each_pair_as_built_alone(self, case):
+        d, pairs = case
+        batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        assert len(batch) == len(pairs)
+        for (p, q), result in zip(pairs, batch):
+            alone = _outcome(build_path, p, q, d)
+            if isinstance(alone, Exception):
+                assert type(result) is type(alone) and str(result) == str(alone)
+                continue
+            (path, cert), (alone_path, alone_cert) = result, alone
+            # repr tells every float bitwise, signed zeros included
+            assert repr(cert) == repr(alone_cert)
+            assert len(path.breakpoints) == len(alone_path.breakpoints)
+            for a, b in zip(path.breakpoints, alone_path.breakpoints):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_every_kind_in_one_block(self, rng):
+        # one pair of each kind: the ones that must fail fail with their own
+        # message, and the others are built
+        d = VarietyDescriptor(5, 4, 3, ScalarField.COMPLEX)
+        pairs = [_pair_of_kind(kind, d, rng, 0) for kind in _PAIR_KINDS]
+        batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        failed = {kind: str(r) for kind, r in zip(_PAIR_KINDS, batch) if isinstance(r, Exception)}
+        assert set(failed) == {"non_finite", "wrong_shape", "off_variety", "overflowing_distance"}
+        assert "non-finite" in failed["non_finite"]
+        assert failed["wrong_shape"] == "q: expected shape (5, 4), got (6, 4)"
+        assert "off the variety" in failed["off_variety"]
+        assert "distance between p and q overflows" in failed["overflowing_distance"]
+
+    def test_no_pairs(self):
+        assert build_paths([], [], D22) == []
+
+    def test_stacked_svd_failure_is_charged_to_its_pair(self, monkeypatch, rng):
+        # a stacked SVD that fails fails its whole stack: every pair is then
+        # built alone, and only the pair whose own SVD fails records it
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        pairs = [(random_member(d, rng), random_member(d, rng)) for _ in range(3)]
+        bad = pairs[1][0]
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            if any(np.array_equal(x, ldexp(bad, -int(np.frexp(np.abs(bad).max())[1])))
+                   for x in np.reshape(a, (-1, *d.shape))):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        assert isinstance(batch[1], np.linalg.LinAlgError)
+        assert not isinstance(batch[0], Exception) and not isinstance(batch[2], Exception)
 
 
 class TestSketchedCore:
@@ -1122,7 +1245,12 @@ class TestStructuralBound:
         assert len(path.breakpoints) - 1 == 38
         svds = [shape for name, shape in calls if name == "svd"]
         assert svds == [(2, 40, 40)]
-        assert [shape for name, shape in calls if name == "qr"] == [(40, 38), (40, 38), (38, 38)]
+        # the frames take one stacked QR per side, here of one pair
+        assert [shape for name, shape in calls if name == "qr"] == [
+            (1, 40, 38),
+            (1, 40, 38),
+            (38, 38),
+        ]
         assert cert.samples_per_segment == 0
         assert cert.max_relative_residual <= 1e-11
 
