@@ -273,6 +273,18 @@ def _record(seed: int, outcome) -> TrialRecord:
     )
 
 
+def _build(pairs, d: VarietyDescriptor) -> list:
+    """``build_paths`` of the sampled ``pairs``: each one's path and
+    certificate, or its exception.  Should the block's call itself raise,
+    each pair is built alone, and what one raises is charged to it only."""
+    try:
+        return build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+    except Exception as exc:  # recorded, never aborts the run
+        if len(pairs) == 1:
+            return [exc]
+        return [outcome for pair in pairs for outcome in _build([pair], d)]
+
+
 def run_trials(cfg: TrialConfig) -> TrialReport:
     """Sample pairs, build and certify paths, aggregate.
 
@@ -280,8 +292,8 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
     trial index.  Each pair is sampled on its own, and the sampled pairs
     are built in blocks of ``build_paths`` of at most ``_BLOCK_ENTRIES``
     entries, so memory stays flat for any number of pairs.  A trial that
-    raises, in sampling or in ``build_paths``, is recorded with its error
-    and never aborts the run; records keep the trials' order.
+    raises, in sampling or in building, is recorded with its error and
+    never aborts the run (``_build``); records keep the trials' order.
     """
     d = cfg.descriptor
     # a path has at most 2t + 1 breakpoints: two legs per level, and three points more
@@ -296,8 +308,7 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
             except Exception as exc:  # recorded, never aborts the run
                 outcomes.append(exc)
         sampled = [i for i, pair in enumerate(outcomes) if not isinstance(pair, Exception)]
-        built = build_paths([outcomes[i][0] for i in sampled], [outcomes[i][1] for i in sampled], d)
-        for i, result in zip(sampled, built):
+        for i, result in zip(sampled, _build([outcomes[i] for i in sampled], d)):
             outcomes[i] = result
         records += map(_record, seeds, outcomes)
     ratios = [r.ratio for r in records if r.error is None]

@@ -179,40 +179,16 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def difference_norms(starts, ends) -> np.ndarray:
-    """``frobenius_norm(b - a)`` of each a of ``starts`` and the b of
-    ``ends`` at its place, bitwise: two sequences or stacks of matrices, all
-    of one shape and field.  The differences are written about
-    ``_BATCH_ENTRIES`` entries at a time into one buffer, which is reused,
-    so a batch stays in cache and no difference is allocated on its own, and
-    each batch is normed by ``frobenius_norms``.  Matrices of
-    ``_BATCH_ENTRIES`` entries or more are normed one at a time."""
-    count = len(starts)
-    if count == 0:
-        return np.zeros(0)
-    size = _BATCH_ENTRIES // np.size(starts[0])
-    if size < 2:  # no two differences share a batch
-        return np.array([frobenius_norm(b - a) for a, b in zip(starts, ends)])
-    dtype = np.result_type(starts[0], ends[0])
-    buffer = np.empty((min(size, count), *np.shape(starts[0])), dtype=dtype)
-    return np.concatenate(
-        [
-            frobenius_norms(
-                np.subtract(ends[k : k + size], starts[k : k + size], out=buffer[: count - k])
-            )
-            for k in range(0, count, size)
-        ]
-    )
-
-
 def step_norms(points) -> np.ndarray:
     """``frobenius_norm(b - a)`` of each step a -> b of a polyline, given as a
     sequence or a stack of same-shape matrices.  From ``_BATCH_MIN_POINTS``
     points on the steps are normed by ``frobenius_norms``, bitwise the same,
-    in batches of about ``_BATCH_ENTRIES`` entries."""
-    if len(points) < _BATCH_MIN_POINTS:
+    in batches of about ``_BATCH_ENTRIES`` entries; fewer points, or
+    matrices of which no two fit in a batch, are normed one step at a
+    time."""
+    size = _BATCH_ENTRIES // max(1, np.size(points[0])) if len(points) else 0
+    if len(points) < _BATCH_MIN_POINTS or size < 2:
         return np.array([frobenius_norm(b - a) for a, b in zip(points, points[1:])])
-    size = max(1, _BATCH_ENTRIES // points[0].size)
     return np.concatenate(
         [
             frobenius_norms(np.diff(points[k : k + size + 1], axis=0))

@@ -53,10 +53,12 @@ polyline, the only one measured.
 ``build_path`` is its block of one.  Every stage that does not depend on a
 pair's route runs once for the whole block, each stacked call bitwise the
 per-matrix one: the input checks and the scaling, the endpoint SVD, the
-membership refusal, the frames and the cores, the first level's tests,
-and the measurement of the returned polylines.  The routes, from
-``normalize_pair`` to the map, are built one at a time.  So each pair's
-path and certificate, or its exception, are the ones it gets alone.
+membership refusal, the frames and the cores, and the measurement of
+the returned polylines.  The routes, from the first level's tests through
+``normalize_pair`` to the map, are built one at a time, and so is each
+certificate.  So each pair's path and certificate, or its exception, are
+the ones it gets alone; a stage run once for a block that raises sends
+every pair of it through alone.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from .numkernel import (
     DimensionMismatch,
     ScalarField,
     as_matrix,
-    difference_norms,
     frobenius_norm,
     frobenius_norms,
     ldexp,
@@ -198,23 +199,21 @@ def _measure(lines) -> list[tuple[float, float, float]]:
     breakpoints all of one shape and field: outer distance, length and
     ratio.
 
-    The steps and chords of all the polylines take one ``difference_norms``
-    pass, and each length is its own steps added by ``sequential_sum``.
+    The polylines are chained end to start, and one ``step_norms`` pass
+    norms every step of the chain; each length adds its own steps by
+    ``sequential_sum``, and the steps that join two polylines are not read.
     Every norm is that of one matrix, so each polyline measures bitwise as
     it would alone.
     """
-    # every step a -> b, then every chord from the end to the start
-    starts = [a for line in lines for a in line[:-1]] + [line[-1] for line in lines]
-    ends = [b for line in lines for b in line[1:]] + [line[0] for line in lines]
-    norms = difference_norms(starts, ends).tolist()
-    chords = norms[len(starts) - len(lines) :]
+    steps = step_norms([point for line in lines for point in line]).tolist()
     measures, start = [], 0
-    for line, outer in zip(lines, chords):
+    for line in lines:
         end = start + len(line) - 1
+        outer = frobenius_norm(line[0] - line[-1])
         # one segment is its own chord: ||a - b|| = ||b - a||, bitwise
-        length = outer if len(line) == 2 else sequential_sum(norms[start:end])
+        length = outer if len(line) == 2 else sequential_sum(steps[start:end])
         measures.append((outer, length, 1.0 if outer == 0.0 else length / outer))
-        start = end
+        start = end + 1
     return measures
 
 
@@ -453,12 +452,12 @@ def _map_bound(a: np.ndarray, b: np.ndarray, field: ScalarField) -> _MapBound:
 
 
 class _Ends(NamedTuple):
-    """The exact endpoints p, q of a returned path, their membership
-    residuals and lower bounds on their sigma_1 from the endpoint SVD, the
-    frames (U, V) of their core (None where the route is built on p and q
-    themselves), and the descriptor of the returned path."""
+    """The exact endpoints p, q of a returned path, as a (2, m, n) stack,
+    their membership residuals and lower bounds on their sigma_1 from the
+    endpoint SVD, the frames (U, V) of their core (None where the route is
+    built on p and q themselves), and the descriptor of the returned path."""
 
-    points: tuple[np.ndarray, np.ndarray]
+    points: np.ndarray
     residuals: list[float]
     tops: list[float]
     frames: tuple[np.ndarray, np.ndarray] | None
@@ -467,40 +466,6 @@ class _Ends(NamedTuple):
     def swapped(self) -> _Ends:
         reversed_ = (self.points[::-1], self.residuals[::-1], self.tops[::-1])
         return _Ends(*reversed_, self.frames, self.d)
-
-
-class _FirstLevel(NamedTuple):
-    """What the first level of a route measures of its pair (x, y), x the
-    endpoint of smaller rank: ||x - y||, (||x||, ||y||), <y, x>, and
-    ||y - c x|| for c = <y, x> / ||x||^2 (0 where ||x||^2 is 0, whose route
-    does not read it)."""
-
-    distance: float
-    norms: tuple[float, float]
-    cross: float | complex
-    off_ray: float
-
-
-def _first_levels(cores: np.ndarray, ranks) -> list[_FirstLevel]:
-    """The ``_FirstLevel`` of each pair of a (B, 2, k, k) stack of cores,
-    led by the endpoint of smaller rank, as ``_dispatch`` orders it, with
-    ``ranks`` the pairs' endpoint ranks.  The norms of all the endpoints and
-    differences take one ``frobenius_norms`` pass, the distances to the
-    rays another, and every value is bitwise what the level loop takes of
-    one pair."""
-    lead = np.array([int(rank_p > rank_q) for rank_p, rank_q in ranks])
-    rows = np.arange(len(cores))
-    x, y = cores[rows, lead], cores[rows, 1 - lead]
-    # ||p||, ||q|| and ||p - q|| (= ||x - y||, bitwise) of every pair in one pass
-    stack = np.concatenate([cores.reshape(-1, *cores.shape[2:]), cores[:, 0] - cores[:, 1]])
-    norms = frobenius_norms(stack)
-    distances = norms[2 * len(cores) :].tolist()
-    norms = norms[: 2 * len(cores)].reshape(-1, 2)
-    norms_x, norms_y = norms[rows, lead].tolist(), norms[rows, 1 - lead].tolist()
-    crosses = (y * x.conj()).sum(axis=(1, 2)).tolist()
-    coefs = [cross / (norm * norm) if norm * norm else 0.0 for cross, norm in zip(crosses, norms_x)]
-    off_rays = frobenius_norms(y - np.array(coefs)[:, np.newaxis, np.newaxis] * x).tolist()
-    return list(map(_FirstLevel, distances, zip(norms_x, norms_y), crosses, off_rays))
 
 
 def _ray_floor(coef, top: float, tail: float) -> float:
@@ -700,7 +665,7 @@ def _dispatch(
     p: np.ndarray,
     q: np.ndarray,
     d: VarietyDescriptor,
-    first: _FirstLevel,
+    norms: tuple[float, float],
     ranks: tuple[int, int],
     ends: _Ends,
 ) -> tuple[np.ndarray, list[BranchTag], float, float, int]:
@@ -735,26 +700,25 @@ def _dispatch(
     returned points ``ends.points`` (with 0 between them for the orthogonal
     route), its map the identity, and its interior is returned as it is.
     The residual is bounded on the stack and its map (``_schur_residual``).
-    The first level's tests read ``first``, its measurements of the pair in
-    route order, taken with those of other pairs (``_first_levels``); its
-    orthogonality test reads the <y, x> that its collinearity test takes.
+    The first level's tests read ``norms``, those of p and q, and its
+    orthogonality test the <q, p> that its collinearity test takes.
     The bound is 2 * min rank once a step was taken, else 2 for the
     orthogonal route and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        interior, *route = _dispatch(q, p, d, first, ranks[::-1], ends.swapped())
+        interior, *route = _dispatch(q, p, d, norms[::-1], ranks[::-1], ends.swapped())
         return interior[::-1], *route
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
-    distance, (norm_x, norm_y), cross, off_ray = first
-    scale = max(norm_x, norm_y) or 1.0
+    scale = max(norms) or 1.0
     x, y = p, q
+    norm_x, norm_y = norms
     levels, tags = [], []
     j, t, middle = 0, None, 0
     # the terminal leg is the ray (base, c) from x to y = c x + r, or from y
     # to x = c y + r for base 1; a coincident pair is x to x + (y - x)
     ray = (0, 1.0)
-    while (distance if j == 0 else frobenius_norm(x - y)) > _DEGENERATE_TOL * scale:
+    while frobenius_norm(x - y) > _DEGENERATE_TOL * scale:
         if j > 0:
             norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
@@ -762,12 +726,9 @@ def _dispatch(
             ray = (int(norm_x <= _ZERO_TOL * scale), 0.0)
             break
         # y a scalar multiple of x: the whole segment lies on one ray's span
-        if j > 0:
-            cross = _inner(y, x)
+        cross = _inner(y, x)
         coef = cross / (norm_x * norm_x)
-        if j > 0:
-            off_ray = frobenius_norm(y - coef * x)
-        if off_ray <= _COLLINEAR_TOL * norm_y:
+        if frobenius_norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (0, coef)
             break
@@ -1111,50 +1072,44 @@ def _shaped_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _checked_pairs(P, Q, d: VarietyDescriptor) -> tuple[list, np.ndarray]:
-    """The input checks of ``build_path`` on each pair (p, q) of P and Q.
+def _checked_pairs(pairs, d: VarietyDescriptor) -> tuple[list, np.ndarray]:
+    """The norm checks of ``build_path`` on pairs (p, q) already over d's
+    field and shape (``_shaped_pair``).
 
-    Returns each pair over d's field, or the exception it fails with, and
-    the (L, 2, m, n) stack of the L pairs that pass, in order: a copy of
-    their own, which the caller may overwrite.  A pair fails with
-    DimensionMismatch off d's shape, and with ValueError for a non-finite
+    Returns each pair, or the ValueError it fails with, and the
+    (L, 2, m, n) stack of the L pairs that pass, in order: a copy of their
+    own, which the caller may overwrite.  A pair fails for a non-finite
     entry or a norm or distance beyond the double range; p is checked
-    before q, each point's shape before its norm, and the distance last.
-    One ``frobenius_norms`` pass takes the norms of all the endpoints; a
-    distance is taken only where they could not bound it.
+    before q, and the distance last.  One ``frobenius_norms`` pass takes the
+    norms of all the endpoints; a distance is taken only where they could
+    not bound it.
     """
-    results = []
-    for p, q in zip(P, Q, strict=True):
-        try:
-            results.append(_shaped_pair(p, q, d))
-        except Exception as exc:
-            results.append(exc)
-    live = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
-    if not live:
-        return results, np.zeros((0, 2, *d.shape), d.field.dtype)
-    pairs = np.stack([point for i in live for point in results[i]])
+    results = list(pairs)
+    stack = np.stack([point for pair in pairs for point in pair])
     # squares that overflow are rescaled: only a norm beyond the double range reads inf
     with np.errstate(over="ignore"):
-        norms = frobenius_norms(pairs).reshape(-1, 2).tolist()
-        pairs = pairs.reshape(-1, 2, *d.shape)
+        norms = frobenius_norms(stack).reshape(-1, 2).tolist()
+        stack = stack.reshape(-1, 2, *d.shape)
         passed = []
-        for k, (i, (norm_p, norm_q)) in enumerate(zip(live, norms)):
+        for k, (norm_p, norm_q) in enumerate(norms):
             if not (math.isfinite(norm_p) and math.isfinite(norm_q)):
                 name = "q" if math.isfinite(norm_p) else "p"
-                results[i] = ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
+                results[k] = ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
             # ||p - q|| <= ||p|| + ||q||, so only norms that add up past 2^1023
             # leave the distance a chance to overflow
             elif not norm_p + norm_q < _DISTANCE_SAFE and not math.isfinite(
-                frobenius_norm(pairs[k, 0] - pairs[k, 1])
+                frobenius_norm(stack[k, 0] - stack[k, 1])
             ):
-                results[i] = ValueError("the Frobenius distance between p and q overflows")
-            passed.append(not isinstance(results[i], Exception))
-    return results, pairs if all(passed) else pairs[passed]
+                results[k] = ValueError("the Frobenius distance between p and q overflows")
+            passed.append(not isinstance(results[k], Exception))
+    return results, stack if all(passed) else stack[passed]
 
 
 def _checked_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """``_checked_pairs`` of one pair: p and q, or its exception raised."""
-    return _unwrap(_checked_pairs([p], [q], d)[0][0])
+    """p and q over d's field, or the first input check of ``build_path``
+    they fail raised: DimensionMismatch off d's shape, ValueError for a
+    non-finite entry or a norm or distance beyond the double range."""
+    return _unwrap(_checked_pairs([_shaped_pair(p, q, d)], d)[0][0])
 
 
 def _unwrap(result):
@@ -1171,39 +1126,20 @@ def _refuse_nonmembers(residuals) -> None:
             raise MembershipError(name, float(residual), DEFAULT_MEMBERSHIP_TOL)
 
 
-def build_paths(P, Q, d: VarietyDescriptor) -> list:
-    """``build_path`` of each pair (P[i], Q[i]), in order: its path and
-    certificate, or the exception that ``build_path`` would raise for it.
-
-    The stages that do not depend on a pair's route run once for all the
-    pairs, each bitwise what it does for one pair, so every pair's path,
-    certificate or exception is the one it gets alone: the input checks
-    (``_checked_pairs``) and the power-of-two scaling; the endpoint spectra,
-    one stacked SVD of all the endpoints that no range sketch decides
-    (``_endpoint_spectra``); the membership refusal; the frames, one stacked
-    QR per core size and side (``_core_frames``), and the cores; the first
-    level's tests (``_first_levels``); and the measurement of every returned
-    polyline (``_measure``).  The routes themselves (``_dispatch``) are built
-    one at a time.  A stacked SVD that fails fails its whole stack, so then
-    every pair is built alone, and only its own failure is charged to it.
-    """
-    results, scaled = _checked_pairs(P, Q, d)
-    live = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
+def _build_block(pairs, d: VarietyDescriptor) -> list:
+    """``build_path`` of each of ``pairs``, already over d's field and
+    shape: its path and certificate, or the exception it raises in a stage
+    of its own (the checks, the membership refusal, its route, its
+    certificate).  A stage run once for the whole block raises."""
+    results, scaled = _checked_pairs(pairs, d)
+    live = [k for k, pair in enumerate(results) if not isinstance(pair, Exception)]
     if not live:
         return results
     exponents = np.frexp(np.abs(scaled).max(axis=(1, 2, 3)))[1]
     # the checked stack is this call's own: divided by 2^e in place, exactly
     parts = real_view(scaled)
     np.ldexp(parts, -exponents[:, np.newaxis, np.newaxis, np.newaxis], out=parts)
-    try:
-        spectra = _endpoint_spectra(scaled, d)
-    except np.linalg.LinAlgError as exc:
-        if len(live) == 1:
-            results[live[0]] = exc
-        else:
-            for i in live:
-                results[i] = build_paths(*([point] for point in results[i]), d)[0]
-        return results
+    spectra = _endpoint_spectra(scaled, d)
     accepted = []
     for k, found in enumerate(spectra):
         try:
@@ -1223,8 +1159,7 @@ def build_paths(P, Q, d: VarietyDescriptor) -> list:
             u, v = frames
             core_d = VarietyDescriptor(size, size, d.t, d.field)
             cores = np.swapaxes(u, 1, 2).conj()[:, np.newaxis] @ group @ v[:, np.newaxis]
-        firsts = _first_levels(cores, [spectra[k].ranks for k in members])
-        for g, (k, first, core) in enumerate(zip(members, firsts, cores)):
+        for g, (k, (core_p, core_q)) in enumerate(zip(members, cores)):
             found = spectra[k]
             ends = _Ends(
                 scaled[k],
@@ -1234,7 +1169,8 @@ def build_paths(P, Q, d: VarietyDescriptor) -> list:
                 d,
             )
             try:
-                routes[k] = _dispatch(*core, core_d, first, found.ranks, ends)
+                norms = (frobenius_norm(core_p), frobenius_norm(core_q))
+                routes[k] = _dispatch(core_p, core_q, core_d, norms, found.ranks, ends)
             except Exception as exc:
                 results[live[k]] = exc
 
@@ -1249,19 +1185,61 @@ def build_paths(P, Q, d: VarietyDescriptor) -> list:
         interior, tags, bound, worst, samples = routes[k]
         p, q = results[live[k]]
         exponent = int(exponents[k])
-        # copies, so a caller changing p or q afterwards cannot move the certified path
-        copies = (p.copy(),) if same[k] else (p.copy(), q.copy())
-        path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
-        results[live[k]] = path, PathCertificate(
-            outer_distance=math.ldexp(outer, exponent),
-            length=math.ldexp(length, exponent),
-            ratio=ratio,
-            certified_bound=bound,
-            branch_trace=tuple(tags),
-            max_relative_residual=worst,
-            samples_per_segment=samples,
-            endpoint_ranks=spectra[k].ranks,
-        )
+        try:
+            # copies, so a caller changing p or q afterwards cannot move the certified path
+            copies = (p.copy(),) if same[k] else (p.copy(), q.copy())
+            path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
+            # a length or distance past the double range raises OverflowError
+            results[live[k]] = path, PathCertificate(
+                outer_distance=math.ldexp(outer, exponent),
+                length=math.ldexp(length, exponent),
+                ratio=ratio,
+                certified_bound=bound,
+                branch_trace=tuple(tags),
+                max_relative_residual=worst,
+                samples_per_segment=samples,
+                endpoint_ranks=spectra[k].ranks,
+            )
+        except Exception as exc:
+            results[live[k]] = exc
+    return results
+
+
+def build_paths(P, Q, d: VarietyDescriptor) -> list:
+    """``build_path`` of each pair (P[i], Q[i]), in order: its path and
+    certificate, or the exception that ``build_path`` would raise for it.
+
+    The stages that do not depend on a pair's route run once for all the
+    pairs, each bitwise what it does for one pair, so every pair's path,
+    certificate or exception is the one it gets alone: the input checks
+    (``_shaped_pair`` per pair, then ``_checked_pairs``) and the
+    power-of-two scaling; the endpoint spectra, one stacked SVD of all the
+    endpoints that no range sketch decides (``_endpoint_spectra``); the
+    membership refusal; the frames, one stacked QR per core size and side
+    (``_core_frames``), and the cores; and the measurement of every returned
+    polyline (``_measure``).  The routes themselves (``_dispatch``) are
+    built one at a time.  A stage run once for the block that raises fails
+    every pair of it, so then every pair is built alone, and only its own
+    failure is charged to it.
+    """
+    results = []
+    for p, q in zip(P, Q, strict=True):
+        try:
+            results.append(_shaped_pair(p, q, d))
+        except Exception as exc:
+            results.append(exc)
+    live = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
+    if not live:
+        return results
+    try:
+        built = _build_block([results[i] for i in live], d)
+    except Exception as exc:
+        if len(live) == 1:
+            built = [exc]
+        else:
+            built = [build_paths([p], [q], d)[0] for p, q in (results[i] for i in live)]
+    for i, result in zip(live, built):
+        results[i] = result
     return results
 
 

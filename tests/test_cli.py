@@ -34,7 +34,7 @@ def workspace(tmp_path):
 
 
 def failing_builds(P, Q, d):
-    return [RuntimeError("construction failed") for _ in P]
+    raise RuntimeError("construction failed")
 
 
 def read_csv(path):

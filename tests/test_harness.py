@@ -148,6 +148,32 @@ class TestBlockedTrials:
         assert run_trials(cfg) == whole
         assert blocks == [4, 4, 4, 4, 2]
 
+    def test_a_raising_block_is_built_pair_by_pair(self, monkeypatch):
+        # a build_paths call that raises fails no run: each pair of its block
+        # is built alone, and only the pairs that raise alone are errors
+        cfg = TrialConfig(D332, 9, 4)
+        whole = run_trials(cfg)
+        real_build = harness.build_paths
+        singles = []
+
+        def fragile(P, Q, d):
+            if len(P) > 1:
+                raise FloatingPointError("overflow encountered in a stacked stage")
+            singles.append(None)
+            if len(singles) % 3 == 0:
+                raise RuntimeError("construction failed")
+            return real_build(P, Q, d)
+
+        monkeypatch.setattr(harness, "build_paths", fragile)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 4 * 5 * 9)
+        report = run_trials(cfg)
+        assert len(singles) == 9
+        errors = [i for i, r in enumerate(report.records) if r.error is not None]
+        assert errors == [2, 5, 8]
+        assert all(report.records[i].error == "RuntimeError: construction failed" for i in errors)
+        for i, (record, expected) in enumerate(zip(report.records, whole.records)):
+            assert i in errors or record == expected
+
     def test_a_failed_sample_is_recorded_in_its_place(self, monkeypatch):
         real_sample = harness._sample_pair
 

@@ -19,11 +19,14 @@ from rankpath import (
     unitary_completion,
 )
 from rankpath.numkernel import (
+    _BATCH_ENTRIES,
+    _BATCH_MIN_POINTS,
     RANK_REL_TOL,
     UNDERFLOW_SAFE,
     frobenius_norm,
     frobenius_norms,
     ldexp,
+    step_norms,
 )
 from rankpath.variety import spectra
 from conftest import random_unitary
@@ -141,6 +144,23 @@ class TestFrobeniusNorms:
                 assert frobenius_norm(ldexp(x, 1023)) == math.ldexp(1.5, 1023)
                 assert frobenius_norm(ldexp(x, 1024)) == math.inf
                 assert frobenius_norms(ldexp(x, 1024)[np.newaxis]).tolist() == [math.inf]
+
+
+    @pytest.mark.parametrize("shape", [(3, 4), (40, 40), (100, 100)])
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_step_norms_are_the_norms_of_the_steps(self, rng, shape, field):
+        # below and at the batching threshold, with a last batch part full,
+        # and at 100 x 100, where no two steps share a batch: sequences and
+        # stacks give frobenius_norm(b - a) of each step, bitwise, also
+        # where every square underflows
+        batch = max(1, _BATCH_ENTRIES // math.prod(shape))
+        for count in (0, 1, 2, _BATCH_MIN_POINTS - 1, _BATCH_MIN_POINTS, batch + 4):
+            for scale in (0, -540):
+                draw = rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]
+                points = ldexp(np.asarray(draw.real if field is ScalarField.REAL else draw), scale)
+                expected = [frobenius_norm(b - a) for a, b in zip(points, points[1:])]
+                assert step_norms(points).tolist() == expected
+                assert step_norms(list(points)).tolist() == expected
 
 
 class TestSingularValues:

@@ -791,6 +791,7 @@ _PAIR_KINDS = (
     "wrong_shape",
     "off_variety",
     "overflowing_distance",
+    "overflowing_length",
 )
 
 
@@ -816,6 +817,12 @@ def _pair_of_kind(kind, d, rng, exponent):
         p = np.zeros(d.shape, dtype=d.field.dtype)
         p[0, 0] = 1.5e308
         q = -p
+        return p, q
+    elif kind == "overflowing_length":
+        # orthogonal: the distance is 1.41e308, but the route through 0 is
+        # 2e308 long, so the certificate's length overflows
+        p, q = np.zeros(d.shape, dtype=d.field.dtype), np.zeros(d.shape, dtype=d.field.dtype)
+        p[0, 0] = q[-1, -1] = 1e308
         return p, q
     return ldexp(p, exponent), ldexp(q, exponent)
 
@@ -874,14 +881,62 @@ class TestBuildPaths:
         pairs = [_pair_of_kind(kind, d, rng, 0) for kind in _PAIR_KINDS]
         batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
         failed = {kind: str(r) for kind, r in zip(_PAIR_KINDS, batch) if isinstance(r, Exception)}
-        assert set(failed) == {"non_finite", "wrong_shape", "off_variety", "overflowing_distance"}
+        assert set(failed) == {
+            "non_finite",
+            "wrong_shape",
+            "off_variety",
+            "overflowing_distance",
+            "overflowing_length",
+        }
         assert "non-finite" in failed["non_finite"]
         assert failed["wrong_shape"] == "q: expected shape (5, 4), got (6, 4)"
         assert "off the variety" in failed["off_variety"]
         assert "distance between p and q overflows" in failed["overflowing_distance"]
+        assert isinstance(batch[_PAIR_KINDS.index("overflowing_length")], OverflowError)
 
     def test_no_pairs(self):
         assert build_paths([], [], D22) == []
+
+    @staticmethod
+    def assert_built_alone(batch, pairs, d):
+        for (p, q), result in zip(pairs, batch, strict=True):
+            path, cert = result
+            alone_path, alone_cert = build_path(p, q, d)
+            assert repr(cert) == repr(alone_cert)
+            assert len(path.breakpoints) == len(alone_path.breakpoints)
+            assert all(map(np.array_equal, path.breakpoints, alone_path.breakpoints))
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_an_overflowing_certificate_is_charged_to_its_pair(self, rng, field):
+        # the pair's length passes the double range where its distance does
+        # not: only its certificate raises, and the pairs around it are built
+        d = VarietyDescriptor(4, 4, 3, field)
+        p, q = _pair_of_kind("overflowing_length", d, rng, 0)
+        with pytest.raises(OverflowError):
+            build_path(p, q, d)
+        good = [(random_member(d, rng, 1), random_member(d, rng)) for _ in range(2)]
+        pairs = [good[0], (p, q), good[1]]
+        batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        assert isinstance(batch[1], OverflowError)
+        self.assert_built_alone(batch[::2], good, d)
+
+    @pytest.mark.parametrize("stage", ["_endpoint_spectra", "_core_frames", "_measure"])
+    def test_a_failing_block_stage_builds_each_pair_alone(self, monkeypatch, rng, stage):
+        # a stage run once for the block that raises fails every pair of it:
+        # each is then built alone, as build_path builds it
+        d = VarietyDescriptor(6, 5, 3, ScalarField.COMPLEX)
+        pairs = [(random_member(d, rng, r), random_member(d, rng)) for r in (0, 1, 2)]
+        real_stage = getattr(paths, stage)
+
+        def fragile(items, *args):
+            if len(items) > 1:
+                raise FloatingPointError("overflow encountered in a stacked stage")
+            return real_stage(items, *args)
+
+        monkeypatch.setattr(paths, stage, fragile)
+        batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        monkeypatch.undo()
+        self.assert_built_alone(batch, pairs, d)
 
     def test_stacked_svd_failure_is_charged_to_its_pair(self, monkeypatch, rng):
         # a stacked SVD that fails fails its whole stack: every pair is then
