@@ -260,6 +260,10 @@ def cli(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        # a finite pair whose path is longer than the double range
+        print(f"error: a result lies beyond the double range ({exc})", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -63,6 +63,7 @@ every pair of it through alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -92,6 +93,7 @@ from .variety import (
     DEFAULT_MEMBERSHIP_TOL,
     UNDERFLOW_SAFE,
     VarietyDescriptor,
+    _gamma,
     membership_residual,  # noqa: F401  unused here, but per-layer tracing wraps this name
     product_gamma,
     project,  # noqa: F401  unused here, but per-layer tracing wraps this name
@@ -313,8 +315,12 @@ def normalize_pair(p, q):
     carry the complex-conjugate eigenvalue pairs.  The blocks are ordered
     dominant first by (-|lambda|, -Re lambda, -Im lambda), moved by LAPACK's
     ``trexc`` swaps; a swap LAPACK declines leaves a valid, less ordered
-    form.  v comes from one QR factorization q^H z = v r, and q_hat is r^H:
-    lower triangular, exactly.  Wherever the leading blocks of t are
+    form.  The walk over the positions ranks the blocks from j on once, and
+    again only after a swap.  It stops at the first ranking whose block
+    starts are ascending: each later position then holds its own best
+    block, and no swap can follow, so an ordered form takes no ``trexc``
+    call and one ranking.  v comes from one QR factorization q^H z = v r,
+    and q_hat is r^H: lower triangular, exactly.  Wherever the leading blocks of t are
     nonsingular, p_hat = t r^{-1} is block upper triangular in the matching
     leading columns, so every trailing pair (p_hat[j:, j:], q_hat[j:, j:])
     has the product t[j:, j:].  The pair need not clear any threshold.
@@ -328,13 +334,16 @@ def normalize_pair(p, q):
     t, z = schur(cross, output="real" if real else "complex")
     trexc = lapack.dtrexc if real else lapack.ztrexc
     # the block starts from j on, best first; only trexc changes t, so they
-    # are ranked again only after it runs (a declined swap included)
+    # are ranked again only after it runs (a declined swap included).  Once
+    # a ranking is ascending, every later position holds its own block
     ranked = None
     j = 0
     while j < len(t):
         if ranked is None:
             starts, eig = _block_eigenvalues(t[j:, j:])
             ranked = j + starts[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]
+            if (ranked[1:] > ranked[:-1]).all():
+                break
         ranked = ranked[ranked >= j]
         first = ranked[0]
         if first != j:
@@ -349,6 +358,26 @@ def _inner(a: np.ndarray, b: np.ndarray):
     """``frobenius_inner(a, b)`` of two blocks of one frame, unchecked."""
     value = (a * b.conj()).sum()
     return complex(value) if np.iscomplexobj(a) else float(value)
+
+
+def _distance_floor(norm_x: float, norm_y: float, size: int) -> float:
+    """A lower bound on the computed ``frobenius_norm(x - y)`` of two blocks
+    of ``size`` entries, from their computed norms: |norm_x - norm_y| less
+    4 gamma_{size+2} (norm_x + norm_y).
+
+    ||x - y|| >= | ||x|| - ||y|| |.  A computed norm is within e = gamma_{size+2}
+    of the exact one, relatively: the dots of the squares err by at most
+    gamma_size over the reals, gamma_{size+1} over the complex numbers (two
+    dots and their sum), and the square root halves that and adds u.  So the
+    exact norms differ by at least |norm_x - norm_y| - e / (1 - e) (norm_x +
+    norm_y), and the computed distance, one subtraction and one norm more, is
+    at least (1 - u) (1 - e) times the exact one.  Those factors and the
+    rounding of this bound itself stay inside the slack.  Squares lost to
+    underflow cost a norm at most size units of 2^-1074 against a sum of
+    squares of at least ``UNDERFLOW_SAFE`` (below it ``frobenius_norm``
+    rescales exactly), about 2^-51 of gamma_size.
+    """
+    return abs(norm_x - norm_y) - 4.0 * _gamma(size + 2) * (norm_x + norm_y)
 
 
 def _quotient(error: float, floor: float) -> float:
@@ -687,12 +716,32 @@ def _dispatch(
     that has the pair (p_hat[j':, j':], q_hat[j':, j':]), whose product is
     t[j':, j':], so the orthogonality test reads |tr t[j':, j':]|; a block
     whose known rank, its endpoint's rank less j', is 0 is the cone point.
-    The tests read the Frobenius norms, distances and inner products of
-    these blocks directly, as views.  The stack of Schur-coordinate points
-    is written once the route ends: q_hat's diagonal block of level i lies
-    in every point from the i-th after p to the i-th before q.  A point
-    equal to the one before it adds nothing, and points equal to q_hat at
-    the end are q, so both are dropped there, where they compare exactly.
+    The tests read ||x||, ||y|| and <y, x> of these blocks directly, as
+    views, and take a further pass over them only where those leave the
+    outcome open:
+
+    * the coincidence test, ||x - y|| <= ``_DEGENERATE_TOL`` times the
+      larger endpoint norm, takes ||x - y|| only where
+      | ||x|| - ||y|| | less its rounding slack 4 gamma_{n+2} (||x|| + ||y||),
+      n the entries of x, does not already exceed that tolerance
+      (``_distance_floor``), since ||x - y|| >= | ||x|| - ||y|| |;
+    * the collinearity test, ||y - c x|| <= ``_COLLINEAR_TOL`` ||y|| with
+      c = <y, x> / ||x||^2, takes ||y - c x|| only where
+      |<y, x>| > ||x|| ||y|| / 2: otherwise ||y - c x|| >= (sqrt(3) / 2) ||y||
+      for every c, and rounding, of relative order gamma_n, cannot bring it
+      near the tolerance;
+    * the eigenvalue floor of the step's Schur block is
+      ``ORTHOGONALITY_THRESHOLD`` ||x|| ||y|| / (2 (k - j)), k the order
+      of t: the orthogonality test just passed puts |tr t[j:, j:]| above
+      ``ORTHOGONALITY_THRESHOLD`` ||x|| ||y||, so the dominant |lambda| is at
+      least twice the floor, and no norm of t[j:, j:] is taken.
+
+    So every decision is the one the unconditional passes would make.  The
+    stack of Schur-coordinate points is written once the route ends: q_hat's
+    diagonal block of level i lies in every point from the i-th after p to
+    the i-th before q.  A point equal to the one before it adds nothing, and
+    points equal to q_hat at the end are q, so both are dropped there, where
+    they compare exactly.
     The frames and the normal form make one map b -> L b R^H with L = U z
     and R = V v (z and v without frames) from the Schur coordinates onto
     the returned path, which carries every kept point in one product.  A
@@ -701,7 +750,7 @@ def _dispatch(
     route), its map the identity, and its interior is returned as it is.
     The residual is bounded on the stack and its map (``_schur_residual``).
     The first level's tests read ``norms``, those of p and q, and its
-    orthogonality test the <q, p> that its collinearity test takes.
+    orthogonality test the <q, p> that its collinearity test reads.
     The bound is 2 * min rank once a step was taken, else 2 for the
     orthogonal route and 1 for the others.
     """
@@ -718,20 +767,27 @@ def _dispatch(
     # the terminal leg is the ray (base, c) from x to y = c x + r, or from y
     # to x = c y + r for base 1; a coincident pair is x to x + (y - x)
     ray = (0, 1.0)
-    while frobenius_norm(x - y) > _DEGENERATE_TOL * scale:
+    degenerate = _DEGENERATE_TOL * scale
+    while True:
         if j > 0:
             norm_x, norm_y = frobenius_norm(x), frobenius_norm(y)
+        if _distance_floor(norm_x, norm_y, x.size) <= degenerate and (
+            frobenius_norm(x - y) <= degenerate
+        ):
+            break
         if norm_x <= _ZERO_TOL * scale or norm_y <= _ZERO_TOL * scale:
             tags.append(BranchTag(BranchKind.RADIAL, j))
             ray = (int(norm_x <= _ZERO_TOL * scale), 0.0)
             break
-        # y a scalar multiple of x: the whole segment lies on one ray's span
         cross = _inner(y, x)
-        coef = cross / (norm_x * norm_x)
-        if frobenius_norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
-            tags.append(BranchTag(BranchKind.RADIAL, j))
-            ray = (0, coef)
-            break
+        # y a scalar multiple of x: the whole segment lies on one ray's span.
+        # |<y, x>| <= ||x|| ||y|| / 2 leaves ||y - c x|| >= (sqrt(3) / 2) ||y||
+        if abs(cross) > 0.5 * norm_x * norm_y:
+            coef = cross / (norm_x * norm_x)
+            if frobenius_norm(y - coef * x) <= _COLLINEAR_TOL * norm_y:
+                tags.append(BranchTag(BranchKind.RADIAL, j))
+                ray = (0, coef)
+                break
         inner = cross if j == 0 else np.trace(t[j:, j:])
         if abs(inner) <= ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
             tags.append(BranchTag(BranchKind.ORTHOGONAL, j))
@@ -740,10 +796,11 @@ def _dispatch(
         if t is None:
             z, v, p_hat, q_hat, t = normalize_pair(p, q)
         size = _block_size(t, j)
-        # |tr t[j:, j:]| above the threshold puts the dominant |lambda| at
-        # twice this floor or more, so only rounding can land below it.  The
-        # determinant of a scalar block is lambda, of a 2 x 2 block |lambda|^2
-        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * frobenius_norm(t[j:, j:])
+        # |tr t[j:, j:]| above the threshold times ||x|| ||y|| puts the
+        # dominant |lambda| at twice this floor or more, so only rounding can
+        # land below it.  The determinant of a scalar block is lambda, of a
+        # 2 x 2 block |lambda|^2
+        floor = ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j)) * norm_x * norm_y
         block = t[j : j + size, j : j + size]
         det = block[0, 0] if size == 1 else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
         if abs(det) < floor**size:
@@ -803,9 +860,13 @@ def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(y, -np.ldexp(x, k)) and np.array_equal(x, -np.ldexp(y, -k))
 
 
+@functools.lru_cache(maxsize=32)
 def _test_matrix(n: int, width: int) -> np.ndarray:
-    """The Gaussian n x width test matrix Omega of the endpoints' range sketch."""
-    return np.random.default_rng(_SKETCH_SEED).standard_normal((n, width))
+    """The Gaussian n x width test matrix Omega of the endpoints' range
+    sketch, drawn once per shape and read-only."""
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n, width))
+    omega.flags.writeable = False
+    return omega
 
 
 def _sketch_margins(stack, basis, small, sigma, d: VarietyDescriptor):

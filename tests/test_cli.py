@@ -536,6 +536,28 @@ class TestMalformedInput:
         code = cli(["family", "--map", str(map_path), "--steps", "0", "--out", str(out)])
         self.assert_refused(code, capsys, out, "steps")
 
+    @pytest.mark.parametrize("command", ["path", "oracle"])
+    def test_overflowing_length(self, workspace, capsys, command):
+        # p = 1e308 E_11 and q = 1e308 E_22 are orthogonal: their distance is
+        # finite, but the route through 0 is 2e308 long
+        d = VarietyDescriptor(4, 4, 3, ScalarField.REAL)
+        write_json(descriptor_to_json(d), workspace / "d43.json")
+        for name, i in (("big-p.json", 0), ("big-q.json", 1)):
+            point = np.zeros(d.shape)
+            point[i, i] = 1e308
+            write_json(matrix_to_json(point), workspace / name)
+        out = workspace / "overflow.json"
+        code = cli(
+            [
+                command,
+                "--descriptor", str(workspace / "d43.json"),
+                "--p", str(workspace / "big-p.json"),
+                "--q", str(workspace / "big-q.json"),
+                "--out", str(out),
+            ]
+        )
+        self.assert_refused(code, capsys, out, "beyond the double range")
+
     def test_written_matrices_read_back(self, workspace):
         for field in ScalarField:
             d = VarietyDescriptor(3, 4, 2, field)

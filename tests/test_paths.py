@@ -1752,3 +1752,166 @@ class TestConjugatePath:
         assert moved_cert.max_relative_residual == pytest.approx(
             cert.max_relative_residual, abs=1e-10
         )
+
+
+def reference_walk(p, q, d, norms, ranks):
+    """The level loop of ``paths._dispatch`` with every pass taken at every
+    level: ||x - y|| before anything else, ||y - c x|| whatever <y, x> is,
+    and the eigenvalue floor from ||t[j:, j:]||.  Returns the branch tags
+    and the terminal ray (base, c), None for the orthogonal route."""
+    if ranks[0] > ranks[1]:
+        return reference_walk(q, p, d, norms[::-1], ranks[::-1])
+    known_p, known_q = (min(r, d.t - 1) for r in ranks)
+    scale = max(norms) or 1.0
+    x, y = p, q
+    norm_x, norm_y = norms
+    tags, j, t, ray = [], 0, None, (0, 1.0)
+    zero = paths._ZERO_TOL * scale
+    while paths.frobenius_norm(x - y) > paths._DEGENERATE_TOL * scale:
+        if j > 0:
+            norm_x, norm_y = paths.frobenius_norm(x), paths.frobenius_norm(y)
+        if norm_x <= zero or norm_y <= zero:
+            tags.append(str(paths.BranchTag(BranchKind.RADIAL, j)))
+            ray = (int(norm_x <= zero), 0.0)
+            break
+        cross = paths._inner(y, x)
+        coef = cross / (norm_x * norm_x)
+        if paths.frobenius_norm(y - coef * x) <= paths._COLLINEAR_TOL * norm_y:
+            tags.append(str(paths.BranchTag(BranchKind.RADIAL, j)))
+            ray = (0, coef)
+            break
+        inner = cross if j == 0 else np.trace(t[j:, j:])
+        if abs(inner) <= paths.ORTHOGONALITY_THRESHOLD * norm_x * norm_y:
+            tags.append(str(paths.BranchTag(BranchKind.ORTHOGONAL, j)))
+            ray = None
+            break
+        if t is None:
+            _, _, p_hat, q_hat, t = normalize_pair(p, q)
+        size = paths._block_size(t, j)
+        floor = paths.ORTHOGONALITY_THRESHOLD / (2.0 * (len(t) - j))
+        floor *= paths.frobenius_norm(t[j:, j:])
+        block = t[j : j + size, j : j + size]
+        det = block[0, 0] if size == 1 else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+        assert abs(det) >= floor**size
+        kind = BranchKind.GENERAL if size == 1 else BranchKind.REAL_BLOCK
+        tags.append(str(paths.BranchTag(kind, j)))
+        j += size
+        x = p_hat[j:, j:] if known_p > j else np.zeros_like(p_hat[j:, j:])
+        y = q_hat[j:, j:] if known_q > j else np.zeros_like(q_hat[j:, j:])
+    return tags, ray
+
+
+def walked_routes(monkeypatch, p, q, d):
+    """``build_path`` of (p, q), with the arguments of its outermost
+    ``_dispatch`` call and the terminal ray that ``_schur_residual`` got:
+    (base, c), or None for the orthogonal route's two rays."""
+    calls, rays = [], []
+    dispatch, kernel = paths._dispatch, paths._schur_residual
+
+    def spy_dispatch(*args):
+        calls.append(args)
+        return dispatch(*args)
+
+    def spy_kernel(stack, positions, kinds, *rest):
+        found = [kind[1:] for kind in kinds if kind[0] == "ray"]
+        rays.append(found[0] if len(found) == 1 else None)
+        return kernel(stack, positions, kinds, *rest)
+
+    monkeypatch.setattr(paths, "_dispatch", spy_dispatch)
+    monkeypatch.setattr(paths, "_schur_residual", spy_kernel)
+    path, cert = build_path(p, q, d)
+    return path, cert, calls[0], rays[0]
+
+
+@st.composite
+def level_test_pairs(draw):
+    """Pairs on shapes from 2 x 2 up to 12 x 12 with t from 2 up to 8, over
+    both fields (t = 1 has only the pair (0, 0)):
+    members of random ranks, and every kind of the adversarial cycle
+    (coincident, near-coincident, near-orthogonal, scaled, cross-strata
+    and barely non-orthogonal pairs)."""
+    field = draw(st.sampled_from(list(ScalarField)))
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    d = VarietyDescriptor(m, n, draw(st.integers(2, min(m, n, 8))), field)
+    seed = draw(st.integers(0, 2**32 - 1))
+    # indices into the adversarial cycle; the shrinker favours the first
+    kind = draw(st.sampled_from([None, 5, 2, 1, 4, 3, 0]))
+    if kind is not None:
+        return (d,) + adversarial_pair(d, seed, kind)
+    rng = np.random.default_rng(seed)
+    return d, random_member(d, rng), random_member(d, rng)
+
+
+class TestLevelTests:
+    """``_dispatch`` takes ||x - y|| and ||y - c x|| only where ||x||, ||y||
+    and <y, x> leave a test open, and its eigenvalue floor from ||x|| ||y||:
+    every decision is the one the unconditional passes make."""
+
+    @settings(max_examples=300)
+    @given(level_test_pairs())
+    def test_decisions_match_the_unconditional_walk(self, case):
+        d, p, q = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _, cert, (core_p, core_q, core_d, norms, ranks, _), ray = walked_routes(
+                monkeypatch, p, q, d
+            )
+        tags, expected_ray = reference_walk(core_p, core_q, core_d, norms, ranks)
+        assert [str(tag) for tag in cert.branch_trace] == tags
+        # repr tells every float bitwise, and a complex from a float
+        assert repr(ray) == repr(expected_ray)
+
+    def test_equal_norms_take_the_distance(self, monkeypatch):
+        # ||x|| = ||y|| exactly at levels 0 and 1 with x != y: the norms
+        # cannot settle the coincidence test, so the distance decides it
+        d = VarietyDescriptor(4, 4, 4, ScalarField.REAL)
+        p, q = np.diag([4.0, 1.0, 2.0, 0.0]), np.diag([4.0, 2.0, 1.0, 0.0])
+        floors = []
+        real_floor = paths._distance_floor
+
+        def recording_floor(norm_x, norm_y, size):
+            floors.append((norm_x, norm_y, real_floor(norm_x, norm_y, size)))
+            return floors[-1][-1]
+
+        monkeypatch.setattr(paths, "_distance_floor", recording_floor)
+        _, cert, (core_p, core_q, core_d, norms, ranks, _), ray = walked_routes(
+            monkeypatch, p, q, d
+        )
+        assert len(floors) == 3
+        assert all(norm_x == norm_y and floor <= 0.0 for norm_x, norm_y, floor in floors[:2])
+        tags, expected_ray = reference_walk(core_p, core_q, core_d, norms, ranks)
+        assert [str(tag) for tag in cert.branch_trace] == tags
+        assert tags == ["General(0)", "General(1)", "Radial(2)"]
+        assert repr(ray) == repr(expected_ray)
+
+    def test_collinear_trailing_blocks_end_radially(self, monkeypatch):
+        # p_hat[1:, 1:] = diag(1, 0) and q_hat[1:, 1:] = diag(3, 0), after
+        # the power-of-two scaling by 1/8: exactly collinear at level 1
+        d = VarietyDescriptor(3, 3, 3, ScalarField.REAL)
+        p, q = np.diag([2.0, 1.0, 0.0]), np.diag([4.0, 3.0, 0.0])
+        _, cert, _, ray = walked_routes(monkeypatch, p, q, d)
+        assert [str(tag) for tag in cert.branch_trace] == ["General(0)", "Radial(1)"]
+        assert ray == (0, 3.0)
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_ordered_form_takes_no_swap(self, monkeypatch, field):
+        # p upper triangular with its diagonal ordered dominant first and
+        # q = I: p q^H is its own ordered Schur form, so the first ranking
+        # is ascending and the walk stops there, before it steps over a block
+        rng = np.random.default_rng(3)
+        p = np.triu(as_matrix(rng.standard_normal((6, 6)), field), 1)
+        p += np.diag([6.0, -5.0, 4.0, 3.0, -2.0, 1.0])
+        q = np.eye(6, dtype=field.dtype)
+        expected = reference_normalize_pair(p, q)
+        swaps, rankings, steps = [], [], []
+        name = "dtrexc" if field is ScalarField.REAL else "ztrexc"
+        real_trexc = getattr(lapack, name)
+        real_rank, real_step = paths._block_eigenvalues, paths._block_size
+        monkeypatch.setattr(lapack, name, lambda *a, **k: swaps.append(a) or real_trexc(*a, **k))
+        monkeypatch.setattr(
+            paths, "_block_eigenvalues", lambda t: rankings.append(len(t)) or real_rank(t)
+        )
+        monkeypatch.setattr(paths, "_block_size", lambda t, j: steps.append(j) or real_step(t, j))
+        got = normalize_pair(p, q)
+        assert swaps == [] and rankings == [6] and steps == []
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
