@@ -5,7 +5,9 @@ Per-trial seeds are derived from the master seed by position through a
 function of its configuration and any single trial can be replayed from
 its index alone.  Each pair is sampled on its own, and the sampled pairs
 are built together in blocks by ``paths.build_paths``, whose results are
-each pair's own, so the blocking changes no record.
+each pair's own, so the blocking changes no record.  ``build_paths`` holds
+the build's one failure boundary and returns a failing pair's exception as
+its result, so the runner catches only what sampling raises.
 """
 
 from __future__ import annotations
@@ -273,18 +275,6 @@ def _record(seed: int, outcome) -> TrialRecord:
     )
 
 
-def _build(pairs, d: VarietyDescriptor) -> list:
-    """``build_paths`` of the sampled ``pairs``: each one's path and
-    certificate, or its exception.  Should the block's call itself raise,
-    each pair is built alone, and what one raises is charged to it only."""
-    try:
-        return build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
-    except Exception as exc:  # recorded, never aborts the run
-        if len(pairs) == 1:
-            return [exc]
-        return [outcome for pair in pairs for outcome in _build([pair], d)]
-
-
 def run_trials(cfg: TrialConfig) -> TrialReport:
     """Sample pairs, build and certify paths, aggregate.
 
@@ -293,7 +283,9 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
     are built in blocks of ``build_paths`` of at most ``_BLOCK_ENTRIES``
     entries, so memory stays flat for any number of pairs.  A trial that
     raises, in sampling or in building, is recorded with its error and
-    never aborts the run (``_build``); records keep the trials' order.
+    never aborts the run: a sampling failure is caught here, and
+    ``build_paths`` returns each pair's exception as its result, never
+    raising for a pair.  Records keep the trials' order.
     """
     d = cfg.descriptor
     # a path has at most 2t + 1 breakpoints: two legs per level, and three points more
@@ -308,7 +300,8 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
             except Exception as exc:  # recorded, never aborts the run
                 outcomes.append(exc)
         sampled = [i for i, pair in enumerate(outcomes) if not isinstance(pair, Exception)]
-        for i, result in zip(sampled, _build([outcomes[i] for i in sampled], d)):
+        P, Q = [outcomes[i][0] for i in sampled], [outcomes[i][1] for i in sampled]
+        for i, result in zip(sampled, build_paths(P, Q, d)):
             outcomes[i] = result
         records += map(_record, seeds, outcomes)
     ratios = [r.ratio for r in records if r.error is None]

@@ -31,7 +31,7 @@ from .numkernel import (
     sequential_sum,
     step_norms,
 )
-from .paths import PiecewisePath, _checked_pair, _refuse_nonmembers, build_path
+from .paths import PiecewisePath, _checked_pairs, _refuse_nonmembers, _shaped_pair, build_path
 from .variety import (
     VarietyDescriptor,
     bounded_projections,
@@ -169,8 +169,9 @@ def graph_upper_bound(p, q, d: VarietyDescriptor, cfg: OracleConfig) -> float:
     entries that overflow are rescaled, so a pair at 2^600 runs silently and
     gives its unit pair's value times 2^600.
     """
-    p, q = _checked_pair(p, q, d)
-    _refuse_nonmembers(membership_residuals(np.stack([p, q]), d))
+    pair = _checked_pairs([_shaped_pair(p, q, d)], d)[0]
+    _refuse_nonmembers(membership_residuals(pair, d))
+    p, q = pair
     rng = np.random.default_rng(cfg.seed)
     with np.errstate(over="ignore"):
         ball = 2.0 * max(frobenius_norm(p), frobenius_norm(q))

@@ -49,16 +49,19 @@ route without a Schur form is its returned points, under the identity
 map.  The residual bound charges that map, so it holds for the returned
 polyline, the only one measured.
 
-``build_paths`` builds a block of pairs on one descriptor, and
-``build_path`` is its block of one.  Every stage that does not depend on a
-pair's route runs once for the whole block, each stacked call bitwise the
-per-matrix one: the input checks and the scaling, the endpoint SVD, the
-membership refusal, the frames and the cores, and the measurement of
-the returned polylines.  The routes, from the first level's tests through
-``normalize_pair`` to the map, are built one at a time, and so is each
-certificate.  So each pair's path and certificate, or its exception, are
-the ones it gets alone; a stage run once for a block that raises sends
-every pair of it through alone.
+``build_paths`` builds a block of pairs on one descriptor in one
+``_build_block`` call, and ``build_path`` is that call on a block of one.
+Every stage that does not depend on a pair's route runs once for the
+whole block, each stacked call bitwise the per-matrix one: the input
+checks and the scaling, the endpoint SVD, the membership refusal, the
+frames and the cores, and the measurement of the returned polylines.  The
+routes, from the first level's tests through ``normalize_pair`` to the
+map, are built one at a time, and so is each certificate.  So each pair's
+path and certificate are the ones it gets alone.  ``_build_block`` raises
+the first failure of any pair, and ``build_paths`` is the one place that
+catches it: it then builds every pair of the block alone, so each pair's
+result is its own path and certificate or its own exception, and a block
+that holds a failing pair builds its clean pairs twice.
 """
 
 from __future__ import annotations
@@ -1133,51 +1136,31 @@ def _shaped_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _checked_pairs(pairs, d: VarietyDescriptor) -> tuple[list, np.ndarray]:
+def _checked_pairs(pairs, d: VarietyDescriptor) -> np.ndarray:
     """The norm checks of ``build_path`` on pairs (p, q) already over d's
     field and shape (``_shaped_pair``).
 
-    Returns each pair, or the ValueError it fails with, and the
-    (L, 2, m, n) stack of the L pairs that pass, in order: a copy of their
-    own, which the caller may overwrite.  A pair fails for a non-finite
-    entry or a norm or distance beyond the double range; p is checked
-    before q, and the distance last.  One ``frobenius_norms`` pass takes the
-    norms of all the endpoints; a distance is taken only where they could
-    not bound it.
+    Returns the (B, 2, m, n) stack of the pairs, a copy of their own, which
+    the caller may overwrite, or raises the ValueError of the first pair
+    that fails: for a non-finite entry or a norm or distance beyond the
+    double range, p checked before q, and the distance last.  One
+    ``frobenius_norms`` pass takes the norms of all the endpoints; a
+    distance is taken only where they could not bound it.
     """
-    results = list(pairs)
     stack = np.stack([point for pair in pairs for point in pair])
     # squares that overflow are rescaled: only a norm beyond the double range reads inf
     with np.errstate(over="ignore"):
         norms = frobenius_norms(stack).reshape(-1, 2).tolist()
         stack = stack.reshape(-1, 2, *d.shape)
-        passed = []
-        for k, (norm_p, norm_q) in enumerate(norms):
+        for (norm_p, norm_q), (p, q) in zip(norms, stack):
             if not (math.isfinite(norm_p) and math.isfinite(norm_q)):
                 name = "q" if math.isfinite(norm_p) else "p"
-                results[k] = ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
+                raise ValueError(f"{name} has a non-finite entry or its Frobenius norm overflows")
             # ||p - q|| <= ||p|| + ||q||, so only norms that add up past 2^1023
             # leave the distance a chance to overflow
-            elif not norm_p + norm_q < _DISTANCE_SAFE and not math.isfinite(
-                frobenius_norm(stack[k, 0] - stack[k, 1])
-            ):
-                results[k] = ValueError("the Frobenius distance between p and q overflows")
-            passed.append(not isinstance(results[k], Exception))
-    return results, stack if all(passed) else stack[passed]
-
-
-def _checked_pair(p, q, d: VarietyDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """p and q over d's field, or the first input check of ``build_path``
-    they fail raised: DimensionMismatch off d's shape, ValueError for a
-    non-finite entry or a norm or distance beyond the double range."""
-    return _unwrap(_checked_pairs([_shaped_pair(p, q, d)], d)[0][0])
-
-
-def _unwrap(result):
-    """``result``, or raise it where it is an exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+            if not norm_p + norm_q < _DISTANCE_SAFE and not math.isfinite(frobenius_norm(p - q)):
+                raise ValueError("the Frobenius distance between p and q overflows")
+    return stack
 
 
 def _refuse_nonmembers(residuals) -> None:
@@ -1188,30 +1171,22 @@ def _refuse_nonmembers(residuals) -> None:
 
 
 def _build_block(pairs, d: VarietyDescriptor) -> list:
-    """``build_path`` of each of ``pairs``, already over d's field and
-    shape: its path and certificate, or the exception it raises in a stage
-    of its own (the checks, the membership refusal, its route, its
-    certificate).  A stage run once for the whole block raises."""
-    results, scaled = _checked_pairs(pairs, d)
-    live = [k for k, pair in enumerate(results) if not isinstance(pair, Exception)]
-    if not live:
-        return results
+    """``build_path`` of each of ``pairs`` (p, q), in order: its path and
+    certificate.  Raises the first failure of any pair: its shape, its
+    norms or distance, its membership, its route or its certificate (a
+    length past the double range raises OverflowError)."""
+    pairs = [_shaped_pair(p, q, d) for p, q in pairs]
+    scaled = _checked_pairs(pairs, d)
     exponents = np.frexp(np.abs(scaled).max(axis=(1, 2, 3)))[1]
     # the checked stack is this call's own: divided by 2^e in place, exactly
     parts = real_view(scaled)
     np.ldexp(parts, -exponents[:, np.newaxis, np.newaxis, np.newaxis], out=parts)
     spectra = _endpoint_spectra(scaled, d)
-    accepted = []
-    for k, found in enumerate(spectra):
-        try:
-            _refuse_nonmembers(found.residuals)
-            accepted.append(k)
-        except MembershipError as exc:
-            results[live[k]] = exc
+    for found in spectra:
+        _refuse_nonmembers(found.residuals)
 
-    routes = {}
-    for size, members, frames in _core_frames([spectra[k] for k in accepted], d):
-        members = [accepted[k] for k in members]
+    routes = [None] * len(pairs)
+    for size, members, frames in _core_frames(spectra, d):
         # every pair in one group, as always for one pair: no copy
         group = scaled if len(members) == len(scaled) else scaled[members]
         if frames is None:
@@ -1229,84 +1204,74 @@ def _build_block(pairs, d: VarietyDescriptor) -> list:
                 None if frames is None else (u[g], v[g]),
                 d,
             )
-            try:
-                norms = (frobenius_norm(core_p), frobenius_norm(core_q))
-                routes[k] = _dispatch(core_p, core_q, core_d, norms, found.ranks, ends)
-            except Exception as exc:
-                results[live[k]] = exc
+            norms = (frobenius_norm(core_p), frobenius_norm(core_q))
+            routes[k] = _dispatch(core_p, core_q, core_d, norms, found.ranks, ends)
 
-    built = sorted(routes)
     # a coincident pair has no interior point; its path is the one point
     same = (scaled[:, 0] == scaled[:, 1]).all(axis=(1, 2)).tolist()
     # measured on the polylines that are returned, with the exact endpoints
     measures = _measure(
-        [scaled[k, :1] if same[k] else (scaled[k, 0], *routes[k][0], scaled[k, 1]) for k in built]
+        [
+            scaled[k, :1] if same[k] else (scaled[k, 0], *route[0], scaled[k, 1])
+            for k, route in enumerate(routes)
+        ]
     )
-    for k, (outer, length, ratio) in zip(built, measures):
+    results = []
+    for k, (outer, length, ratio) in enumerate(measures):
         interior, tags, bound, worst, samples = routes[k]
-        p, q = results[live[k]]
+        p, q = pairs[k]
         exponent = int(exponents[k])
-        try:
-            # copies, so a caller changing p or q afterwards cannot move the certified path
-            copies = (p.copy(),) if same[k] else (p.copy(), q.copy())
-            path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
-            # a length or distance past the double range raises OverflowError
-            results[live[k]] = path, PathCertificate(
-                outer_distance=math.ldexp(outer, exponent),
-                length=math.ldexp(length, exponent),
-                ratio=ratio,
-                certified_bound=bound,
-                branch_trace=tuple(tags),
-                max_relative_residual=worst,
-                samples_per_segment=samples,
-                endpoint_ranks=spectra[k].ranks,
-            )
-        except Exception as exc:
-            results[live[k]] = exc
+        # copies, so a caller changing p or q afterwards cannot move the certified path
+        copies = (p.copy(),) if same[k] else (p.copy(), q.copy())
+        path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
+        # a length or distance past the double range raises OverflowError
+        certificate = PathCertificate(
+            outer_distance=math.ldexp(outer, exponent),
+            length=math.ldexp(length, exponent),
+            ratio=ratio,
+            certified_bound=bound,
+            branch_trace=tuple(tags),
+            max_relative_residual=worst,
+            samples_per_segment=samples,
+            endpoint_ranks=spectra[k].ranks,
+        )
+        results.append((path, certificate))
     return results
 
 
 def build_paths(P, Q, d: VarietyDescriptor) -> list:
     """``build_path`` of each pair (P[i], Q[i]), in order: its path and
-    certificate, or the exception that ``build_path`` would raise for it.
+    certificate, or the exception that ``build_path`` raises for it.  It
+    never raises for a pair.
 
     The stages that do not depend on a pair's route run once for all the
-    pairs, each bitwise what it does for one pair, so every pair's path,
-    certificate or exception is the one it gets alone: the input checks
-    (``_shaped_pair`` per pair, then ``_checked_pairs``) and the
+    pairs (``_build_block``), each bitwise what it does for one pair, so
+    every pair's path and certificate is the one it gets alone: the input
+    checks (``_shaped_pair`` per pair, then ``_checked_pairs``) and the
     power-of-two scaling; the endpoint spectra, one stacked SVD of all the
     endpoints that no range sketch decides (``_endpoint_spectra``); the
     membership refusal; the frames, one stacked QR per core size and side
     (``_core_frames``), and the cores; and the measurement of every returned
     polyline (``_measure``).  The routes themselves (``_dispatch``) are
-    built one at a time.  A stage run once for the block that raises fails
-    every pair of it, so then every pair is built alone, and only its own
-    failure is charged to it.
+    built one at a time.  This is the build's one failure boundary: where
+    anything in the block raises, every pair is built again alone, and a
+    pair that raises alone has its exception as its result.  So a block
+    that holds a failing pair builds its other pairs twice.
     """
-    results = []
-    for p, q in zip(P, Q, strict=True):
-        try:
-            results.append(_shaped_pair(p, q, d))
-        except Exception as exc:
-            results.append(exc)
-    live = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
-    if not live:
-        return results
+    pairs = list(zip(P, Q, strict=True))
+    if not pairs:
+        return []
     try:
-        built = _build_block([results[i] for i in live], d)
+        return _build_block(pairs, d)
     except Exception as exc:
-        if len(live) == 1:
-            built = [exc]
-        else:
-            built = [build_paths([p], [q], d)[0] for p, q in (results[i] for i in live)]
-    for i, result in zip(live, built):
-        results[i] = result
-    return results
+        if len(pairs) == 1:
+            return [exc]
+    return [result for p, q in pairs for result in build_paths([p], [q], d)]
 
 
 def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertificate]:
-    """Construct and certify an on-variety path from p to q: the batch of
-    one of ``build_paths``, raising the pair's exception.
+    """Construct and certify an on-variety path from p to q: the block of
+    one of ``_build_block``, raising the pair's exception.
 
     Dispatch: coincident or collinear pairs ride their own ray (ratio 1,
     bound 1); a zero endpoint gives the radial segment (bound 1); nearly
@@ -1350,4 +1315,4 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     coordinates onto m x n by one map, b -> L b R^H with L = U z and
     R = V v, all of them in one product.
     """
-    return _unwrap(build_paths([p], [q], d)[0])
+    return _build_block([(p, q)], d)[0]

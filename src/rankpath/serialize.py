@@ -7,6 +7,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,9 @@ from .paths import BranchKind, BranchTag, PathCertificate, PiecewisePath
 from .variety import VarietyDescriptor
 
 _DOUBLE_MAX = float(np.finfo(np.float64).max)
+
+#: JSON string literals, control characters escaped: json.dumps would build an encoder per call
+_quote = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def format_number(value: float) -> str:
@@ -46,15 +50,12 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_number(float(obj))
     if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        return _quote(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  "{key}": {dumps(value, indent + 2)}' for key, value in obj.items()
+            f"{pad}  {_quote(str(key))}: {dumps(value, indent + 2)}" for key, value in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

@@ -34,7 +34,8 @@ def workspace(tmp_path):
 
 
 def failing_builds(P, Q, d):
-    raise RuntimeError("construction failed")
+    # as build_paths reports pairs that fail: one exception per pair, in order
+    return [RuntimeError("construction failed") for _ in P]
 
 
 def read_csv(path):

@@ -920,6 +920,31 @@ class TestBuildPaths:
         assert isinstance(batch[1], OverflowError)
         self.assert_built_alone(batch[::2], good, d)
 
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_a_clean_block_is_built_once(self, monkeypatch, rng, failing):
+        # a block of pairs that all build takes one _build_block call; one
+        # failing pair sends every pair of the block through alone
+        d = VarietyDescriptor(5, 4, 3, ScalarField.COMPLEX)
+        kinds = ["members", "coincident", "scaled", "zero", "members", "scaled"]
+        if failing:
+            kinds[2] = "off_variety"
+        pairs = [_pair_of_kind(kind, d, rng, 0) for kind in kinds]
+        real_block = paths._build_block
+        calls = []
+
+        def counted(block, d):
+            calls.append(len(block))
+            return real_block(block, d)
+
+        monkeypatch.setattr(paths, "_build_block", counted)
+        batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        monkeypatch.undo()
+        assert calls == ([6] + [1] * 6 if failing else [6])
+        if failing:
+            assert isinstance(batch[2], paths.MembershipError)
+            del batch[2], pairs[2]
+        self.assert_built_alone(batch, pairs, d)
+
     @pytest.mark.parametrize("stage", ["_endpoint_spectra", "_core_frames", "_measure"])
     def test_a_failing_block_stage_builds_each_pair_alone(self, monkeypatch, rng, stage):
         # a stage run once for the block that raises fails every pair of it:
