@@ -6,6 +6,8 @@ along curves that stay on the variety.  This package constructs explicit
 polyline paths witnessing that the two are equivalent, with the certified
 ratio bound 2t - 2, and ships the independent estimators, combinators,
 counterexample demonstrations and trial harness around that construction.
+On glibc, importing it fixes the allocator's mmap and trim thresholds
+(see ``_heap``), so large builds reuse freed heap pages.
 """
 
 from .combinators import (
@@ -78,5 +80,9 @@ from .variety import (
     rank_of,
     sample_stratum,
 )
+
+from . import _heap
+
+_heap.fix_heap_thresholds()
 
 __version__ = "0.1.0"
