@@ -233,16 +233,20 @@ def adversarial_pairs(d: VarietyDescriptor, seed: int, count: int):
     return [adversarial_pair(d, seed, i) for i in range(count)]
 
 
-def _sample_pair(cfg: TrialConfig, index: int, rng: np.random.Generator):
-    """The pair of trial ``index``, drawn from its own generator."""
+def _sample_pair(cfg: TrialConfig, index: int, seed: int):
+    """The pair of trial ``index``, drawn from its own generator, seeded by
+    the trial's ``seed``.  The adversarial cycle builds that generator
+    itself, from the master seed and the index, so it is built only where
+    the strategy reads it."""
     d = cfg.descriptor
     strategy = cfg.rank_pair_strategy
+    if strategy is RankPairStrategy.ADVERSARIAL:
+        return adversarial_pair(d, cfg.master_seed, index, cfg.radius_range)
+    rng = np.random.default_rng(seed)
     if strategy is RankPairStrategy.ALL_STRATA_GRID:
         return _grid_pair(d, index, rng, cfg.radius_range)
-    if strategy is RankPairStrategy.TOP_STRATUM_ONLY:
-        p = _sample(d, d.max_rank, rng, cfg.radius_range)
-        return p, _sample(d, d.max_rank, rng, cfg.radius_range)
-    return adversarial_pair(d, cfg.master_seed, index, cfg.radius_range)
+    p = _sample(d, d.max_rank, rng, cfg.radius_range)
+    return p, _sample(d, d.max_rank, rng, cfg.radius_range)
 
 
 def _record(seed: int, outcome) -> TrialRecord:
@@ -296,7 +300,7 @@ def run_trials(cfg: TrialConfig) -> TrialReport:
         outcomes = []
         for index, seed in enumerate(seeds, start):
             try:
-                outcomes.append(_sample_pair(cfg, index, np.random.default_rng(seed)))
+                outcomes.append(_sample_pair(cfg, index, seed))
             except Exception as exc:  # recorded, never aborts the run
                 outcomes.append(exc)
         sampled = [i for i, pair in enumerate(outcomes) if not isinstance(pair, Exception)]

@@ -19,7 +19,7 @@ Every branch decision is recorded in the certificate, and the membership
 residual is bounded at every point of every segment, not only at samples.
 ``build_path`` reads the bound off its route's Schur block structure, with
 no SVD of a step, of a breakpoint or of a trailing block
-(``_schur_residual``): every breakpoint is D_j + x, and sigma_t of any
+(``_schur_residuals``): every breakpoint is D_j + x, and sigma_t of any
 matrix is at most the Frobenius norm of its rows from t - 1 on, and of its
 columns from t - 1 on.  Along a leg each of these two strips is the norm of
 a linear function of s, so at most its ends' strips interpolated, and it
@@ -56,19 +56,23 @@ whole block, each stacked call bitwise the per-matrix one: the input
 checks and the scaling, the endpoint SVD, the membership refusal, the
 frames and the cores, and the measurement of the returned polylines.  The
 routes, from the first level's tests through ``normalize_pair`` to the
-map, are built one at a time, and so is each certificate.  So each pair's
-path and certificate are the ones it gets alone.  ``_build_block`` raises
-the first failure of any pair, and ``build_paths`` is the one place that
-catches it: it then builds every pair of the block alone, so each pair's
-result is its own path and certificate or its own exception, and a block
-that holds a failing pair builds its clean pairs twice.
+map, are built one at a time.  Every route of the block is certified in
+one pass (``_schur_residuals``): the trailing bounds and the norms of the
+points once per core shape, the maps' frame Grams and endpoint checks
+once per frame shape and layout, and each route's bound read off its
+share of them.  So each pair's path and certificate are the ones it gets
+alone.  ``_build_block`` raises the first failure of any pair, and
+``build_paths`` is the one place that catches it: it then builds every
+pair of the block alone, so each pair's result is its own path and
+certificate or its own exception, and a block that holds a failing pair
+builds its clean pairs twice.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -240,7 +244,7 @@ class PathCertificate:
 
     From ``build_path``, distance, length and ratio are measured on the
     returned polyline, and the residual is read off the structure of the
-    route (``_schur_residual``): bounds on the trailing blocks' sigma_1 from
+    route (``_schur_residuals``): bounds on the trailing blocks' sigma_1 from
     the norms of their rows and columns, and on each point's sigma_t from
     its row and column strips (``_trailing_bounds``), each strip
     interpolated along every leg, rays for the terminal legs, ``certify``'s
@@ -452,18 +456,76 @@ class _MapBound:
 _IDENTITY = _MapBound(1.0, 1.0, 0.0, 0.0)
 
 
-def _frame_bounds(a: np.ndarray, field: ScalarField) -> tuple[float, float]:
+def _groups(keys) -> list[list[int]]:
+    """The indices of ``keys`` grouped by equal key, each group in order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _joined(stacks: list[np.ndarray]) -> np.ndarray:
+    """The concatenation of stacks of one shape; a lone stack itself, with
+    no copy."""
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+
+
+def _layout(a: np.ndarray) -> tuple:
+    """The shape of a matrix and whether it is in C order: BLAS takes a
+    matrix in C order and one in Fortran order with other kernels, whose
+    sums may round otherwise, so only matrices of one layout stack."""
+    return a.shape, a.flags.c_contiguous
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The matrices of one ``_layout`` stacked on a new first axis, each in
+    its own layout: a lone matrix with no copy, and matrices not in C order
+    as a stack of matrices in Fortran order."""
+    if len(arrays) == 1 or arrays[0].flags.c_contiguous:
+        return _joined([a[np.newaxis] for a in arrays])
+    return np.stack([a.T for a in arrays]).swapaxes(1, 2)
+
+
+def _squares(stack: np.ndarray) -> list[float]:
+    """``np.vdot(a, a).real``, ||a||_F^2, of each matrix a of a stack: one
+    dot per matrix over its entries in C order, the kernel ``np.vdot``
+    takes, so bitwise for every a in C or Fortran order, as a route's frames
+    are.  (On a strided column view ``np.vdot`` takes a strided dot, whose
+    sum may round otherwise.)"""
+    flat = stack.reshape(len(stack), -1)
+    return np.vecdot(flat, flat).real.tolist()
+
+
+def _images(lefts: np.ndarray, rights: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """fl(fl(a x) b^H) for each point x of each stack of ``points``, a and b
+    the matrices of ``lefts`` and ``rights`` at its index: one matmul per
+    product over the whole stack, each bitwise ``a @ x @ b.conj().T``."""
+    return lefts[:, np.newaxis] @ points @ rights.conj().swapaxes(1, 2)[:, np.newaxis]
+
+
+def _frame_bounds(frames, field: ScalarField) -> list[tuple[float, float, float]]:
     """Bounds sqrt(1 + delta) >= sigma_1(a) and sigma_min(a) >= sqrt(1 - delta)
-    from the unitarity defect delta >= ||a^H a - I||_2: the computed
-    ||fl(a^H a) - I||_F plus the rounding gamma ||a||_F^2 of the product."""
-    gram = a.conj().T @ a
-    gram.flat[:: len(gram) + 1] -= 1.0
-    defect = math.sqrt(np.vdot(gram, gram).real) + product_gamma(len(a), field) * np.vdot(a, a).real
-    return math.sqrt(1.0 + defect), math.sqrt(max(0.0, 1.0 - defect))
+    from the unitarity defect delta >= ||a^H a - I||_2, and ||a||_F^2, for
+    each matrix a of ``frames``: delta is the computed ||fl(a^H a) - I||_F
+    plus the rounding gamma ||a||_F^2 of the product.  The Gram products and
+    the squares are taken once per ``_layout``, over the stack of its
+    frames, each bitwise the one matrix's."""
+    found: list = [None] * len(frames)
+    for members in _groups(map(_layout, frames)):
+        stack = _stacked([frames[f] for f in members])
+        gram = stack.conj().swapaxes(1, 2) @ stack
+        size = gram.shape[1]
+        gram.reshape(len(gram), -1)[:, :: size + 1] -= 1.0
+        gamma = product_gamma(stack.shape[1], field)
+        for f, defect, squares in zip(members, _squares(gram), _squares(stack)):
+            defect = math.sqrt(defect) + gamma * squares
+            found[f] = math.sqrt(1.0 + defect), math.sqrt(max(0.0, 1.0 - defect)), squares
+    return found
 
 
-def _map_bound(a: np.ndarray, b: np.ndarray, field: ScalarField) -> _MapBound:
-    """The ``_MapBound`` of x -> fl(fl(a x) b^H).
+def _map_bounds(lefts, rights, field: ScalarField) -> list[_MapBound]:
+    """The ``_MapBound`` of x -> fl(fl(a x) b^H) for each a of ``lefts`` and
+    the b of ``rights`` at its index.
 
     The singular values of a x b^H lie within the products of those of a
     and b (``_frame_bounds``) times x's.  The first product errs by at most
@@ -472,15 +534,22 @@ def _map_bound(a: np.ndarray, b: np.ndarray, field: ScalarField) -> _MapBound:
     ||b||_2 times, and the second by gamma_b ||fl(a x)||_F ||b||_F.  An
     underflowing product adds at most one subnormal unit per term.
     """
-    (upper_a, lower_a), (upper_b, lower_b) = (_frame_bounds(x, field) for x in (a, b))
-    first = float(product_gamma(a.shape[1], field)) * math.sqrt(np.vdot(a, a).real)
-    second = float(product_gamma(b.shape[1], field)) * math.sqrt(np.vdot(b, b).real)
-    return _MapBound(
-        upper_a * upper_b,
-        lower_a * lower_b,
-        first * upper_b + second * (upper_a + first),
-        2.0 * max(a.shape[1], b.shape[1]) * max(len(a), len(b)) * _SMALLEST_SUBNORMAL,
-    )
+    frames = _frame_bounds([*lefts, *rights], field)
+    bounds = []
+    for a, b, (upper_a, lower_a, squares_a), (upper_b, lower_b, squares_b) in zip(
+        lefts, rights, frames, frames[len(lefts) :]
+    ):
+        first = float(product_gamma(a.shape[1], field)) * math.sqrt(squares_a)
+        second = float(product_gamma(b.shape[1], field)) * math.sqrt(squares_b)
+        bounds.append(
+            _MapBound(
+                upper_a * upper_b,
+                lower_a * lower_b,
+                first * upper_b + second * (upper_a + first),
+                2.0 * max(a.shape[1], b.shape[1]) * max(len(a), len(b)) * _SMALLEST_SUBNORMAL,
+            )
+        )
+    return bounds
 
 
 class _Ends(NamedTuple):
@@ -564,10 +633,10 @@ def _trailing_bounds(
     return tops, row_strips, col_strips
 
 
-def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) -> tuple[float, int]:
-    """The residual bound of the returned polyline whose breakpoints are
-    L b R^H for the Schur-coordinate points b of ``stack``, and its samples
-    per segment: the one residual bound of ``build_path``.
+@dataclass(frozen=True)
+class _Route:
+    """A route from p to q as ``_dispatch`` builds it, and all that its
+    certificate reads (``_schur_residuals``).
 
     ``stack`` holds the route in Schur coordinates, p_hat and q_hat at its
     ends.  A route without a Schur form (Radial, Orthogonal or coincident
@@ -576,13 +645,102 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
     ``left`` None: the identity map, exact, with endpoint checks of 0.
     Point i is exactly D_j + x: ``positions[i]`` = j units of q_hat's
     diagonal blocks, whose sigma_1 is at least ``tops_d[j]``, and a trailing
-    block x; its spectrum is D_j's and x's.  Every point's sigma_1(x), and
-    its sigma_t through its row and column strips, are bounded at once from
-    the norms of its rows and columns (``_trailing_bounds``), with no SVD;
-    an interior point's residual takes the smaller strip, and the endpoints'
+    block x.  Segment i is one of ``kinds``: ("leg", r), a leg of a Schur
+    block of size r, or ("ray", base, c), a terminal leg from D_j + x to
+    D_j + c x + r, x at the end ``base`` names.  ``left`` and ``right`` are
+    the factors L and R of the map b -> L b R^H onto the returned path, and
+    ``same`` tells whether each point equals the one before it.  ``tags``
+    and ``bound`` are the route's branch tags and ratio bound, ``interior``
+    its mapped interior breakpoints, in the order of the returned path.
+    """
+
+    stack: np.ndarray
+    positions: list[int]
+    kinds: list[tuple]
+    tops_d: list[float]
+    left: np.ndarray | None
+    right: np.ndarray | None
+    same: list[bool]
+    ends: _Ends
+    tags: list[BranchTag]
+    bound: float
+    interior: np.ndarray
+
+
+def _schur_residuals(routes: list[_Route]) -> list[tuple[float, int]]:
+    """The residual bound and the samples per segment of each returned
+    polyline whose breakpoints are L b R^H for the Schur-coordinate points b
+    of one of ``routes``, a block on one descriptor: the one residual bound
+    of ``build_path``.
+
+    The matrix kernels of the bound run once per block and shape, not once
+    per route, each stacked call bitwise the per-route one: the trailing
+    bounds (``_trailing_bounds``) and the norms of the points, once per
+    core shape over the concatenated stacks of the routes of more than
+    three points, whatever their lengths; the map bounds' frame Grams
+    (``_map_bounds``), once per frame ``_layout``; and the endpoint checks
+    ||p - L p_hat R^H||, once per layout of the map's two frames
+    (``_images``).  The rule that reads each route's bound off them
+    (``_route_residual``) is scalar arithmetic on one route: taken as arrays
+    over every segment of a block, it costs more in fixed numpy call
+    overhead than it saves, most of all on a block of one.
+    """
+    d, count = routes[0].ends.d, len(routes)
+    bounds, norms, checks = [None] * count, [None] * count, [None] * count
+    # a route of 2 or 3 points ends at its first level: no leg, no trailing block
+    deep = [r for r in range(count) if len(routes[r].stack) > 3]
+    for group in _groups([routes[r].stack.shape[1:] for r in deep]):
+        members = [deep[k] for k in group]
+        points = _joined([routes[r].stack for r in members])
+        positions = [j for r in members for j in routes[r].positions]
+        inner, rows, cols = _trailing_bounds(points, positions, d.t)
+        found = inner.tolist(), np.minimum(rows, cols).tolist(), rows.tolist(), cols.tolist()
+        point_norms = frobenius_norms(points).tolist()
+        start = 0
+        for r in members:
+            end = start + len(routes[r].stack)
+            bounds[r] = [value[start:end] for value in found]
+            norms[r] = point_norms[start:end]
+            start = end
+    lifts = [_IDENTITY] * count
+    framed = [r for r in range(count) if routes[r].left is not None]
+    lefts, rights = [routes[r].left for r in framed], [routes[r].right for r in framed]
+    for r, lift in zip(framed, _map_bounds(lefts, rights, d.field)):
+        lifts[r] = lift
+    # the computed ||p - L p_hat R^H|| and ||q - L q_hat R^H||, per layout of (L, R)
+    for group in _groups([(_layout(a), _layout(b)) for a, b in zip(lefts, rights)]):
+        members = [framed[k] for k in group]
+        images = _images(
+            _stacked([lefts[k] for k in group]),
+            _stacked([rights[k] for k in group]),
+            _stacked([routes[r].stack[[0, -1]] for r in members]),
+        )
+        exact = _joined([routes[r].ends.points[np.newaxis] for r in members])
+        misses = frobenius_norms((exact - images).reshape(-1, *d.shape)).tolist()
+        for k, r in enumerate(members):
+            checks[r] = misses[2 * k : 2 * k + 2]
+    return [
+        _route_residual(route, lift, *found)
+        for route, lift, *found in zip(routes, lifts, bounds, norms, checks)
+    ]
+
+
+def _route_residual(route: _Route, lift: _MapBound, bounds, norms, checks) -> tuple[float, int]:
+    """The residual bound of one route and its samples per segment, from its
+    share of the block's kernels (``_schur_residuals``): ``lift``, the
+    ``_MapBound`` of its map b -> L b R^H, ``_IDENTITY`` without a Schur
+    form; ``bounds``, its points' trailing sigma_1 bounds, smaller strips,
+    row strips and column strips, and ``norms``, its points' Frobenius
+    norms, both None for a route of 2 or 3 points; and ``checks``, its two
+    endpoint checks, None without a Schur form.
+
+    Every point's spectrum is D_j's and its trailing block x's.  Every
+    point's sigma_1(x), and its sigma_t through its row and column strips,
+    are bounded from the norms of its rows and columns, with no SVD; an
+    interior point's residual takes the smaller strip, and the endpoints'
     spectra come from the endpoint SVD, through the map.  Segment i shares
-    the corner D_j, j the smaller position of its ends, and is one of
-    ``kinds``:
+    the corner D_j, j the smaller position of its ends, and is one of the
+    route's ``kinds``:
 
     * ("leg", r), a leg of a Schur block of size r.  Each strip of its point
       (1 - s) a + s b is at most (1 - s) times a's strip plus s times b's,
@@ -610,24 +768,22 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
     structure: its two points go to ``_residual_bound``, whose bound from
     their exact spectra is its residual, and whose samples count.  Then every
     point and segment is carried onto the returned path through
-    ``_MapBound.residual`` of the one map b -> L b R^H (``left`` and
-    ``right``): its unitarity defects, the rounding of its products, and at
-    each endpoint the computed ||p - L p_hat R^H||.  A point equal to p_hat
-    or q_hat (``same`` tells whether each point equals the one before it) is
-    returned as that endpoint, and charged as it.
+    ``lift.residual``: the map's unitarity defects, the rounding of its
+    products, and at each endpoint the computed ||p - L p_hat R^H||.  A
+    point equal to p_hat or q_hat (``same``) is returned as that endpoint,
+    and charged as it.  A route with a Schur form takes a level, so it has
+    four points or more: every kernel of the block reads it.
     """
-    t, count = ends.d.t, len(stack)
-    core = VarietyDescriptor(*stack.shape[1:], t, ends.d.field)
-    if left is None:
-        route, errors = _IDENTITY, [0.0] * count
+    stack, positions, kinds, tops_d, same, ends = (
+        route.stack, route.positions, route.kinds, route.tops_d, route.same, route.ends
+    )
+    count = len(stack)
+    if route.left is None:
+        errors = [0.0] * count
     else:
-        route = _map_bound(left, right, ends.d.field)
-        norms = frobenius_norms(stack).tolist()
-        errors = [route.factor * norm + route.absolute for norm in norms]
-        mapped = left @ stack[[0, -1]] @ right.conj().T
-        checks = frobenius_norms(ends.points - mapped).tolist()
+        errors = [lift.factor * norm + lift.absolute for norm in norms]
         for e, i in ((0, 0), (1, count - 1)):
-            errors[i] = checks[e] + route.factor * norms[i] + route.absolute
+            errors[i] = checks[e] + lift.factor * norms[i] + lift.absolute
         for i in range(1, count - 1):
             if not same[i - 1]:
                 break
@@ -638,23 +794,20 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
             errors[i] = errors[-1]
     trail_tops, trail_bottoms = [0.0] * count, [0.0] * count
     if count > 3:  # a route of 2 or 3 points ends at its first level: no leg, no trailing block
-        inner, rows, cols = _trailing_bounds(stack, positions, t)
-        trail_tops[1:-1] = inner[1:-1].tolist()
-        trail_bottoms[1:-1] = np.minimum(rows, cols)[1:-1].tolist()
-        rows, cols = rows.tolist(), cols.tolist()
+        inner, bottoms, rows, cols = bounds
+        trail_tops[1:-1], trail_bottoms[1:-1] = inner[1:-1], bottoms[1:-1]
     for e, i in ((0, 0), (1, count - 1)):
-        trail_tops[i] = (ends.tops[e] - errors[i]) / route.upper
-        trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / route.lower
+        trail_tops[i] = (ends.tops[e] - errors[i]) / lift.upper
+        trail_bottoms[i] = (ends.residuals[e] * ends.tops[e] + errors[i]) / lift.lower
     tops = [max(top, tops_d[j]) for top, j in zip(trail_tops, positions)]
     residuals = [_ratio(bottom, top) for bottom, top in zip(trail_bottoms, tops)]
 
     worst = max(ends.residuals)
     for i in range(1, count - 1):
-        worst = max(worst, route.residual(residuals[i], _quotient(errors[i], tops[i])))
+        worst = max(worst, lift.residual(residuals[i], _quotient(errors[i], tops[i])))
     samples = 0
     for i, kind in enumerate(kinds):
         j = min(positions[i], positions[i + 1])
-        a, b = stack[i, j:, j:], stack[i + 1, j:, j:]
         start = max(residuals[i], residuals[i + 1])
         if kind[0] == "leg":
             # a first leg keeps D_j and the trailing block of its later end,
@@ -664,12 +817,13 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
             floor = max(tops_d[j if first else positions[i]], trail_tops[deeper])
             if i == 0:
                 size = kind[1]
-                floor = max(floor, _nearest(a[:size], b[:size]) / math.sqrt(size))
+                a, b = stack[i, j : j + size, j:], stack[i + 1, j : j + size, j:]
+                floor = max(floor, _nearest(a, b) / math.sqrt(size))
             # each strip of a point is the norm of a linear function of s
             pairs, weight, offset = [rows[i : i + 2], cols[i : i + 2]], 1.0, 0.0
         else:
             _, base, coef = kind
-            x, y = (a, b) if base == 0 else (b, a)
+            x, y = stack[i + base, j:, j:], stack[i + 1 - base, j:, j:]
             tail = frobenius_norm(y - coef * x if coef else y)
             floor = max(tops_d[j], _ray_floor(coef, trail_tops[i + base], tail))
             # sigma_1(D_j + mu x) >= |mu| sigma_1(D_j) / max(1, |c|), as |mu| <= max(1, |c|)
@@ -681,15 +835,16 @@ def _schur_residual(stack, positions, kinds, tops_d, left, right, same, ends) ->
         bound = offset + weight * _quotient(min(map(max, pairs)), floor)
         if max(kappa, bound - start) > _TAIL_CHARGE_LIMIT:
             # near a point of small sigma_1: follow sigma_1 along the segment
-            norms = frobenius_norms(stack[i : i + 2]).tolist()
+            pair_norms = frobenius_norms(stack[i : i + 2]).tolist()
             kappa, *ratios = _segment_ratios(
-                [(errors[i], errors[i + 1]), *pairs], tops[i : i + 2], norms, floor
+                [(errors[i], errors[i + 1]), *pairs], tops[i : i + 2], pair_norms, floor
             )
             bound = offset + weight * min(ratios)
         if bound - start > _TAIL_CHARGE_LIMIT:  # not settled by the structure
+            core = VarietyDescriptor(*stack.shape[1:], ends.d.t, ends.d.field)
             bound, taken = _residual_bound(stack[i : i + 2], core)
             samples = max(samples, taken)
-        worst = max(worst, route.residual(bound, kappa))
+        worst = max(worst, lift.residual(bound, kappa))
     return float(worst), samples
 
 
@@ -700,10 +855,11 @@ def _dispatch(
     norms: tuple[float, float],
     ranks: tuple[int, int],
     ends: _Ends,
-) -> tuple[np.ndarray, list[BranchTag], float, float, int]:
-    """The (N, m, n) stack of the returned path's interior breakpoints, its
-    branch tags, ratio bound, residual bound and samples per segment: the
-    route from the core points p to q, mapped onto the returned path.
+) -> _Route:
+    """The ``_Route`` from the core points p to q: its Schur-coordinate
+    stack and all that its certificate reads, its branch tags and ratio
+    bound, and the (N, m, n) stack of the returned path's interior
+    breakpoints, mapped onto the returned path.
 
     ``ranks`` are the numerical ranks of p and q, read off the endpoint SVD,
     and ``ends`` holds what else that SVD tells of them and the frames.  The
@@ -751,15 +907,16 @@ def _dispatch(
     route that ends at the first level has no Schur form: its stack is the
     returned points ``ends.points`` (with 0 between them for the orthogonal
     route), its map the identity, and its interior is returned as it is.
-    The residual is bounded on the stack and its map (``_schur_residual``).
+    The residual is bounded on the stack and its map, with every route of
+    the block (``_schur_residuals``).
     The first level's tests read ``norms``, those of p and q, and its
     orthogonality test the <q, p> that its collinearity test reads.
     The bound is 2 * min rank once a step was taken, else 2 for the
     orthogonal route and 1 for the others.
     """
     if ranks[0] > ranks[1]:
-        interior, *route = _dispatch(q, p, d, norms[::-1], ranks[::-1], ends.swapped())
-        return interior[::-1], *route
+        route = _dispatch(q, p, d, norms[::-1], ranks[::-1], ends.swapped())
+        return replace(route, interior=route.interior[::-1])
 
     known_p, known_q = (min(r, d.t - 1) for r in ranks)
     scale = max(norms) or 1.0
@@ -842,11 +999,11 @@ def _dispatch(
     same = ~(stack[1:] != stack[:-1]).any(axis=(1, 2))
     # whether each point equals q_hat, and so does every point after it
     at_q = np.logical_and.accumulate(same[::-1])[::-1]
-    worst, samples = _schur_residual(
-        stack, positions, kinds, tops_d, left, right, same.tolist(), ends
-    )
     kept = stack[1:-1][~same[:-1] & ~at_q[1:]]
-    return kept if left is None else left @ kept @ right.conj().T, tags, bound, worst, samples
+    interior = kept if left is None else left @ kept @ right.conj().T
+    return _Route(
+        stack, positions, kinds, tops_d, left, right, same.tolist(), ends, tags, bound, interior
+    )
 
 
 def _on_negative_ray(a: np.ndarray, b: np.ndarray) -> bool:
@@ -1206,31 +1363,32 @@ def _build_block(pairs, d: VarietyDescriptor) -> list:
             )
             norms = (frobenius_norm(core_p), frobenius_norm(core_q))
             routes[k] = _dispatch(core_p, core_q, core_d, norms, found.ranks, ends)
+    certificates = _schur_residuals(routes)
 
     # a coincident pair has no interior point; its path is the one point
     same = (scaled[:, 0] == scaled[:, 1]).all(axis=(1, 2)).tolist()
     # measured on the polylines that are returned, with the exact endpoints
     measures = _measure(
         [
-            scaled[k, :1] if same[k] else (scaled[k, 0], *route[0], scaled[k, 1])
+            scaled[k, :1] if same[k] else (scaled[k, 0], *route.interior, scaled[k, 1])
             for k, route in enumerate(routes)
         ]
     )
     results = []
     for k, (outer, length, ratio) in enumerate(measures):
-        interior, tags, bound, worst, samples = routes[k]
+        route, (worst, samples) = routes[k], certificates[k]
         p, q = pairs[k]
         exponent = int(exponents[k])
         # copies, so a caller changing p or q afterwards cannot move the certified path
         copies = (p.copy(),) if same[k] else (p.copy(), q.copy())
-        path = PiecewisePath(copies[:1] + tuple(ldexp(interior, exponent)) + copies[1:])
+        path = PiecewisePath(copies[:1] + tuple(ldexp(route.interior, exponent)) + copies[1:])
         # a length or distance past the double range raises OverflowError
         certificate = PathCertificate(
             outer_distance=math.ldexp(outer, exponent),
             length=math.ldexp(length, exponent),
             ratio=ratio,
-            certified_bound=bound,
-            branch_trace=tuple(tags),
+            certified_bound=route.bound,
+            branch_trace=tuple(route.tags),
             max_relative_residual=worst,
             samples_per_segment=samples,
             endpoint_ranks=spectra[k].ranks,
@@ -1251,12 +1409,16 @@ def build_paths(P, Q, d: VarietyDescriptor) -> list:
     power-of-two scaling; the endpoint spectra, one stacked SVD of all the
     endpoints that no range sketch decides (``_endpoint_spectra``); the
     membership refusal; the frames, one stacked QR per core size and side
-    (``_core_frames``), and the cores; and the measurement of every returned
-    polyline (``_measure``).  The routes themselves (``_dispatch``) are
-    built one at a time.  This is the build's one failure boundary: where
-    anything in the block raises, every pair is built again alone, and a
-    pair that raises alone has its exception as its result.  So a block
-    that holds a failing pair builds its other pairs twice.
+    (``_core_frames``), and the cores; the certificates, one pass over every
+    route (``_schur_residuals``) that takes the trailing bounds and the
+    norms of the points once per core shape, and the maps' frame Grams and
+    endpoint checks once per frame shape and layout; and the measurement of
+    every returned polyline (``_measure``).  The routes themselves
+    (``_dispatch``) are built one at a time.  This is the
+    build's one failure boundary: where anything in the block raises, every
+    pair is built again alone, and a pair that raises alone has its
+    exception as its result.  So a block that holds a failing pair builds
+    its other pairs twice.
     """
     pairs = list(zip(P, Q, strict=True))
     if not pairs:
@@ -1297,8 +1459,9 @@ def build_path(p, q, d: VarietyDescriptor) -> tuple[PiecewisePath, PathCertifica
     as the full SVD would (``_sketched_svd``): every input is accepted or
     rejected as with the full SVD, with the same message.  The returned
     path starts and ends at exact copies of p and q, and the certificate
-    carries the endpoint ranks.  The residual is bounded while the route is
-    built, from its Schur block structure (``_schur_residual``): bounds on
+    carries the endpoint ranks.  The residual is bounded from the route's
+    Schur block structure, in the block's one certificate pass
+    (``_schur_residuals``), which runs the same code for one route: bounds on
     the breakpoints' spectra read off their entries (``_trailing_bounds``),
     the row and column strips of each leg's ends interpolated along it,
     rays for the terminal legs, and one Weyl charge for the map onto m x n,

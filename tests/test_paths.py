@@ -24,7 +24,7 @@ from rankpath import (
     rank_of,
     sample_stratum,
 )
-from rankpath import paths
+from rankpath import harness, paths
 from rankpath.harness import RankPairStrategy, TrialConfig, adversarial_pair, mix_seed, run_trials
 from rankpath.numkernel import _BATCH_MIN_POINTS, as_matrix, ldexp
 from rankpath.variety import spectra, spectral_residuals
@@ -983,6 +983,206 @@ class TestBuildPaths:
         assert not isinstance(batch[0], Exception) and not isinstance(batch[2], Exception)
 
 
+@st.composite
+def route_stacks(draw):
+    """One to four stacks of one point shape, m and n up to 12, over either
+    field, each with the positions a route makes: 0, the end of each
+    level's Schur block (of size 1, or 2 over the reals), that end once
+    more for an orthogonal terminal, and back to 0.  Entries are Gaussian,
+    some of them 0, scaled by a power of two from the subnormal, the
+    underflowing or the unit range; t is up to 8."""
+    field = draw(st.sampled_from(list(ScalarField)))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = st.one_of(st.integers(-1090, -1000), st.integers(-560, -480), st.integers(-8, 8))
+    stacks, positions = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        ends = [0]
+        while ends[-1] < min(m, n) and draw(st.booleans()):
+            real_block = field is ScalarField.REAL and ends[-1] + 2 <= min(m, n)
+            ends.append(ends[-1] + draw(st.sampled_from([1, 2] if real_block else [1])))
+        route = ends + ends[-1:] * draw(st.integers(0, 1)) + ends[-2::-1]
+        points = as_matrix(rng.standard_normal((len(route), m, n)), field)
+        if field is ScalarField.COMPLEX:
+            points += 1j * rng.standard_normal(points.shape)
+        points[rng.random(points.shape) < 0.3] = 0.0
+        stacks.append(ldexp(points, draw(scale)))
+        positions.append(route)
+    return stacks, positions, draw(st.integers(1, 8))
+
+
+def sampled_pair(cfg, index):
+    """The pair of trial ``index`` of ``cfg``, as ``run_trials`` draws it."""
+    return harness._sample_pair(cfg, index, mix_seed(cfg.master_seed, index))
+
+
+class TestBlockCertificate:
+    """``_build_block`` certifies every route of a block in one
+    ``_schur_residuals`` call, each kernel once per shape, and every
+    certificate is the one its pair gets alone."""
+
+    @settings(max_examples=200)
+    @given(route_stacks())
+    def test_trailing_bounds_of_a_concatenation_are_each_stack_s(self, case):
+        # bitwise: the row and column sums and the masked reductions of each
+        # point do not depend on the points stacked around it
+        stacks, positions, t = case
+        alone = [paths._trailing_bounds(stack, route, t) for stack, route in zip(stacks, positions)]
+        together = paths._trailing_bounds(np.concatenate(stacks), sum(positions, []), t)
+        for k, joined in enumerate(together):
+            assert np.concatenate([bounds[k] for bounds in alone]).tobytes() == joined.tobytes()
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(list(ScalarField)), st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_stacked_maps_are_each_map_s(self, field, seed, count):
+        # bitwise: the Gram products and np.vdot's dots of each frame, and
+        # the endpoint images, do not depend on the frames stacked with them,
+        # in either layout that routes make: C order (a product) or Fortran
+        # order (a Schur factor).  Few shapes, so that stacks form
+        rng = np.random.default_rng(seed)
+
+        def frame():
+            rows = int(rng.choice([1, 5, 12, 40]))
+            a = random_unitary(rows, rng, field)[:, : min(rows, int(rng.integers(1, 4)))]
+            return np.asfortranarray(a) if rng.integers(2) else a.copy()
+
+        def alone(a):
+            gram = a.conj().T @ a
+            gram.flat[:: len(gram) + 1] -= 1.0
+            squares = np.vdot(a, a).real
+            gamma = paths.product_gamma(len(a), field)
+            defect = math.sqrt(np.vdot(gram, gram).real) + gamma * squares
+            return math.sqrt(1.0 + defect), math.sqrt(max(0.0, 1.0 - defect)), squares
+
+        lefts, rights = [frame() for _ in range(count)], [frame() for _ in range(count)]
+        assert paths._frame_bounds(lefts + rights, field) == [alone(a) for a in lefts + rights]
+        points = []
+        for a, b in zip(lefts, rights):
+            x = rng.standard_normal((2, a.shape[1], b.shape[1]))
+            if field is ScalarField.COMPLEX:
+                x = x + 1j * rng.standard_normal(x.shape)
+            points.append(x)
+        layouts = [(paths._layout(a), paths._layout(b)) for a, b in zip(lefts, rights)]
+        for group in paths._groups(layouts):
+            stacks = (paths._stacked([x[k] for k in group]) for x in (lefts, rights, points))
+            for k, image in zip(group, paths._images(*stacks)):
+                assert image.tobytes() == (lefts[k] @ points[k] @ rights[k].conj().T).tobytes()
+
+    @staticmethod
+    def built_in_one_pass(pairs, d):
+        """``build_paths`` of ``pairs`` with the routes of each
+        ``_schur_residuals`` call, the core shape of each ``_trailing_bounds``
+        call and the number of ``_segment_ratios`` and ``_residual_bound``
+        calls, then each pair built alone."""
+        seen = {"blocks": [], "cores": [], "_segment_ratios": 0, "_residual_bound": 0}
+        schur, trailing = paths._schur_residuals, paths._trailing_bounds
+
+        def recording_schur(routes):
+            seen["blocks"].append(routes)
+            return schur(routes)
+
+        def recording_trailing(stack, positions, t):
+            seen["cores"].append(stack.shape[1:])
+            return trailing(stack, positions, t)
+
+        def counting(name):
+            real = getattr(paths, name)
+
+            def counted(*args):
+                seen[name] += 1
+                return real(*args)
+
+            return counted
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paths, "_schur_residuals", recording_schur)
+            patch.setattr(paths, "_trailing_bounds", recording_trailing)
+            for name in ("_segment_ratios", "_residual_bound"):
+                patch.setattr(paths, name, counting(name))
+            batch = build_paths([p for p, _ in pairs], [q for _, q in pairs], d)
+        # the stacked kernels are bitwise for points in C order and frames
+        # in C or Fortran order
+        routes = [route for routes in seen["blocks"] for route in routes]
+        assert all(route.stack.flags.c_contiguous for route in routes)
+        framed = [route for route in routes if route.left is not None]
+        frames = [a for route in framed for a in (route.left, route.right)]
+        assert all(a.flags.c_contiguous or a.flags.f_contiguous for a in frames)
+        # one _trailing_bounds call per core shape of a block's routes of
+        # more than three points, whatever their lengths
+        (block,) = seen["blocks"]
+        deep = {route.stack.shape[1:] for route in block if len(route.stack) > 3}
+        assert sorted(seen["cores"]) == sorted(deep)
+        for (p, q), (path, cert) in zip(pairs, batch, strict=True):
+            alone_path, alone_cert = build_path(p, q, d)
+            # repr tells every float bitwise, signed zeros included
+            assert repr(cert) == repr(alone_cert)
+            assert len(path.breakpoints) == len(alone_path.breakpoints)
+            assert all(map(np.array_equal, path.breakpoints, alone_path.breakpoints))
+        return batch, seen
+
+    def test_a_tall_real_block(self):
+        # the 8 top-stratum pairs ``rankpath trials`` draws at master seed 3
+        # on 200 x 150 real pairs, General and RealBlock routes whose pair at
+        # index 6 holds the one segment the structure cannot settle, with
+        # first-level routes under the identity (coincident, to 0,
+        # collinear, orthogonal) and lower ranks, so cores of 4, 5 and 6
+        d = VarietyDescriptor(200, 150, 4, ScalarField.REAL)
+        cfg = TrialConfig(d, 8, 3, RankPairStrategy.TOP_STRATUM_ONLY)
+        pairs = [sampled_pair(cfg, i) for i in range(8)]
+        p = pairs[0][0]
+        pairs += [(p, p.copy()), (p, 0.0 * p), (p, 2.5 * p), adversarial_pair(d, 1, 2)]
+        pairs += [
+            (sample_stratum(d, rank_p, 1.0, seed), sample_stratum(d, rank_q, 1.2, 100 + seed))
+            for seed, (rank_p, rank_q) in enumerate([(1, 1), (1, 3), (2, 3), (2, 2)])
+        ]
+        batch, seen = self.built_in_one_pass(pairs, d)
+        assert [len(routes) for routes in seen["blocks"]] == [len(pairs)]
+        # routes of one core shape and different lengths share the kernels
+        lengths = {}
+        for route in seen["blocks"][0]:
+            if len(route.stack) > 3:
+                lengths.setdefault(route.stack.shape[1:], set()).add(len(route.stack))
+        assert any(len(found) > 1 for found in lengths.values())
+        certs = [cert for _, cert in batch]
+        kinds = {tag.kind for cert in certs for tag in cert.branch_trace}
+        assert kinds == set(BranchKind) and any(not cert.branch_trace for cert in certs)
+        assert {max(sum(cert.endpoint_ranks), d.t) for cert in certs} == {4, 5, 6}
+        # the one segment that takes _segment_ratios and then _residual_bound
+        assert seen["_residual_bound"] == 1 and seen["_segment_ratios"] >= 1
+        assert [cert.samples_per_segment for cert in certs] == [0] * 6 + [3] + [0] * 9
+        assert 1e-12 < max(cert.max_relative_residual for cert in certs) < 1e-11
+
+    def test_a_block_with_and_without_frames(self, monkeypatch):
+        # 6 x 6 complex pairs: cores of 4 and 5 compressed by frames, cores
+        # of 6 built on the pair itself, and first-level routes.  Every normal
+        # form misses its endpoint by 1e-9 of its norm, so a segment at each
+        # such end follows sigma_1 along it (_segment_ratios) and settles
+        d = VarietyDescriptor(6, 6, 4, ScalarField.COMPLEX)
+        real = paths.normalize_pair
+
+        def missing(lead, trail):
+            z, v, p_hat, q_hat, t = real(lead, trail)
+            p_hat = p_hat.copy()
+            p_hat[0, 0] += 1e-9 * np.linalg.norm(p_hat)
+            return z, v, p_hat, q_hat, t
+
+        monkeypatch.setattr(paths, "normalize_pair", missing)
+        ranks = [(3, 3), (1, 1), (1, 2), (3, 3), (2, 2), (2, 3)]
+        pairs = [
+            (sample_stratum(d, rank_p, 1.0, seed), sample_stratum(d, rank_q, 1.3, 50 + seed))
+            for seed, (rank_p, rank_q) in enumerate(ranks)
+        ]
+        p = pairs[0][0]
+        pairs += [(p, p.copy()), (0.0 * p, p), adversarial_pair(d, 2, 2)]
+        batch, seen = self.built_in_one_pass(pairs, d)
+        (routes,) = seen["blocks"]
+        assert len(routes) == len(pairs)
+        framed = {route.ends.frames is None for route in routes if route.left is not None}
+        assert framed == {True, False}
+        assert seen["_segment_ratios"] >= 1 and seen["_residual_bound"] == 0
+        assert all(cert.max_relative_residual >= 1e-10 for _, cert in batch[: len(ranks)])
+
+
 class TestSketchedCore:
     """Tall pairs whose core frames come from the range sketch: the sketch
     decides membership and ranks exactly where the full SVD would, and hands
@@ -1094,17 +1294,17 @@ def residuals_less_rounding(points, d):
 
 
 def built(p, q, d):
-    """``build_path``'s path and certificate, with the arguments of its one
-    ``_schur_residual`` call, which every route makes."""
+    """``build_path``'s path and certificate, with the ``_Route`` that its
+    one ``_schur_residuals`` call certified."""
     seen = {"route": None}
-    schur = paths._schur_residual
+    schur = paths._schur_residuals
 
-    def recording_schur(*args):
-        seen["route"] = args
-        return schur(*args)
+    def recording_schur(routes):
+        (seen["route"],) = routes
+        return schur(routes)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(paths, "_schur_residual", recording_schur)
+        patch.setattr(paths, "_schur_residuals", recording_schur)
         path, cert = build_path(p, q, d)
     return path, cert, seen
 
@@ -1215,9 +1415,11 @@ class TestStructuralBound:
         sigma = spectra(stack[[0, -1]], d)
         residuals, tops = spectral_residuals(sigma, d).tolist(), sigma[:, 0].tolist()
         ends = paths._Ends((stack[0], stack[-1]), residuals, tops, None, d)
-        worst, samples = paths._schur_residual(
-            stack, [1] * 4, [("leg", 1)] * 3, [0.0, 2.0], None, None, [False] * 3, ends
+        route = paths._Route(
+            stack, [1] * 4, [("leg", 1)] * 3, [0.0, 2.0], None, None, [False] * 3, ends,
+            [], 1.0, stack[1:-1],
         )
+        ((worst, samples),) = paths._schur_residuals([route])
         assert samples == 0
         dense = dense_residuals(PiecewisePath(tuple(stack)), d)
         assert 1e-14 < dense.max() <= worst <= e
@@ -1267,7 +1469,7 @@ class TestStructuralBound:
         monkeypatch.setattr(paths, "normalize_pair", missing)
         path, cert, seen = built(p, q, d)
         # a route with frames: its Schur stack is 8 x 8, and L maps it onto 12 x 12
-        stack, left = seen["route"][0], seen["route"][4]
+        stack, left = seen["route"].stack, seen["route"].left
         assert stack.shape[1:] == (8, 8) and left.shape == (12, 8)
         assert trace_kinds(cert) == [BranchKind.GENERAL] * 4
         assert cert.max_relative_residual >= 1e-8
@@ -1282,7 +1484,8 @@ class TestStructuralBound:
         b = random_unitary(3, rng, d.field)
         moved = membership_residual(a @ x @ b.T, d)
         assert moved > 1e-6 * (1.0 + 5e-4)
-        assert paths._map_bound(a, b, d.field).residual(1e-6, 0.0) >= moved
+        (lift,) = paths._map_bounds([a], [b], d.field)
+        assert lift.residual(1e-6, 0.0) >= moved
 
     @pytest.mark.parametrize(
         "d, pairs",
@@ -1372,12 +1575,13 @@ class TestStructuralBound:
         for kinds, a, b in cases:
             path, cert, seen = built(a, b, d)
             assert trace_kinds(cert) == kinds
-            stack, positions, rays, tops_d, left, right = seen["route"][:6]
-            assert left is None and right is None
+            route = seen["route"]
+            stack, positions, rays, tops_d = route.stack, route.positions, route.kinds, route.tops_d
+            assert route.left is None and route.right is None
             assert stack.shape[1:] == d.shape
             assert positions == [0] * len(stack) and tops_d == [0.0]
             assert [kind[0] for kind in rays] == ["ray"] * (len(stack) - 1)
-            ends = seen["route"][-1]
+            ends = route.ends
             assert {stack[0].tobytes(), stack[-1].tobytes()} == {
                 point.tobytes() for point in ends.points
             }
@@ -1406,7 +1610,7 @@ class TestStructuralBound:
             ]
             for kind, (a, b) in cases:
                 _, cert, seen = built(a, b, d)
-                ends = seen["route"][-1]
+                ends = seen["route"].ends
                 assert ends.frames is not None
                 assert trace_kinds(cert) == [kind]
                 assert cert.max_relative_residual == max(ends.residuals)
@@ -1629,39 +1833,41 @@ class TestCertify:
     )
     def test_settled_routes_take_no_svd(self, shape, t, pairs, monkeypatch):
         # real top-stratum pairs as ``rankpath trials`` draws them, RealBlock
-        # steps among them: a route that sends no segment to
-        # ``_residual_bound`` takes no SVD in ``_schur_residual``, not even
-        # on the legs of a real 2 x 2 Schur block
+        # steps among them: the certificate takes no SVD in
+        # ``_schur_residuals`` but inside ``_residual_bound``, not even on the
+        # legs of a real 2 x 2 Schur block
         d = VarietyDescriptor(*shape, t, ScalarField.REAL)
-        routes, inside = [], []
-        schur, residual_bound, svd = paths._schur_residual, paths._residual_bound, np.linalg.svd
+        blocks, inside = [], []
+        schur, residual_bound, svd = paths._schur_residuals, paths._residual_bound, np.linalg.svd
 
-        def recording_schur(*args):
-            routes.append({"svd": 0, "generic": 0})
-            inside.append(True)
+        def recording_schur(routes):
+            blocks.append({"routes": len(routes), "svd": 0})
+            inside.append("structure")
             try:
-                return schur(*args)
+                return schur(routes)
             finally:
                 inside.pop()
 
         def counting_svd(*args, **kwargs):
-            if inside:
-                routes[-1]["svd"] += 1
+            if inside and inside[-1] == "structure":
+                blocks[-1]["svd"] += 1
             return svd(*args, **kwargs)
 
         def recording_bound(*args):
-            routes[-1]["generic"] += 1
-            return residual_bound(*args)
+            inside.append("generic")
+            try:
+                return residual_bound(*args)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(paths, "_schur_residual", recording_schur)
+        monkeypatch.setattr(paths, "_schur_residuals", recording_schur)
         monkeypatch.setattr(paths, "_residual_bound", recording_bound)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         report = run_trials(TrialConfig(d, pairs, 1, RankPairStrategy.TOP_STRATUM_ONLY))
-        assert report.errors == 0 and len(routes) == pairs
+        assert report.errors == 0 and sum(block["routes"] for block in blocks) == pairs
         kinds = {tag.kind for record in report.records for tag in record.branch_trace}
         assert BranchKind.REAL_BLOCK in kinds
-        settled = [route["svd"] for route in routes if route["generic"] == 0]
-        assert settled and not any(settled)
+        assert not any(block["svd"] for block in blocks)
 
     def test_negative_ray_test_is_exact(self):
         a = sample_stratum(VarietyDescriptor(4, 5, 3, ScalarField.COMPLEX), 2, 1.0, 1)
@@ -1828,22 +2034,24 @@ def reference_walk(p, q, d, norms, ranks):
 
 def walked_routes(monkeypatch, p, q, d):
     """``build_path`` of (p, q), with the arguments of its outermost
-    ``_dispatch`` call and the terminal ray that ``_schur_residual`` got:
-    (base, c), or None for the orthogonal route's two rays."""
+    ``_dispatch`` call and the terminal ray of the route that
+    ``_schur_residuals`` got: (base, c), or None for the orthogonal route's
+    two rays."""
     calls, rays = [], []
-    dispatch, kernel = paths._dispatch, paths._schur_residual
+    dispatch, kernel = paths._dispatch, paths._schur_residuals
 
     def spy_dispatch(*args):
         calls.append(args)
         return dispatch(*args)
 
-    def spy_kernel(stack, positions, kinds, *rest):
-        found = [kind[1:] for kind in kinds if kind[0] == "ray"]
+    def spy_kernel(routes):
+        (route,) = routes
+        found = [kind[1:] for kind in route.kinds if kind[0] == "ray"]
         rays.append(found[0] if len(found) == 1 else None)
-        return kernel(stack, positions, kinds, *rest)
+        return kernel(routes)
 
     monkeypatch.setattr(paths, "_dispatch", spy_dispatch)
-    monkeypatch.setattr(paths, "_schur_residual", spy_kernel)
+    monkeypatch.setattr(paths, "_schur_residuals", spy_kernel)
     path, cert = build_path(p, q, d)
     return path, cert, calls[0], rays[0]
 
